@@ -5,11 +5,10 @@ rho(t) = e^{-iHt} rho(0) e^{+iH^dag t}. The Dirac probability p(j,t) and its
 total P(t) are not conserved when H is non-Hermitian; they are the primary
 observables here.
 
-The propagator is the scaled-and-squared Pade matrix exponential, computed
-once per unique time step and reused. It stays accurate arbitrarily close to
-the spectral singularity, where eigenvector matrices become ill-conditioned;
-an eigendecomposition path is available for well-conditioned problems and as
-an independent cross-check.
+Every step, of a state or of a density matrix, goes through one Propagator:
+the scaled-and-squared Pade matrix exponential, computed once per distinct
+time step and reused. It stays accurate arbitrarily close to the spectral
+singularity, where eigenvector matrices become ill-conditioned.
 """
 
 import math
@@ -215,9 +214,17 @@ def antisym_two_packets(
     return StateVector(amplitudes=amp, center=center, lattice=lattice)
 
 
-class Propagator:
-    """Steps states under one Hamiltonian, caching e^{-iH dt} per unique dt.
+#: Relative distance below which two time steps share one exponential. The
+#: differences of a grid n*dt agree with dt only to the round-off of n*dt.
+STEP_RTOL = 1e-12
 
+
+class Propagator:
+    """Builds and applies e^{-iH dt} for one H: one exponential per distinct step.
+
+    A step within a relative STEP_RTOL (1e-12) of a step already seen reuses
+    the exponential built for that first step, so a grid n*dt costs a single
+    exponential although its float differences vary in the last digits.
     Reuse one instance when evolving several initial states under the same H;
     the dominant cost is the matrix exponential, not the matrix-vector steps.
     """
@@ -227,37 +234,37 @@ class Propagator:
         self._cache: dict[float, np.ndarray] = {}
 
     def step_matrix(self, dt: float) -> np.ndarray:
-        u = self._cache.get(dt)
-        if u is None:
-            u = scipy.linalg.expm(-1j * self.ham.matrix * dt)
-            if not np.all(np.isfinite(u)):
-                raise PropagatorError(
-                    f"propagator for dt={dt} overflowed; "
-                    "spectral growth too large for this step"
-                )
-            self._cache[dt] = u
+        for seen, u in self._cache.items():
+            if math.isclose(dt, seen, rel_tol=STEP_RTOL):
+                return u
+        u = scipy.linalg.expm(-1j * self.ham.matrix * dt)
+        if not np.all(np.isfinite(u)):
+            raise PropagatorError(
+                f"propagator for dt={dt} overflowed; "
+                "spectral growth too large for this step"
+            )
+        self._cache[dt] = u
         return u
 
+    def _steps(self, times):
+        """Yield (t, U) per time; U steps from the previous time (None at t=0)."""
+        prev_t = 0.0
+        for t in _check_times(times):
+            yield t, (self.step_matrix(t - prev_t) if t > prev_t else None)
+            prev_t = t
+
     def states(self, psi0: StateVector, times) -> list[StateVector]:
-        times = _check_times(times)
-        if psi0.amplitudes.shape[0] != self.ham.dim:
-            raise ValueError(
-                f"state dimension {psi0.amplitudes.shape[0]} does not match "
-                f"H dim {self.ham.dim}"
-            )
+        _check_dim(psi0.amplitudes, self.ham, "state")
         out = []
         psi = psi0.amplitudes.copy()
-        prev_t = 0.0
-        for t in times:
-            dt = t - prev_t
-            if dt > 0:
-                psi = self.step_matrix(dt) @ psi
+        for _, u in self._steps(times):
+            if u is not None:
+                psi = u @ psi
             out.append(
                 StateVector(
                     amplitudes=psi.copy(), center=self.ham.center, lattice=self.ham.lattice
                 )
             )
-            prev_t = t
         return out
 
     def frames(self, psi0: StateVector, times) -> list[ProfileFrame]:
@@ -266,31 +273,8 @@ class Propagator:
         ]
 
 
-def evolve_state(
-    ham: HamiltonianMatrix,
-    psi0: StateVector,
-    times,
-    method: str = "expm",
-) -> list[StateVector]:
-    """Evolve psi(t) = e^{-iHt} psi0 at the requested ascending times.
-
-    "expm" steps frame-to-frame with a cached Pade exponential per unique
-    time step; "eig" evaluates each time directly from the eigendecomposition
-    (rejected if the eigenvector matrix is ill-conditioned).
-    """
-    if method == "eig":
-        times = _check_times(times)
-        if psi0.amplitudes.shape[0] != ham.dim:
-            raise ValueError(
-                f"state dimension {psi0.amplitudes.shape[0]} does not match H dim {ham.dim}"
-            )
-        amps = _propagate_eig(ham.matrix, psi0.amplitudes, times)
-        return [
-            StateVector(amplitudes=a, center=ham.center, lattice=ham.lattice)
-            for a in amps
-        ]
-    if method != "expm":
-        raise ValueError(f"unknown propagation method {method!r}")
+def evolve_state(ham: HamiltonianMatrix, psi0: StateVector, times) -> list[StateVector]:
+    """Evolve psi(t) = e^{-iHt} psi0 at the requested ascending times."""
     return Propagator(ham).states(psi0, times)
 
 
@@ -305,49 +289,31 @@ def _check_times(times) -> np.ndarray:
     return times
 
 
-def _propagate_eig(h: np.ndarray, psi0: np.ndarray, times: np.ndarray):
-    vals, vecs = np.linalg.eig(h)
-    cond = np.linalg.cond(vecs)
-    if not np.isfinite(cond) or cond > 1e8:
-        raise PropagatorError(
-            f"eigenvector matrix condition number {cond:.2e} too large; "
-            "use the expm propagator"
+def _check_dim(entries: np.ndarray, ham: HamiltonianMatrix, what: str) -> None:
+    if entries.shape[0] != ham.dim:
+        raise ValueError(
+            f"{what} dimension {entries.shape[0]} does not match H dim {ham.dim}"
         )
-    coeff = np.linalg.solve(vecs, psi0)
-    return [vecs @ (np.exp(-1j * vals * t) * coeff) for t in times]
 
 
 def evolve_density(
     ham: HamiltonianMatrix, rho0: DensityMatrix, times
 ) -> list[DensityMatrix]:
     """Evolve rho(t) = e^{-iHt} rho(0) e^{+iH^dag t} at the requested times."""
-    times = _check_times(times)
-    if rho0.entries.shape[0] != ham.dim:
-        raise ValueError(
-            f"density dimension {rho0.entries.shape[0]} does not match H dim {ham.dim}"
-        )
-    out = []
-    for rho in _density_steps(ham.matrix, rho0.entries, times):
-        out.append(DensityMatrix(entries=rho, center=ham.center, lattice=ham.lattice))
-    return out
+    return [
+        DensityMatrix(entries=rho, center=ham.center, lattice=ham.lattice)
+        for _, rho in _density_steps(ham, rho0, times)
+    ]
 
 
-def _density_steps(h: np.ndarray, rho0: np.ndarray, times: np.ndarray):
-    cache: dict[float, np.ndarray] = {}
-    rho = rho0.copy()
-    prev_t = 0.0
-    for t in times:
-        dt = t - prev_t
-        if dt > 0:
-            u = cache.get(dt)
-            if u is None:
-                u = scipy.linalg.expm(-1j * h * dt)
-                if not np.all(np.isfinite(u)):
-                    raise PropagatorError(f"propagator for dt={dt} overflowed")
-                cache[dt] = u
+def _density_steps(ham: HamiltonianMatrix, rho0: DensityMatrix, times):
+    """Yield (t, rho(t)), stepping rho <- U rho U^dag with one Propagator."""
+    _check_dim(rho0.entries, ham, "density")
+    rho = rho0.entries.copy()
+    for t, u in Propagator(ham)._steps(times):
+        if u is not None:
             rho = u @ rho @ u.conj().T
-        yield rho.copy()
-        prev_t = t
+        yield t, rho
 
 
 def density_profile_series(
@@ -358,13 +324,10 @@ def density_profile_series(
     Streams the evolution so only diagonals are retained; use this for long
     time grids where storing every rho(t) would be wasteful.
     """
-    times = _check_times(times)
-    if rho0.entries.shape[0] != ham.dim:
-        raise ValueError("density dimension does not match H")
-    frames = []
-    for t, rho in zip(times, _density_steps(ham.matrix, rho0.entries, times)):
-        frames.append(ProfileFrame(t=float(t), p=_diag_probabilities(rho)))
-    return frames
+    return [
+        ProfileFrame(t=float(t), p=_diag_probabilities(rho))
+        for t, rho in _density_steps(ham, rho0, times)
+    ]
 
 
 def _diag_probabilities(rho: np.ndarray) -> np.ndarray:

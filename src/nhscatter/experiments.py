@@ -293,31 +293,20 @@ def to_ini(config: ScenarioConfig) -> str:
 
 
 def from_ini(text: str, base: ScenarioConfig | None = None) -> ScenarioConfig:
+    """Parse an INI config: each "[section] key = value" is applied as the
+    override "section.key=value" ("key=value" under [scenario])."""
     parser = ConfigParser(interpolation=None)
     parser.read_string(text)
     if base is None:
-        name = parser.get("scenario", "scenario", fallback="verify")
-        base = default_config(name)
-    config = _copy_config(base)
-    sections = _section_dataclasses()
-    for section in parser.sections():
-        if section == "scenario":
-            for key, raw in parser.items(section):
-                if key not in _SCALARS:
-                    raise ConfigError(f"unknown key scenario.{key}")
-                ftype = {"scenario": str, "out_dir": str, "seed": int}[key]
-                setattr(config, key, _parse_value(raw, ftype))
-            continue
-        if section not in sections:
-            raise ConfigError(f"unknown config section [{section}]")
-        cls = sections[section]
-        target = getattr(config, section)
-        field_types = {f.name: f.type for f in dataclasses.fields(cls)}
-        for key, raw in parser.items(section):
-            if key not in field_types:
-                raise ConfigError(f"unknown key {section}.{key}")
-            setattr(target, key, _parse_value(raw, field_types[key]))
-    return config
+        base = default_config(parser.get("scenario", "scenario", fallback="verify"))
+    return apply_overrides(
+        base,
+        [
+            f"{key}={raw}" if section == "scenario" else f"{section}.{key}={raw}"
+            for section in parser.sections()
+            for key, raw in parser.items(section)
+        ],
+    )
 
 
 def _copy_config(config: ScenarioConfig) -> ScenarioConfig:

@@ -29,6 +29,7 @@ from .lattice import (
     build_hamiltonian,
     site_order,
 )
+from .transforms import _alpha_beta_block
 
 LEFT = "left"
 RIGHT = "right"
@@ -281,15 +282,6 @@ def assemble_scattering_state(
     m = order.index(MINUS)
     psi[p], psi[m] = f_pm[0], f_pm[1]
     return psi
-
-
-def _alpha_beta_block() -> np.ndarray:
-    """2x2 unitary with the alpha/beta states as columns in the +- basis."""
-    u_plus = cmath.exp(1j * math.pi / 4)
-    u_minus = cmath.exp(-1j * math.pi / 4)
-    return np.array(
-        [[u_plus, -1j * u_plus], [u_minus, 1j * u_minus]], dtype=complex
-    ) / math.sqrt(2.0)
 
 
 def scattering_residual(

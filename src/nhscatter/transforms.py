@@ -49,6 +49,7 @@ class BasisChange:
 
 
 def _alpha_beta_block() -> np.ndarray:
+    """2x2 unitary with the alpha/beta states as columns in the +- basis."""
     u_plus = cmath.exp(1j * math.pi / 4)
     u_minus = cmath.exp(-1j * math.pi / 4)
     return np.array(
@@ -232,12 +233,6 @@ def parity_decompose(ham: HamiltonianMatrix, tol: float = 1e-9) -> BlockDecompos
         embed_minus=v_minus,
         cross_coupling=cross,
     )
-
-
-def sorted_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """Eigenvalues sorted by (Re, Im), for spectrum-preservation checks."""
-    vals = np.linalg.eigvals(matrix)
-    return vals[np.lexsort((vals.imag, vals.real))]
 
 
 def spectrum_distance(a, b) -> float:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -189,9 +190,9 @@ class TestEvolveState:
         ham = build_hamiltonian(AsymmetricDimer(0.7, 1.9), lat)
         psi0 = gaussian_packet(lat, WavePacketSpec(-12, 1.2, 0.5), AsymmetricDimer(0.7, 1.9))
         a = evolve_state(ham, psi0, [5.0, 11.0])
-        b = evolve_state(ham, psi0, [5.0, 11.0], method="eig")
+        b = oracles.eig_evolve(ham, psi0.amplitudes, [5.0, 11.0])
         for x, y in zip(a, b):
-            assert np.max(np.abs(x.amplitudes - y.amplitudes)) < 1e-9
+            assert np.max(np.abs(x.amplitudes - y)) < 1e-9
 
     def test_dimension_mismatch(self):
         ham = build_hamiltonian(UNIFORM, LatticeSpec(5, 5))
@@ -210,12 +211,46 @@ class TestEvolveState:
         with pytest.raises(ValueError):
             evolve_state(ham, psi, [])
 
-    def test_unknown_method(self):
-        lat = LatticeSpec(5, 5)
-        ham = build_hamiltonian(UNIFORM, lat)
-        psi = gaussian_packet(lat, WavePacketSpec(-3, 1.0, 3.0), UNIFORM)
-        with pytest.raises(ValueError):
-            evolve_state(ham, psi, [1.0], method="magic")
+
+class TestStepCache:
+    @pytest.fixture
+    def expm_calls(self, monkeypatch):
+        calls = []
+        expm = scipy.linalg.expm
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return expm(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "expm", counting)
+        return calls
+
+    def _propagator(self):
+        lat = LatticeSpec(10, 10)
+        center = AsymmetricDimer(-2.0, 0.5)
+        ham = build_hamiltonian(center, lat)
+        return ham, Propagator(ham), seed_state(lat, DimerParams(-2.0, 0.5), +1)
+
+    def test_round_off_steps_share_one_exponential(self, expm_calls):
+        # the differences of this grid take 11 distinct float values
+        times = np.arange(0, 701) * 0.1
+        assert len(set(np.diff(times))) > 1
+        ham, prop, psi0 = self._propagator()
+        final = prop.states(psi0, times)[-1]
+        assert len(expm_calls) == 1
+        ref = oracles.ode_evolve(ham, psi0.amplitudes, times[-1])
+        assert np.max(np.abs(final.amplitudes - ref)) < 1e-8 * np.max(np.abs(ref))
+
+    def test_distinct_steps_build_distinct_exponentials(self, expm_calls):
+        _, prop, _ = self._propagator()
+        first = prop.step_matrix(0.1)
+        assert prop.step_matrix(0.1 * (1 + 1e-13)) is first
+        assert len(expm_calls) == 1
+        assert prop.step_matrix(0.1 * (1 + 1e-10)) is not first
+        assert len(expm_calls) == 2
+        prop.step_matrix(5.0)
+        prop.step_matrix(6.0)
+        assert len(expm_calls) == 4
 
 
 class TestEvolveDensity:
@@ -264,13 +299,14 @@ class TestEvolveDensity:
     def test_incoherent_sum_oracle_agreement(self):
         n0 = 6
         lat = LatticeSpec(n0, 60, hard_wall_n0=n0)
-        center = AsymmetricDimer(10.0, 0.1)
-        ham = build_hamiltonian(center, lat)
-        rho0 = mixed_state_uniform(lat, center, n0)
         times = [10.0, 40.0]
-        ours = [f.total for f in density_profile_series(ham, rho0, times)]
-        ref = oracles.incoherent_sum_probability(ham, lat, center, n0, times)
-        assert np.max(np.abs(np.array(ours) - ref)) < 1e-9
+        # mu*nu = 1 absorbs; at the singularity mu*nu = -1 P(t) grows to ~5e8
+        for center in (AsymmetricDimer(10.0, 0.1), AsymmetricDimer(-2.0, 0.5)):
+            ham = build_hamiltonian(center, lat)
+            rho0 = mixed_state_uniform(lat, center, n0)
+            ours = np.array([f.total for f in density_profile_series(ham, rho0, times)])
+            ref = oracles.incoherent_sum_probability(ham, lat, center, n0, times)
+            assert np.max(np.abs(ours - ref) / np.maximum(1.0, ref)) < 1e-9
 
     def test_rejects_non_hermitian_input(self):
         lat = LatticeSpec(3, 3)

@@ -20,8 +20,6 @@ from nhscatter import (
     index_to_site,
     interferometer_from_dimer,
     lattice_dim,
-    load_complex_matrix,
-    save_complex_matrix,
     site_order,
     site_to_index,
 )
@@ -216,16 +214,3 @@ class TestBuildHamiltonian:
         ham = build_hamiltonian(OnSitePotential(0), LatticeSpec(2, 2))
         with pytest.raises(ValueError):
             ham.matrix[0, 0] = 1.0
-
-
-class TestMatrixIO:
-    def test_round_trip(self, tmp_path):
-        ham = build_hamiltonian(Interferometer(-1.25, 0.75, math.pi / 4), LatticeSpec(3, 3))
-        path = tmp_path / "h.txt"
-        save_complex_matrix(path, ham.matrix)
-        loaded = load_complex_matrix(path)
-        assert np.array_equal(loaded, ham.matrix)
-
-    def test_rejects_non_matrix(self, tmp_path):
-        with pytest.raises(ValueError):
-            save_complex_matrix(tmp_path / "x.txt", np.zeros(3))
