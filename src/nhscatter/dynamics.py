@@ -1,11 +1,13 @@
 """Initial states, non-unitary time evolution, and Dirac-probability output.
 
 States evolve as psi(t) = e^{-iHt} psi(0) and density matrices as
-rho(t) = e^{-iHt} rho(0) e^{+iH^dag t}. The Dirac probability p(j,t) and its
-total P(t) are not conserved when H is non-Hermitian; they are the primary
-observables here.
+rho(t) = e^{-iHt} rho(0) e^{+iH^dag t}. A density matrix is held as a factor,
+rho = V W V^dag with V of shape N x r and W = diag(w) real, and steps as
+V <- U V; its site profile is p = |V|^2 w, so P(t) is a weighted Frobenius
+norm of V. The Dirac probability p(j,t) and its total P(t) are not conserved
+when H is non-Hermitian; they are the primary observables here.
 
-Every step, of a state or of a density matrix, goes through one Propagator:
+Every step, of a state or of a density factor, goes through one Propagator:
 the scaled-and-squared Pade matrix exponential, computed once per distinct
 time step and reused. It stays accurate arbitrarily close to the spectral
 singularity, where eigenvector matrices become ill-conditioned.
@@ -97,17 +99,21 @@ class StateVector:
         return complex(self.amplitudes[site_to_index(self.lattice, site, self.center)])
 
 
-@dataclass
 class DensityMatrix:
-    """Hermitian (within tolerance) density matrix over the canonical ordering."""
+    """Density matrix rho = V diag(w) V^dag over the canonical ordering.
 
-    entries: np.ndarray
-    center: CenterSpec
-    lattice: LatticeSpec
+    Held as the N x r factor V (``factor``) and r real weights w
+    (``weights``), so a rank-r state costs O(N r) to store and O(N^2 r) to
+    step. A full matrix passed in must be Hermitian within 1e-10 of its
+    largest entry; it is factored once by its eigendecomposition, keeping
+    every eigenvalue that is not exactly zero with its sign, so an indefinite
+    input is reproduced and still fails the negative-probability check of
+    its profile.
+    """
 
-    def __post_init__(self):
-        rho = np.asarray(self.entries, dtype=complex)
-        expected = lattice_dim(self.center, self.lattice)
+    def __init__(self, entries, center: CenterSpec, lattice: LatticeSpec):
+        rho = np.asarray(entries, dtype=complex)
+        expected = lattice_dim(center, lattice)
         if rho.shape != (expected, expected):
             raise ValueError(
                 f"density matrix has shape {rho.shape}, expected square dim {expected}"
@@ -116,18 +122,48 @@ class DensityMatrix:
         scale = max(1.0, float(np.max(np.abs(rho))))
         if defect > 1e-10 * scale:
             raise ValueError(f"density matrix is not Hermitian (defect {defect:.3e})")
-        self.entries = rho
+        weights, factor = scipy.linalg.eigh((rho + rho.conj().T) / 2.0)
+        keep = weights != 0.0
+        self.factor = factor[:, keep]
+        self.weights = weights[keep]
+        self.center = center
+        self.lattice = lattice
+
+    @classmethod
+    def _factored(cls, factor, weights, center, lattice) -> "DensityMatrix":
+        rho = cls.__new__(cls)
+        rho.factor, rho.weights = factor, weights
+        rho.center, rho.lattice = center, lattice
+        return rho
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The full N x N matrix V diag(w) V^dag, built on each access."""
+        return (self.factor * self.weights) @ self.factor.conj().T
+
+    def diagonal(self) -> np.ndarray:
+        """Site populations rho_jj = sum_k w_k |V_jk|^2."""
+        return (np.abs(self.factor) ** 2) @ self.weights
 
     def trace(self) -> float:
-        return float(np.trace(self.entries).real)
+        return float(self.diagonal().sum())
+
+    def _core(self) -> np.ndarray:
+        """C = R diag(w) R^dag for V = QR: rho = Q C Q^dag has C's nonzero spectrum."""
+        r = np.linalg.qr(self.factor, mode="r")
+        return (r * self.weights) @ r.conj().T
 
     def purity(self) -> float:
         """Tr(rho^2) / (Tr rho)^2."""
-        tr = np.trace(self.entries)
-        return float((np.trace(self.entries @ self.entries) / (tr * tr)).real)
+        tr = self.trace()
+        return float(np.sum(np.abs(self._core()) ** 2) / (tr * tr))
 
     def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh((self.entries + self.entries.conj().T) / 2.0)[0])
+        core = self._core()
+        eig = np.linalg.eigvalsh(core)
+        if core.shape[0] < self.factor.shape[0]:
+            eig = np.append(eig, 0.0)  # the complement of range(V) is null
+        return float(eig.min())
 
 
 @dataclass(frozen=True)
@@ -300,20 +336,17 @@ def evolve_density(
     ham: HamiltonianMatrix, rho0: DensityMatrix, times
 ) -> list[DensityMatrix]:
     """Evolve rho(t) = e^{-iHt} rho(0) e^{+iH^dag t} at the requested times."""
-    return [
-        DensityMatrix(entries=rho, center=ham.center, lattice=ham.lattice)
-        for _, rho in _density_steps(ham, rho0, times)
-    ]
+    return [rho for _, rho in _density_steps(ham, rho0, times)]
 
 
 def _density_steps(ham: HamiltonianMatrix, rho0: DensityMatrix, times):
-    """Yield (t, rho(t)), stepping rho <- U rho U^dag with one Propagator."""
-    _check_dim(rho0.entries, ham, "density")
-    rho = rho0.entries.copy()
+    """Yield (t, rho(t)), stepping the factor V <- U V with one Propagator."""
+    _check_dim(rho0.factor, ham, "density")
+    v = rho0.factor.copy()
     for t, u in Propagator(ham)._steps(times):
         if u is not None:
-            rho = u @ rho @ u.conj().T
-        yield t, rho
+            v = u @ v
+        yield t, DensityMatrix._factored(v, rho0.weights, ham.center, ham.lattice)
 
 
 def density_profile_series(
@@ -321,17 +354,13 @@ def density_profile_series(
 ) -> list[ProfileFrame]:
     """Per-site probability frames of an evolving density matrix.
 
-    Streams the evolution so only diagonals are retained; use this for long
-    time grids where storing every rho(t) would be wasteful.
+    Streams the evolution so only the populations are retained; use this
+    for long time grids where storing every rho(t) would be wasteful.
     """
-    return [
-        ProfileFrame(t=float(t), p=_diag_probabilities(rho))
-        for t, rho in _density_steps(ham, rho0, times)
-    ]
+    return [profile(rho, t) for t, rho in _density_steps(ham, rho0, times)]
 
 
-def _diag_probabilities(rho: np.ndarray) -> np.ndarray:
-    p = np.diagonal(rho).real.copy()
+def _diag_probabilities(p: np.ndarray) -> np.ndarray:
     if p.min() < -1e-10:
         raise ValueError(f"density diagonal has negative probability {p.min():.3e}")
     np.clip(p, 0.0, None, out=p)
@@ -341,15 +370,17 @@ def _diag_probabilities(rho: np.ndarray) -> np.ndarray:
 def mixed_state_uniform(
     lattice: LatticeSpec, center: CenterSpec, n0: int
 ) -> DensityMatrix:
-    """Uniform incoherent mixture (1/n0) sum_j |-j><-j| over sites -1..-n0."""
+    """Uniform incoherent mixture (1/n0) sum_j |-j><-j| over sites -1..-n0.
+
+    Built directly as its rank-n0 factor: columns e_{-j}, weights 1/n0, so
+    the populations at t = 0 are exactly 1/n0.
+    """
     if n0 < 1 or n0 > lattice.left_len:
         raise ValueError(f"n0 must be in 1..left_len, got {n0}")
-    dim = lattice_dim(center, lattice)
-    rho = np.zeros((dim, dim), dtype=complex)
-    for j in range(1, n0 + 1):
-        i = site_to_index(lattice, -j, center)
-        rho[i, i] = 1.0 / n0
-    return DensityMatrix(entries=rho, center=center, lattice=lattice)
+    factor = np.zeros((lattice_dim(center, lattice), n0), dtype=complex)
+    for col, j in enumerate(range(1, n0 + 1)):
+        factor[site_to_index(lattice, -j, center), col] = 1.0
+    return DensityMatrix._factored(factor, np.full(n0, 1.0 / n0), center, lattice)
 
 
 def profile(obj: Union[StateVector, DensityMatrix], t: float) -> ProfileFrame:
@@ -357,7 +388,7 @@ def profile(obj: Union[StateVector, DensityMatrix], t: float) -> ProfileFrame:
     if isinstance(obj, StateVector):
         return ProfileFrame(t=float(t), p=obj.probabilities())
     if isinstance(obj, DensityMatrix):
-        return ProfileFrame(t=float(t), p=_diag_probabilities(obj.entries))
+        return ProfileFrame(t=float(t), p=_diag_probabilities(obj.diagonal()))
     raise TypeError(f"expected StateVector or DensityMatrix, got {type(obj).__name__}")
 
 

@@ -796,6 +796,11 @@ def _run_absorb(config: ScenarioConfig, out_dir: Path):
             f"absorb requires lattice.hard_wall_n0 == absorb.n0 (= {ab.n0})"
         )
     times = TimeConfig(t_max=ab.t_max, dt=ab.dt).times()
+    # the last grid time, not t_max: the grid ends at round(t_max / dt) * dt
+    if not 0.0 < ab.drop_time <= times[-1]:
+        raise ConfigError(
+            f"absorb.drop_time must lie in (0, {float(times[-1])!r}], got {ab.drop_time!r}"
+        )
 
     totals = {}
     with open(out_dir / "ptotal.csv", "w") as fh:
@@ -844,7 +849,7 @@ def _run_absorb(config: ScenarioConfig, out_dir: Path):
     control_center = AsymmetricDimer(1.0, 1.0)
     control_ham = build_hamiltonian(control_center, lattice)
     control_rho = mixed_state_uniform(lattice, control_center, ab.n0)
-    control_times = TimeConfig(t_max=ab.t_max, dt=max(ab.dt, 10.0)).times()
+    control_times = TimeConfig(t_max=ab.t_max, dt=min(max(ab.dt, 10.0), ab.t_max)).times()
     control_frames = density_profile_series(control_ham, control_rho, control_times)
     control_dev = max(abs(f.total - 1.0) for f in control_frames)
     assertions.append(_le("hermitian_control_conserves", control_dev, 1e-9))

@@ -3,12 +3,13 @@
 These deliberately avoid the closed-form amplitude expressions and the
 package propagator: scattering coefficients come from a finite-lattice linear
 solve with plane-wave window fits, and time evolution from an adaptive ODE
-integrator or a dense eigendecomposition.
+integrator, a dense eigendecomposition, or dense density-matrix products.
 """
 
 import math
 
 import numpy as np
+import scipy.linalg
 from scipy.integrate import solve_ivp
 
 from nhscatter import LatticeSpec, build_hamiltonian, site_to_index
@@ -101,6 +102,19 @@ def eig_evolve(ham, psi0, times):
     vals, vecs = np.linalg.eig(ham.matrix)
     coeff = np.linalg.solve(vecs, np.asarray(psi0, dtype=complex))
     return [vecs @ (np.exp(-1j * vals * t) * coeff) for t in np.atleast_1d(times)]
+
+
+def dense_density_evolve(ham, rho0, times):
+    """Full N x N matrices rho <- U rho U^dag, one Pade exponential per step."""
+    rho = np.asarray(rho0, dtype=complex)
+    out, prev = [], 0.0
+    for t in np.atleast_1d(times):
+        if t > prev:
+            u = scipy.linalg.expm(-1j * ham.matrix * (t - prev))
+            rho = u @ rho @ u.conj().T
+        out.append(rho)
+        prev = t
+    return out
 
 
 def incoherent_sum_probability(ham, lattice, center, n0, times):

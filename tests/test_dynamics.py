@@ -274,6 +274,7 @@ class TestEvolveDensity:
         rho0 = mixed_state_uniform(lat, UNIFORM, 10)
         for rho in evolve_density(ham, rho0, [5.0, 20.0, 60.0]):
             assert rho.trace() == pytest.approx(1.0, abs=1e-9)
+            assert rho.factor.shape == (ham.dim, 10)
 
     def test_stays_hermitian_psd_and_purity_bounded(self):
         lat = LatticeSpec(15, 15)
@@ -284,6 +285,13 @@ class TestEvolveDensity:
         evolved = evolve_density(ham, rho0, [12.0])[0]
         assert evolved.min_eigenvalue() > -1e-10
         assert evolved.purity() <= 1.0 + 1e-10
+        # the factor's values agree with those of the full matrix
+        full = evolved.entries
+        tr = np.trace(full).real
+        assert evolved.factor.shape == (ham.dim, 8)
+        assert evolved.trace() == pytest.approx(tr, abs=1e-12)
+        assert evolved.purity() == pytest.approx(np.trace(full @ full).real / tr**2, abs=1e-12)
+        assert evolved.min_eigenvalue() == pytest.approx(np.linalg.eigvalsh(full)[0], abs=1e-12)
 
     def test_profile_series_matches_evolve_density(self):
         lat = LatticeSpec(15, 15)
@@ -307,6 +315,37 @@ class TestEvolveDensity:
             ours = np.array([f.total for f in density_profile_series(ham, rho0, times)])
             ref = oracles.incoherent_sum_probability(ham, lat, center, n0, times)
             assert np.max(np.abs(ours - ref) / np.maximum(1.0, ref)) < 1e-9
+
+    @pytest.mark.parametrize("kind", ["mixed", "pure", "full_rank"])
+    def test_dense_oracle_agreement_at_singularity(self, kind):
+        n0 = 6
+        lat = LatticeSpec(n0, 60, hard_wall_n0=n0)
+        center = AsymmetricDimer(-2.0, 0.5)
+        ham = build_hamiltonian(center, lat)
+        if kind == "mixed":
+            rho0 = mixed_state_uniform(lat, center, n0)
+            dense = np.zeros((ham.dim, ham.dim), dtype=complex)
+            for j in range(1, n0 + 1):
+                i = site_to_index(lat, -j, center)
+                dense[i, i] = 1.0 / n0
+        else:
+            if kind == "pure":
+                psi = seed_state(lat, DimerParams(-2.0, 0.5), +1).amplitudes
+                dense = np.outer(psi, psi.conj())
+            else:
+                rng = np.random.default_rng(5)
+                a = rng.normal(size=(ham.dim, ham.dim)) + 1j * rng.normal(size=(ham.dim, ham.dim))
+                dense = a @ a.conj().T / np.trace(a @ a.conj().T).real
+            rho0 = DensityMatrix(dense, center, lat)
+        times = [10.0, 40.0]
+        ref = oracles.dense_density_evolve(ham, dense, times)
+        rhos = evolve_density(ham, rho0, times)
+        frames = density_profile_series(ham, rho0, times)
+        for rho, frame, want in zip(rhos, frames, ref):
+            # P(40) of the mixed state is ~5e8, so the bound is relative to max(1, P)
+            scale = max(1.0, np.trace(want).real)
+            assert np.max(np.abs(rho.entries - want)) / scale < 1e-9
+            assert np.max(np.abs(frame.p - np.diagonal(want).real)) / scale < 1e-9
 
     def test_rejects_non_hermitian_input(self):
         lat = LatticeSpec(3, 3)
@@ -335,6 +374,19 @@ class TestProfile:
         rho = mixed_state_uniform(lat, UNIFORM, 4)
         frame = profile(rho, 1.0)
         assert frame.total == pytest.approx(1.0)
+        assert rho.factor.shape == (rho.entries.shape[0], 4)
+        assert np.array_equal(frame.p, np.diagonal(rho.entries).real)
+
+    def test_indefinite_density_kept_and_rejected(self):
+        lat = LatticeSpec(3, 3)
+        dense = np.zeros((8, 8), dtype=complex)
+        dense[0, 0], dense[1, 1], dense[0, 1], dense[1, 0] = 1.0, -0.5, 0.25j, -0.25j
+        rho = DensityMatrix(dense, UNIFORM, lat)
+        assert rho.factor.shape == (8, 2)
+        assert np.max(np.abs(rho.entries - dense)) < 1e-14
+        assert rho.min_eigenvalue() < 0
+        with pytest.raises(ValueError, match="negative probability"):
+            profile(rho, 0.0)
 
     def test_rejects_other_types(self):
         with pytest.raises(TypeError):

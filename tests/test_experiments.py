@@ -108,6 +108,15 @@ class TestValidation:
         with pytest.raises(ConfigError):
             run_scenario(cfg)
 
+    @pytest.mark.parametrize("drop_time", [0.0, -5.0, 50.0])
+    def test_absorb_drop_time_outside_grid(self, tmp_path, drop_time):
+        cfg = default_config("absorb")
+        cfg.out_dir = str(tmp_path / "x")
+        cfg.absorb.t_max = 20.0
+        cfg.absorb.drop_time = drop_time
+        with pytest.raises(ConfigError, match="drop_time"):
+            run_scenario(cfg)
+
     def test_flux_requires_zero_deviation_row(self, tmp_path):
         cfg = default_config("flux-deviation")
         cfg.out_dir = str(tmp_path / "x")
@@ -236,6 +245,19 @@ class TestSmallScaleRunners:
         assert lines[0] == "nu,t,P"
         assert any(a.name == "hermitian_control_conserves" for a in manifest.assertions)
 
+    def test_absorb_shorter_than_control_step(self, tmp_path):
+        # t_max below the Hermitian control's 10-unit step
+        cfg = default_config("absorb")
+        cfg.out_dir = str(tmp_path / "abs")
+        cfg.absorb.t_max = 8.0
+        cfg.absorb.dt = 2.0
+        cfg.absorb.drop_time = 8.0
+        manifest = run_scenario(cfg)
+        control = [a for a in manifest.assertions if a.name == "hermitian_control_conserves"]
+        assert len(control) == 1 and control[0].passed
+        lines = (tmp_path / "abs" / "ptotal.csv").read_text().splitlines()
+        assert len(lines) == 1 + 3 * 5
+
 
 class TestRunArtifacts:
     def test_manifest_and_outputs(self, tmp_path):
@@ -285,6 +307,18 @@ class TestCli:
         )
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_absorb_drop_time_past_t_max_exit_two(self, tmp_path, capsys):
+        code = main(
+            [
+                "absorb",
+                "--out", str(tmp_path / "x"),
+                "--set", "absorb.t_max=20.0",
+                "--set", "absorb.drop_time=50.0",
+            ]
+        )
+        assert code == 2
+        assert "drop_time" in capsys.readouterr().err
 
     def test_set_overrides_config_file(self, tmp_path, capsys):
         cfg = small_amplify(tmp_path / "from_file")
