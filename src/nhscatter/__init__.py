@@ -4,96 +4,3 @@ gain/loss interferometer, and the asymmetric-hopping dimer it reduces to.
 """
 
 __version__ = "0.1.0"
-
-from .lattice import (
-    ALPHA,
-    BETA,
-    DIMER_REDUCTION_PHI,
-    MINUS,
-    PLUS,
-    AsymmetricDimer,
-    CenterSpec,
-    DimerParams,
-    HamiltonianMatrix,
-    Interferometer,
-    LatticeSpec,
-    OnSitePotential,
-    build_hamiltonian,
-    center_sites,
-    dimer_from_interferometer,
-    index_to_site,
-    interferometer_from_dimer,
-    lattice_dim,
-    site_order,
-    site_to_index,
-)
-from .scattering import (
-    LEFT,
-    RIGHT,
-    ScatteringAmplitudes,
-    SingularityReport,
-    amplification_coefficient,
-    amplitudes_for_center,
-    assemble_scattering_state,
-    classify,
-    dimer_amplitudes,
-    dispersion,
-    group_velocity,
-    onsite_amplitudes,
-    scattering_residual,
-    singular_wavefunction,
-    sweep_rows,
-    write_sweep_csv,
-)
-from .transforms import (
-    BasisChange,
-    BlockDecomposition,
-    alpha_beta_change,
-    alpha_beta_rotation,
-    biorthogonal_change,
-    biorthogonal_scale,
-    parity_decompose,
-    spectrum_distance,
-)
-from .dynamics import (
-    BoundaryContaminationError,
-    DensityMatrix,
-    ProfileFrame,
-    Propagator,
-    PropagatorError,
-    StateVector,
-    TransitMetrics,
-    WavePacketSpec,
-    antisym_two_packets,
-    boundary_contamination,
-    check_boundaries,
-    density_profile_series,
-    evolve_density,
-    evolve_state,
-    gaussian_packet,
-    mixed_state_uniform,
-    profile,
-    seed_state,
-    split_probability,
-    transit_metrics,
-    write_frames_csv,
-    write_metrics_txt,
-)
-from .experiments import (
-    ConfigError,
-    RunManifest,
-    ScenarioConfig,
-    SCENARIOS,
-    apply_overrides,
-    default_config,
-    from_ini,
-    load_config,
-    run_absorb,
-    run_amplify,
-    run_flux_deviation,
-    run_scenario,
-    run_singularity,
-    run_sweep,
-    run_verify,
-    to_ini,
-)

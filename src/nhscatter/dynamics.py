@@ -410,17 +410,6 @@ class TransitMetrics:
     shift: int
     scale: float
 
-    def as_dict(self) -> dict:
-        return {
-            "incident": self.incident,
-            "reflected": self.reflected,
-            "transmitted": self.transmitted,
-            "gain": self.gain,
-            "distortion": self.distortion,
-            "shift": self.shift,
-            "scale": self.scale,
-        }
-
 
 def transit_metrics(
     frames: list[ProfileFrame],

@@ -7,6 +7,7 @@ CSVs: floats are written via repr and nothing time-dependent enters the data
 files.
 """
 
+import copy
 import dataclasses
 import json
 import math
@@ -93,17 +94,10 @@ class CenterConfig:
         raise ConfigError(f"unknown center kind {self.kind!r}")
 
     def dimer_params(self) -> DimerParams:
-        """Effective dimer parameters; rejects centers with no reduction."""
-        if self.kind == "dimer":
-            return DimerParams(self.mu, self.nu)
-        if self.kind == "interferometer":
-            if abs(self.phi - DIMER_REDUCTION_PHI) > 1e-12:
-                raise ConfigError(
-                    "interferometer reduces to a dimer only at flux pi/4; "
-                    f"got phi={self.phi!r}"
-                )
-            return dimer_from_interferometer(self.delta, self.gamma)
-        raise ConfigError(f"center kind {self.kind!r} has no dimer parameters")
+        """Effective dimer parameters; raises for centers with no reduction."""
+        if self.kind == "onsite":
+            raise ConfigError(f"center kind {self.kind!r} has no dimer parameters")
+        return self.to_center().dimer_params
 
 
 @dataclass
@@ -113,10 +107,7 @@ class LatticeConfig:
     hard_wall_n0: int | None = None
 
     def to_lattice(self) -> LatticeSpec:
-        try:
-            return LatticeSpec(self.left_len, self.right_len, self.hard_wall_n0)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        return LatticeSpec(self.left_len, self.right_len, self.hard_wall_n0)
 
 
 @dataclass
@@ -129,13 +120,17 @@ class PacketConfig:
 
 @dataclass
 class TimeConfig:
+    """Time grid 0, dt, 2 dt, ..., n dt, where n dt is the last multiple of dt
+    not past t_max: n = floor(t_max / dt + 1e-9), so a t_max that is a
+    multiple of dt up to round-off (0.3 with dt = 0.1) keeps its last point."""
+
     t_max: float = 70.0
     dt: float = 1.0
 
     def times(self) -> np.ndarray:
         if self.dt <= 0 or self.t_max < self.dt:
             raise ConfigError("need dt > 0 and t_max >= dt")
-        n = int(round(self.t_max / self.dt))
+        n = math.floor(self.t_max / self.dt + 1e-9)
         return np.arange(0, n + 1, dtype=float) * self.dt
 
 
@@ -238,16 +233,11 @@ def _format_value(value) -> str:
 
 def _parse_value(text: str, ftype):
     text = text.strip()
-    origin = typing.get_origin(ftype)
-    if isinstance(ftype, types.UnionType):
-        args = typing.get_args(ftype)
-        if type(None) in args:
-            if text.lower() in ("none", ""):
-                return None
-            inner = next(a for a in args if a is not type(None))
-            return _parse_value(text, inner)
-        raise ConfigError(f"unsupported union type {ftype}")
-    if origin is tuple:
+    if isinstance(ftype, types.UnionType):  # "T | None", the only union used
+        if text.lower() in ("none", ""):
+            return None
+        ftype = typing.get_args(ftype)[0]
+    if typing.get_origin(ftype) is tuple:
         inner = typing.get_args(ftype)[0]
         if not text:
             return ()
@@ -260,12 +250,6 @@ def _parse_value(text: str, ftype):
         return complex(text.replace(" ", ""))
     if ftype is str:
         return text
-    if ftype is bool:
-        if text.lower() in ("true", "1", "yes"):
-            return True
-        if text.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"bad boolean {text!r}")
     raise ConfigError(f"unsupported config field type {ftype}")
 
 
@@ -309,42 +293,36 @@ def from_ini(text: str, base: ScenarioConfig | None = None) -> ScenarioConfig:
     )
 
 
-def _copy_config(config: ScenarioConfig) -> ScenarioConfig:
-    clone = ScenarioConfig(
-        scenario=config.scenario, out_dir=config.out_dir, seed=config.seed
-    )
-    for section, cls in _section_dataclasses().items():
-        setattr(clone, section, dataclasses.replace(getattr(config, section)))
-    return clone
-
-
 def load_config(path, base: ScenarioConfig | None = None) -> ScenarioConfig:
     return from_ini(Path(path).read_text(), base=base)
 
 
 def apply_overrides(config: ScenarioConfig, assignments) -> ScenarioConfig:
     """Apply "section.key=value" (or "key=value" for scenario scalars)."""
-    config = _copy_config(config)
+    config = copy.deepcopy(config)
     sections = _section_dataclasses()
     for item in assignments:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not key=value")
         key, raw = item.split("=", 1)
         key = key.strip()
-        if "." not in key:
+        section, _, name = key.partition(".")
+        if not name:
             if key not in _SCALARS:
                 raise ConfigError(f"unknown top-level key {key!r}")
-            ftype = {"scenario": str, "out_dir": str, "seed": int}[key]
-            setattr(config, key, _parse_value(raw, ftype))
-            continue
-        section, name = key.split(".", 1)
-        if section not in sections:
+            target, name = config, key
+        elif section in sections:
+            target = getattr(config, section)
+        else:
             raise ConfigError(f"unknown config section {section!r}")
-        cls = sections[section]
-        field_types = {f.name: f.type for f in dataclasses.fields(cls)}
+        field_types = {f.name: f.type for f in dataclasses.fields(target)}
         if name not in field_types:
-            raise ConfigError(f"unknown key {section}.{name}")
-        setattr(getattr(config, section), name, _parse_value(raw, field_types[name]))
+            raise ConfigError(f"unknown key {key}")
+        try:
+            value = _parse_value(raw, field_types[name])
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key}: {exc}") from None
+        setattr(target, name, value)
     return config
 
 
@@ -404,14 +382,21 @@ def _le(name, measured, bound, detail="") -> AssertionResult:
 
 
 def run_scenario(config: ScenarioConfig) -> RunManifest:
-    """Execute one scenario, writing outputs and exactly one manifest."""
+    """Execute one scenario, writing outputs and exactly one manifest. This is
+    the one error boundary of the scenario layer: a `ValueError` raised by a
+    runner (a malformed or inconsistent config value) leaves as `ConfigError`."""
     if config.scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {config.scenario!r}")
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     runner = _RUNNERS[config.scenario]
     started = time.perf_counter()
-    outputs, assertions = runner(config, out_dir)
+    try:
+        outputs, assertions = runner(config, out_dir)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     duration = time.perf_counter() - started
 
     config_text = to_ini(config)
@@ -439,11 +424,8 @@ def _run_sweep(config: ScenarioConfig, out_dir: Path):
     if n < 1:
         raise ConfigError("sweep.samples must be positive")
     ks = [i * math.pi / (n + 1) for i in range(1, n + 1)]
-    try:
-        left_rows = sweep_rows(center, ks, LEFT)
-        right_rows = sweep_rows(center, ks, RIGHT)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    left_rows = sweep_rows(center, ks, LEFT)
+    right_rows = sweep_rows(center, ks, RIGHT)
     write_sweep_csv(out_dir / "sweep_left.csv", left_rows)
     write_sweep_csv(out_dir / "sweep_right.csv", right_rows)
     outputs = ["sweep_left.csv", "sweep_right.csv"]
@@ -468,7 +450,7 @@ def _run_sweep(config: ScenarioConfig, out_dir: Path):
         assertions.append(_le("hermitian_unitarity", worst, config.tol.unitarity))
     try:
         params = config.center.dimer_params()
-    except ConfigError:
+    except ValueError:  # no dimer reduction: skip the dimer-only checks
         params = None
     if params is not None and params.is_resonant(config.tol.resonance):
         worst = max(abs(row.r) for row in left_rows + right_rows)
@@ -487,55 +469,60 @@ def _run_sweep(config: ScenarioConfig, out_dir: Path):
     return outputs, assertions
 
 
-def _resonant_params(config: ScenarioConfig) -> DimerParams:
+def _dimer_on_locus(config: ScenarioConfig, product: int) -> DimerParams:
+    """The center's dimer parameters, required on the locus mu*nu = product:
+    +1 (resonance, within tol.resonance) or -1 (spectral singularity, within
+    tol.singularity)."""
     params = config.center.dimer_params()
-    if not params.is_resonant(config.tol.resonance):
+    tol = config.tol.resonance if product == 1 else config.tol.singularity
+    if abs(params.product - product) > tol:
         raise ConfigError(
-            f"scenario requires the resonance mu*nu = 1; got mu*nu = {params.product!r}"
+            f"scenario requires mu*nu = {product}; got mu*nu = {params.product!r}"
         )
     return params
 
 
-def _packet_or_error(lattice, spec, center):
-    try:
-        return gaussian_packet(lattice, spec, center)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+def _require_distinct(name: str, values) -> None:
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{name} lists a value more than once: {values!r}")
+
+
+#: Reference center of the transit runners: the uniform chain.
+_UNIFORM_CHAIN = AsymmetricDimer(1.0, 1.0)
 
 
 def _evolve_packet(config, center, k0):
-    """Send the configured packet through `center`; returns (H, frames)."""
+    """Send the configured packet at momentum k0 through `center`; returns
+    (H, frames). `_UNIFORM_CHAIN` as the center gives the reference run."""
+    if not 0.0 < k0 < math.pi:
+        raise ConfigError(f"packet momentum must lie in (0, pi), got k0={k0!r}")
     lattice = config.lattice.to_lattice()
-    times = config.time.times()
     spec = WavePacketSpec(site=config.packet.site, k0=k0, lam=config.packet.lam)
     ham = build_hamiltonian(center, lattice)
-    frames = Propagator(ham).frames(_packet_or_error(lattice, spec, center), times)
+    frames = Propagator(ham).frames(
+        gaussian_packet(lattice, spec, center), config.time.times()
+    )
     return ham, frames
 
 
-def _reference_frames(config, k0):
-    """Same packet propagated on the uniform chain (unit symmetric dimer)."""
-    _, frames = _evolve_packet(config, AsymmetricDimer(1.0, 1.0), k0)
-    return frames
+def _transit(config, ham, frames, ref_frames):
+    return transit_metrics(
+        frames, ham.center_span, reference_frames=ref_frames, ends_tol=config.tol.boundary
+    )
 
 
 def _run_amplify(config: ScenarioConfig, out_dir: Path):
-    params = _resonant_params(config)
-    if not (0.0 < config.packet.k0 < math.pi):
-        raise ConfigError("packet.k0 must lie in (0, pi)")
+    params = _dimer_on_locus(config, 1)
     center = config.center.to_center()
     ham, frames = _evolve_packet(config, center, config.packet.k0)
-    ref_frames = _reference_frames(config, config.packet.k0)
-    metrics = transit_metrics(
-        frames, ham.center_span, reference_frames=ref_frames, ends_tol=config.tol.boundary
-    )
-    lattice = config.lattice.to_lattice()
-    write_frames_csv(out_dir / "frames.csv", frames, lattice, ham.center)
+    ref_frames = _evolve_packet(config, _UNIFORM_CHAIN, config.packet.k0)[1]
+    metrics = _transit(config, ham, frames, ref_frames)
+    write_frames_csv(out_dir / "frames.csv", frames, ham.lattice, ham.center)
     write_frames_csv(
-        out_dir / "frames_reference.csv", ref_frames, lattice, AsymmetricDimer(1.0, 1.0)
+        out_dir / "frames_reference.csv", ref_frames, ham.lattice, _UNIFORM_CHAIN
     )
     expected = params.nu**2
-    record = dict(metrics.as_dict(), expected_gain=expected)
+    record = dict(dataclasses.asdict(metrics), expected_gain=expected)
     write_metrics_txt(out_dir / "metrics.txt", record)
 
     assertions = [
@@ -552,29 +539,25 @@ def _run_amplify(config: ScenarioConfig, out_dir: Path):
 
 
 def _run_flux_deviation(config: ScenarioConfig, out_dir: Path):
-    params = _resonant_params(config)
+    _dimer_on_locus(config, 1)
     if config.center.kind != "interferometer":
         raise ConfigError("flux-deviation requires an interferometer center")
     if any(d < 0 for d in config.flux.deviations) or 0 not in config.flux.deviations:
         raise ConfigError("flux deviations must include 0 and be non-negative")
+    _require_distinct("flux.deviations", config.flux.deviations)
+    _require_distinct("flux.k0_values", config.flux.k0_values)
+    devs = sorted(config.flux.deviations)
     step = math.pi / 100
     table = {}
     for k0 in config.flux.k0_values:
-        if not (0.0 < k0 < math.pi):
-            raise ConfigError("flux.k0_values must lie in (0, pi)")
-        ref_frames = _reference_frames(config, k0)
-        for dev in sorted(set(config.flux.deviations)):
+        # [1]: keep only the frames, not the reference H (N x N) through the loop
+        ref_frames = _evolve_packet(config, _UNIFORM_CHAIN, k0)[1]
+        for dev in devs:
             center = Interferometer(
                 config.center.delta, config.center.gamma, DIMER_REDUCTION_PHI + dev * step
             )
             ham, frames = _evolve_packet(config, center, k0)
-            metrics = transit_metrics(
-                frames,
-                ham.center_span,
-                reference_frames=ref_frames,
-                ends_tol=config.tol.boundary,
-            )
-            table[(k0, dev)] = metrics
+            table[(k0, dev)] = _transit(config, ham, frames, ref_frames)
 
     with open(out_dir / "distortion.csv", "w") as fh:
         fh.write("k0,deviation,gain,distortion\n")
@@ -582,10 +565,9 @@ def _run_flux_deviation(config: ScenarioConfig, out_dir: Path):
             fh.write(f"{k0!r},{dev},{m.gain!r},{m.distortion!r}\n")
 
     assertions = []
-    devs = sorted(set(config.flux.deviations))
     for k0 in config.flux.k0_values:
         base = table[(k0, 0)].distortion
-        others = [table[(k0, d)].distortion for d in devs if d != 0]
+        others = [table[(k0, d)].distortion for d in devs[1:]]
         assertions.append(
             _check(
                 f"distortion_minimized_at_zero[k0={k0:.6g}]",
@@ -597,9 +579,7 @@ def _run_flux_deviation(config: ScenarioConfig, out_dir: Path):
         )
     k_half = [k for k in config.flux.k0_values if abs(k - math.pi / 2) < 1e-12]
     if k_half:
-        for dev in devs:
-            if dev == 0:
-                continue
+        for dev in devs[1:]:  # devs[0] == 0
             half = table[(k_half[0], dev)].distortion
             rest = [
                 table[(k0, dev)].distortion
@@ -629,17 +609,8 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(coef[0]), float(coef[1]), r2
 
 
-def _singular_params(config: ScenarioConfig) -> DimerParams:
-    params = config.center.dimer_params()
-    if not params.is_singular(config.tol.singularity):
-        raise ConfigError(
-            f"scenario requires the singularity mu*nu = -1; got mu*nu = {params.product!r}"
-        )
-    return params
-
-
 def _run_singularity(config: ScenarioConfig, out_dir: Path):
-    params = _singular_params(config)
+    params = _dimer_on_locus(config, -1)
     lattice = config.lattice.to_lattice()
     center = AsymmetricDimer(params.mu, params.nu)
     ham = build_hamiltonian(center, lattice)
@@ -651,7 +622,7 @@ def _run_singularity(config: ScenarioConfig, out_dir: Path):
     cases = {
         "seed_plus": seed_state(lattice, params, +1),
         "seed_minus": seed_state(lattice, params, -1),
-        "packet": _packet_or_error(
+        "packet": gaussian_packet(
             lattice,
             WavePacketSpec(config.packet.site, config.packet.k0, config.packet.lam),
             center,
@@ -678,9 +649,7 @@ def _run_singularity(config: ScenarioConfig, out_dir: Path):
             fname = f"frames_{name}.csv"
             write_frames_csv(out_dir / fname, frames, lattice, center)
             outputs.append(fname)
-            left = np.array([split_probability(f.p, span)[0] for f in frames])
-            mid = np.array([split_probability(f.p, span)[1] for f in frames])
-            right = np.array([split_probability(f.p, span)[2] for f in frames])
+            left, mid, right = np.array([split_probability(f.p, span) for f in frames]).T
             total = left + mid + right
             for t, l, c, r, p in zip(times, left, mid, right, total):
                 series_fh.write(
@@ -790,13 +759,14 @@ def _run_absorb(config: ScenarioConfig, out_dir: Path):
         raise ConfigError("absorb.n0 must be positive")
     if any(nu <= 0 for nu in ab.nu_values) or len(ab.nu_values) < 2:
         raise ConfigError("absorb.nu_values must be at least two positive values")
+    _require_distinct("absorb.nu_values", ab.nu_values)
     lattice = config.lattice.to_lattice()
     if lattice.hard_wall_n0 != ab.n0:
         raise ConfigError(
             f"absorb requires lattice.hard_wall_n0 == absorb.n0 (= {ab.n0})"
         )
     times = TimeConfig(t_max=ab.t_max, dt=ab.dt).times()
-    # the last grid time, not t_max: the grid ends at round(t_max / dt) * dt
+    # the last grid time, not t_max: the grid can end below t_max
     if not 0.0 < ab.drop_time <= times[-1]:
         raise ConfigError(
             f"absorb.drop_time must lie in (0, {float(times[-1])!r}], got {ab.drop_time!r}"
@@ -1057,21 +1027,3 @@ _RUNNERS = {
     "verify": _run_verify,
 }
 
-
-def _scenario_entry(name: str):
-    def entry(config: ScenarioConfig) -> RunManifest:
-        config = _copy_config(config)
-        config.scenario = name
-        return run_scenario(config)
-
-    entry.__name__ = f"run_{name.replace('-', '_')}"
-    entry.__doc__ = f"Run the {name!r} scenario with this config (scenario field overridden)."
-    return entry
-
-
-run_sweep = _scenario_entry("sweep")
-run_amplify = _scenario_entry("amplify")
-run_flux_deviation = _scenario_entry("flux-deviation")
-run_singularity = _scenario_entry("singularity")
-run_absorb = _scenario_entry("absorb")
-run_verify = _scenario_entry("verify")

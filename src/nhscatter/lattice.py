@@ -104,7 +104,12 @@ class Interferometer:
 
     @property
     def dimer_params(self) -> DimerParams:
-        """Equivalent dimer parameters; meaningful only at phi = pi/4."""
+        """Equivalent dimer parameters; raises ValueError off phi = pi/4, where
+        no dimer reduction exists."""
+        if abs(self.phi - DIMER_REDUCTION_PHI) > 1e-12:
+            raise ValueError(
+                f"the interferometer reduces to a dimer only at flux pi/4; got phi={self.phi!r}"
+            )
         return dimer_from_interferometer(self.delta, self.gamma)
 
 
@@ -119,7 +124,7 @@ class AsymmetricDimer:
         _require_finite(mu=self.mu, nu=self.nu)
 
     @property
-    def params(self) -> DimerParams:
+    def dimer_params(self) -> DimerParams:
         return DimerParams(self.mu, self.nu)
 
 

@@ -17,7 +17,6 @@ import numpy as np
 from .lattice import (
     ALPHA,
     BETA,
-    DIMER_REDUCTION_PHI,
     MINUS,
     PLUS,
     AsymmetricDimer,
@@ -54,10 +53,6 @@ def _check_incidence(incidence: str) -> None:
 def dispersion(k: float) -> float:
     """Lead band energy E_k = -2 cos k."""
     return -2.0 * math.cos(k)
-
-
-def group_velocity(k: float) -> float:
-    return 2.0 * math.sin(k)
 
 
 @dataclass(frozen=True)
@@ -139,18 +134,11 @@ def amplitudes_for_center(
     """Dispatch to the closed form matching the center type.
 
     Interferometers are handled through their dimer reduction and therefore
-    require phi = pi/4.
+    require phi = pi/4 (`Interferometer.dimer_params` raises otherwise).
     """
     if isinstance(center, OnSitePotential):
         return onsite_amplitudes(center.v, k, incidence)
-    if isinstance(center, AsymmetricDimer):
-        return dimer_amplitudes(center.params, k, incidence)
-    if isinstance(center, Interferometer):
-        if abs(center.phi - DIMER_REDUCTION_PHI) > 1e-12:
-            raise ValueError(
-                "closed-form amplitudes exist only at flux pi/4; "
-                f"got phi={center.phi!r}"
-            )
+    if isinstance(center, (AsymmetricDimer, Interferometer)):
         return dimer_amplitudes(center.dimer_params, k, incidence)
     raise TypeError(f"unknown center spec {center!r}")
 

@@ -23,7 +23,6 @@ import numpy as np
 from .lattice import (
     ALPHA,
     BETA,
-    DIMER_REDUCTION_PHI,
     MINUS,
     PLUS,
     AsymmetricDimer,
@@ -73,10 +72,7 @@ def _require_interferometer(ham: HamiltonianMatrix) -> None:
         raise ValueError(
             f"rotation applies to interferometer centers, got {type(ham.center).__name__}"
         )
-    if abs(ham.center.phi - DIMER_REDUCTION_PHI) > 1e-12:
-        raise ValueError(
-            f"no dimer reduction exists away from flux pi/4 (phi={ham.center.phi!r})"
-        )
+    ham.center.dimer_params  # raises off flux pi/4, where no reduction exists
 
 
 def alpha_beta_rotation(ham: HamiltonianMatrix) -> HamiltonianMatrix:

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import solve_ivp
 
-from nhscatter import LatticeSpec, build_hamiltonian, site_to_index
+from nhscatter.lattice import LatticeSpec, build_hamiltonian, site_to_index
 
 #: lattice sizes tried until the two-port extraction is well conditioned;
 #: cavity resonances of the finite system show up as cond ~ 1e13

@@ -11,23 +11,22 @@ import numpy as np
 import pytest
 
 import oracles
-from nhscatter import (
+from nhscatter.dynamics import WavePacketSpec, evolve_state, gaussian_packet
+from nhscatter.experiments import default_config, run_scenario
+from nhscatter.lattice import (
     AsymmetricDimer,
     DimerParams,
     Interferometer,
     LatticeSpec,
     OnSitePotential,
     build_hamiltonian,
-    default_config,
-    dimer_amplitudes,
     dimer_from_interferometer,
-    evolve_state,
-    gaussian_packet,
-    onsite_amplitudes,
-    run_scenario,
-    scattering_residual,
     site_order,
-    WavePacketSpec,
+)
+from nhscatter.scattering import (
+    dimer_amplitudes,
+    onsite_amplitudes,
+    scattering_residual,
 )
 from nhscatter.transforms import (
     alpha_beta_rotation,
@@ -99,7 +98,7 @@ ORACLE_MOMENTA = (math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2.5)
 def test_04_linear_solve_oracle_equivalence(announce):
     worst = 0.0
     for center in ORACLE_CASES:
-        params = center.params if isinstance(center, AsymmetricDimer) else None
+        params = center.dimer_params if isinstance(center, AsymmetricDimer) else None
         for k in ORACLE_MOMENTA:
             got = oracles.linear_solve_amplitudes(center, k)
             if params is not None:

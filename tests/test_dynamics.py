@@ -7,21 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from nhscatter import (
-    ALPHA,
-    BETA,
-    AsymmetricDimer,
+from nhscatter.dynamics import (
     BoundaryContaminationError,
     DensityMatrix,
-    DimerParams,
-    Interferometer,
-    LatticeSpec,
-    OnSitePotential,
     Propagator,
     StateVector,
     WavePacketSpec,
     antisym_two_packets,
-    build_hamiltonian,
     density_profile_series,
     evolve_density,
     evolve_state,
@@ -29,12 +21,22 @@ from nhscatter import (
     mixed_state_uniform,
     profile,
     seed_state,
-    site_order,
-    site_to_index,
     split_probability,
     transit_metrics,
     write_frames_csv,
     write_metrics_txt,
+)
+from nhscatter.lattice import (
+    ALPHA,
+    BETA,
+    AsymmetricDimer,
+    DimerParams,
+    Interferometer,
+    LatticeSpec,
+    OnSitePotential,
+    build_hamiltonian,
+    site_order,
+    site_to_index,
 )
 
 UNIFORM = AsymmetricDimer(1.0, 1.0)

@@ -3,14 +3,13 @@ import math
 
 import pytest
 
-from nhscatter import (
+from nhscatter.experiments import (
     ConfigError,
+    TimeConfig,
     apply_overrides,
     default_config,
     from_ini,
     run_scenario,
-    run_sweep,
-    run_verify,
     to_ini,
 )
 from nhscatter.cli import main
@@ -78,6 +77,26 @@ class TestConfigFormat:
         with pytest.raises(ConfigError):
             default_config("explode")
 
+    @pytest.mark.parametrize(
+        "t_max, dt, count, last",
+        [
+            (7.0, 2.0, 4, 6.0),  # last multiple of dt not past t_max
+            (9.0, 2.0, 5, 8.0),
+            (35.0, 10.0, 4, 30.0),  # absorb control grid at absorb.t_max=35
+            (0.3, 0.1, 4, 0.30000000000000004),  # t_max on the grid up to round-off
+            (70.0, 1.0, 71, 70.0),
+            (70.0, 0.1, 701, 70.0),
+            (200.0, 2.0, 101, 200.0),
+            (200.0, 10.0, 21, 200.0),
+            (50.0, 50.0, 2, 50.0),
+            (8.0, 2.0, 5, 8.0),
+        ],
+    )
+    def test_time_grid_ends_at_last_step_within_t_max(self, t_max, dt, count, last):
+        times = TimeConfig(t_max=t_max, dt=dt).times()
+        assert len(times) == count
+        assert times[-1] == last
+
 
 class TestValidation:
     def test_amplify_requires_resonance(self, tmp_path):
@@ -115,6 +134,21 @@ class TestValidation:
         cfg.absorb.t_max = 20.0
         cfg.absorb.drop_time = drop_time
         with pytest.raises(ConfigError, match="drop_time"):
+            run_scenario(cfg)
+
+    @pytest.mark.parametrize(
+        "scenario, section, name, values",
+        [
+            ("absorb", "absorb", "nu_values", (0.5, 0.5)),
+            ("flux-deviation", "flux", "k0_values", (math.pi / 2, math.pi / 2)),
+            ("flux-deviation", "flux", "deviations", (0, 5, 5)),
+        ],
+    )
+    def test_duplicate_list_entries_rejected(self, tmp_path, scenario, section, name, values):
+        cfg = default_config(scenario)
+        cfg.out_dir = str(tmp_path / "x")
+        setattr(getattr(cfg, section), name, values)
+        with pytest.raises(ConfigError, match="more than once"):
             run_scenario(cfg)
 
     def test_flux_requires_zero_deviation_row(self, tmp_path):
@@ -193,16 +227,10 @@ class TestSweepScenario:
         with pytest.raises(ConfigError):
             run_scenario(cfg)
 
-    def test_scenario_entry_point_overrides_name(self, tmp_path):
-        cfg = default_config("verify")
-        cfg.out_dir = str(tmp_path / "s")
-        manifest = run_sweep(cfg)  # entry point forces its own scenario
-        assert manifest.scenario == "sweep"
-
     def test_verify_writes_assertion_report(self, tmp_path):
         cfg = default_config("verify")
         cfg.out_dir = str(tmp_path / "v")
-        manifest = run_verify(cfg)
+        manifest = run_scenario(cfg)
         assert manifest.passed
         report = (tmp_path / "v" / "assertions.txt").read_text()
         assert "rotation_matches_dimer = pass" in report
@@ -302,11 +330,17 @@ class TestCli:
         assert "[PASS]" in out and "[FAIL]" not in out
 
     def test_config_error_exit_two(self, tmp_path, capsys):
-        code = main(
-            ["amplify", "--out", str(tmp_path / "x"), "--set", "center.gamma=0.9"]
-        )
-        assert code == 2
-        assert "config error" in capsys.readouterr().err
+        for scenario, override in [
+            ("amplify", "center.gamma=0.9"),
+            ("amplify", "packet.lam=0"),
+            ("amplify", "lattice.left_len=abc"),
+            ("sweep", "center.mu=inf"),
+            ("sweep", "sweep.samples=2.5"),
+            ("singularity", "packet.pair_site=0"),
+        ]:
+            code = main([scenario, "--out", str(tmp_path / "x"), "--set", override])
+            err = capsys.readouterr().err
+            assert code == 2 and "config error" in err, (scenario, override, code, err)
 
     def test_absorb_drop_time_past_t_max_exit_two(self, tmp_path, capsys):
         code = main(

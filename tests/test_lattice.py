@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhscatter import (
+from nhscatter.lattice import (
     ALPHA,
     BETA,
     MINUS,
@@ -37,6 +37,11 @@ class TestDimerMap:
         p = dimer_from_interferometer(0.75, 1.25)
         assert (p.mu, p.nu) == (-2.0, 0.5)
         assert p.is_singular()
+
+    def test_no_reduction_off_quarter_flux(self):
+        assert Interferometer(-1.25, 0.75, math.pi / 4).dimer_params == DimerParams(0.5, 2.0)
+        with pytest.raises(ValueError, match="pi/4"):
+            Interferometer(-1.25, 0.75, 0.5).dimer_params
 
     def test_uniform_chain(self):
         p = dimer_from_interferometer(-1.0, 0.0)

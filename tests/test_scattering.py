@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nhscatter import (
+from nhscatter.lattice import (
     ALPHA,
     BETA,
     AsymmetricDimer,
@@ -14,6 +14,8 @@ from nhscatter import (
     Interferometer,
     LatticeSpec,
     OnSitePotential,
+)
+from nhscatter.scattering import (
     amplification_coefficient,
     amplitudes_for_center,
     assemble_scattering_state,
@@ -187,7 +189,7 @@ class TestSingularWavefunction:
         assert singular_wavefunction(self.params, +1, 1) == 0.5 * (1j) ** 2
 
     def test_solves_eigenproblem_at_zero_energy(self):
-        from nhscatter import build_hamiltonian, site_order
+        from nhscatter.lattice import build_hamiltonian, site_order
 
         lat = LatticeSpec(60, 60)
         ham = build_hamiltonian(AsymmetricDimer(-2.0, 0.5), lat)

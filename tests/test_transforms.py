@@ -5,17 +5,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nhscatter import (
+from nhscatter.lattice import (
     AsymmetricDimer,
     Interferometer,
     LatticeSpec,
     OnSitePotential,
+    build_hamiltonian,
+    dimer_from_interferometer,
+)
+from nhscatter.transforms import (
     alpha_beta_change,
     alpha_beta_rotation,
     biorthogonal_change,
     biorthogonal_scale,
-    build_hamiltonian,
-    dimer_from_interferometer,
     parity_decompose,
     spectrum_distance,
 )
