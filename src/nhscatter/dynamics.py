@@ -8,9 +8,11 @@ norm of V. The Dirac probability p(j,t) and its total P(t) are not conserved
 when H is non-Hermitian; they are the primary observables here.
 
 Every step, of a state or of a density factor, goes through one Propagator:
-the scaled-and-squared Pade matrix exponential, computed once per distinct
-time step and reused. It stays accurate arbitrarily close to the spectral
-singularity, where eigenvector matrices become ill-conditioned.
+the truncated-Taylor action of e^{-iH dt} on a sparse copy of H (Al-Mohy &
+Higham, SIAM J. Sci. Comput. 33:488, 2011), with one (degree, scaling) plan
+per distinct time step. No N x N exponential is formed, and no
+eigenvectors are needed, so it stays accurate arbitrarily close to the
+spectral singularity, where eigenvector matrices become ill-conditioned.
 """
 
 import math
@@ -20,6 +22,7 @@ from typing import Union
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .lattice import (
     ALPHA,
@@ -36,7 +39,7 @@ from .lattice import (
 
 
 class PropagatorError(RuntimeError):
-    """Matrix-exponential propagation produced non-finite entries."""
+    """Propagation produced non-finite entries."""
 
 
 class BoundaryContaminationError(RuntimeError):
@@ -250,35 +253,113 @@ def antisym_two_packets(
     return StateVector(amplitudes=amp, center=center, lattice=lattice)
 
 
-#: Relative distance below which two time steps share one exponential. The
+#: Relative distance below which two time steps share one step plan. The
 #: differences of a grid n*dt agree with dt only to the round-off of n*dt.
 STEP_RTOL = 1e-12
 
+#: theta_m for unit roundoff 2^-53: the largest alpha_p(A) for which m Taylor
+#: terms of e^A have backward error below 2^-53. m <= 30 from Higham &
+#: Al-Mohy, Acta Numerica 19:159 (2010), Table A.3; m = 35..55 from Al-Mohy &
+#: Higham, SIAM J. Sci. Comput. 33:488 (2011), Table 3.1.
+_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
+#: Largest p of the alpha_p (the paper's p_max).
+_P_MAX = 8
+#: Sparse products one step may take (minutes at N ~ 10^3): the work grows
+#: linearly in dt, so a step of, say, 1e20 would otherwise never finish.
+_MAX_PRODUCTS = 10**7
+
+
+def _taylor_plan(a) -> tuple[int, int]:
+    """Degree m and scaling s for e^A by Al-Mohy & Higham eq. (3.11).
+
+    alpha_p = max(d_p, d_{p+1}) with the exact d_p = ||A^p||_1^{1/p} of the
+    sparse powers, p = 2..9; a chain's ||A||_1 can far exceed its alpha_p
+    (a dimer with mu = 10), which would overstate the work. Returns the m
+    minimizing the number of products m * ceil(alpha_p / theta_m) over
+    p(p-1) <= m+1, and s = ceil(alpha_p / theta_m).
+    """
+    d = {}
+    power = a
+    for p in range(2, _P_MAX + 2):
+        power = power @ a
+        d[p] = float(abs(power).sum(axis=0).max()) ** (1.0 / p)
+    if not all(math.isfinite(v) for v in d.values()):
+        raise PropagatorError("norms of the powers of -iH dt overflowed; step too large")
+    best = None
+    for m, theta in _THETA.items():
+        for p in range(2, _P_MAX + 1):
+            if p * (p - 1) <= m + 1:
+                cost = m * math.ceil(max(d[p], d[p + 1]) / theta)
+                if best is None or cost < best[0]:
+                    best = (cost, m)
+    cost, m = best
+    if cost > _MAX_PRODUCTS:
+        raise PropagatorError(
+            f"the step needs {cost:.3e} sparse products, more than "
+            f"{_MAX_PRODUCTS}; shorten the time step"
+        )
+    return m, max(cost // m, 1)
+
+
+class TaylorStep:
+    """e^A for A = -iH dt, applied as ``step @ b`` without forming e^A.
+
+    ``step @ b`` takes ``scaling`` substeps b <- sum_{j<=degree} (A/s)^j b / j!,
+    each summing all ``degree`` terms (the backward-error bound of the plan
+    holds for the full degree), with ``operator`` = A/s stored as CSR.
+    Deterministic: no random norm estimate, so reruns are bit-identical.
+    """
+
+    def __init__(self, a, dt: float):
+        self.dt = dt
+        self.degree, self.scaling = _taylor_plan(a)
+        self.operator = a / self.scaling
+
+    def __matmul__(self, b: np.ndarray) -> np.ndarray:
+        out = np.asarray(b, dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(self.scaling):
+                term, out = out, out.copy()
+                for j in range(1, self.degree + 1):
+                    term = self.operator @ term
+                    term *= 1.0 / j  # a real factor: cheaper than complex division
+                    out += term
+        if not np.all(np.isfinite(out)):
+            raise PropagatorError(
+                f"propagator for dt={self.dt} overflowed; "
+                "spectral growth too large for this step"
+            )
+        return out
+
 
 class Propagator:
-    """Builds and applies e^{-iH dt} for one H: one exponential per distinct step.
+    """Builds and applies e^{-iH dt} for one H: one step plan per distinct step.
 
-    A step within a relative STEP_RTOL (1e-12) of a step already seen reuses
-    the exponential built for that first step, so a grid n*dt costs a single
-    exponential although its float differences vary in the last digits.
-    Reuse one instance when evolving several initial states under the same H;
-    the dominant cost is the matrix exponential, not the matrix-vector steps.
+    -iH is copied once to CSR, and each distinct dt gets one `TaylorStep`,
+    whose application costs degree x scaling sparse products. A step within
+    a relative STEP_RTOL (1e-12) of a step already seen reuses the plan built
+    for that first step, so a grid n*dt costs a single plan although its
+    float differences vary in the last digits.
     """
 
     def __init__(self, ham: HamiltonianMatrix):
         self.ham = ham
-        self._cache: dict[float, np.ndarray] = {}
+        self._generator = scipy.sparse.csr_array(-1j * ham.matrix)
+        self._cache: dict[float, TaylorStep] = {}
 
-    def step_matrix(self, dt: float) -> np.ndarray:
+    def step_matrix(self, dt: float) -> TaylorStep:
         for seen, u in self._cache.items():
             if math.isclose(dt, seen, rel_tol=STEP_RTOL):
                 return u
-        u = scipy.linalg.expm(-1j * self.ham.matrix * dt)
-        if not np.all(np.isfinite(u)):
-            raise PropagatorError(
-                f"propagator for dt={dt} overflowed; "
-                "spectral growth too large for this step"
-            )
+        u = TaylorStep(self._generator * dt, dt)
         self._cache[dt] = u
         return u
 
@@ -296,10 +377,9 @@ class Propagator:
         for _, u in self._steps(times):
             if u is not None:
                 psi = u @ psi
+            # u @ psi returns a new array, so the states share no storage
             out.append(
-                StateVector(
-                    amplitudes=psi.copy(), center=self.ham.center, lattice=self.ham.lattice
-                )
+                StateVector(amplitudes=psi, center=self.ham.center, lattice=self.ham.lattice)
             )
         return out
 

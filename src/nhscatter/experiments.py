@@ -546,6 +546,12 @@ def _run_flux_deviation(config: ScenarioConfig, out_dir: Path):
         raise ConfigError("flux deviations must include 0 and be non-negative")
     _require_distinct("flux.deviations", config.flux.deviations)
     _require_distinct("flux.k0_values", config.flux.k0_values)
+    labels = [f"{k0:.6g}" for k0 in config.flux.k0_values]
+    if len(set(labels)) != len(labels):
+        raise ConfigError(
+            "flux.k0_values must differ within 6 significant digits, "
+            f"which name their assertions: {labels}"
+        )
     devs = sorted(config.flux.deviations)
     step = math.pi / 100
     table = {}
@@ -611,11 +617,21 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 
 def _run_singularity(config: ScenarioConfig, out_dir: Path):
     params = _dimer_on_locus(config, -1)
+    times = config.time.times()
+    sing = config.singularity
+    # line-fit windows; with 2 points r^2 = 1 whatever the data
+    window = (times >= sing.fit_start) & (times <= sing.fit_end)
+    late = (times >= sing.emission_fit_start) & (times <= sing.fit_end)
+    for name, mask in (("fit_start", window), ("emission_fit_start", late)):
+        if np.count_nonzero(mask) < 3:
+            raise ConfigError(
+                f"singularity.{name}={getattr(sing, name)!r} .. fit_end={sing.fit_end!r} "
+                f"holds fewer than 3 grid times at dt={config.time.dt!r}"
+            )
     lattice = config.lattice.to_lattice()
     center = AsymmetricDimer(params.mu, params.nu)
     ham = build_hamiltonian(center, lattice)
     prop = Propagator(ham)
-    times = config.time.times()
     span = ham.center_span
     nu_mag = abs(params.nu)
 
@@ -657,12 +673,6 @@ def _run_singularity(config: ScenarioConfig, out_dir: Path):
                     f"{float(r)!r},{float(p)!r}\n"
                 )
 
-            window = (times >= config.singularity.fit_start) & (
-                times <= config.singularity.fit_end
-            )
-            late = (times >= config.singularity.emission_fit_start) & (
-                times <= config.singularity.fit_end
-            )
             if name == "seed_plus":
                 slope_p, _, r2_p = _linear_fit(times[window], total[window])
                 slope_l, _, _ = _linear_fit(times[window], left[window])
@@ -703,7 +713,7 @@ def _run_singularity(config: ScenarioConfig, out_dir: Path):
                         detail=f"P(0)={p0!r}",
                     )
                 )
-                t_idx = int(np.searchsorted(times, config.singularity.fit_start))
+                t_idx = int(np.searchsorted(times, sing.fit_start))
                 assertions.append(
                     _le(
                         "seed_minus_no_regrowth",

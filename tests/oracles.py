@@ -3,7 +3,8 @@
 These deliberately avoid the closed-form amplitude expressions and the
 package propagator: scattering coefficients come from a finite-lattice linear
 solve with plane-wave window fits, and time evolution from an adaptive ODE
-integrator, a dense eigendecomposition, or dense density-matrix products.
+integrator, a dense eigendecomposition, dense Pade matrix exponentials, or
+dense density-matrix products.
 """
 
 import math
@@ -102,6 +103,22 @@ def eig_evolve(ham, psi0, times):
     vals, vecs = np.linalg.eig(ham.matrix)
     coeff = np.linalg.solve(vecs, np.asarray(psi0, dtype=complex))
     return [vecs @ (np.exp(-1j * vals * t) * coeff) for t in np.atleast_1d(times)]
+
+
+def pade_evolve(ham, psi0, times):
+    """Dense stepping psi <- U psi with U = expm(-iH dt) by scaled-and-squared
+    Pade, one exponential per distinct step; psi0 may be N or N x k."""
+    psi = np.asarray(psi0, dtype=complex)
+    out, prev, steps = [], 0.0, {}
+    for t in np.atleast_1d(times):
+        if t > prev:
+            dt = t - prev
+            if dt not in steps:
+                steps[dt] = scipy.linalg.expm(-1j * ham.matrix * dt)
+            psi = steps[dt] @ psi
+        out.append(psi)
+        prev = t
+    return out
 
 
 def dense_density_evolve(ham, rho0, times):

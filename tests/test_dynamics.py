@@ -2,15 +2,16 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from nhscatter import dynamics
 from nhscatter.dynamics import (
     BoundaryContaminationError,
     DensityMatrix,
     Propagator,
+    PropagatorError,
     StateVector,
     WavePacketSpec,
     antisym_two_packets,
@@ -216,15 +217,16 @@ class TestEvolveState:
 
 class TestStepCache:
     @pytest.fixture
-    def expm_calls(self, monkeypatch):
+    def step_builds(self, monkeypatch):
+        """Records every step build (one TaylorStep per distinct dt)."""
         calls = []
-        expm = scipy.linalg.expm
+        build = dynamics.TaylorStep
 
-        def counting(a, *args, **kwargs):
-            calls.append(a.shape)
-            return expm(a, *args, **kwargs)
+        def counting(a, dt):
+            calls.append(dt)
+            return build(a, dt)
 
-        monkeypatch.setattr(scipy.linalg, "expm", counting)
+        monkeypatch.setattr(dynamics, "TaylorStep", counting)
         return calls
 
     def _propagator(self):
@@ -233,26 +235,102 @@ class TestStepCache:
         ham = build_hamiltonian(center, lat)
         return ham, Propagator(ham), seed_state(lat, DimerParams(-2.0, 0.5), +1)
 
-    def test_round_off_steps_share_one_exponential(self, expm_calls):
+    def test_round_off_steps_share_one_exponential(self, step_builds):
         # the differences of this grid take 11 distinct float values
         times = np.arange(0, 701) * 0.1
         assert len(set(np.diff(times))) > 1
         ham, prop, psi0 = self._propagator()
         final = prop.states(psi0, times)[-1]
-        assert len(expm_calls) == 1
+        assert len(step_builds) == 1
         ref = oracles.ode_evolve(ham, psi0.amplitudes, times[-1])
         assert np.max(np.abs(final.amplitudes - ref)) < 1e-8 * np.max(np.abs(ref))
 
-    def test_distinct_steps_build_distinct_exponentials(self, expm_calls):
+    def test_distinct_steps_build_distinct_exponentials(self, step_builds):
         _, prop, _ = self._propagator()
         first = prop.step_matrix(0.1)
         assert prop.step_matrix(0.1 * (1 + 1e-13)) is first
-        assert len(expm_calls) == 1
+        assert len(step_builds) == 1
         assert prop.step_matrix(0.1 * (1 + 1e-10)) is not first
-        assert len(expm_calls) == 2
+        assert len(step_builds) == 2
         prop.step_matrix(5.0)
         prop.step_matrix(6.0)
-        assert len(expm_calls) == 4
+        assert len(step_builds) == 4
+
+
+class TestTaylorStep:
+    """The sparse Taylor action against dense Pade, at the spectral singularity."""
+
+    CASES = ("seed_plus", "seed_minus", "packet", "pair")
+
+    @pytest.fixture(scope="class")
+    def singular_runs(self):
+        lat = LatticeSpec(400, 400)
+        params = DimerParams(-2.0, 0.5)
+        center = AsymmetricDimer(params.mu, params.nu)
+        ham = build_hamiltonian(center, lat)
+        states = [
+            seed_state(lat, params, +1),
+            seed_state(lat, params, -1),
+            gaussian_packet(lat, WavePacketSpec(-60, math.pi / 2, 0.15), center),
+            antisym_two_packets(lat, 60, math.pi / 2, 0.15, params.nu, center),
+        ]
+        times = np.arange(0, 71) * 1.0
+        ref = oracles.pade_evolve(ham, np.column_stack([s.amplitudes for s in states]), times)
+        return ham, dict(zip(self.CASES, states)), times, np.array(ref)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_dense_pade_at_singularity(self, singular_runs, case):
+        ham, states, times, ref = singular_runs
+        assert ham.dim == 802
+        want = ref[:, :, self.CASES.index(case)]
+        ours = np.array([s.amplitudes for s in Propagator(ham).states(states[case], times)])
+        assert np.max(np.abs(ours - want)) < 1e-11 * np.max(np.abs(want))
+
+    def test_plan_uses_power_norms_not_one_norm(self):
+        # mu = 10 puts ||H dt||_1 at 22 for dt = 2, so a one-norm plan takes
+        # m * s = 150 products; alpha_8 of the powers is 4.8, so 40 do
+        lat = LatticeSpec(20, 400, hard_wall_n0=20)
+        ham = build_hamiltonian(AsymmetricDimer(10.0, 0.1), lat)
+        step = Propagator(ham).step_matrix(2.0)
+        assert np.abs(ham.matrix).sum(axis=0).max() * 2.0 == pytest.approx(22.0)
+        assert step.degree * step.scaling < 80
+
+    def test_rerun_ignores_and_keeps_global_random_state(self):
+        lat = LatticeSpec(20, 400, hard_wall_n0=20)
+        center = AsymmetricDimer(10.0, 0.1)
+        ham = build_hamiltonian(center, lat)
+        factor = mixed_state_uniform(lat, center, 20).factor
+        results = []
+        saved = np.random.get_state()
+        for seed in (1, 2):
+            np.random.seed(seed)
+            before = np.random.get_state()
+            results.append(Propagator(ham).step_matrix(10.0) @ factor)
+            after = np.random.get_state()
+            assert before[0] == after[0] and np.array_equal(before[1], after[1])
+            assert before[2:] == after[2:]
+        np.random.set_state(saved)
+        assert factor.shape == (ham.dim, 20)
+        assert np.array_equal(results[0], results[1])
+
+    def test_overflow_raises(self):
+        lat = LatticeSpec(10, 10)
+        center = OnSitePotential(300j)
+        ham = build_hamiltonian(center, lat)
+        psi0 = np.zeros(ham.dim, dtype=complex)
+        psi0[ham.site_index(0)] = 1.0
+        prop = Propagator(ham)
+        # the step is never formed as a matrix; its growth e^3000 shows when applied
+        with pytest.raises(PropagatorError, match="overflowed"):
+            prop.step_matrix(10.0) @ psi0
+        with pytest.raises(PropagatorError, match="overflowed"):
+            prop.states(StateVector(psi0, center, lat), [0.0, 10.0])
+        # a step so long that the norms of (H dt)^p overflow has no plan, and
+        # one whose plan would take ~1e16 products is refused up front
+        with pytest.raises(PropagatorError, match="overflowed"):
+            prop.step_matrix(1e40)
+        with pytest.raises(PropagatorError, match="sparse products"):
+            prop.step_matrix(1e15)
 
 
 class TestEvolveDensity:
@@ -318,13 +396,14 @@ class TestEvolveDensity:
             ref = oracles.incoherent_sum_probability(ham, lat, center, n0, times)
             assert np.max(np.abs(ours - ref) / np.maximum(1.0, ref)) < 1e-9
 
-    @pytest.mark.parametrize("kind", ["mixed", "pure", "full_rank"])
+    @pytest.mark.parametrize("kind", ["mixed", "pure", "full_rank", "absorb"])
     def test_dense_oracle_agreement_at_singularity(self, kind):
         n0 = 6
         lat = LatticeSpec(n0, 60, hard_wall_n0=n0)
-        center = AsymmetricDimer(-2.0, 0.5)
+        # "absorb": the mixed state under the absorbing dimer mu = 10, nu = 0.1
+        center = AsymmetricDimer(10.0, 0.1) if kind == "absorb" else AsymmetricDimer(-2.0, 0.5)
         ham = build_hamiltonian(center, lat)
-        if kind == "mixed":
+        if kind in ("mixed", "absorb"):
             rho0 = mixed_state_uniform(lat, center, n0)
             dense = np.zeros((ham.dim, ham.dim), dtype=complex)
             for j in range(1, n0 + 1):

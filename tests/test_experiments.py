@@ -151,6 +151,15 @@ class TestValidation:
         with pytest.raises(ConfigError, match="more than once"):
             run_scenario(cfg)
 
+    def test_flux_k0_labels_must_differ(self, tmp_path):
+        # 1.0 and 1.0000001 would both name distortion_minimized_at_zero[k0=1]
+        cfg = default_config("flux-deviation")
+        cfg.out_dir = str(tmp_path / "x")
+        cfg.flux.k0_values = (1.0, 1.0000001, math.pi / 2)
+        with pytest.raises(ConfigError, match="6 significant digits"):
+            run_scenario(cfg)
+        assert not (tmp_path / "x" / "distortion.csv").exists()
+
     def test_flux_requires_zero_deviation_row(self, tmp_path):
         cfg = default_config("flux-deviation")
         cfg.out_dir = str(tmp_path / "x")
@@ -341,6 +350,24 @@ class TestCli:
             code = main([scenario, "--out", str(tmp_path / "x"), "--set", override])
             err = capsys.readouterr().err
             assert code == 2 and "config error" in err, (scenario, override, code, err)
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            (["singularity.fit_start=60", "singularity.fit_end=30"], "fit_start"),
+            (["singularity.fit_start=68.5"], "fit_start"),
+            (["singularity.emission_fit_start=69.5"], "emission_fit_start"),
+        ],
+    )
+    def test_singularity_fit_window_under_three_times_exit_two(
+        self, tmp_path, capsys, overrides, key
+    ):
+        args = ["singularity", "--out", str(tmp_path / "x")]
+        for item in overrides:
+            args += ["--set", item]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"singularity.{key}=" in err
 
     def test_absorb_drop_time_past_t_max_exit_two(self, tmp_path, capsys):
         code = main(
