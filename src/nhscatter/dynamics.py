@@ -343,16 +343,16 @@ class TaylorStep:
 class Propagator:
     """Builds and applies e^{-iH dt} for one H: one step plan per distinct step.
 
-    -iH is copied once to CSR, and each distinct dt gets one `TaylorStep`,
-    whose application costs degree x scaling sparse products. A step within
-    a relative STEP_RTOL (1e-12) of a step already seen reuses the plan built
-    for that first step, so a grid n*dt costs a single plan although its
-    float differences vary in the last digits.
+    H is copied once to CSR and scaled by -i, and each distinct dt gets one
+    `TaylorStep`, whose application costs degree x scaling sparse products.
+    A step within a relative STEP_RTOL (1e-12) of a step already seen reuses
+    the plan built for that first step, so a grid n*dt costs a single plan
+    although its float differences vary in the last digits.
     """
 
     def __init__(self, ham: HamiltonianMatrix):
         self.ham = ham
-        self._generator = scipy.sparse.csr_array(-1j * ham.matrix)
+        self._generator = -1j * scipy.sparse.csr_array(ham.matrix)
         self._cache: dict[float, TaylorStep] = {}
 
     def step_matrix(self, dt: float) -> TaylorStep:
@@ -546,13 +546,10 @@ def transit_metrics(
     )
 
 
-def boundary_contamination(frames: list[ProfileFrame]) -> float:
-    """Worst probability seen on an outermost lead site across the frames."""
-    return max(max(float(f.p[0]), float(f.p[-1])) for f in frames)
-
-
 def check_boundaries(frames: list[ProfileFrame], tol: float = 1e-6) -> float:
-    worst = boundary_contamination(frames)
+    """Worst probability seen on an outermost lead site across the frames;
+    raises when it exceeds ``tol``."""
+    worst = max(max(float(f.p[0]), float(f.p[-1])) for f in frames)
     if worst > tol:
         raise BoundaryContaminationError(
             f"probability {worst:.3e} reached a lattice end; enlarge the leads "

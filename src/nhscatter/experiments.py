@@ -60,7 +60,7 @@ from .scattering import (
     write_sweep_csv,
 )
 from .transforms import (
-    alpha_beta_change,
+    ALPHA_BETA_BLOCK,
     alpha_beta_rotation,
     biorthogonal_scale,
     parity_decompose,
@@ -155,7 +155,6 @@ class SingularityConfig:
 @dataclass
 class AbsorbConfig:
     nu_values: tuple[float, ...] = (0.5, 0.4, 0.1)
-    n0: int = 20
     t_max: float = 200.0
     dt: float = 2.0
     drop_time: float = 50.0
@@ -765,16 +764,13 @@ def _run_singularity(config: ScenarioConfig, out_dir: Path):
 
 def _run_absorb(config: ScenarioConfig, out_dir: Path):
     ab = config.absorb
-    if ab.n0 < 1:
-        raise ConfigError("absorb.n0 must be positive")
     if any(nu <= 0 for nu in ab.nu_values) or len(ab.nu_values) < 2:
         raise ConfigError("absorb.nu_values must be at least two positive values")
     _require_distinct("absorb.nu_values", ab.nu_values)
     lattice = config.lattice.to_lattice()
-    if lattice.hard_wall_n0 != ab.n0:
-        raise ConfigError(
-            f"absorb requires lattice.hard_wall_n0 == absorb.n0 (= {ab.n0})"
-        )
+    n0 = lattice.hard_wall_n0  # the mixture fills the box -n0..-1 behind the wall
+    if n0 is None:
+        raise ConfigError("absorb requires a hard wall (lattice.hard_wall_n0)")
     times = TimeConfig(t_max=ab.t_max, dt=ab.dt).times()
     # the last grid time, not t_max: the grid can end below t_max
     if not 0.0 < ab.drop_time <= times[-1]:
@@ -788,7 +784,7 @@ def _run_absorb(config: ScenarioConfig, out_dir: Path):
         for nu in ab.nu_values:
             center = AsymmetricDimer(1.0 / nu, nu)
             ham = build_hamiltonian(center, lattice)
-            rho0 = mixed_state_uniform(lattice, center, ab.n0)
+            rho0 = mixed_state_uniform(lattice, center, n0)
             frames = density_profile_series(ham, rho0, times)
             p = np.array([f.total for f in frames])
             totals[nu] = p
@@ -828,7 +824,7 @@ def _run_absorb(config: ScenarioConfig, out_dir: Path):
     # closed Hermitian control: nothing decays without the non-Hermitian center
     control_center = AsymmetricDimer(1.0, 1.0)
     control_ham = build_hamiltonian(control_center, lattice)
-    control_rho = mixed_state_uniform(lattice, control_center, ab.n0)
+    control_rho = mixed_state_uniform(lattice, control_center, n0)
     control_times = TimeConfig(t_max=ab.t_max, dt=min(max(ab.dt, 10.0), ab.t_max)).times()
     control_frames = density_profile_series(control_ham, control_rho, control_times)
     control_dev = max(abs(f.total - 1.0) for f in control_frames)
@@ -847,21 +843,18 @@ def _run_verify(config: ScenarioConfig, out_dir: Path):
 
     # rotation: interferometer -> dimer equality and unitarity
     pairs = [(-1.25, 0.75), (0.75, 1.25), (0.4, -0.9)]
-    worst_eq, worst_unitary = 0.0, 0.0
+    worst_eq = 0.0
     lattice = LatticeSpec(10, 10)
     for delta, gamma in pairs:
         ham = build_hamiltonian(Interferometer(delta, gamma, DIMER_REDUCTION_PHI), lattice)
-        change = alpha_beta_change(ham)
-        worst_unitary = max(
-            worst_unitary,
-            float(np.max(np.abs(change.matrix.conj().T @ change.matrix - np.eye(ham.dim)))),
-        )
         rotated = alpha_beta_rotation(ham)
         p = dimer_from_interferometer(delta, gamma)
         target = build_hamiltonian(AsymmetricDimer(p.mu, p.nu), lattice)
         worst_eq = max(worst_eq, float(np.max(np.abs(rotated.matrix - target.matrix))))
     assertions.append(_le("rotation_matches_dimer", worst_eq, tol.rotation))
-    assertions.append(_le("rotation_unitary", worst_unitary, 1e-14))
+    b = ALPHA_BETA_BLOCK
+    unitary_dev = float(np.max(np.abs(b.conj().T @ b - np.eye(2))))
+    assertions.append(_le("rotation_unitary", unitary_dev, 1e-14))
 
     # biorthogonal scaling: hermiticity for mu*nu > 0, spectrum always
     worst_herm = 0.0

@@ -188,33 +188,21 @@ def _site_index_map(center: CenterSpec, lattice: LatticeSpec) -> dict:
 
 
 def site_to_index(lattice: LatticeSpec, site: SiteLabel, center: CenterSpec) -> int:
-    """Matrix index of a site label (bijective with :func:`index_to_site`)."""
+    """Matrix index of a site label (position in :func:`site_order`)."""
     try:
         return _site_index_map(center, lattice)[site]
     except KeyError:
         raise ValueError(f"site {site!r} does not exist in this lattice") from None
 
 
-def index_to_site(lattice: LatticeSpec, index: int, center: CenterSpec) -> SiteLabel:
-    order = site_order(center, lattice)
-    if not 0 <= index < len(order):
-        raise ValueError(f"index {index} out of range for dimension {len(order)}")
-    return order[index]
-
-
 @dataclass(frozen=True)
 class HamiltonianMatrix:
-    """Dense complex matrix together with the specs that produced it.
-
-    ``label`` records provenance ("built", "rotated", "scaled") since the
-    transform modules return matrices that no longer follow the raw build
-    rules for their center metadata.
-    """
+    """Dense complex matrix with the specs it is indexed by (a transformed
+    matrix no longer follows the build rules of its ``center``)."""
 
     matrix: np.ndarray
     center: CenterSpec
     lattice: LatticeSpec
-    label: str = "built"
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=complex)
@@ -232,9 +220,6 @@ class HamiltonianMatrix:
 
     def site_index(self, site: SiteLabel) -> int:
         return site_to_index(self.lattice, site, self.center)
-
-    def index_site(self, index: int) -> SiteLabel:
-        return index_to_site(self.lattice, index, self.center)
 
     @property
     def center_span(self) -> tuple[int, int]:

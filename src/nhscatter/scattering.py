@@ -28,7 +28,7 @@ from .lattice import (
     build_hamiltonian,
     site_order,
 )
-from .transforms import _alpha_beta_block
+from .transforms import ALPHA_BETA_BLOCK
 
 LEFT = "left"
 RIGHT = "right"
@@ -158,34 +158,6 @@ def amplification_coefficient(
     return dimer_amplitudes(params, k, incidence).T
 
 
-@dataclass(frozen=True)
-class SingularityReport:
-    """Resonance/singularity predicates for one dimer parameter point."""
-
-    is_resonant: bool
-    is_singular: bool
-    singular_momenta: tuple[float, ...]
-    gamma_threshold_met: bool
-
-
-def classify(params: DimerParams, tol: float = CLASSIFY_TOL) -> SingularityReport:
-    """Classify a dimer against the mu*nu = +-1 loci.
-
-    ``gamma_threshold_met`` reports |gamma| > 1 for the interferometer
-    parameters that would reduce to this dimer (gamma = (nu - mu)/2); it is
-    meaningful only when the dimer was derived that way.
-    """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    singular = params.is_singular(tol)
-    return SingularityReport(
-        is_resonant=params.is_resonant(tol),
-        is_singular=singular,
-        singular_momenta=(math.pi / 2,) if singular else (),
-        gamma_threshold_met=abs(params.nu - params.mu) / 2.0 > 1.0,
-    )
-
-
 def singular_wavefunction(params: DimerParams, sign: int, site, tol: float = CLASSIFY_TOL) -> complex:
     """Amplitude of the k = +-pi/2 singular eigenstate at one site.
 
@@ -261,11 +233,10 @@ def assemble_scattering_state(
         return psi
 
     # interferometer: rotate (alpha, beta) amplitudes into the (plus, minus) basis
-    u = _alpha_beta_block()
     f_ab = np.array(
         [f_near, f_far] if incidence == LEFT else [f_far, f_near], dtype=complex
     )
-    f_pm = u @ f_ab
+    f_pm = ALPHA_BETA_BLOCK @ f_ab
     p = order.index(PLUS)
     m = order.index(MINUS)
     psi[p], psi[m] = f_pm[0], f_pm[1]

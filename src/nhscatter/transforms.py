@@ -3,9 +3,11 @@
 Three maps, each certified numerically on finite matrices:
 
 * a unitary rotation of the gain/loss pair into the asymmetric-hopping pair
-  (exists only at flux pi/4),
+  (exists only at flux pi/4), applied as the 2x2 ALPHA_BETA_BLOCK to the two
+  center rows and columns of H,
 * a biorthogonal diagonal scaling of the right half-chain by sqrt(nu/mu) that
   symmetrizes the dimer coupling (Hermitian uniform chain when mu*nu = 1),
+  applied entrywise from its length-N diagonal,
 * a mirror-parity split of the scaled mu*nu = -1 chain into two decoupled
   half-chains whose end potentials are +i and -i.
 
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (
-    ALPHA,
     BETA,
     MINUS,
     PLUS,
@@ -30,113 +31,60 @@ from .lattice import (
     Interferometer,
 )
 
-ALPHA_BETA = "alpha-beta"
-BIORTHOGONAL = "biorthogonal-scale"
-PARITY = "parity"
-
-
-@dataclass(frozen=True)
-class BasisChange:
-    """Invertible change of basis; transformed H is inverse @ H @ matrix."""
-
-    matrix: np.ndarray
-    inverse: np.ndarray
-    kind: str
-
-    def apply(self, h: np.ndarray) -> np.ndarray:
-        return self.inverse @ h @ self.matrix
-
-
-def _alpha_beta_block() -> np.ndarray:
-    """2x2 unitary with the alpha/beta states as columns in the +- basis."""
-    u_plus = cmath.exp(1j * math.pi / 4)
-    u_minus = cmath.exp(-1j * math.pi / 4)
-    return np.array(
-        [[u_plus, -1j * u_plus], [u_minus, 1j * u_minus]], dtype=complex
-    ) / math.sqrt(2.0)
-
-
-def alpha_beta_change(ham: HamiltonianMatrix) -> BasisChange:
-    """Unitary rotating the interferometer's center pair into dimer form."""
-    _require_interferometer(ham)
-    u = np.eye(ham.dim, dtype=complex)
-    p = ham.site_index(PLUS)
-    m = ham.site_index(MINUS)
-    block = _alpha_beta_block()
-    u[np.ix_([p, m], [p, m])] = block
-    return BasisChange(matrix=u, inverse=u.conj().T, kind=ALPHA_BETA)
-
-
-def _require_interferometer(ham: HamiltonianMatrix) -> None:
-    if not isinstance(ham.center, Interferometer):
-        raise ValueError(
-            f"rotation applies to interferometer centers, got {type(ham.center).__name__}"
-        )
-    ham.center.dimer_params  # raises off flux pi/4, where no reduction exists
+_U_PLUS = cmath.exp(1j * math.pi / 4)
+_U_MINUS = cmath.exp(-1j * math.pi / 4)
+#: 2x2 unitary with the alpha/beta states as columns in the (plus, minus) basis.
+ALPHA_BETA_BLOCK = np.array(
+    [[_U_PLUS, -1j * _U_PLUS], [_U_MINUS, 1j * _U_MINUS]], dtype=complex
+) / math.sqrt(2.0)
+ALPHA_BETA_BLOCK.setflags(write=False)
 
 
 def alpha_beta_rotation(ham: HamiltonianMatrix) -> HamiltonianMatrix:
     """Rotate an interferometer Hamiltonian into its equivalent dimer form.
 
-    The result equals build_hamiltonian(AsymmetricDimer(-(delta+gamma),
+    H -> B^dag H B with B = ALPHA_BETA_BLOCK on (plus, minus), the identity
+    elsewhere; equals build_hamiltonian(AsymmetricDimer(-(delta+gamma),
     -(delta-gamma)), same lattice) entrywise up to rounding.
     """
-    change = alpha_beta_change(ham)
-    rotated = change.apply(ham.matrix)
-    params = ham.center.dimer_params
-    return HamiltonianMatrix(
-        matrix=rotated,
-        center=AsymmetricDimer(params.mu, params.nu),
-        lattice=ham.lattice,
-        label="rotated",
-    )
-
-
-def biorthogonal_change(ham: HamiltonianMatrix) -> BasisChange:
-    """Diagonal scaling of sites j >= 1 and beta by sqrt(nu/mu)."""
-    center = _require_dimer(ham)
-    # ratio formed as a real float so the principal square root is taken on
-    # (-|x|, +0j) rather than an accidental (-|x|, -0j) from complex division
-    scale = cmath.sqrt(complex(center.nu / center.mu, 0.0))
-    diag = np.ones(ham.dim, dtype=complex)
-    for index in range(*ham.center_span):
-        if ham.index_site(index) == BETA:
-            diag[index] = scale
-    right_start = ham.center_span[1]
-    diag[right_start:] = scale
-    return BasisChange(
-        matrix=np.diag(diag), inverse=np.diag(1.0 / diag), kind=BIORTHOGONAL
-    )
-
-
-def _require_dimer(ham: HamiltonianMatrix) -> AsymmetricDimer:
-    if not isinstance(ham.center, AsymmetricDimer):
+    if not isinstance(ham.center, Interferometer):
         raise ValueError(
-            f"scaling applies to dimer centers, got {type(ham.center).__name__}"
+            f"rotation applies to interferometer centers, got {type(ham.center).__name__}"
         )
-    if ham.center.mu == 0.0 or ham.center.nu == 0.0:
-        raise ValueError("scaling requires both hopping amplitudes nonzero")
-    return ham.center
+    params = ham.center.dimer_params  # raises off flux pi/4, where no reduction exists
+    pair = [ham.site_index(PLUS), ham.site_index(MINUS)]
+    h = np.array(ham.matrix)
+    h[:, pair] = h[:, pair] @ ALPHA_BETA_BLOCK
+    h[pair, :] = ALPHA_BETA_BLOCK.conj().T @ h[pair, :]
+    return HamiltonianMatrix(
+        matrix=h, center=AsymmetricDimer(params.mu, params.nu), lattice=ham.lattice
+    )
 
 
 def biorthogonal_scale(ham: HamiltonianMatrix) -> HamiltonianMatrix:
     """Similarity-transform the dimer chain to a symmetric center coupling.
 
-    Both center couplings become -mu*sqrt(nu/mu) (a square root of mu*nu up
-    to sign); lead bonds stay -1, so for mu*nu = 1 the result is the Hermitian
-    uniform chain. The spectrum is preserved exactly (similarity).
+    H -> D^-1 H D with D = 1 up to alpha, sqrt(nu/mu) from beta onward (beta
+    is followed by the right lead). Both center couplings become
+    -mu*sqrt(nu/mu) (a square root of mu*nu up to sign); lead bonds stay -1,
+    so for mu*nu = 1 the result is the Hermitian uniform chain.
     """
-    center = _require_dimer(ham)
-    if center.mu == center.nu:
-        return HamiltonianMatrix(
-            matrix=ham.matrix.copy(), center=center, lattice=ham.lattice, label="scaled"
+    center = ham.center
+    if not isinstance(center, AsymmetricDimer):
+        raise ValueError(
+            f"scaling applies to dimer centers, got {type(center).__name__}"
         )
-    change = biorthogonal_change(ham)
-    d = np.diagonal(change.matrix)
-    d_inv = np.diagonal(change.inverse)
-    scaled = ham.matrix * np.outer(d_inv, d)
+    if center.mu == 0.0 or center.nu == 0.0:
+        raise ValueError("scaling requires both hopping amplitudes nonzero")
+    if center.mu == center.nu:
+        return HamiltonianMatrix(matrix=ham.matrix.copy(), center=center, lattice=ham.lattice)
+    # ratio formed as a real float so the principal square root is taken on
+    # (-|x|, +0j) rather than an accidental (-|x|, -0j) from complex division
+    scale = cmath.sqrt(complex(center.nu / center.mu, 0.0))
+    d = np.ones(ham.dim, dtype=complex)
+    d[ham.site_index(BETA):] = scale
     return HamiltonianMatrix(
-        matrix=scaled, center=center, lattice=ham.lattice, label="scaled"
+        matrix=ham.matrix * np.outer(1.0 / d, d), center=center, lattice=ham.lattice
     )
 
 

@@ -271,7 +271,6 @@ class TestSmallScaleRunners:
         cfg.lattice.left_len = 6
         cfg.lattice.right_len = 120
         cfg.lattice.hard_wall_n0 = 6
-        cfg.absorb.n0 = 6
         cfg.absorb.nu_values = (0.5, 0.1)
         cfg.absorb.t_max = 60.0
         cfg.absorb.dt = 2.0
@@ -380,6 +379,18 @@ class TestCli:
         )
         assert code == 2
         assert "drop_time" in capsys.readouterr().err
+
+    def test_absorb_n0_is_unknown_key_exit_two(self, tmp_path, capsys):
+        code = main(["absorb", "--out", str(tmp_path / "x"), "--set", "absorb.n0=20"])
+        assert code == 2
+        assert "unknown key absorb.n0" in capsys.readouterr().err
+
+    def test_absorb_without_wall_exit_two(self, tmp_path, capsys):
+        code = main(
+            ["absorb", "--out", str(tmp_path / "x"), "--set", "lattice.hard_wall_n0=none"]
+        )
+        assert code == 2
+        assert "hard wall" in capsys.readouterr().err
 
     def test_set_overrides_config_file(self, tmp_path, capsys):
         cfg = small_amplify(tmp_path / "from_file")

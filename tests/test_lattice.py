@@ -17,7 +17,6 @@ from nhscatter.lattice import (
     OnSitePotential,
     build_hamiltonian,
     dimer_from_interferometer,
-    index_to_site,
     interferometer_from_dimer,
     lattice_dim,
     site_order,
@@ -67,6 +66,24 @@ class TestDimerMap:
             OnSitePotential(complex(math.nan, 0))
 
 
+class TestDimerLoci:
+    def test_singular(self):
+        params = DimerParams(-2.0, 0.5)
+        assert params.is_singular() and not params.is_resonant()
+
+    def test_resonant(self):
+        params = DimerParams(0.5, 2.0)
+        assert params.is_resonant() and not params.is_singular()
+
+    def test_neither(self):
+        params = DimerParams(3.0, 5.0)
+        assert not params.is_resonant() and not params.is_singular()
+
+    def test_tolerance(self):
+        assert DimerParams(1.0, 1.0 + 1e-10).is_resonant()
+        assert not DimerParams(1.0, 1.0 + 1e-6).is_resonant()
+
+
 class TestSiteIndexing:
     def test_left_lead_starts_at_zero(self):
         lat = LatticeSpec(3, 2)
@@ -106,7 +123,6 @@ class TestSiteIndexing:
         assert len(order) == lattice_dim(center, lat)
         for i, site in enumerate(order):
             assert site_to_index(lat, site, center) == i
-            assert index_to_site(lat, i, center) == site
 
 
 class TestLatticeSpec:

@@ -19,7 +19,6 @@ from nhscatter.scattering import (
     amplification_coefficient,
     amplitudes_for_center,
     assemble_scattering_state,
-    classify,
     dimer_amplitudes,
     onsite_amplitudes,
     scattering_residual,
@@ -150,29 +149,6 @@ class TestAmplification:
     def test_off_resonance_rejected(self):
         with pytest.raises(ValueError):
             amplification_coefficient(DimerParams(0.5, 2.1), 1.0)
-
-
-class TestClassify:
-    def test_singular_report(self):
-        report = classify(DimerParams(-2.0, 0.5))
-        assert report.is_singular and not report.is_resonant
-        assert report.singular_momenta == (math.pi / 2,)
-        assert report.gamma_threshold_met  # gamma = 1.25
-
-    def test_resonant_report(self):
-        report = classify(DimerParams(0.5, 2.0))
-        assert report.is_resonant and not report.is_singular
-        assert report.singular_momenta == ()
-
-    def test_neither(self):
-        report = classify(DimerParams(3.0, 5.0))
-        assert not report.is_resonant and not report.is_singular
-
-    def test_tolerance(self):
-        assert classify(DimerParams(1.0, 1.0 + 1e-10)).is_resonant
-        assert not classify(DimerParams(1.0, 1.0 + 1e-6)).is_resonant
-        with pytest.raises(ValueError):
-            classify(DimerParams(1, 1), tol=0.0)
 
 
 class TestSingularWavefunction:

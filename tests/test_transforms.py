@@ -14,9 +14,8 @@ from nhscatter.lattice import (
     dimer_from_interferometer,
 )
 from nhscatter.transforms import (
-    alpha_beta_change,
+    ALPHA_BETA_BLOCK,
     alpha_beta_rotation,
-    biorthogonal_change,
     biorthogonal_scale,
     parity_decompose,
     spectrum_distance,
@@ -44,12 +43,22 @@ class TestAlphaBetaRotation:
         )
         assert np.max(np.abs(rotated.matrix - target.matrix)) < 1e-14
 
+    def test_touches_only_center_rows_and_columns(self):
+        ham = interferometer_ham(0.75, 1.25, n=400)
+        assert ham.dim == 802
+        rotated = alpha_beta_rotation(ham)
+        outside = np.ones(ham.dim, dtype=bool)
+        outside[slice(*ham.center_span)] = False
+        assert np.array_equal(
+            rotated.matrix[np.ix_(outside, outside)], ham.matrix[np.ix_(outside, outside)]
+        )
+        target = build_hamiltonian(AsymmetricDimer(-2.0, 0.5), ham.lattice)
+        assert np.max(np.abs(rotated.matrix - target.matrix)) < 1e-14
+
     def test_unitary(self):
-        change = alpha_beta_change(interferometer_ham(-1.25, 0.75))
-        u = change.matrix
-        assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < 1e-14
-        assert np.max(np.abs(u @ change.inverse - np.eye(u.shape[0]))) < 1e-12
-        assert change.kind == "alpha-beta"
+        b = ALPHA_BETA_BLOCK
+        assert b.shape == (2, 2)
+        assert np.max(np.abs(b.conj().T @ b - np.eye(2))) < 1e-14
 
     def test_rejects_wrong_center(self):
         ham = build_hamiltonian(AsymmetricDimer(1, 1), LatticeSpec(3, 3))
@@ -96,12 +105,13 @@ class TestBiorthogonalScale:
         assert c_ab == c_ba
         assert c_ab**2 == pytest.approx(-1.0, abs=1e-14)
 
-    def test_biorthonormal_relation(self):
-        ham = build_hamiltonian(AsymmetricDimer(-2.0, 0.5), LatticeSpec(6, 6))
-        change = biorthogonal_change(ham)
-        prod = change.inverse @ change.matrix
-        assert np.max(np.abs(prod - np.eye(ham.dim))) < 1e-12
-        assert change.kind == "biorthogonal-scale"
+    def test_equals_explicit_diagonal_similarity(self):
+        for mu, nu in [(-2.0, 0.5), (0.5, 2.0), (1.5, -0.4)]:
+            ham = build_hamiltonian(AsymmetricDimer(mu, nu), LatticeSpec(6, 6))
+            d = np.ones(ham.dim, dtype=complex)
+            d[ham.center_span[0] + 1:] = np.sqrt(complex(nu / mu))  # beta onward
+            explicit = np.diag(1.0 / d) @ ham.matrix @ np.diag(d)
+            assert np.max(np.abs(biorthogonal_scale(ham).matrix - explicit)) < 1e-15
 
     @given(mu=hopping, nu=hopping)
     @settings(max_examples=30)
