@@ -46,6 +46,12 @@ class BoundaryContaminationError(RuntimeError):
     """Probability reached the open lattice ends and the run is unreliable."""
 
 
+#: Largest probability an outermost lead site may hold before a run is refused.
+BOUNDARY_TOL = 1e-6
+#: Largest site shift of the distortion search in transit_metrics.
+_MAX_SHIFT = 10
+
+
 @dataclass(frozen=True)
 class WavePacketSpec:
     """Gaussian packet: amplitudes ~ e^{-lam^2 (j-site)^2 / 2} e^{i k0 j}.
@@ -495,24 +501,22 @@ def transit_metrics(
     frames: list[ProfileFrame],
     center_span: tuple[int, int],
     reference_frames: list[ProfileFrame] | None = None,
-    max_shift: int = 10,
-    ends_tol: float = 1e-6,
 ) -> TransitMetrics:
     """Reflected/transmitted norms, gain, and shape distortion after transit.
 
     The final frame is split at the center; gain is transmitted/incident.
-    Distortion is the minimum over integer shifts and a free non-negative
-    scale of the L2 distance between the transmitted profile and the
-    reference run's transmitted profile, normalized by the L2 norm of the
-    incident profile. Passing reference_frames=None self-compares (zero
+    Distortion is the minimum over integer shifts |shift| <= _MAX_SHIFT and a
+    free non-negative scale of the L2 distance between the transmitted profile
+    and the reference run's transmitted profile, normalized by the L2 norm of
+    the incident profile. Passing reference_frames=None self-compares (zero
     distortion), which only checks the plumbing.
 
-    Raises BoundaryContaminationError if any frame puts more than ends_tol
+    Raises BoundaryContaminationError if any frame puts more than BOUNDARY_TOL
     probability on an outermost lead site.
     """
     if not frames:
         raise ValueError("need at least one frame")
-    check_boundaries(frames, ends_tol)
+    check_boundaries(frames)
     if reference_frames is None:
         reference_frames = frames
     if len(reference_frames) != len(frames):
@@ -527,7 +531,7 @@ def transit_metrics(
     ref = reference_frames[-1].p[center_span[1] :]
     norm0 = float(np.linalg.norm(frames[0].p))
     best = (math.inf, 0, 0.0)
-    for shift in range(-max_shift, max_shift + 1):
+    for shift in range(-_MAX_SHIFT, _MAX_SHIFT + 1):
         shifted = _shift_window(ref, shift)
         denom = float(shifted @ shifted)
         scale = float(target @ shifted) / denom if denom > 0 else 0.0
@@ -546,11 +550,11 @@ def transit_metrics(
     )
 
 
-def check_boundaries(frames: list[ProfileFrame], tol: float = 1e-6) -> float:
+def check_boundaries(frames: list[ProfileFrame]) -> float:
     """Worst probability seen on an outermost lead site across the frames;
-    raises when it exceeds ``tol``."""
+    raises when it exceeds BOUNDARY_TOL."""
     worst = max(max(float(f.p[0]), float(f.p[-1])) for f in frames)
-    if worst > tol:
+    if worst > BOUNDARY_TOL:
         raise BoundaryContaminationError(
             f"probability {worst:.3e} reached a lattice end; enlarge the leads "
             "or shorten the run"

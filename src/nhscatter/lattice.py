@@ -28,6 +28,9 @@ MINUS = "minus"
 #: Flux phase at which the interferometer reduces exactly to an asymmetric dimer.
 DIMER_REDUCTION_PHI = math.pi / 4
 
+#: Tolerance on |mu*nu -+ 1| within which a dimer is resonant or singular.
+LOCUS_TOL = 1e-9
+
 SiteLabel = Union[int, str]
 
 
@@ -51,13 +54,13 @@ class DimerParams:
     def product(self) -> float:
         return self.mu * self.nu
 
-    def is_resonant(self, tol: float = 1e-9) -> bool:
+    def is_resonant(self) -> bool:
         """Reflectionless-transmission locus mu*nu = 1."""
-        return abs(self.product - 1.0) <= tol
+        return abs(self.product - 1.0) <= LOCUS_TOL
 
-    def is_singular(self, tol: float = 1e-9) -> bool:
+    def is_singular(self) -> bool:
         """Spectral-singularity locus mu*nu = -1 (amplitudes diverge at k = pi/2)."""
-        return abs(self.product + 1.0) <= tol
+        return abs(self.product + 1.0) <= LOCUS_TOL
 
 
 def dimer_from_interferometer(delta: float, gamma: float) -> DimerParams:
@@ -198,14 +201,16 @@ def site_to_index(lattice: LatticeSpec, site: SiteLabel, center: CenterSpec) -> 
 @dataclass(frozen=True)
 class HamiltonianMatrix:
     """Dense complex matrix with the specs it is indexed by (a transformed
-    matrix no longer follows the build rules of its ``center``)."""
+    matrix no longer follows the build rules of its ``center``). A complex
+    ndarray is held without a copy and made read-only, freezing the caller's
+    array too."""
 
     matrix: np.ndarray
     center: CenterSpec
     lattice: LatticeSpec
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
+        mat = np.array(self.matrix, dtype=complex, copy=None)
         expected = lattice_dim(self.center, self.lattice)
         if mat.shape != (expected, expected):
             raise ValueError(

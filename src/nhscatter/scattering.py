@@ -36,9 +36,6 @@ RIGHT = "right"
 #: |denominator| below this is treated as an exact pole of r_k, t_k.
 SINGULAR_DENOM_TOL = 1e-9
 
-#: default tolerance on |mu*nu -+ 1| for the resonance/singularity predicates
-CLASSIFY_TOL = 1e-9
-
 
 def _check_k(k: float) -> None:
     if not (0.0 < k < math.pi):
@@ -143,22 +140,20 @@ def amplitudes_for_center(
     raise TypeError(f"unknown center spec {center!r}")
 
 
-def amplification_coefficient(
-    params: DimerParams, k: float, incidence: str = LEFT, tol: float = CLASSIFY_TOL
-) -> float:
+def amplification_coefficient(params: DimerParams, k: float, incidence: str = LEFT) -> float:
     """Transmitted-over-incident norm ratio |t_k|^2 at resonance (mu*nu = 1).
 
     Equals nu^2 for left incidence (mu^2 for right) independently of k.
     Raises when called off the resonance locus.
     """
-    if not params.is_resonant(tol):
+    if not params.is_resonant():
         raise ValueError(
             f"amplification coefficient requires mu*nu = 1, got {params.product!r}"
         )
     return dimer_amplitudes(params, k, incidence).T
 
 
-def singular_wavefunction(params: DimerParams, sign: int, site, tol: float = CLASSIFY_TOL) -> complex:
+def singular_wavefunction(params: DimerParams, sign: int, site) -> complex:
     """Amplitude of the k = +-pi/2 singular eigenstate at one site.
 
     The state is e^{i(+-pi/2) j} on the left lead, nu e^{i(-+pi/2)(j+1)} on the
@@ -168,7 +163,7 @@ def singular_wavefunction(params: DimerParams, sign: int, site, tol: float = CLA
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    if not params.is_singular(tol):
+    if not params.is_singular():
         raise ValueError(
             f"singular wavefunction requires mu*nu = -1, got {params.product!r}"
         )

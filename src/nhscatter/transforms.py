@@ -77,7 +77,7 @@ def biorthogonal_scale(ham: HamiltonianMatrix) -> HamiltonianMatrix:
     if center.mu == 0.0 or center.nu == 0.0:
         raise ValueError("scaling requires both hopping amplitudes nonzero")
     if center.mu == center.nu:
-        return HamiltonianMatrix(matrix=ham.matrix.copy(), center=center, lattice=ham.lattice)
+        return ham  # D = 1; the matrix is read-only, so no copy is needed
     # ratio formed as a real float so the principal square root is taken on
     # (-|x|, +0j) rather than an accidental (-|x|, -0j) from complex division
     scale = cmath.sqrt(complex(center.nu / center.mu, 0.0))
@@ -86,6 +86,10 @@ def biorthogonal_scale(ham: HamiltonianMatrix) -> HamiltonianMatrix:
     return HamiltonianMatrix(
         matrix=ham.matrix * np.outer(1.0 / d, d), center=center, lattice=ham.lattice
     )
+
+
+#: Tolerance of parity_decompose on the center coupling and the cross coupling.
+PARITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -116,7 +120,7 @@ class BlockDecomposition:
         return hp, hm
 
 
-def parity_decompose(ham: HamiltonianMatrix, tol: float = 1e-9) -> BlockDecomposition:
+def parity_decompose(ham: HamiltonianMatrix) -> BlockDecomposition:
     """Split the scaled mu*nu = -1 chain into two decoupled parity blocks.
 
     Requires equal lead lengths, no hard wall, and a symmetric center coupling
@@ -136,9 +140,9 @@ def parity_decompose(ham: HamiltonianMatrix, tol: float = 1e-9) -> BlockDecompos
     a, b = start, start + 1
     c_ab = complex(ham.matrix[a, b])
     c_ba = complex(ham.matrix[b, a])
-    if abs(c_ab - c_ba) > tol:
+    if abs(c_ab - c_ba) > PARITY_TOL:
         raise ValueError("center coupling is not symmetric; scale the matrix first")
-    if abs(c_ab * c_ab + 1.0) > tol:
+    if abs(c_ab * c_ab + 1.0) > PARITY_TOL:
         raise ValueError(
             f"center coupling squared must be -1 (singularity), got {c_ab * c_ab!r}"
         )
@@ -168,7 +172,7 @@ def parity_decompose(ham: HamiltonianMatrix, tol: float = 1e-9) -> BlockDecompos
             np.max(np.abs(v_minus.conj().T @ ham.matrix @ v_plus)),
         )
     )
-    if cross > tol:
+    if cross > PARITY_TOL:
         raise ValueError(f"parity blocks do not decouple (cross coupling {cross:.3e})")
     return BlockDecomposition(
         h_plus=h_plus,

@@ -28,6 +28,30 @@ def small_amplify(out_dir, **extra):
     return cfg
 
 
+#: The [tol] section every config.ini carried while assertion bounds were keys.
+_TOL_SECTION = """
+[tol]
+resonance = 1e-09
+singularity = 1e-09
+gain_rtol = 0.05
+reflect = 0.001
+distortion = 0.01
+boundary = 1e-06
+linear_r2 = 0.99
+emission_ratio_rtol = 0.02
+pair_residual = 0.02
+seed_decay_fraction = 0.4
+absorb_final = 0.05
+absorb_drop = 0.5
+unitarity = 1e-12
+rotation = 1e-14
+hermiticity = 1e-12
+spectrum = 1e-10
+commutator = 1e-12
+residual = 1e-12
+"""
+
+
 class TestConfigFormat:
     @pytest.mark.parametrize("scenario", ["sweep", "amplify", "flux-deviation", "singularity", "absorb", "verify"])
     def test_ini_round_trip_lossless(self, scenario):
@@ -45,6 +69,13 @@ class TestConfigFormat:
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError):
             from_ini("[scenario]\nscenario = sweep\n[nope]\nx = 1\n")
+
+    def test_tol_section_rejected(self):
+        # the assertion bounds are fixed in code; a config.ini written while
+        # they were settable carries a [tol] section and must not load
+        text = to_ini(default_config("amplify")) + _TOL_SECTION
+        with pytest.raises(ConfigError, match="unknown config section 'tol'"):
+            from_ini(text)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -345,10 +376,22 @@ class TestCli:
             ("sweep", "center.mu=inf"),
             ("sweep", "sweep.samples=2.5"),
             ("singularity", "packet.pair_site=0"),
+            ("amplify", "time.t_max=inf"),
+            ("absorb", "absorb.t_max=inf"),
+            ("amplify", "time.dt=nan"),
         ]:
             code = main([scenario, "--out", str(tmp_path / "x"), "--set", override])
             err = capsys.readouterr().err
             assert code == 2 and "config error" in err, (scenario, override, code, err)
+
+    def test_bounds_cannot_be_loosened(self, tmp_path, capsys):
+        # at t_max = 20 the packet has not crossed the center: the gain check fails
+        early = ["amplify", "--out", str(tmp_path / "x"), "--set", "time.t_max=20"]
+        assert main(early) == 1
+        assert "[FAIL] gain_matches_nu_squared" in capsys.readouterr().out
+        code = main(early + ["--set", "tol.gain_rtol=1", "--set", "tol.reflect=1"])
+        assert code == 2
+        assert "unknown config section 'tol'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "overrides, key",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ from hypothesis import strategies as st
 from nhscatter.lattice import (
     ALPHA,
     BETA,
+    LOCUS_TOL,
     MINUS,
     PLUS,
     AsymmetricDimer,
     DimerParams,
+    HamiltonianMatrix,
     Interferometer,
     LatticeSpec,
     OnSitePotential,
@@ -80,8 +83,11 @@ class TestDimerLoci:
         assert not params.is_resonant() and not params.is_singular()
 
     def test_tolerance(self):
+        assert 1e-10 < LOCUS_TOL < 1e-6
         assert DimerParams(1.0, 1.0 + 1e-10).is_resonant()
         assert not DimerParams(1.0, 1.0 + 1e-6).is_resonant()
+        assert DimerParams(-1.0, 1.0 + 1e-10).is_singular()
+        assert not DimerParams(-1.0, 1.0 + 1e-6).is_singular()
 
 
 class TestSiteIndexing:
@@ -235,3 +241,26 @@ class TestBuildHamiltonian:
         ham = build_hamiltonian(OnSitePotential(0), LatticeSpec(2, 2))
         with pytest.raises(ValueError):
             ham.matrix[0, 0] = 1.0
+
+
+class TestHamiltonianMatrix:
+    def test_build_holds_one_matrix(self):
+        # the holder keeps the built array instead of copying it
+        lattice = LatticeSpec(400, 400)
+        tracemalloc.start()
+        try:
+            ham = build_hamiltonian(AsymmetricDimer(0.5, 2.0), lattice)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * ham.matrix.nbytes, (peak, ham.matrix.nbytes)
+
+    def test_holds_given_array_read_only(self):
+        center, lattice = AsymmetricDimer(0.5, 2.0), LatticeSpec(2, 2)
+        h = np.zeros((6, 6), dtype=complex)
+        ham = HamiltonianMatrix(h, center, lattice)
+        assert np.shares_memory(ham.matrix, h)
+        with pytest.raises(ValueError):
+            h[0, 0] = 1.0
+        real = HamiltonianMatrix(np.zeros((6, 6)), center, lattice)  # converted
+        assert real.matrix.dtype == complex and not real.matrix.flags.writeable
