@@ -210,7 +210,7 @@ class HamiltonianMatrix:
     lattice: LatticeSpec
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex, copy=None)
+        mat = np.asarray(self.matrix, dtype=complex)
         expected = lattice_dim(self.center, self.lattice)
         if mat.shape != (expected, expected):
             raise ValueError(
