@@ -15,13 +15,13 @@ eigenvectors are needed, so it stays accurate arbitrarily close to the
 spectral singularity, where eigenvector matrices become ill-conditioned.
 """
 
+import json
 import math
 import warnings
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from .lattice import (
@@ -131,6 +131,8 @@ class DensityMatrix:
         scale = max(1.0, float(np.max(np.abs(rho))))
         if defect > 1e-10 * scale:
             raise ValueError(f"density matrix is not Hermitian (defect {defect:.3e})")
+        import scipy.linalg  # only here: runs that never factor a full rho skip its import
+
         weights, factor = scipy.linalg.eigh((rho + rho.conj().T) / 2.0)
         keep = weights != 0.0
         self.factor = factor[:, keep]
@@ -574,15 +576,24 @@ def _shift_window(vec: np.ndarray, shift: int) -> np.ndarray:
     return out
 
 
-def write_frames_csv(path, frames: list[ProfileFrame], lattice: LatticeSpec, center: CenterSpec) -> None:
-    """Long-format frame export: header t,j,p with canonical site labels."""
-    order = site_order(center, lattice)
+def write_frames(path, frames: list[ProfileFrame]) -> None:
+    """Frame export: one .npy file holding the T x N float64 array whose row i
+    is frames[i].p, columns in site order. Exact, and byte-identical on rerun
+    (np.save writes no timestamp); the axes go to :func:`write_frames_axes`."""
+    np.save(path, np.array([frame.p for frame in frames], dtype=float), allow_pickle=False)
+
+
+# The name perfbench/tracing.py wraps; it exists only for that tracer.
+write_frames_csv = write_frames
+
+
+def write_frames_axes(path, times, lattice: LatticeSpec, center: CenterSpec) -> None:
+    """Axes of the frame arrays as JSON: {"t": times, "j": site labels in
+    matrix order}. json writes floats with repr, so the times are exact."""
+    axes = {"t": [float(t) for t in times], "j": list(site_order(center, lattice))}
     with open(path, "w") as fh:
-        fh.write("t,j,p\n")
-        for frame in frames:
-            t = float(frame.t)
-            for site, value in zip(order, frame.p):
-                fh.write(f"{t!r},{site},{float(value)!r}\n")
+        json.dump(axes, fh)
+        fh.write("\n")
 
 
 def write_metrics_txt(path, record: dict) -> None:

@@ -1,10 +1,10 @@
-"""Named, reproducible experiment scenarios with INI configs and CSV outputs.
+"""Named, reproducible experiment scenarios with INI configs and data outputs.
 
 Each run writes one output directory containing a config snapshot, the data
 files of the scenario, and a manifest (JSON) listing every built-in assertion
 with its measured value and threshold. Identical configs produce bit-identical
-CSVs: floats are written via repr and nothing time-dependent enters the data
-files.
+data files: floats are written via repr (CSV, JSON) or as raw float64 (.npy
+frames), and nothing time-dependent enters the data files.
 """
 
 import copy
@@ -33,7 +33,8 @@ from .dynamics import (
     seed_state,
     split_probability,
     transit_metrics,
-    write_frames_csv,
+    write_frames,
+    write_frames_axes,
     write_metrics_txt,
 )
 from .lattice import (
@@ -409,7 +410,7 @@ def _run_sweep(config: ScenarioConfig, out_dir: Path):
     assertions = []
     flagged = [row for rows in (left_rows, right_rows) for row in rows if row.diverges]
     finite_ok = all(
-        row.diverges or (np.isfinite(row.T) and np.isfinite(row.R))
+        row.diverges or (math.isfinite(row.T) and math.isfinite(row.R))
         for rows in (left_rows, right_rows)
         for row in rows
     )
@@ -485,9 +486,10 @@ def _run_amplify(config: ScenarioConfig, out_dir: Path):
     ham, frames = _evolve_packet(config, center, config.packet.k0)
     ref_frames = _evolve_packet(config, _UNIFORM_CHAIN, config.packet.k0)[1]
     metrics = transit_metrics(frames, ham.center_span, ref_frames)
-    write_frames_csv(out_dir / "frames.csv", frames, ham.lattice, ham.center)
-    write_frames_csv(
-        out_dir / "frames_reference.csv", ref_frames, ham.lattice, _UNIFORM_CHAIN
+    write_frames(out_dir / "frames.npy", frames)
+    write_frames(out_dir / "frames_reference.npy", ref_frames)
+    write_frames_axes(
+        out_dir / "frames_axes.json", config.time.times(), ham.lattice, ham.center
     )
     expected = params.nu**2
     record = dict(dataclasses.asdict(metrics), expected_gain=expected)
@@ -503,7 +505,8 @@ def _run_amplify(config: ScenarioConfig, out_dir: Path):
         _le("reflection_negligible", metrics.reflected, 1e-3),
         _le("distortion_free", metrics.distortion, 1e-2),
     ]
-    return ["frames.csv", "frames_reference.csv", "metrics.txt"], assertions
+    outputs = ["frames.npy", "frames_reference.npy", "frames_axes.json", "metrics.txt"]
+    return outputs, assertions
 
 
 def _run_flux_deviation(config: ScenarioConfig, out_dir: Path):
@@ -634,8 +637,8 @@ def _run_singularity(config: ScenarioConfig, out_dir: Path):
         for name, psi0 in cases.items():
             frames = prop.frames(psi0, times)
             check_boundaries(frames)
-            fname = f"frames_{name}.csv"
-            write_frames_csv(out_dir / fname, frames, lattice, center)
+            fname = f"frames_{name}.npy"
+            write_frames(out_dir / fname, frames)
             outputs.append(fname)
             left, mid, right = np.array([split_probability(f.p, span) for f in frames]).T
             total = left + mid + right
@@ -730,8 +733,9 @@ def _run_singularity(config: ScenarioConfig, out_dir: Path):
                         detail=f"P(0)={total[0]!r} P(end)={total[-1]!r}",
                     )
                 )
+    write_frames_axes(out_dir / "frames_axes.json", times, lattice, center)
     write_metrics_txt(out_dir / "metrics.txt", metrics)
-    outputs += ["series.csv", "metrics.txt"]
+    outputs += ["frames_axes.json", "series.csv", "metrics.txt"]
     return outputs, assertions
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -24,7 +25,8 @@ from nhscatter.dynamics import (
     seed_state,
     split_probability,
     transit_metrics,
-    write_frames_csv,
+    write_frames,
+    write_frames_axes,
     write_metrics_txt,
 )
 from nhscatter.lattice import (
@@ -517,17 +519,27 @@ class TestTransitMetrics:
 
 
 class TestFrameExport:
-    def test_frames_csv(self, tmp_path):
+    def test_frames_npy_round_trip(self, tmp_path):
         lat = LatticeSpec(3, 3)
-        center = AsymmetricDimer(1.0, 1.0)
-        psi = seed_state(lat, DimerParams(1.0, 1.0), +1)
-        frames = [profile(psi, 0.0)]
-        path = tmp_path / "frames.csv"
-        write_frames_csv(path, frames, lat, center)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,j,p"
-        assert lines[1].startswith("0.0,-3,")
-        assert any(line.startswith("0.0,alpha,") for line in lines)
+        params = DimerParams(-2.0, 0.5)  # mu*nu = -1: the seed grows
+        center = AsymmetricDimer(params.mu, params.nu)
+        psi = seed_state(lat, params, +1)
+        times = np.arange(0, 6) * 0.3
+        frames = Propagator(build_hamiltonian(center, lat)).frames(psi, times)
+        path = tmp_path / "frames.npy"
+        write_frames(path, frames)
+        loaded = np.load(path, allow_pickle=False)
+        expected = np.array([f.p for f in frames])
+        assert loaded.dtype == np.float64
+        assert loaded.shape == (6, 8)
+        assert loaded.tobytes() == expected.tobytes()
+
+        axes_path = tmp_path / "frames_axes.json"
+        write_frames_axes(axes_path, times, lat, center)
+        axes = json.loads(axes_path.read_text())
+        assert axes["t"] == [f.t for f in frames]
+        assert axes["j"] == [-3, -2, -1, "alpha", "beta", 1, 2, 3]
+        assert tuple(axes["j"]) == site_order(center, lat)
 
     def test_metrics_txt(self, tmp_path):
         path = tmp_path / "metrics.txt"

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from nhscatter.experiments import (
@@ -25,6 +26,21 @@ def small_amplify(out_dir, **extra):
     for key, value in extra.items():
         section, name = key.split("__")
         setattr(getattr(cfg, section), name, value)
+    return cfg
+
+
+def small_singularity(out_dir):
+    cfg = default_config("singularity")
+    cfg.out_dir = str(out_dir)
+    cfg.lattice.left_len = 150
+    cfg.lattice.right_len = 150
+    cfg.packet.site = -30
+    cfg.packet.lam = 0.3
+    cfg.packet.pair_site = 30
+    cfg.time.t_max = 40.0
+    cfg.singularity.fit_start = 10.0
+    cfg.singularity.fit_end = 40.0
+    cfg.singularity.emission_fit_start = 25.0
     return cfg
 
 
@@ -108,7 +124,7 @@ class TestValidation:
         cfg.center.gamma = 0.9  # delta^2 - gamma^2 != 1
         with pytest.raises(ConfigError):
             run_scenario(cfg)
-        assert not (tmp_path / "x" / "frames.csv").exists()
+        assert not (tmp_path / "x" / "frames.npy").exists()
 
     def test_amplify_rejects_onsite_center(self, tmp_path):
         cfg = small_amplify(tmp_path / "x")
@@ -251,23 +267,25 @@ class TestSweepScenario:
 
 class TestSmallScaleRunners:
     def test_singularity_small(self, tmp_path):
-        cfg = default_config("singularity")
-        cfg.out_dir = str(tmp_path / "sing")
-        cfg.lattice.left_len = 150
-        cfg.lattice.right_len = 150
-        cfg.packet.site = -30
-        cfg.packet.lam = 0.3
-        cfg.packet.pair_site = 30
-        cfg.time.t_max = 40.0
-        cfg.singularity.fit_start = 10.0
-        cfg.singularity.fit_end = 40.0
-        cfg.singularity.emission_fit_start = 25.0
-        manifest = run_scenario(cfg)
+        manifest = run_scenario(small_singularity(tmp_path / "sing"))
         assert manifest.passed, [a.name for a in manifest.assertions if not a.passed]
         series = (tmp_path / "sing" / "series.csv").read_text().splitlines()
         assert series[0] == "case,t,P_left,P_center,P_right,P_total"
         cases = {line.split(",")[0] for line in series[1:]}
         assert cases == {"seed_plus", "seed_minus", "packet", "pair"}
+
+    def test_singularity_frames_sum_to_series(self, tmp_path):
+        # the frame arrays and series.csv describe the same runs
+        out = tmp_path / "sing"
+        run_scenario(small_singularity(out))
+        rows = [line.split(",") for line in (out / "series.csv").read_text().splitlines()[1:]]
+        axes = json.loads((out / "frames_axes.json").read_text())
+        for case in ("seed_plus", "seed_minus", "packet", "pair"):
+            frames = np.load(out / f"frames_{case}.npy", allow_pickle=False)
+            assert frames.shape == (len(axes["t"]), len(axes["j"])) == (41, 302)
+            assert [float(r[1]) for r in rows if r[0] == case] == axes["t"]
+            p_total = np.array([float(r[5]) for r in rows if r[0] == case])
+            np.testing.assert_allclose(frames.sum(axis=1), p_total, rtol=1e-12, atol=0)
 
     def test_absorb_small(self, tmp_path):
         cfg = default_config("absorb")
@@ -311,8 +329,9 @@ class TestRunArtifacts:
         assert set(data["outputs"]) >= {
             "config.ini",
             "manifest.json",
-            "frames.csv",
-            "frames_reference.csv",
+            "frames.npy",
+            "frames_reference.npy",
+            "frames_axes.json",
             "metrics.txt",
         }
         for name in data["outputs"]:
@@ -330,7 +349,7 @@ class TestRunArtifacts:
         cfg_b = small_amplify(tmp_path / "b")
         run_scenario(cfg_a)
         run_scenario(cfg_b)
-        for name in ("frames.csv", "frames_reference.csv", "metrics.txt"):
+        for name in ("frames.npy", "frames_reference.npy", "frames_axes.json", "metrics.txt"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
