@@ -5,21 +5,24 @@ rho(t) = e^{-iHt} rho(0) e^{+iH^dag t}. A density matrix is held as a factor,
 rho = V W V^dag with V of shape N x r and W = diag(w) real, and steps as
 V <- U V; its site profile is p = |V|^2 w, so P(t) is a weighted Frobenius
 norm of V. The Dirac probability p(j,t) and its total P(t) are not conserved
-when H is non-Hermitian; they are the primary observables here.
+when H is non-Hermitian; they are the primary observables here. A run's
+probabilities are one T x N float64 array, row i the site profile at time i,
+so P(t) is its row sums; this array is what the metrics take and what
+write_frames saves.
 
-Every step, of a state or of a density factor, goes through one Propagator:
-the truncated-Taylor action of e^{-iH dt} on a sparse copy of H (Al-Mohy &
-Higham, SIAM J. Sci. Comput. 33:488, 2011), with one (degree, scaling) plan
-per distinct time step. No N x N exponential is formed, and no
-eigenvectors are needed, so it stays accurate arbitrarily close to the
-spectral singularity, where eigenvector matrices become ill-conditioned.
+Every step, of a state or of a density factor, goes through one loop,
+Propagator._evolve: the truncated-Taylor action of e^{-iH dt} on a sparse
+copy of H (Al-Mohy & Higham, SIAM J. Sci. Comput. 33:488, 2011), with one
+(degree, scaling) plan per distinct time step. No N x N exponential is
+formed, and no eigenvectors are needed, so it stays accurate arbitrarily
+close to the spectral singularity, where eigenvector matrices become
+ill-conditioned.
 """
 
 import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 import scipy.sparse
@@ -175,18 +178,6 @@ class DensityMatrix:
         if core.shape[0] < self.factor.shape[0]:
             eig = np.append(eig, 0.0)  # the complement of range(V) is null
         return float(eig.min())
-
-
-@dataclass(frozen=True)
-class ProfileFrame:
-    """Per-site Dirac probabilities at one instant."""
-
-    t: float
-    p: np.ndarray
-
-    @property
-    def total(self) -> float:
-        return float(self.p.sum())
 
 
 def gaussian_packet(
@@ -371,30 +362,34 @@ class Propagator:
         self._cache[dt] = u
         return u
 
-    def _steps(self, times):
-        """Yield (t, U) per time; U steps from the previous time (None at t=0)."""
-        prev_t = 0.0
+    def _evolve(self, start: np.ndarray, times):
+        """Yield ``start``, a state vector or an N x r density factor, stepped
+        to each time by the step from the previous time. Every yield is a new
+        array, never ``start`` itself, so callers may keep or mutate them."""
+        if start.shape[0] != self.ham.dim:
+            raise ValueError(
+                f"initial dimension {start.shape[0]} does not match H dim {self.ham.dim}"
+            )
+        x, prev_t = start.copy(), 0.0
         for t in _check_times(times):
-            yield t, (self.step_matrix(t - prev_t) if t > prev_t else None)
+            if t > prev_t:
+                x = self.step_matrix(t - prev_t) @ x
             prev_t = t
+            yield x
 
     def states(self, psi0: StateVector, times) -> list[StateVector]:
-        _check_dim(psi0.amplitudes, self.ham, "state")
-        out = []
-        psi = psi0.amplitudes.copy()
-        for _, u in self._steps(times):
-            if u is not None:
-                psi = u @ psi
-            # u @ psi returns a new array, so the states share no storage
-            out.append(
-                StateVector(amplitudes=psi, center=self.ham.center, lattice=self.ham.lattice)
-            )
-        return out
-
-    def frames(self, psi0: StateVector, times) -> list[ProfileFrame]:
         return [
-            profile(s, t) for s, t in zip(self.states(psi0, times), _check_times(times))
+            StateVector(amplitudes=psi, center=self.ham.center, lattice=self.ham.lattice)
+            for psi in self._evolve(psi0.amplitudes, times)
         ]
+
+    def frames(self, psi0: StateVector, times) -> np.ndarray:
+        """T x N array of the Dirac probabilities |psi_j(t_i)|^2, row i at times[i]."""
+        times = _check_times(times)
+        out = np.empty((times.size, self.ham.dim))
+        for row, psi in zip(out, self._evolve(psi0.amplitudes, times)):
+            row[:] = np.abs(psi) ** 2
+        return out
 
 
 def evolve_state(ham: HamiltonianMatrix, psi0: StateVector, times) -> list[StateVector]:
@@ -413,46 +408,31 @@ def _check_times(times) -> np.ndarray:
     return times
 
 
-def _check_dim(entries: np.ndarray, ham: HamiltonianMatrix, what: str) -> None:
-    if entries.shape[0] != ham.dim:
-        raise ValueError(
-            f"{what} dimension {entries.shape[0]} does not match H dim {ham.dim}"
-        )
-
-
 def evolve_density(
     ham: HamiltonianMatrix, rho0: DensityMatrix, times
 ) -> list[DensityMatrix]:
     """Evolve rho(t) = e^{-iHt} rho(0) e^{+iH^dag t} at the requested times."""
-    return [rho for _, rho in _density_steps(ham, rho0, times)]
+    return [
+        DensityMatrix._factored(v, rho0.weights, ham.center, ham.lattice)
+        for v in Propagator(ham)._evolve(rho0.factor, times)
+    ]
 
 
-def _density_steps(ham: HamiltonianMatrix, rho0: DensityMatrix, times):
-    """Yield (t, rho(t)), stepping the factor V <- U V with one Propagator."""
-    _check_dim(rho0.factor, ham, "density")
-    v = rho0.factor.copy()
-    for t, u in Propagator(ham)._steps(times):
-        if u is not None:
-            v = u @ v
-        yield t, DensityMatrix._factored(v, rho0.weights, ham.center, ham.lattice)
-
-
-def density_profile_series(
-    ham: HamiltonianMatrix, rho0: DensityMatrix, times
-) -> list[ProfileFrame]:
-    """Per-site probability frames of an evolving density matrix.
+def density_profile_series(ham: HamiltonianMatrix, rho0: DensityMatrix, times) -> np.ndarray:
+    """T x N site populations rho_jj(t_i) of an evolving density matrix.
 
     Streams the evolution so only the populations are retained; use this
     for long time grids where storing every rho(t) would be wasteful.
+    Raises if a population falls below -1e-10 (an indefinite rho) and clips
+    the round-off negatives above that to zero.
     """
-    return [profile(rho, t) for t, rho in _density_steps(ham, rho0, times)]
-
-
-def _diag_probabilities(p: np.ndarray) -> np.ndarray:
-    if p.min() < -1e-10:
-        raise ValueError(f"density diagonal has negative probability {p.min():.3e}")
-    np.clip(p, 0.0, None, out=p)
-    return p
+    times = _check_times(times)
+    out = np.empty((times.size, ham.dim))
+    for row, v in zip(out, Propagator(ham)._evolve(rho0.factor, times)):
+        row[:] = (np.abs(v) ** 2) @ rho0.weights
+    if out.min() < -1e-10:
+        raise ValueError(f"density diagonal has negative probability {out.min():.3e}")
+    return np.clip(out, 0.0, None, out=out)
 
 
 def mixed_state_uniform(
@@ -471,19 +451,15 @@ def mixed_state_uniform(
     return DensityMatrix._factored(factor, np.full(n0, 1.0 / n0), center, lattice)
 
 
-def profile(obj: Union[StateVector, DensityMatrix], t: float) -> ProfileFrame:
-    """Dirac-probability frame of a state (|psi_j|^2) or density (diagonal)."""
-    if isinstance(obj, StateVector):
-        return ProfileFrame(t=float(t), p=obj.probabilities())
-    if isinstance(obj, DensityMatrix):
-        return ProfileFrame(t=float(t), p=_diag_probabilities(obj.diagonal()))
-    raise TypeError(f"expected StateVector or DensityMatrix, got {type(obj).__name__}")
-
-
-def split_probability(p: np.ndarray, center_span: tuple[int, int]) -> tuple[float, float, float]:
-    """(left lead, center, right lead) probability sums of one frame."""
+def split_probability(p: np.ndarray, center_span: tuple[int, int]):
+    """(left lead, center, right lead) probability sums of one frame, or of
+    each row of a T x N frame array."""
     start, stop = center_span
-    return float(p[:start].sum()), float(p[start:stop].sum()), float(p[stop:].sum())
+    return (
+        p[..., :start].sum(axis=-1),
+        p[..., start:stop].sum(axis=-1),
+        p[..., stop:].sum(axis=-1),
+    )
 
 
 @dataclass(frozen=True)
@@ -500,13 +476,14 @@ class TransitMetrics:
 
 
 def transit_metrics(
-    frames: list[ProfileFrame],
+    frames: np.ndarray,
     center_span: tuple[int, int],
-    reference_frames: list[ProfileFrame] | None = None,
+    reference_frames: np.ndarray | None = None,
 ) -> TransitMetrics:
     """Reflected/transmitted norms, gain, and shape distortion after transit.
 
-    The final frame is split at the center; gain is transmitted/incident.
+    ``frames`` is a T x N probability array, row i at time i. The final row
+    is split at the center; gain is transmitted/incident.
     Distortion is the minimum over integer shifts |shift| <= _MAX_SHIFT and a
     free non-negative scale of the L2 distance between the transmitted profile
     and the reference run's transmitted profile, normalized by the L2 norm of
@@ -516,7 +493,7 @@ def transit_metrics(
     Raises BoundaryContaminationError if any frame puts more than BOUNDARY_TOL
     probability on an outermost lead site.
     """
-    if not frames:
+    if len(frames) == 0:
         raise ValueError("need at least one frame")
     check_boundaries(frames)
     if reference_frames is None:
@@ -524,14 +501,13 @@ def transit_metrics(
     if len(reference_frames) != len(frames):
         raise ValueError("reference run must cover the same frame instants")
 
-    incident = frames[0].total
-    final = frames[-1]
-    left, _, right = split_probability(final.p, center_span)
+    incident = float(frames[0].sum())
+    left, _, right = map(float, split_probability(frames[-1], center_span))
     gain = right / incident
 
-    target = final.p[center_span[1] :]
-    ref = reference_frames[-1].p[center_span[1] :]
-    norm0 = float(np.linalg.norm(frames[0].p))
+    target = frames[-1, center_span[1] :]
+    ref = reference_frames[-1, center_span[1] :]
+    norm0 = float(np.linalg.norm(frames[0]))
     best = (math.inf, 0, 0.0)
     for shift in range(-_MAX_SHIFT, _MAX_SHIFT + 1):
         shifted = _shift_window(ref, shift)
@@ -552,10 +528,10 @@ def transit_metrics(
     )
 
 
-def check_boundaries(frames: list[ProfileFrame]) -> float:
-    """Worst probability seen on an outermost lead site across the frames;
-    raises when it exceeds BOUNDARY_TOL."""
-    worst = max(max(float(f.p[0]), float(f.p[-1])) for f in frames)
+def check_boundaries(frames: np.ndarray) -> float:
+    """Worst probability seen on an outermost lead site across the rows of a
+    T x N frame array; raises when it exceeds BOUNDARY_TOL."""
+    worst = float(frames[:, [0, -1]].max())
     if worst > BOUNDARY_TOL:
         raise BoundaryContaminationError(
             f"probability {worst:.3e} reached a lattice end; enlarge the leads "
@@ -576,11 +552,11 @@ def _shift_window(vec: np.ndarray, shift: int) -> np.ndarray:
     return out
 
 
-def write_frames(path, frames: list[ProfileFrame]) -> None:
-    """Frame export: one .npy file holding the T x N float64 array whose row i
-    is frames[i].p, columns in site order. Exact, and byte-identical on rerun
+def write_frames(path, frames: np.ndarray) -> None:
+    """Frame export: one .npy file holding the T x N float64 frame array, row
+    i at time i, columns in site order. Exact, and byte-identical on rerun
     (np.save writes no timestamp); the axes go to :func:`write_frames_axes`."""
-    np.save(path, np.array([frame.p for frame in frames], dtype=float), allow_pickle=False)
+    np.save(path, frames, allow_pickle=False)
 
 
 # The name perfbench/tracing.py wraps; it exists only for that tracer.

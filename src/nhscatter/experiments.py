@@ -7,6 +7,7 @@ data files: floats are written via repr (CSV, JSON) or as raw float64 (.npy
 frames), and nothing time-dependent enters the data files.
 """
 
+import configparser
 import copy
 import dataclasses
 import json
@@ -14,7 +15,6 @@ import math
 import time
 import types
 import typing
-from configparser import ConfigParser
 from dataclasses import dataclass, field
 from io import StringIO
 from pathlib import Path
@@ -239,7 +239,7 @@ def _section_dataclasses() -> dict:
 
 
 def to_ini(config: ScenarioConfig) -> str:
-    parser = ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(interpolation=None)
     parser.add_section("scenario")
     for name in _SCALARS:
         parser.set("scenario", name, _format_value(getattr(config, name)))
@@ -256,8 +256,12 @@ def to_ini(config: ScenarioConfig) -> str:
 def from_ini(text: str, base: ScenarioConfig | None = None) -> ScenarioConfig:
     """Parse an INI config: each "[section] key = value" is applied as the
     override "section.key=value" ("key=value" under [scenario])."""
-    parser = ConfigParser(interpolation=None)
-    parser.read_string(text)
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        # some of these messages span lines; the CLI reports errors on one
+        raise ConfigError(f"malformed INI: {' '.join(str(exc).split())}") from None
     if base is None:
         base = default_config(parser.get("scenario", "scenario", fallback="verify"))
     return apply_overrides(
@@ -271,7 +275,11 @@ def from_ini(text: str, base: ScenarioConfig | None = None) -> ScenarioConfig:
 
 
 def load_config(path, base: ScenarioConfig | None = None) -> ScenarioConfig:
-    return from_ini(Path(path).read_text(), base=base)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {str(path)!r}: {exc}") from None
+    return from_ini(text, base=base)
 
 
 def apply_overrides(config: ScenarioConfig, assignments) -> ScenarioConfig:
@@ -640,7 +648,7 @@ def _run_singularity(config: ScenarioConfig, out_dir: Path):
             fname = f"frames_{name}.npy"
             write_frames(out_dir / fname, frames)
             outputs.append(fname)
-            left, mid, right = np.array([split_probability(f.p, span) for f in frames]).T
+            left, mid, right = split_probability(frames, span)
             total = left + mid + right
             for t, l, c, r, p in zip(times, left, mid, right, total):
                 series_fh.write(
@@ -762,8 +770,7 @@ def _run_absorb(config: ScenarioConfig, out_dir: Path):
             center = AsymmetricDimer(1.0 / nu, nu)
             ham = build_hamiltonian(center, lattice)
             rho0 = mixed_state_uniform(lattice, center, n0)
-            frames = density_profile_series(ham, rho0, times)
-            p = np.array([f.total for f in frames])
+            p = density_profile_series(ham, rho0, times).sum(axis=1)
             totals[nu] = p
             for t, value in zip(times, p):
                 fh.write(f"{nu!r},{float(t)!r},{float(value)!r}\n")
@@ -803,8 +810,8 @@ def _run_absorb(config: ScenarioConfig, out_dir: Path):
     control_ham = build_hamiltonian(control_center, lattice)
     control_rho = mixed_state_uniform(lattice, control_center, n0)
     control_times = TimeConfig(t_max=ab.t_max, dt=min(max(ab.dt, 10.0), ab.t_max)).times()
-    control_frames = density_profile_series(control_ham, control_rho, control_times)
-    control_dev = max(abs(f.total - 1.0) for f in control_frames)
+    control_p = density_profile_series(control_ham, control_rho, control_times).sum(axis=1)
+    control_dev = float(np.max(np.abs(control_p - 1.0)))
     assertions.append(_le("hermitian_control_conserves", control_dev, 1e-9))
 
     metrics = {f"final_P[nu={nu!r}]": totals[nu][-1] for nu in ab.nu_values}

@@ -21,7 +21,6 @@ from nhscatter.dynamics import (
     evolve_state,
     gaussian_packet,
     mixed_state_uniform,
-    profile,
     seed_state,
     split_probability,
     transit_metrics,
@@ -381,10 +380,11 @@ class TestEvolveDensity:
         ham = build_hamiltonian(center, lat)
         rho0 = mixed_state_uniform(lat, center, 8)
         times = [2.0, 9.0]
-        frames = density_profile_series(ham, rho0, times)
+        series = density_profile_series(ham, rho0, times)
         rhos = evolve_density(ham, rho0, times)
-        for frame, rho in zip(frames, rhos):
-            assert np.max(np.abs(frame.p - np.diagonal(rho.entries).real)) < 1e-12
+        assert series.shape == (2, ham.dim)
+        for row, rho in zip(series, rhos):
+            assert np.max(np.abs(row - np.diagonal(rho.entries).real)) < 1e-12
 
     def test_incoherent_sum_oracle_agreement(self):
         n0 = 6
@@ -394,7 +394,7 @@ class TestEvolveDensity:
         for center in (AsymmetricDimer(10.0, 0.1), AsymmetricDimer(-2.0, 0.5)):
             ham = build_hamiltonian(center, lat)
             rho0 = mixed_state_uniform(lat, center, n0)
-            ours = np.array([f.total for f in density_profile_series(ham, rho0, times)])
+            ours = density_profile_series(ham, rho0, times).sum(axis=1)
             ref = oracles.incoherent_sum_probability(ham, lat, center, n0, times)
             assert np.max(np.abs(ours - ref) / np.maximum(1.0, ref)) < 1e-9
 
@@ -423,12 +423,12 @@ class TestEvolveDensity:
         times = [10.0, 40.0]
         ref = oracles.dense_density_evolve(ham, dense, times)
         rhos = evolve_density(ham, rho0, times)
-        frames = density_profile_series(ham, rho0, times)
-        for rho, frame, want in zip(rhos, frames, ref):
+        series = density_profile_series(ham, rho0, times)
+        for rho, row, want in zip(rhos, series, ref):
             # P(40) of the mixed state is ~5e8, so the bound is relative to max(1, P)
             scale = max(1.0, np.trace(want).real)
             assert np.max(np.abs(rho.entries - want)) / scale < 1e-9
-            assert np.max(np.abs(frame.p - np.diagonal(want).real)) / scale < 1e-9
+            assert np.max(np.abs(row - np.diagonal(want).real)) / scale < 1e-9
 
     def test_rejects_non_hermitian_input(self):
         lat = LatticeSpec(3, 3)
@@ -439,26 +439,49 @@ class TestEvolveDensity:
 
 
 class TestProfile:
+    """Frames are T x N arrays: row i holds the site probabilities at times[i]."""
+
     def test_unit_packet(self):
         lat = LatticeSpec(30, 30)
         psi = gaussian_packet(lat, WavePacketSpec(-15, 1.0, 0.4), UNIFORM)
-        frame = profile(psi, 0.0)
-        assert frame.total == pytest.approx(1.0, abs=1e-12)
-        assert frame.t == 0.0
-        assert frame.p.min() >= 0.0
+        frames = Propagator(build_hamiltonian(UNIFORM, lat)).frames(psi, [0.0])
+        assert frames.shape == (1, 62)
+        assert frames.dtype == np.float64
+        assert frames.sum(axis=1)[0] == pytest.approx(1.0, abs=1e-12)
+        assert frames.min() >= 0.0
 
     def test_seed_total(self):
         lat = LatticeSpec(5, 5)
-        psi = seed_state(lat, DimerParams(-2.0, 0.5), -1)
-        assert profile(psi, 0.0).total == pytest.approx(1.25)
+        params = DimerParams(-2.0, 0.5)
+        psi = seed_state(lat, params, -1)
+        ham = build_hamiltonian(AsymmetricDimer(params.mu, params.nu), lat)
+        assert Propagator(ham).frames(psi, [0.0]).sum(axis=1)[0] == pytest.approx(1.25)
+
+    def test_frames_equal_state_probabilities(self):
+        lat = LatticeSpec(12, 12)
+        params = DimerParams(-2.0, 0.5)
+        ham = build_hamiltonian(AsymmetricDimer(params.mu, params.nu), lat)
+        psi0 = seed_state(lat, params, +1)
+        prop = Propagator(ham)
+        times = [0.0, 0.7, 3.0, 8.5]
+        frames = prop.frames(psi0, times)
+        expected = np.array([s.probabilities() for s in prop.states(psi0, times)])
+        assert frames.shape == (4, ham.dim)
+        assert frames.tobytes() == expected.tobytes()
 
     def test_density_profile(self):
         lat = LatticeSpec(5, 5)
-        rho = mixed_state_uniform(lat, UNIFORM, 4)
-        frame = profile(rho, 1.0)
-        assert frame.total == pytest.approx(1.0)
-        assert rho.factor.shape == (rho.entries.shape[0], 4)
-        assert np.array_equal(frame.p, np.diagonal(rho.entries).real)
+        center = AsymmetricDimer(2.0, 0.5)
+        ham = build_hamiltonian(center, lat)
+        rho0 = mixed_state_uniform(lat, center, 4)
+        times = [0.0, 1.0, 3.0]
+        series = density_profile_series(ham, rho0, times)
+        assert series.shape == (3, ham.dim)
+        assert series.sum(axis=1)[0] == pytest.approx(1.0)
+        assert rho0.factor.shape == (rho0.entries.shape[0], 4)
+        assert np.array_equal(series[0], np.diagonal(rho0.entries).real)
+        for row, rho in zip(series, evolve_density(ham, rho0, times)):
+            assert np.array_equal(row, rho.diagonal())
 
     def test_indefinite_density_kept_and_rejected(self):
         lat = LatticeSpec(3, 3)
@@ -468,12 +491,29 @@ class TestProfile:
         assert rho.factor.shape == (8, 2)
         assert np.max(np.abs(rho.entries - dense)) < 1e-14
         assert rho.min_eigenvalue() < 0
+        ham = build_hamiltonian(UNIFORM, lat)
         with pytest.raises(ValueError, match="negative probability"):
-            profile(rho, 0.0)
+            density_profile_series(ham, rho, [0.0])
 
-    def test_rejects_other_types(self):
-        with pytest.raises(TypeError):
-            profile(np.zeros(4), 0.0)
+    def test_results_do_not_alias_the_initial_state(self):
+        lat = LatticeSpec(8, 8)
+        center = AsymmetricDimer(2.0, 0.5)
+        ham = build_hamiltonian(center, lat)
+        prop = Propagator(ham)
+        psi0 = gaussian_packet(lat, WavePacketSpec(-4, 1.0, 2.0), center)
+        rho0 = mixed_state_uniform(lat, center, 3)
+        times = [0.0, 1.5]
+        results = [
+            prop.frames(psi0, times),
+            *(s.amplitudes for s in prop.states(psi0, times)),
+            density_profile_series(ham, rho0, times),
+            *(rho.factor for rho in evolve_density(ham, rho0, times)),
+        ]
+        kept = [r.copy() for r in results]
+        psi0.amplitudes[:] = 7.0
+        rho0.factor[:] = 7.0
+        for r, k in zip(results, kept):
+            assert np.array_equal(r, k)
 
 
 class TestTransitMetrics:
@@ -529,15 +569,14 @@ class TestFrameExport:
         path = tmp_path / "frames.npy"
         write_frames(path, frames)
         loaded = np.load(path, allow_pickle=False)
-        expected = np.array([f.p for f in frames])
         assert loaded.dtype == np.float64
         assert loaded.shape == (6, 8)
-        assert loaded.tobytes() == expected.tobytes()
+        assert loaded.tobytes() == frames.tobytes()
 
         axes_path = tmp_path / "frames_axes.json"
         write_frames_axes(axes_path, times, lat, center)
         axes = json.loads(axes_path.read_text())
-        assert axes["t"] == [f.t for f in frames]
+        assert axes["t"] == times.tolist()
         assert axes["j"] == [-3, -2, -1, "alpha", "beta", 1, 2, 3]
         assert tuple(axes["j"]) == site_order(center, lat)
 

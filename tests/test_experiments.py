@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nhscatter.experiments import (
+    SCENARIOS,
     ConfigError,
     TimeConfig,
     apply_overrides,
@@ -41,6 +42,34 @@ def small_singularity(out_dir):
     cfg.singularity.fit_start = 10.0
     cfg.singularity.fit_end = 40.0
     cfg.singularity.emission_fit_start = 25.0
+    return cfg
+
+
+def small_absorb(out_dir):
+    cfg = default_config("absorb")
+    cfg.out_dir = str(out_dir)
+    cfg.lattice.left_len = 6
+    cfg.lattice.right_len = 120
+    cfg.lattice.hard_wall_n0 = 6
+    cfg.absorb.nu_values = (0.5, 0.1)
+    cfg.absorb.t_max = 60.0
+    cfg.absorb.dt = 2.0
+    cfg.absorb.drop_time = 30.0
+    return cfg
+
+
+def small_config(scenario, out_dir):
+    """A run of each scenario small enough for the unit tests."""
+    if scenario in ("amplify", "flux-deviation"):  # the same defaults but the name
+        cfg = small_amplify(out_dir)
+        cfg.scenario = scenario
+        return cfg
+    if scenario == "singularity":
+        return small_singularity(out_dir)
+    if scenario == "absorb":
+        return small_absorb(out_dir)
+    cfg = default_config(scenario)
+    cfg.out_dir = str(out_dir)
     return cfg
 
 
@@ -288,16 +317,7 @@ class TestSmallScaleRunners:
             np.testing.assert_allclose(frames.sum(axis=1), p_total, rtol=1e-12, atol=0)
 
     def test_absorb_small(self, tmp_path):
-        cfg = default_config("absorb")
-        cfg.out_dir = str(tmp_path / "abs")
-        cfg.lattice.left_len = 6
-        cfg.lattice.right_len = 120
-        cfg.lattice.hard_wall_n0 = 6
-        cfg.absorb.nu_values = (0.5, 0.1)
-        cfg.absorb.t_max = 60.0
-        cfg.absorb.dt = 2.0
-        cfg.absorb.drop_time = 30.0
-        manifest = run_scenario(cfg)
+        manifest = run_scenario(small_absorb(tmp_path / "abs"))
         assert manifest.passed, [a.name for a in manifest.assertions if not a.passed]
         lines = (tmp_path / "abs" / "ptotal.csv").read_text().splitlines()
         assert lines[0] == "nu,t,P"
@@ -344,12 +364,16 @@ class TestRunArtifacts:
         snapshot = (tmp_path / "run" / "config.ini").read_text()
         assert from_ini(snapshot) == cfg
 
-    def test_deterministic_outputs(self, tmp_path):
-        cfg_a = small_amplify(tmp_path / "a")
-        cfg_b = small_amplify(tmp_path / "b")
-        run_scenario(cfg_a)
-        run_scenario(cfg_b)
-        for name in ("frames.npy", "frames_reference.npy", "frames_axes.json", "metrics.txt"):
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_deterministic_outputs(self, tmp_path, scenario):
+        # every data file; the manifest holds timings and config.ini the out_dir
+        outputs = [
+            run_scenario(small_config(scenario, tmp_path / run)).outputs for run in "ab"
+        ]
+        assert outputs[0] == outputs[1]
+        data = [name for name in outputs[0] if name not in ("manifest.json", "config.ini")]
+        assert data
+        for name in data:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
@@ -375,6 +399,25 @@ class TestCli:
             code = main([scenario, "--out", str(tmp_path / "x"), "--set", override])
             err = capsys.readouterr().err
             assert code == 2 and "config error" in err, (scenario, override, code, err)
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (None, "cannot read config file"),
+            (b"\xff\xfe[scenario]\n", "cannot read config file"),
+            (b"scenario = amplify\n", "malformed INI"),
+            (b"[time]\ndt = 1.0\ndt = 2.0\n", "malformed INI"),
+        ],
+        ids=["missing", "not_utf8", "no_section_header", "duplicate_option"],
+    )
+    def test_unreadable_config_file_exit_two(self, tmp_path, capsys, content, reason):
+        path = tmp_path / "bad.ini"
+        if content is not None:
+            path.write_bytes(content)
+        code = main(["amplify", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"config error: {reason}") and err.count("\n") == 1, err
 
     def test_bounds_cannot_be_loosened(self, tmp_path, capsys):
         # at t_max = 20 the packet has not crossed the center: the gain check fails
