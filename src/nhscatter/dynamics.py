@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .lattice import (
     ALPHA,
@@ -59,9 +58,8 @@ _MAX_SHIFT = 10
 class WavePacketSpec:
     """Gaussian packet: amplitudes ~ e^{-lam^2 (j-site)^2 / 2} e^{i k0 j}.
 
-    ``lam`` is the exponent scale; the probability half-width in sites is
-    2 sqrt(ln 2)/lam. Both parametrizations are exposed because they are
-    easy to mix up.
+    ``lam`` is the exponent scale, not a width: the probability half-width in
+    sites is 2 sqrt(ln 2)/lam, about 11.1 sites at lam = 0.15.
     """
 
     site: int
@@ -73,14 +71,6 @@ class WavePacketSpec:
             raise ValueError("packet width parameter lam must be positive")
         if not math.isfinite(self.k0):
             raise ValueError("central momentum must be finite")
-
-    @property
-    def half_width(self) -> float:
-        return 2.0 * math.sqrt(math.log(2.0)) / self.lam
-
-    @classmethod
-    def from_half_width(cls, site: int, k0: float, half_width: float) -> "WavePacketSpec":
-        return cls(site=site, k0=k0, lam=2.0 * math.sqrt(math.log(2.0)) / half_width)
 
 
 @dataclass
@@ -107,77 +97,26 @@ class StateVector:
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
-    def site_amplitude(self, site) -> complex:
-        return complex(self.amplitudes[site_to_index(self.lattice, site, self.center)])
 
-
+@dataclass
 class DensityMatrix:
     """Density matrix rho = V diag(w) V^dag over the canonical ordering.
 
-    Held as the N x r factor V (``factor``) and r real weights w
-    (``weights``), so a rank-r state costs O(N r) to store and O(N^2 r) to
-    step. A full matrix passed in must be Hermitian within 1e-10 of its
-    largest entry; it is factored once by its eigendecomposition, keeping
-    every eigenvalue that is not exactly zero with its sign, so an indefinite
-    input is reproduced and still fails the negative-probability check of
-    its profile.
+    Held as the N x r factor V (``factor``) and r weights w (``weights``),
+    so a rank-r state costs O(N r) to store and O(N^2 r) to step. The
+    weights must be finite and non-negative, so rho is positive semidefinite
+    and its site profile |V|^2 w is never negative.
     """
 
-    def __init__(self, entries, center: CenterSpec, lattice: LatticeSpec):
-        rho = np.asarray(entries, dtype=complex)
-        expected = lattice_dim(center, lattice)
-        if rho.shape != (expected, expected):
-            raise ValueError(
-                f"density matrix has shape {rho.shape}, expected square dim {expected}"
-            )
-        defect = np.max(np.abs(rho - rho.conj().T))
-        scale = max(1.0, float(np.max(np.abs(rho))))
-        if defect > 1e-10 * scale:
-            raise ValueError(f"density matrix is not Hermitian (defect {defect:.3e})")
-        import scipy.linalg  # only here: runs that never factor a full rho skip its import
+    factor: np.ndarray
+    weights: np.ndarray
+    center: CenterSpec
+    lattice: LatticeSpec
 
-        weights, factor = scipy.linalg.eigh((rho + rho.conj().T) / 2.0)
-        keep = weights != 0.0
-        self.factor = factor[:, keep]
-        self.weights = weights[keep]
-        self.center = center
-        self.lattice = lattice
-
-    @classmethod
-    def _factored(cls, factor, weights, center, lattice) -> "DensityMatrix":
-        rho = cls.__new__(cls)
-        rho.factor, rho.weights = factor, weights
-        rho.center, rho.lattice = center, lattice
-        return rho
-
-    @property
-    def entries(self) -> np.ndarray:
-        """The full N x N matrix V diag(w) V^dag, built on each access."""
-        return (self.factor * self.weights) @ self.factor.conj().T
-
-    def diagonal(self) -> np.ndarray:
-        """Site populations rho_jj = sum_k w_k |V_jk|^2."""
-        return (np.abs(self.factor) ** 2) @ self.weights
-
-    def trace(self) -> float:
-        return float(self.diagonal().sum())
-
-    def _core(self) -> np.ndarray:
-        """C = R diag(w) R^dag for V = QR: rho = Q C Q^dag has C's nonzero spectrum."""
-        r = np.linalg.qr(self.factor, mode="r")
-        return (r * self.weights) @ r.conj().T
-
-    def purity(self) -> float:
-        """Tr(rho^2) / (Tr rho)^2."""
-        tr = self.trace()
-        return float(np.sum(np.abs(self._core()) ** 2) / (tr * tr))
-
-    def min_eigenvalue(self) -> float:
-        core = self._core()
-        eig = np.linalg.eigvalsh(core)
-        if core.shape[0] < self.factor.shape[0]:
-            eig = np.append(eig, 0.0)  # the complement of range(V) is null
-        return float(eig.min())
+    def __post_init__(self):
+        self.weights = np.asarray(self.weights, dtype=float)
+        if not np.all(np.isfinite(self.weights) & (self.weights >= 0)):
+            raise ValueError(f"density weights must be finite and >= 0, got {self.weights}")
 
 
 def gaussian_packet(
@@ -350,6 +289,8 @@ class Propagator:
     """
 
     def __init__(self, ham: HamiltonianMatrix):
+        import scipy.sparse  # here, not at the top: runs that never propagate skip it
+
         self.ham = ham
         self._generator = -1j * scipy.sparse.csr_array(ham.matrix)
         self._cache: dict[float, TaylorStep] = {}
@@ -413,7 +354,7 @@ def evolve_density(
 ) -> list[DensityMatrix]:
     """Evolve rho(t) = e^{-iHt} rho(0) e^{+iH^dag t} at the requested times."""
     return [
-        DensityMatrix._factored(v, rho0.weights, ham.center, ham.lattice)
+        DensityMatrix(v, rho0.weights.copy(), ham.center, ham.lattice)
         for v in Propagator(ham)._evolve(rho0.factor, times)
     ]
 
@@ -421,18 +362,14 @@ def evolve_density(
 def density_profile_series(ham: HamiltonianMatrix, rho0: DensityMatrix, times) -> np.ndarray:
     """T x N site populations rho_jj(t_i) of an evolving density matrix.
 
-    Streams the evolution so only the populations are retained; use this
-    for long time grids where storing every rho(t) would be wasteful.
-    Raises if a population falls below -1e-10 (an indefinite rho) and clips
-    the round-off negatives above that to zero.
+    Streams the evolution so only the populations |V(t)|^2 w are retained;
+    use this for long time grids where storing every rho(t) would be wasteful.
     """
     times = _check_times(times)
     out = np.empty((times.size, ham.dim))
     for row, v in zip(out, Propagator(ham)._evolve(rho0.factor, times)):
         row[:] = (np.abs(v) ** 2) @ rho0.weights
-    if out.min() < -1e-10:
-        raise ValueError(f"density diagonal has negative probability {out.min():.3e}")
-    return np.clip(out, 0.0, None, out=out)
+    return out
 
 
 def mixed_state_uniform(
@@ -448,7 +385,7 @@ def mixed_state_uniform(
     factor = np.zeros((lattice_dim(center, lattice), n0), dtype=complex)
     for col, j in enumerate(range(1, n0 + 1)):
         factor[site_to_index(lattice, -j, center), col] = 1.0
-    return DensityMatrix._factored(factor, np.full(n0, 1.0 / n0), center, lattice)
+    return DensityMatrix(factor, np.full(n0, 1.0 / n0), center, lattice)
 
 
 def split_probability(p: np.ndarray, center_span: tuple[int, int]):

@@ -373,7 +373,10 @@ def run_scenario(config: ScenarioConfig) -> RunManifest:
     if config.scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {config.scenario!r}")
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {str(out_dir)!r}: {exc}") from None
     runner = _RUNNERS[config.scenario]
     started = time.perf_counter()
     try:

@@ -72,11 +72,6 @@ def dimer_from_interferometer(delta: float, gamma: float) -> DimerParams:
     return DimerParams(mu=-(delta + gamma), nu=-(delta - gamma))
 
 
-def interferometer_from_dimer(params: DimerParams) -> tuple[float, float]:
-    """Inverse map: (delta, gamma) whose pi/4-flux reduction gives ``params``."""
-    return -(params.mu + params.nu) / 2.0, (params.nu - params.mu) / 2.0
-
-
 @dataclass(frozen=True)
 class OnSitePotential:
     """Single center site with complex on-site energy, coupled -1 to both leads."""

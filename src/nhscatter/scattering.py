@@ -56,8 +56,8 @@ def dispersion(k: float) -> float:
 class ScatteringAmplitudes:
     """Reflection/transmission amplitudes and coefficients at one momentum.
 
-    ``diverges`` marks a simple pole (order ``pole_order``); then r and t are
-    None and T, R are math.inf.
+    ``diverges`` marks a simple pole; then r and t are None and T, R are
+    math.inf.
     """
 
     k: float
@@ -67,7 +67,6 @@ class ScatteringAmplitudes:
     T: float
     R: float
     diverges: bool = False
-    pole_order: int = 0
 
 
 def _amplitudes(k: float, incidence: str, r: complex, t: complex) -> ScatteringAmplitudes:
@@ -85,7 +84,6 @@ def _diverging(k: float, incidence: str) -> ScatteringAmplitudes:
         T=math.inf,
         R=math.inf,
         diverges=True,
-        pole_order=1,
     )
 
 

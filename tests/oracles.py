@@ -13,6 +13,7 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import solve_ivp
 
+from nhscatter.dynamics import DensityMatrix
 from nhscatter.lattice import LatticeSpec, build_hamiltonian, site_to_index
 
 #: lattice sizes tried until the two-port extraction is well conditioned;
@@ -132,6 +133,19 @@ def dense_density_evolve(ham, rho0, times):
         out.append(rho)
         prev = t
     return out
+
+
+def factor_density(dense, center, lattice):
+    """The package's (factor, weights) record of a Hermitian N x N matrix, by
+    its eigendecomposition; the eigenvalues that are exactly zero are dropped."""
+    weights, factor = scipy.linalg.eigh(np.asarray(dense, dtype=complex))
+    keep = weights != 0.0
+    return DensityMatrix(factor[:, keep], weights[keep], center, lattice)
+
+
+def density_entries(rho):
+    """The full N x N matrix V diag(w) V^dag of a factored density matrix."""
+    return (rho.factor * rho.weights) @ rho.factor.conj().T
 
 
 def incoherent_sum_probability(ham, lattice, center, n0, times):

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -418,6 +422,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"config error: {reason}") and err.count("\n") == 1, err
+
+    def test_unusable_out_dir_exit_two(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["sweep", "--out", str(blocker / "x")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: cannot use output directory"), err
+
+    def test_start_up_loads_no_scipy(self):
+        # only propagation needs scipy.sparse; it is imported where it is used
+        code = (
+            "import sys, nhscatter.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert run.stdout.strip() == "[]", run.stdout
 
     def test_bounds_cannot_be_loosened(self, tmp_path, capsys):
         # at t_max = 20 the packet has not crossed the center: the gain check fails

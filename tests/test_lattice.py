@@ -20,7 +20,6 @@ from nhscatter.lattice import (
     OnSitePotential,
     build_hamiltonian,
     dimer_from_interferometer,
-    interferometer_from_dimer,
     lattice_dim,
     site_order,
     site_to_index,
@@ -56,7 +55,8 @@ class TestDimerMap:
     @given(delta=finite, gamma=finite)
     def test_inverse_map(self, delta, gamma):
         params = dimer_from_interferometer(delta, gamma)
-        d2, g2 = interferometer_from_dimer(params)
+        # mu = -(delta + gamma) and nu = -(delta - gamma), solved for delta, gamma
+        d2, g2 = -(params.mu + params.nu) / 2.0, (params.nu - params.mu) / 2.0
         assert math.isclose(d2, delta, abs_tol=1e-12)
         assert math.isclose(g2, gamma, abs_tol=1e-12)
 

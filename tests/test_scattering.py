@@ -50,7 +50,7 @@ class TestDimerAmplitudes:
 
     def test_singular_momentum_flagged(self):
         a = dimer_amplitudes(DimerParams(-2.0, 0.5), math.pi / 2)
-        assert a.diverges and a.pole_order == 1
+        assert a.diverges
         assert a.T == math.inf and a.R == math.inf
         assert a.r is None and a.t is None
 
