@@ -1,6 +1,7 @@
 """Initial states, non-unitary time evolution, and Dirac-probability output.
 
-States evolve as psi(t) = e^{-iHt} psi(0) and density matrices as
+A state is its complex N-vector in ``site_order(center, lattice)`` and
+evolves as psi(t) = e^{-iHt} psi(0); density matrices evolve as
 rho(t) = e^{-iHt} rho(0) e^{+iH^dag t}. A density matrix is held as a factor,
 rho = V W V^dag with V of shape N x r and W = diag(w) real, and steps as
 V <- U V; its site profile is p = |V|^2 w, so P(t) is a weighted Frobenius
@@ -31,7 +32,6 @@ from .lattice import (
     BETA,
     AsymmetricDimer,
     CenterSpec,
-    DimerParams,
     HamiltonianMatrix,
     LatticeSpec,
     lattice_dim,
@@ -74,31 +74,6 @@ class WavePacketSpec:
 
 
 @dataclass
-class StateVector:
-    """Complex amplitudes over the canonical site ordering of (center, lattice)."""
-
-    amplitudes: np.ndarray
-    center: CenterSpec
-    lattice: LatticeSpec
-
-    def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        expected = lattice_dim(self.center, self.lattice)
-        if amp.shape != (expected,):
-            raise ValueError(
-                f"amplitude vector has shape {amp.shape}, expected ({expected},)"
-            )
-        self.amplitudes = amp
-
-    def norm(self) -> float:
-        """Dirac norm sqrt(<psi|psi>)."""
-        return float(np.linalg.norm(self.amplitudes))
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-
-@dataclass
 class DensityMatrix:
     """Density matrix rho = V diag(w) V^dag over the canonical ordering.
 
@@ -110,8 +85,6 @@ class DensityMatrix:
 
     factor: np.ndarray
     weights: np.ndarray
-    center: CenterSpec
-    lattice: LatticeSpec
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
@@ -121,8 +94,9 @@ class DensityMatrix:
 
 def gaussian_packet(
     lattice: LatticeSpec, spec: WavePacketSpec, center: CenterSpec
-) -> StateVector:
-    """Unit-norm Gaussian packet on the lead sites (zero on the center).
+) -> np.ndarray:
+    """Unit-norm Gaussian packet on the lead sites (zero on the center), as
+    complex amplitudes in ``site_order(center, lattice)``.
 
     Raises if the 5-sigma support (sigma = 1/lam in amplitude) would be
     clipped by the lattice ends.
@@ -141,10 +115,10 @@ def gaussian_packet(
             gauss = math.exp(-0.5 * spec.lam**2 * (site - spec.site) ** 2)
             amp[i] = gauss * np.exp(1j * spec.k0 * site)
     amp /= np.linalg.norm(amp)
-    return StateVector(amplitudes=amp, center=center, lattice=lattice)
+    return amp
 
 
-def seed_state(lattice: LatticeSpec, params: DimerParams, sign: int) -> StateVector:
+def seed_state(lattice: LatticeSpec, dimer: AsymmetricDimer, sign: int) -> np.ndarray:
     """Center seed |alpha> +- i nu |beta> on a dimer lattice (not normalized).
 
     At the singularity mu*nu = -1 the + seed triggers self-sustained two-sided
@@ -152,11 +126,10 @@ def seed_state(lattice: LatticeSpec, params: DimerParams, sign: int) -> StateVec
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    center = AsymmetricDimer(params.mu, params.nu)
-    amp = np.zeros(lattice_dim(center, lattice), dtype=complex)
-    amp[site_to_index(lattice, ALPHA, center)] = 1.0
-    amp[site_to_index(lattice, BETA, center)] = 1j * sign * params.nu
-    return StateVector(amplitudes=amp, center=center, lattice=lattice)
+    amp = np.zeros(lattice_dim(dimer, lattice), dtype=complex)
+    amp[site_to_index(lattice, ALPHA, dimer)] = 1.0
+    amp[site_to_index(lattice, BETA, dimer)] = 1j * sign * dimer.nu
+    return amp
 
 
 def antisym_two_packets(
@@ -166,7 +139,7 @@ def antisym_two_packets(
     lam: float,
     nu: float,
     center: CenterSpec,
-) -> StateVector:
+) -> np.ndarray:
     """Counter-propagating pair |phi(-n_a, k0)> - i nu |phi(n_a, -k0)>.
 
     Each packet is unit-normalized before combination; the relative -i nu
@@ -180,15 +153,14 @@ def antisym_two_packets(
     n_center = lattice_dim(center, lattice) - lattice.left_len - lattice.right_len
     near = slice(max(lattice.left_len - 2, 0), lattice.left_len + n_center + 2)
     for name, packet in (("left", left), ("right", right)):
-        overlap = float(packet.probabilities()[near].sum())
+        overlap = float((np.abs(packet[near]) ** 2).sum())
         if overlap > 1e-10:
             warnings.warn(
                 f"{name} packet overlaps the center region with probability "
                 f"{overlap:.3e}",
                 stacklevel=2,
             )
-    amp = left.amplitudes - 1j * nu * right.amplitudes
-    return StateVector(amplitudes=amp, center=center, lattice=lattice)
+    return left - 1j * nu * right
 
 
 #: Relative distance below which two time steps share one step plan. The
@@ -307,35 +279,28 @@ class Propagator:
         """Yield ``start``, a state vector or an N x r density factor, stepped
         to each time by the step from the previous time. Every yield is a new
         array, never ``start`` itself, so callers may keep or mutate them."""
-        if start.shape[0] != self.ham.dim:
+        x, prev_t = np.array(start, dtype=complex), 0.0
+        if x.shape[0] != self.ham.dim:
             raise ValueError(
-                f"initial dimension {start.shape[0]} does not match H dim {self.ham.dim}"
+                f"initial dimension {x.shape[0]} does not match H dim {self.ham.dim}"
             )
-        x, prev_t = start.copy(), 0.0
         for t in _check_times(times):
             if t > prev_t:
                 x = self.step_matrix(t - prev_t) @ x
             prev_t = t
             yield x
 
-    def states(self, psi0: StateVector, times) -> list[StateVector]:
-        return [
-            StateVector(amplitudes=psi, center=self.ham.center, lattice=self.ham.lattice)
-            for psi in self._evolve(psi0.amplitudes, times)
-        ]
+    def states(self, psi0: np.ndarray, times) -> np.ndarray:
+        """T x N complex array of psi(t_i) = e^{-iH t_i} psi0, row i at times[i]."""
+        return np.array(list(self._evolve(psi0, times)))
 
-    def frames(self, psi0: StateVector, times) -> np.ndarray:
+    def frames(self, psi0: np.ndarray, times) -> np.ndarray:
         """T x N array of the Dirac probabilities |psi_j(t_i)|^2, row i at times[i]."""
         times = _check_times(times)
         out = np.empty((times.size, self.ham.dim))
-        for row, psi in zip(out, self._evolve(psi0.amplitudes, times)):
+        for row, psi in zip(out, self._evolve(psi0, times)):
             row[:] = np.abs(psi) ** 2
         return out
-
-
-def evolve_state(ham: HamiltonianMatrix, psi0: StateVector, times) -> list[StateVector]:
-    """Evolve psi(t) = e^{-iHt} psi0 at the requested ascending times."""
-    return Propagator(ham).states(psi0, times)
 
 
 def _check_times(times) -> np.ndarray:
@@ -354,7 +319,7 @@ def evolve_density(
 ) -> list[DensityMatrix]:
     """Evolve rho(t) = e^{-iHt} rho(0) e^{+iH^dag t} at the requested times."""
     return [
-        DensityMatrix(v, rho0.weights.copy(), ham.center, ham.lattice)
+        DensityMatrix(v, rho0.weights.copy())
         for v in Propagator(ham)._evolve(rho0.factor, times)
     ]
 
@@ -385,7 +350,7 @@ def mixed_state_uniform(
     factor = np.zeros((lattice_dim(center, lattice), n0), dtype=complex)
     for col, j in enumerate(range(1, n0 + 1)):
         factor[site_to_index(lattice, -j, center), col] = 1.0
-    return DensityMatrix(factor, np.full(n0, 1.0 / n0), center, lattice)
+    return DensityMatrix(factor, np.full(n0, 1.0 / n0))
 
 
 def split_probability(p: np.ndarray, center_span: tuple[int, int]):

@@ -41,10 +41,10 @@ from .lattice import (
     DIMER_REDUCTION_PHI,
     AsymmetricDimer,
     CenterSpec,
-    DimerParams,
     Interferometer,
     LatticeSpec,
     OnSitePotential,
+    as_dimer,
     build_hamiltonian,
     dimer_from_interferometer,
     site_order,
@@ -93,12 +93,6 @@ class CenterConfig:
         if self.kind == "dimer":
             return AsymmetricDimer(self.mu, self.nu)
         raise ConfigError(f"unknown center kind {self.kind!r}")
-
-    def dimer_params(self) -> DimerParams:
-        """Effective dimer parameters; raises for centers with no reduction."""
-        if self.kind == "onsite":
-            raise ConfigError(f"center kind {self.kind!r} has no dimer parameters")
-        return self.to_center().dimer_params
 
 
 @dataclass
@@ -437,13 +431,13 @@ def _run_sweep(config: ScenarioConfig, out_dir: Path):
         worst = max(abs(row.T + row.R - 1.0) for row in left_rows + right_rows)
         assertions.append(_le("hermitian_unitarity", worst, 1e-12))
     try:
-        params = config.center.dimer_params()
+        dimer = as_dimer(center)
     except ValueError:  # no dimer reduction: skip the dimer-only checks
-        params = None
-    if params is not None and params.is_resonant():
+        dimer = None
+    if dimer is not None and dimer.is_resonant():
         worst = max(abs(row.r) for row in left_rows + right_rows)
         assertions.append(_le("resonant_reflectionless", worst, 1e-14))
-    if params is not None and params.is_singular():
+    if dimer is not None and dimer.is_singular():
         at_half = [row for row in left_rows if abs(row.k - math.pi / 2) < 1e-12]
         ok = bool(at_half) and all(row.diverges for row in at_half)
         assertions.append(
@@ -457,15 +451,15 @@ def _run_sweep(config: ScenarioConfig, out_dir: Path):
     return outputs, assertions
 
 
-def _dimer_on_locus(config: ScenarioConfig, product: int) -> DimerParams:
-    """The center's dimer parameters, required on the locus mu*nu = product:
-    +1 (`DimerParams.is_resonant`) or -1 (`DimerParams.is_singular`)."""
-    params = config.center.dimer_params()
-    if not (params.is_resonant() if product == 1 else params.is_singular()):
+def _dimer_on_locus(config: ScenarioConfig, product: int) -> AsymmetricDimer:
+    """The dimer the center is or reduces to, required on the locus
+    mu*nu = product: +1 (`is_resonant`) or -1 (`is_singular`)."""
+    dimer = as_dimer(config.center.to_center())
+    if not (dimer.is_resonant() if product == 1 else dimer.is_singular()):
         raise ConfigError(
-            f"scenario requires mu*nu = {product}; got mu*nu = {params.product!r}"
+            f"scenario requires mu*nu = {product}; got mu*nu = {dimer.product!r}"
         )
-    return params
+    return dimer
 
 
 def _require_distinct(name: str, values) -> None:
@@ -492,7 +486,7 @@ def _evolve_packet(config, center, k0):
 
 
 def _run_amplify(config: ScenarioConfig, out_dir: Path):
-    params = _dimer_on_locus(config, 1)
+    dimer = _dimer_on_locus(config, 1)
     center = config.center.to_center()
     ham, frames = _evolve_packet(config, center, config.packet.k0)
     ref_frames = _evolve_packet(config, _UNIFORM_CHAIN, config.packet.k0)[1]
@@ -502,7 +496,7 @@ def _run_amplify(config: ScenarioConfig, out_dir: Path):
     write_frames_axes(
         out_dir / "frames_axes.json", config.time.times(), ham.lattice, ham.center
     )
-    expected = params.nu**2
+    expected = dimer.nu**2
     record = dict(dataclasses.asdict(metrics), expected_gain=expected)
     write_metrics_txt(out_dir / "metrics.txt", record)
 
@@ -526,6 +520,11 @@ def _run_flux_deviation(config: ScenarioConfig, out_dir: Path):
         raise ConfigError("flux-deviation requires an interferometer center")
     if any(d < 0 for d in config.flux.deviations) or 0 not in config.flux.deviations:
         raise ConfigError("flux deviations must include 0 and be non-negative")
+    if max(config.flux.deviations) == 0 or len(config.flux.k0_values) < 2:
+        # with no nonzero deviation or a single k0 the comparisons are empty
+        raise ConfigError(
+            "flux-deviation needs a positive deviation and at least two k0 values"
+        )
     _require_distinct("flux.deviations", config.flux.deviations)
     _require_distinct("flux.k0_values", config.flux.k0_values)
     labels = [f"{k0:.6g}" for k0 in config.flux.k0_values]
@@ -602,7 +601,7 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 
 
 def _run_singularity(config: ScenarioConfig, out_dir: Path):
-    params = _dimer_on_locus(config, -1)
+    center = _dimer_on_locus(config, -1)
     times = config.time.times()
     sing = config.singularity
     # line-fit windows; with 2 points r^2 = 1 whatever the data
@@ -615,15 +614,14 @@ def _run_singularity(config: ScenarioConfig, out_dir: Path):
                 f"holds fewer than 3 grid times at dt={config.time.dt!r}"
             )
     lattice = config.lattice.to_lattice()
-    center = AsymmetricDimer(params.mu, params.nu)
     ham = build_hamiltonian(center, lattice)
     prop = Propagator(ham)
     span = ham.center_span
-    nu_mag = abs(params.nu)
+    nu_mag = abs(center.nu)
 
     cases = {
-        "seed_plus": seed_state(lattice, params, +1),
-        "seed_minus": seed_state(lattice, params, -1),
+        "seed_plus": seed_state(lattice, center, +1),
+        "seed_minus": seed_state(lattice, center, -1),
         "packet": gaussian_packet(
             lattice,
             WavePacketSpec(config.packet.site, config.packet.k0, config.packet.lam),
@@ -634,7 +632,7 @@ def _run_singularity(config: ScenarioConfig, out_dir: Path):
             config.packet.pair_site,
             config.packet.k0,
             config.packet.lam,
-            params.nu,
+            center.nu,
             center,
         ),
     }
@@ -809,9 +807,8 @@ def _run_absorb(config: ScenarioConfig, out_dir: Path):
     )
 
     # closed Hermitian control: nothing decays without the non-Hermitian center
-    control_center = AsymmetricDimer(1.0, 1.0)
-    control_ham = build_hamiltonian(control_center, lattice)
-    control_rho = mixed_state_uniform(lattice, control_center, n0)
+    control_ham = build_hamiltonian(_UNIFORM_CHAIN, lattice)
+    control_rho = mixed_state_uniform(lattice, _UNIFORM_CHAIN, n0)
     control_times = TimeConfig(t_max=ab.t_max, dt=min(max(ab.dt, 10.0), ab.t_max)).times()
     control_p = density_profile_series(control_ham, control_rho, control_times).sum(axis=1)
     control_dev = float(np.max(np.abs(control_p - 1.0)))
@@ -834,8 +831,7 @@ def _run_verify(config: ScenarioConfig, out_dir: Path):
     for delta, gamma in pairs:
         ham = build_hamiltonian(Interferometer(delta, gamma, DIMER_REDUCTION_PHI), lattice)
         rotated = alpha_beta_rotation(ham)
-        p = dimer_from_interferometer(delta, gamma)
-        target = build_hamiltonian(AsymmetricDimer(p.mu, p.nu), lattice)
+        target = build_hamiltonian(dimer_from_interferometer(delta, gamma), lattice)
         worst_eq = max(worst_eq, float(np.max(np.abs(rotated.matrix - target.matrix))))
     assertions.append(_le("rotation_matches_dimer", worst_eq, 1e-14))
     b = ALPHA_BETA_BLOCK
@@ -921,14 +917,14 @@ def _run_verify(config: ScenarioConfig, out_dir: Path):
     # resonance: reflectionless for mu*nu = 1
     worst_r = 0.0
     for mu in (0.5, 2.0, -1.25, 3.0):
-        params = DimerParams(mu, 1.0 / mu)
+        dimer = AsymmetricDimer(mu, 1.0 / mu)
         for k in np.linspace(0.2, math.pi - 0.2, 9):
-            worst_r = max(worst_r, abs(dimer_amplitudes(params, float(k)).r))
+            worst_r = max(worst_r, abs(dimer_amplitudes(dimer, float(k)).r))
     assertions.append(_le("resonance_reflectionless", worst_r, 1e-14))
 
     # amplification coefficient is k-independent
     values = [
-        amplification_coefficient(DimerParams(0.5, 2.0), float(k))
+        amplification_coefficient(AsymmetricDimer(0.5, 2.0), float(k))
         for k in np.linspace(0.2, math.pi - 0.2, 9)
     ]
     assertions.append(
@@ -940,9 +936,9 @@ def _run_verify(config: ScenarioConfig, out_dir: Path):
     worst_u = 0.0
     ks = np.linspace(0.1, math.pi - 0.1, 13)
     for delta in (-1.0, -0.3, 0.7, 2.0):
-        params = dimer_from_interferometer(delta, 0.0)
+        dimer = dimer_from_interferometer(delta, 0.0)
         for k in ks:
-            a = dimer_amplitudes(params, float(k))
+            a = dimer_amplitudes(dimer, float(k))
             worst_u = max(worst_u, abs(a.T + a.R - 1.0))
     for v in (-1.5, 0.4, 2.0):
         for k in ks:
@@ -970,8 +966,8 @@ def _run_verify(config: ScenarioConfig, out_dir: Path):
     worst_ratio = 0.0
     for mu, nu in [(0.7, 1.9), (-1.4, 0.6), (2.2, 0.9)]:
         for k in (0.5, 1.1, 2.0):
-            tl = dimer_amplitudes(DimerParams(mu, nu), k, LEFT).t
-            tr = dimer_amplitudes(DimerParams(mu, nu), k, RIGHT).t
+            tl = dimer_amplitudes(AsymmetricDimer(mu, nu), k, LEFT).t
+            tr = dimer_amplitudes(AsymmetricDimer(mu, nu), k, RIGHT).t
             worst_ratio = max(worst_ratio, abs(tl / tr - nu / mu))
     assertions.append(_le("left_right_transmission_ratio", worst_ratio, 1e-12))
 
@@ -989,13 +985,13 @@ def _run_verify(config: ScenarioConfig, out_dir: Path):
     assertions.append(_le("loss_potential_quarter", abs(quarter.T - 0.25), 1e-15))
 
     # singular eigenstate solves the eigenproblem exactly at E = 0
-    params = DimerParams(-2.0, 0.5)
+    dimer = AsymmetricDimer(-2.0, 0.5)
     lattice = LatticeSpec(50, 50)
-    ham = build_hamiltonian(AsymmetricDimer(params.mu, params.nu), lattice)
+    ham = build_hamiltonian(dimer, lattice)
     worst_swf = 0.0
     for sign in (+1, -1):
         psi = np.array(
-            [singular_wavefunction(params, sign, s) for s in site_order(ham.center, lattice)]
+            [singular_wavefunction(dimer, sign, s) for s in site_order(dimer, lattice)]
         )
         worst_swf = max(worst_swf, float(np.max(np.abs((ham.matrix @ psi)[1:-1]))))
     assertions.append(_le("singular_state_residual", worst_swf, 1e-12))

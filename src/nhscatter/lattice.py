@@ -41,38 +41,6 @@ def _require_finite(**values):
 
 
 @dataclass(frozen=True)
-class DimerParams:
-    """Asymmetric hopping pair (mu: alpha<-beta, nu: beta<-alpha)."""
-
-    mu: float
-    nu: float
-
-    def __post_init__(self):
-        _require_finite(mu=self.mu, nu=self.nu)
-
-    @property
-    def product(self) -> float:
-        return self.mu * self.nu
-
-    def is_resonant(self) -> bool:
-        """Reflectionless-transmission locus mu*nu = 1."""
-        return abs(self.product - 1.0) <= LOCUS_TOL
-
-    def is_singular(self) -> bool:
-        """Spectral-singularity locus mu*nu = -1 (amplitudes diverge at k = pi/2)."""
-        return abs(self.product + 1.0) <= LOCUS_TOL
-
-
-def dimer_from_interferometer(delta: float, gamma: float) -> DimerParams:
-    """Hopping asymmetry equivalent to the interferometer at flux pi/4.
-
-    Only valid at phi = pi/4; for any other flux no dimer reduction exists.
-    """
-    _require_finite(delta=delta, gamma=gamma)
-    return DimerParams(mu=-(delta + gamma), nu=-(delta - gamma))
-
-
-@dataclass(frozen=True)
 class OnSitePotential:
     """Single center site with complex on-site energy, coupled -1 to both leads."""
 
@@ -100,16 +68,6 @@ class Interferometer:
     def __post_init__(self):
         _require_finite(delta=self.delta, gamma=self.gamma, phi=self.phi)
 
-    @property
-    def dimer_params(self) -> DimerParams:
-        """Equivalent dimer parameters; raises ValueError off phi = pi/4, where
-        no dimer reduction exists."""
-        if abs(self.phi - DIMER_REDUCTION_PHI) > 1e-12:
-            raise ValueError(
-                f"the interferometer reduces to a dimer only at flux pi/4; got phi={self.phi!r}"
-            )
-        return dimer_from_interferometer(self.delta, self.gamma)
-
 
 @dataclass(frozen=True)
 class AsymmetricDimer:
@@ -122,11 +80,43 @@ class AsymmetricDimer:
         _require_finite(mu=self.mu, nu=self.nu)
 
     @property
-    def dimer_params(self) -> DimerParams:
-        return DimerParams(self.mu, self.nu)
+    def product(self) -> float:
+        return self.mu * self.nu
+
+    def is_resonant(self) -> bool:
+        """Reflectionless-transmission locus mu*nu = 1."""
+        return abs(self.product - 1.0) <= LOCUS_TOL
+
+    def is_singular(self) -> bool:
+        """Spectral-singularity locus mu*nu = -1 (amplitudes diverge at k = pi/2)."""
+        return abs(self.product + 1.0) <= LOCUS_TOL
 
 
 CenterSpec = Union[OnSitePotential, Interferometer, AsymmetricDimer]
+
+
+def dimer_from_interferometer(delta: float, gamma: float) -> AsymmetricDimer:
+    """The dimer equivalent to the interferometer (delta, gamma) at flux pi/4.
+
+    Only valid at phi = pi/4; for any other flux no dimer reduction exists.
+    """
+    return AsymmetricDimer(mu=-(delta + gamma), nu=-(delta - gamma))
+
+
+def as_dimer(center: CenterSpec) -> AsymmetricDimer:
+    """The asymmetric dimer a center is or reduces to: a dimer is returned
+    unchanged and an interferometer at flux pi/4 is reduced. Raises
+    ValueError for an on-site center or any other flux, which have no
+    dimer reduction."""
+    if isinstance(center, AsymmetricDimer):
+        return center
+    if not isinstance(center, Interferometer):
+        raise ValueError(f"{center!r} has no dimer reduction")
+    if abs(center.phi - DIMER_REDUCTION_PHI) > 1e-12:
+        raise ValueError(
+            f"the interferometer reduces to a dimer only at flux pi/4; got phi={center.phi!r}"
+        )
+    return dimer_from_interferometer(center.delta, center.gamma)
 
 
 @dataclass(frozen=True)

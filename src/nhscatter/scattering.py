@@ -21,10 +21,10 @@ from .lattice import (
     PLUS,
     AsymmetricDimer,
     CenterSpec,
-    DimerParams,
     Interferometer,
     LatticeSpec,
     OnSitePotential,
+    as_dimer,
     build_hamiltonian,
     site_order,
 )
@@ -88,7 +88,7 @@ def _diverging(k: float, incidence: str) -> ScatteringAmplitudes:
 
 
 def dimer_amplitudes(
-    params: DimerParams, k: float, incidence: str = LEFT
+    dimer: AsymmetricDimer, k: float, incidence: str = LEFT
 ) -> ScatteringAmplitudes:
     """Amplitudes of the asymmetric dimer.
 
@@ -98,11 +98,11 @@ def dimer_amplitudes(
     """
     _check_k(k)
     _check_incidence(incidence)
-    denom = params.product - cmath.exp(-2j * k)
+    denom = dimer.product - cmath.exp(-2j * k)
     if abs(denom) < SINGULAR_DENOM_TOL:
         return _diverging(k, incidence)
-    r = (1.0 - params.product) / denom
-    forward = params.nu if incidence == LEFT else params.mu
+    r = (1.0 - dimer.product) / denom
+    forward = dimer.nu if incidence == LEFT else dimer.mu
     t = forward * (1.0 - cmath.exp(-2j * k)) / denom
     return _amplitudes(k, incidence, r, t)
 
@@ -129,29 +129,27 @@ def amplitudes_for_center(
     """Dispatch to the closed form matching the center type.
 
     Interferometers are handled through their dimer reduction and therefore
-    require phi = pi/4 (`Interferometer.dimer_params` raises otherwise).
+    require phi = pi/4 (`as_dimer` raises otherwise).
     """
     if isinstance(center, OnSitePotential):
         return onsite_amplitudes(center.v, k, incidence)
-    if isinstance(center, (AsymmetricDimer, Interferometer)):
-        return dimer_amplitudes(center.dimer_params, k, incidence)
-    raise TypeError(f"unknown center spec {center!r}")
+    return dimer_amplitudes(as_dimer(center), k, incidence)
 
 
-def amplification_coefficient(params: DimerParams, k: float, incidence: str = LEFT) -> float:
+def amplification_coefficient(dimer: AsymmetricDimer, k: float, incidence: str = LEFT) -> float:
     """Transmitted-over-incident norm ratio |t_k|^2 at resonance (mu*nu = 1).
 
     Equals nu^2 for left incidence (mu^2 for right) independently of k.
     Raises when called off the resonance locus.
     """
-    if not params.is_resonant():
+    if not dimer.is_resonant():
         raise ValueError(
-            f"amplification coefficient requires mu*nu = 1, got {params.product!r}"
+            f"amplification coefficient requires mu*nu = 1, got {dimer.product!r}"
         )
-    return dimer_amplitudes(params, k, incidence).T
+    return dimer_amplitudes(dimer, k, incidence).T
 
 
-def singular_wavefunction(params: DimerParams, sign: int, site) -> complex:
+def singular_wavefunction(dimer: AsymmetricDimer, sign: int, site) -> complex:
     """Amplitude of the k = +-pi/2 singular eigenstate at one site.
 
     The state is e^{i(+-pi/2) j} on the left lead, nu e^{i(-+pi/2)(j+1)} on the
@@ -161,20 +159,20 @@ def singular_wavefunction(params: DimerParams, sign: int, site) -> complex:
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    if not params.is_singular():
+    if not dimer.is_singular():
         raise ValueError(
-            f"singular wavefunction requires mu*nu = -1, got {params.product!r}"
+            f"singular wavefunction requires mu*nu = -1, got {dimer.product!r}"
         )
     unit = 1j * sign
     # unit**4 == 1, so reduce exponents mod 4 to stay in exact integer arithmetic
     if site == ALPHA:
         return complex(1.0)
     if site == BETA:
-        return params.nu * unit ** ((-1) % 4)
+        return dimer.nu * unit ** ((-1) % 4)
     if isinstance(site, int) and site <= -1:
         return unit ** (site % 4)
     if isinstance(site, int) and site >= 1:
-        return params.nu * unit ** ((-(site + 1)) % 4)
+        return dimer.nu * unit ** ((-(site + 1)) % 4)
     raise ValueError(f"site {site!r} is not a lead site or dimer center site")
 
 
@@ -253,6 +251,8 @@ def scattering_residual(
 def sweep_rows(
     center: CenterSpec, ks, incidence: str = LEFT
 ) -> list[ScatteringAmplitudes]:
+    if isinstance(center, Interferometer):
+        center = as_dimer(center)  # reduce once, not once per row
     return [amplitudes_for_center(center, float(k), incidence) for k in ks]
 
 

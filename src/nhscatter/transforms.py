@@ -29,6 +29,7 @@ from .lattice import (
     AsymmetricDimer,
     HamiltonianMatrix,
     Interferometer,
+    as_dimer,
 )
 
 _U_PLUS = cmath.exp(1j * math.pi / 4)
@@ -51,14 +52,12 @@ def alpha_beta_rotation(ham: HamiltonianMatrix) -> HamiltonianMatrix:
         raise ValueError(
             f"rotation applies to interferometer centers, got {type(ham.center).__name__}"
         )
-    params = ham.center.dimer_params  # raises off flux pi/4, where no reduction exists
+    dimer = as_dimer(ham.center)  # raises off flux pi/4, where no reduction exists
     pair = [ham.site_index(PLUS), ham.site_index(MINUS)]
     h = np.array(ham.matrix)
     h[:, pair] = h[:, pair] @ ALPHA_BETA_BLOCK
     h[pair, :] = ALPHA_BETA_BLOCK.conj().T @ h[pair, :]
-    return HamiltonianMatrix(
-        matrix=h, center=AsymmetricDimer(params.mu, params.nu), lattice=ham.lattice
-    )
+    return HamiltonianMatrix(matrix=h, center=dimer, lattice=ham.lattice)
 
 
 def biorthogonal_scale(ham: HamiltonianMatrix) -> HamiltonianMatrix:
@@ -184,10 +183,11 @@ def parity_decompose(ham: HamiltonianMatrix) -> BlockDecomposition:
 
 
 def spectrum_distance(a, b) -> float:
-    """Max pairing distance between two eigenvalue multisets.
-
-    Lexicographic sorting mispairs conjugate clusters whose real parts agree
-    only to rounding, so equality is decided by optimal assignment instead.
+    """Largest distance within the minimum-sum pairing of two eigenvalue
+    multisets (lexicographic sorting mispairs conjugate clusters whose real
+    parts agree only to rounding). It can exceed the bottleneck distance:
+    for {0, 3e^{i theta}} and {0, 3} with sin(theta/2) = 5/6 it is 5, where
+    the bottleneck (the least largest distance of any pairing) is 3.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)

@@ -135,12 +135,12 @@ def dense_density_evolve(ham, rho0, times):
     return out
 
 
-def factor_density(dense, center, lattice):
+def factor_density(dense):
     """The package's (factor, weights) record of a Hermitian N x N matrix, by
     its eigendecomposition; the eigenvalues that are exactly zero are dropped."""
     weights, factor = scipy.linalg.eigh(np.asarray(dense, dtype=complex))
     keep = weights != 0.0
-    return DensityMatrix(factor[:, keep], weights[keep], center, lattice)
+    return DensityMatrix(factor[:, keep], weights[keep])
 
 
 def density_entries(rho):

@@ -472,6 +472,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err and f"singularity.{key}=" in err
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["flux.k0_values="],
+            ["flux.deviations=0", "flux.k0_values=1.0"],
+            ["flux.deviations=0"],
+            ["flux.k0_values=1.0"],
+        ],
+        ids=["no_k0", "zero_deviation_one_k0", "zero_deviation_only", "one_k0"],
+    )
+    def test_flux_without_comparisons_exit_two(self, tmp_path, capsys, overrides):
+        # no positive deviation or a single k0 leaves an assertion comparing nothing
+        args = ["flux-deviation", "--out", str(tmp_path / "x")]
+        for item in overrides:
+            args += ["--set", item]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "positive deviation" in err, err
+        assert not (tmp_path / "x" / "distortion.csv").exists()
+
     def test_absorb_drop_time_past_t_max_exit_two(self, tmp_path, capsys):
         code = main(
             [

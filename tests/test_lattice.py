@@ -13,11 +13,11 @@ from nhscatter.lattice import (
     MINUS,
     PLUS,
     AsymmetricDimer,
-    DimerParams,
     HamiltonianMatrix,
     Interferometer,
     LatticeSpec,
     OnSitePotential,
+    as_dimer,
     build_hamiltonian,
     dimer_from_interferometer,
     lattice_dim,
@@ -40,9 +40,15 @@ class TestDimerMap:
         assert p.is_singular()
 
     def test_no_reduction_off_quarter_flux(self):
-        assert Interferometer(-1.25, 0.75, math.pi / 4).dimer_params == DimerParams(0.5, 2.0)
+        assert as_dimer(Interferometer(-1.25, 0.75, math.pi / 4)) == AsymmetricDimer(0.5, 2.0)
         with pytest.raises(ValueError, match="pi/4"):
-            Interferometer(-1.25, 0.75, 0.5).dimer_params
+            as_dimer(Interferometer(-1.25, 0.75, 0.5))
+
+    def test_as_dimer_keeps_a_dimer_and_refuses_on_site(self):
+        dimer = AsymmetricDimer(-2.0, 0.5)
+        assert as_dimer(dimer) is dimer
+        with pytest.raises(ValueError, match="no dimer reduction"):
+            as_dimer(OnSitePotential(1.0))
 
     def test_uniform_chain(self):
         p = dimer_from_interferometer(-1.0, 0.0)
@@ -62,7 +68,7 @@ class TestDimerMap:
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            DimerParams(math.nan, 1.0)
+            AsymmetricDimer(math.nan, 1.0)
         with pytest.raises(ValueError):
             Interferometer(1.0, math.inf, 0.0)
         with pytest.raises(ValueError):
@@ -71,23 +77,23 @@ class TestDimerMap:
 
 class TestDimerLoci:
     def test_singular(self):
-        params = DimerParams(-2.0, 0.5)
-        assert params.is_singular() and not params.is_resonant()
+        dimer = AsymmetricDimer(-2.0, 0.5)
+        assert dimer.is_singular() and not dimer.is_resonant()
 
     def test_resonant(self):
-        params = DimerParams(0.5, 2.0)
-        assert params.is_resonant() and not params.is_singular()
+        dimer = AsymmetricDimer(0.5, 2.0)
+        assert dimer.is_resonant() and not dimer.is_singular()
 
     def test_neither(self):
-        params = DimerParams(3.0, 5.0)
-        assert not params.is_resonant() and not params.is_singular()
+        dimer = AsymmetricDimer(3.0, 5.0)
+        assert not dimer.is_resonant() and not dimer.is_singular()
 
     def test_tolerance(self):
         assert 1e-10 < LOCUS_TOL < 1e-6
-        assert DimerParams(1.0, 1.0 + 1e-10).is_resonant()
-        assert not DimerParams(1.0, 1.0 + 1e-6).is_resonant()
-        assert DimerParams(-1.0, 1.0 + 1e-10).is_singular()
-        assert not DimerParams(-1.0, 1.0 + 1e-6).is_singular()
+        assert AsymmetricDimer(1.0, 1.0 + 1e-10).is_resonant()
+        assert not AsymmetricDimer(1.0, 1.0 + 1e-6).is_resonant()
+        assert AsymmetricDimer(-1.0, 1.0 + 1e-10).is_singular()
+        assert not AsymmetricDimer(-1.0, 1.0 + 1e-6).is_singular()
 
 
 class TestSiteIndexing:

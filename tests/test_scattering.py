@@ -10,7 +10,6 @@ from nhscatter.lattice import (
     ALPHA,
     BETA,
     AsymmetricDimer,
-    DimerParams,
     Interferometer,
     LatticeSpec,
     OnSitePotential,
@@ -33,23 +32,23 @@ hopping = st.floats(-2.5, 2.5, allow_nan=False)
 
 class TestDimerAmplitudes:
     def test_resonant_point(self):
-        a = dimer_amplitudes(DimerParams(0.5, 2.0), math.pi / 2)
+        a = dimer_amplitudes(AsymmetricDimer(0.5, 2.0), math.pi / 2)
         assert a.r == 0
         assert a.t == pytest.approx(2.0, abs=1e-15)
         assert a.T == pytest.approx(4.0, abs=1e-14)
 
     def test_uniform_chain(self):
-        a = dimer_amplitudes(DimerParams(1.0, 1.0), 0.9)
+        a = dimer_amplitudes(AsymmetricDimer(1.0, 1.0), 0.9)
         assert a.r == 0
         assert abs(a.t - 1.0) < 1e-15
 
     def test_singular_offaxis_magnitudes(self):
-        a = dimer_amplitudes(DimerParams(-2.0, 0.5), math.pi / 3)
+        a = dimer_amplitudes(AsymmetricDimer(-2.0, 0.5), math.pi / 3)
         assert abs(a.r) == pytest.approx(2.0, abs=1e-12)
         assert abs(a.t) == pytest.approx(math.sqrt(3) / 2, abs=1e-12)
 
     def test_singular_momentum_flagged(self):
-        a = dimer_amplitudes(DimerParams(-2.0, 0.5), math.pi / 2)
+        a = dimer_amplitudes(AsymmetricDimer(-2.0, 0.5), math.pi / 2)
         assert a.diverges
         assert a.T == math.inf and a.R == math.inf
         assert a.r is None and a.t is None
@@ -57,35 +56,35 @@ class TestDimerAmplitudes:
     def test_momentum_domain(self):
         for bad in (0.0, math.pi, -0.5, 4.0):
             with pytest.raises(ValueError):
-                dimer_amplitudes(DimerParams(1, 1), bad)
+                dimer_amplitudes(AsymmetricDimer(1, 1), bad)
 
     def test_bad_incidence(self):
         with pytest.raises(ValueError):
-            dimer_amplitudes(DimerParams(1, 1), 1.0, incidence="up")
+            dimer_amplitudes(AsymmetricDimer(1, 1), 1.0, incidence="up")
 
     @given(mu=hopping, nu=hopping, k=k_interior)
     def test_left_right_reflection_identical(self, mu, nu, k):
         assume(abs(mu * nu - cmath.exp(-2j * k)) > 1e-6)
-        left = dimer_amplitudes(DimerParams(mu, nu), k, "left")
-        right = dimer_amplitudes(DimerParams(mu, nu), k, "right")
+        left = dimer_amplitudes(AsymmetricDimer(mu, nu), k, "left")
+        right = dimer_amplitudes(AsymmetricDimer(mu, nu), k, "right")
         assert left.r == right.r
 
     @given(mu=hopping, nu=hopping, k=k_interior)
     def test_transmission_ratio(self, mu, nu, k):
         assume(abs(mu) > 0.05 and abs(nu) > 0.05)
         assume(abs(mu * nu - cmath.exp(-2j * k)) > 1e-6)
-        left = dimer_amplitudes(DimerParams(mu, nu), k, "left")
-        right = dimer_amplitudes(DimerParams(mu, nu), k, "right")
+        left = dimer_amplitudes(AsymmetricDimer(mu, nu), k, "left")
+        right = dimer_amplitudes(AsymmetricDimer(mu, nu), k, "right")
         assert left.t / right.t == pytest.approx(nu / mu, rel=1e-10)
 
     @given(mu=st.floats(0.2, 3.0), k=k_interior)
     def test_resonance_reflectionless(self, mu, k):
-        a = dimer_amplitudes(DimerParams(mu, 1.0 / mu), k)
+        a = dimer_amplitudes(AsymmetricDimer(mu, 1.0 / mu), k)
         assert abs(a.r) < 1e-14
 
     @given(t0=st.floats(0.2, 2.5), k=k_interior)
     def test_hermitian_unitarity(self, t0, k):
-        a = dimer_amplitudes(DimerParams(t0, t0), k)
+        a = dimer_amplitudes(AsymmetricDimer(t0, t0), k)
         assert a.T + a.R == pytest.approx(1.0, abs=1e-12)
 
 
@@ -133,36 +132,36 @@ class TestCenterDispatch:
 
     def test_interferometer_matches_dimer(self):
         a = amplitudes_for_center(Interferometer(-1.25, 0.75, math.pi / 4), 1.0)
-        b = dimer_amplitudes(DimerParams(0.5, 2.0), 1.0)
+        b = dimer_amplitudes(AsymmetricDimer(0.5, 2.0), 1.0)
         assert a.r == b.r and a.t == b.t
 
 
 class TestAmplification:
     def test_value_and_k_independence(self):
-        params = DimerParams(0.5, 2.0)
-        values = [amplification_coefficient(params, k) for k in (0.3, 1.0, math.pi / 2, 2.6)]
+        dimer = AsymmetricDimer(0.5, 2.0)
+        values = [amplification_coefficient(dimer, k) for k in (0.3, 1.0, math.pi / 2, 2.6)]
         assert all(v == pytest.approx(4.0, abs=1e-12) for v in values)
 
     def test_uniform_chain_unit(self):
-        assert amplification_coefficient(DimerParams(1, 1), 1.3) == pytest.approx(1.0)
+        assert amplification_coefficient(AsymmetricDimer(1, 1), 1.3) == pytest.approx(1.0)
 
     def test_off_resonance_rejected(self):
         with pytest.raises(ValueError):
-            amplification_coefficient(DimerParams(0.5, 2.1), 1.0)
+            amplification_coefficient(AsymmetricDimer(0.5, 2.1), 1.0)
 
 
 class TestSingularWavefunction:
-    params = DimerParams(-2.0, 0.5)
+    dimer = AsymmetricDimer(-2.0, 0.5)
 
     def test_center_values(self):
-        assert singular_wavefunction(self.params, +1, ALPHA) == 1.0
-        assert singular_wavefunction(self.params, +1, BETA) == -0.5j
-        assert singular_wavefunction(self.params, -1, BETA) == 0.5j
+        assert singular_wavefunction(self.dimer, +1, ALPHA) == 1.0
+        assert singular_wavefunction(self.dimer, +1, BETA) == -0.5j
+        assert singular_wavefunction(self.dimer, -1, BETA) == 0.5j
 
     def test_lead_values(self):
-        assert singular_wavefunction(self.params, +1, -2) == -1.0
-        assert singular_wavefunction(self.params, +1, -1) == -1j
-        assert singular_wavefunction(self.params, +1, 1) == 0.5 * (1j) ** 2
+        assert singular_wavefunction(self.dimer, +1, -2) == -1.0
+        assert singular_wavefunction(self.dimer, +1, -1) == -1j
+        assert singular_wavefunction(self.dimer, +1, 1) == 0.5 * (1j) ** 2
 
     def test_solves_eigenproblem_at_zero_energy(self):
         from nhscatter.lattice import build_hamiltonian, site_order
@@ -171,18 +170,18 @@ class TestSingularWavefunction:
         ham = build_hamiltonian(AsymmetricDimer(-2.0, 0.5), lat)
         for sign in (+1, -1):
             psi = np.array(
-                [singular_wavefunction(self.params, sign, s) for s in site_order(ham.center, lat)]
+                [singular_wavefunction(self.dimer, sign, s) for s in site_order(ham.center, lat)]
             )
             residual = ham.matrix @ psi  # E_{pi/2} = 0
             assert np.max(np.abs(residual[1:-1])) < 1e-12
 
     def test_requires_singularity(self):
         with pytest.raises(ValueError):
-            singular_wavefunction(DimerParams(0.5, 2.0), +1, ALPHA)
+            singular_wavefunction(AsymmetricDimer(0.5, 2.0), +1, ALPHA)
         with pytest.raises(ValueError):
-            singular_wavefunction(self.params, 2, ALPHA)
+            singular_wavefunction(self.dimer, 2, ALPHA)
         with pytest.raises(ValueError):
-            singular_wavefunction(self.params, +1, "gamma")
+            singular_wavefunction(self.dimer, +1, "gamma")
 
 
 class TestScatteringState:

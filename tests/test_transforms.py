@@ -35,12 +35,11 @@ class TestAlphaBetaRotation:
     )
     def test_matches_built_dimer(self, delta, gamma, expected):
         rotated = alpha_beta_rotation(interferometer_ham(delta, gamma))
-        params = dimer_from_interferometer(delta, gamma)
-        assert params.mu == pytest.approx(expected[0])
-        assert params.nu == pytest.approx(expected[1])
-        target = build_hamiltonian(
-            AsymmetricDimer(params.mu, params.nu), LatticeSpec(8, 8)
-        )
+        dimer = dimer_from_interferometer(delta, gamma)
+        assert dimer.mu == pytest.approx(expected[0])
+        assert dimer.nu == pytest.approx(expected[1])
+        assert rotated.center == dimer
+        target = build_hamiltonian(dimer, LatticeSpec(8, 8))
         assert np.max(np.abs(rotated.matrix - target.matrix)) < 1e-14
 
     def test_touches_only_center_rows_and_columns(self):
@@ -215,3 +214,17 @@ class TestParityDecompose:
         raw = build_hamiltonian(AsymmetricDimer(-2.0, 0.5), LatticeSpec(10, 10))
         with pytest.raises(ValueError):
             parity_decompose(raw)
+
+
+class TestSpectrumDistance:
+    def test_largest_distance_of_minimum_sum_pairing(self):
+        # pairing 0-0 and 3e^{i theta}-3 sums to 5 with largest distance 5;
+        # the crossed pairing sums to 6 with largest distance 3 (the bottleneck)
+        theta = 2 * math.asin(5 / 6)
+        a = [0.0, 3 * np.exp(1j * theta)]
+        assert spectrum_distance(a, [0.0, 3.0]) == pytest.approx(5.0, rel=1e-12)
+        assert spectrum_distance(a[::-1], [0.0, 3.0]) == pytest.approx(5.0, rel=1e-12)
+
+    def test_rejects_unequal_sizes(self):
+        with pytest.raises(ValueError, match="same size"):
+            spectrum_distance([0.0, 1.0], [0.0])
