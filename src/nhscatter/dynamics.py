@@ -12,8 +12,8 @@ so P(t) is its row sums; this array is what the metrics take and what
 write_frames saves.
 
 Every step, of a state or of a density factor, goes through one loop,
-Propagator._evolve: the truncated-Taylor action of e^{-iH dt} on a sparse
-copy of H (Al-Mohy & Higham, SIAM J. Sci. Comput. 33:488, 2011), with one
+Propagator._evolve: the truncated-Taylor action of e^{-iH dt} on the sparse
+H (Al-Mohy & Higham, SIAM J. Sci. Comput. 33:488, 2011), with one
 (degree, scaling) plan per distinct time step. No N x N exponential is
 formed, and no eigenvectors are needed, so it stays accurate arbitrarily
 close to the spectral singularity, where eigenvector matrices become
@@ -253,7 +253,7 @@ class TaylorStep:
 class Propagator:
     """Builds and applies e^{-iH dt} for one H: one step plan per distinct step.
 
-    H is copied once to CSR and scaled by -i, and each distinct dt gets one
+    H, already sparse, is scaled once by -i, and each distinct dt gets one
     `TaylorStep`, whose application costs degree x scaling sparse products.
     A step within a relative STEP_RTOL (1e-12) of a step already seen reuses
     the plan built for that first step, so a grid n*dt costs a single plan
@@ -261,10 +261,8 @@ class Propagator:
     """
 
     def __init__(self, ham: HamiltonianMatrix):
-        import scipy.sparse  # here, not at the top: runs that never propagate skip it
-
         self.ham = ham
-        self._generator = -1j * scipy.sparse.csr_array(ham.matrix)
+        self._generator = -1j * ham.matrix
         self._cache: dict[float, TaylorStep] = {}
 
     def step_matrix(self, dt: float) -> TaylorStep:

@@ -354,7 +354,7 @@ def _check(name, passed, measured, threshold, detail="") -> AssertionResult:
 
 
 def _le(name, measured, bound, detail="") -> AssertionResult:
-    return _check(name, measured <= bound, measured, f"<= {bound!r}", detail)
+    return _check(name, measured <= bound, measured, f"<= {_format_value(bound)}", detail)
 
 
 # --- scenario runners --------------------------------------------------------
@@ -396,8 +396,14 @@ def run_scenario(config: ScenarioConfig) -> RunManifest:
 
 
 def _is_hermitian_center(center: CenterSpec) -> bool:
-    probe = build_hamiltonian(center, LatticeSpec(2, 2)).matrix
-    return bool(np.max(np.abs(probe - probe.conj().T)) < 1e-14)
+    """max|H - H^dag| < 1e-14, read off the spec: only the center's entries
+    break Hermiticity, by 2|Im v| on site, 2|gamma| in an interferometer and
+    |mu - nu| in a dimer."""
+    if isinstance(center, OnSitePotential):
+        return 2.0 * abs(center.v.imag) < 1e-14
+    if isinstance(center, Interferometer):
+        return 2.0 * abs(center.gamma) < 1e-14
+    return abs(center.mu - center.nu) < 1e-14
 
 
 def _run_sweep(config: ScenarioConfig, out_dir: Path):
@@ -537,7 +543,7 @@ def _run_flux_deviation(config: ScenarioConfig, out_dir: Path):
     step = math.pi / 100
     table = {}
     for k0 in config.flux.k0_values:
-        # [1]: keep only the frames, not the reference H (N x N) through the loop
+        # [1]: of the reference run only the frames are needed
         ref_frames = _evolve_packet(config, _UNIFORM_CHAIN, k0)[1]
         for dev in devs:
             center = Interferometer(
@@ -694,7 +700,7 @@ def _run_singularity(config: ScenarioConfig, out_dir: Path):
                         "seed_minus_decays",
                         total[-1],
                         0.4 * p0,
-                        detail=f"P(0)={p0!r}",
+                        detail=f"P(0)={_format_value(p0)}",
                     )
                 )
                 t_idx = int(np.searchsorted(times, sing.fit_start))
@@ -703,7 +709,7 @@ def _run_singularity(config: ScenarioConfig, out_dir: Path):
                         "seed_minus_no_regrowth",
                         total[-1],
                         total[t_idx] + 1e-9,
-                        detail=f"P({times[t_idx]})={total[t_idx]!r}",
+                        detail=f"P({times[t_idx]})={_format_value(total[t_idx])}",
                     )
                 )
             elif name == "packet":
@@ -739,7 +745,8 @@ def _run_singularity(config: ScenarioConfig, out_dir: Path):
                         "pair_fully_absorbed",
                         residue,
                         0.02,
-                        detail=f"P(0)={total[0]!r} P(end)={total[-1]!r}",
+                        detail=f"P(0)={_format_value(total[0])} "
+                        f"P(end)={_format_value(total[-1])}",
                     )
                 )
     write_frames_axes(out_dir / "frames_axes.json", times, lattice, center)
@@ -832,13 +839,14 @@ def _run_verify(config: ScenarioConfig, out_dir: Path):
         ham = build_hamiltonian(Interferometer(delta, gamma, DIMER_REDUCTION_PHI), lattice)
         rotated = alpha_beta_rotation(ham)
         target = build_hamiltonian(dimer_from_interferometer(delta, gamma), lattice)
-        worst_eq = max(worst_eq, float(np.max(np.abs(rotated.matrix - target.matrix))))
+        worst_eq = max(worst_eq, float(abs(rotated.matrix - target.matrix).max()))
     assertions.append(_le("rotation_matches_dimer", worst_eq, 1e-14))
     b = ALPHA_BETA_BLOCK
     unitary_dev = float(np.max(np.abs(b.conj().T @ b - np.eye(2))))
     assertions.append(_le("rotation_unitary", unitary_dev, 1e-14))
 
-    # biorthogonal scaling: hermiticity for mu*nu > 0, spectrum always
+    # biorthogonal scaling: hermiticity for mu*nu > 0, spectrum always; the
+    # Frobenius norm of a sparse matrix is the norm of its stored entries
     worst_herm = 0.0
     worst_spec = 0.0
     for mu, nu in [(0.5, 2.0), (1.5, 0.4), (-1.2, -0.5), (-2.0, 0.5), (0.8, -1.1)]:
@@ -847,12 +855,13 @@ def _run_verify(config: ScenarioConfig, out_dir: Path):
         if mu * nu > 0:
             worst_herm = max(
                 worst_herm,
-                float(np.linalg.norm(scaled.matrix - scaled.matrix.conj().T)),
+                float(np.linalg.norm((scaled.matrix - scaled.matrix.conj().T).data)),
             )
         worst_spec = max(
             worst_spec,
             spectrum_distance(
-                np.linalg.eigvals(ham.matrix), np.linalg.eigvals(scaled.matrix)
+                np.linalg.eigvals(ham.matrix.toarray()),
+                np.linalg.eigvals(scaled.matrix.toarray()),
             ),
         )
     assertions.append(_le("scaling_hermitian_when_product_positive", worst_herm, 1e-12))
@@ -864,7 +873,7 @@ def _run_verify(config: ScenarioConfig, out_dir: Path):
     assertions.append(
         _le(
             "resonant_chain_hermitian",
-            float(np.linalg.norm(chain.matrix - chain.matrix.conj().T)),
+            float(np.linalg.norm((chain.matrix - chain.matrix.conj().T).data)),
             1e-12,
         )
     )
@@ -878,16 +887,15 @@ def _run_verify(config: ScenarioConfig, out_dir: Path):
     assertions.append(_le("parity_end_potentials_are_plus_minus_i", end_dev, 1e-9))
     assertions.append(_le("parity_cross_coupling", blocks.cross_coupling, 1e-12))
     hp, hm = blocks.embedded()
-    assertions.append(
-        _le("parity_blocks_commute", float(np.linalg.norm(hp @ hm - hm @ hp)), 1e-12)
-    )
+    commutator = float(np.linalg.norm((hp @ hm - hm @ hp).data))
+    assertions.append(_le("parity_blocks_commute", commutator, 1e-12))
     union = np.concatenate(
-        [np.linalg.eigvals(blocks.h_plus), np.linalg.eigvals(blocks.h_minus)]
+        [np.linalg.eigvals(h.toarray()) for h in (blocks.h_plus, blocks.h_minus)]
     )
     assertions.append(
         _le(
             "parity_blocks_reproduce_spectrum",
-            spectrum_distance(np.linalg.eigvals(scaled.matrix), union),
+            spectrum_distance(np.linalg.eigvals(scaled.matrix.toarray()), union),
             1e-10,
         )
     )

@@ -185,23 +185,28 @@ def site_to_index(lattice: LatticeSpec, site: SiteLabel, center: CenterSpec) -> 
 
 @dataclass(frozen=True)
 class HamiltonianMatrix:
-    """Dense complex matrix with the specs it is indexed by (a transformed
-    matrix no longer follows the build rules of its ``center``). A complex
-    ndarray is held without a copy and made read-only, freezing the caller's
-    array too."""
+    """H as one canonical complex ``scipy.sparse.csr_array`` (sorted, no
+    stored zeros) with the specs it is indexed by (a transformed matrix no
+    longer follows the build rules of its ``center``). Any input is copied into
+    that form with read-only arrays, so writing through ``matrix`` raises."""
 
-    matrix: np.ndarray
+    matrix: "scipy.sparse.csr_array"
     center: CenterSpec
     lattice: LatticeSpec
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
+        import scipy.sparse  # here, not at the top: runs that never build H skip it
+
+        mat = scipy.sparse.csr_array(self.matrix, dtype=complex, copy=True)
         expected = lattice_dim(self.center, self.lattice)
         if mat.shape != (expected, expected):
             raise ValueError(
                 f"matrix shape {mat.shape} does not match lattice dimension {expected}"
             )
-        mat.setflags(write=False)
+        mat.sum_duplicates()  # also sorts the indices
+        mat.eliminate_zeros()
+        for array in (mat.data, mat.indices, mat.indptr):
+            array.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
     @property
@@ -219,54 +224,41 @@ class HamiltonianMatrix:
 
 
 def build_hamiltonian(center: CenterSpec, lattice: LatticeSpec) -> HamiltonianMatrix:
-    """Assemble the dense Hamiltonian for a center embedded between two leads.
+    """Assemble the sparse Hamiltonian of a center embedded between two leads:
+    at most 5N entries, all on the diagonals -2..2. Every bond (i, i + 1) is
+    -1 but a hard wall's, left out, and those the center replaces by its own
+    entries. Non-Hermitian entries are confined to the center block."""
+    import scipy.sparse  # here, not at the top: runs that never build H skip it
 
-    Lead bonds are -1 between nearest neighbors. Non-Hermitian entries are
-    confined to the center block.
-    """
     n = lattice_dim(center, lattice)
-    left = lattice.left_len
-    h = np.zeros((n, n), dtype=complex)
-
-    idx = _site_index_map(center, lattice)
-
-    # lead bonds
-    for j in range(-left, -1):
-        a, b = idx[j], idx[j + 1]
-        h[a, b] = h[b, a] = -1.0
-    for j in range(1, lattice.right_len):
-        a, b = idx[j], idx[j + 1]
-        h[a, b] = h[b, a] = -1.0
-    if lattice.hard_wall_n0 is not None and lattice.hard_wall_n0 < left:
-        a, b = idx[-(lattice.hard_wall_n0 + 1)], idx[-lattice.hard_wall_n0]
-        h[a, b] = h[b, a] = 0.0
-
-    im1, ip1 = idx[-1], idx[1]
+    c = lattice.left_len  # first center index
+    im1, ip1 = c - 1, n - lattice.right_len  # sites -1 and 1
+    cut = [] if lattice.hard_wall_n0 is None else [c - lattice.hard_wall_n0 - 1]
     if isinstance(center, OnSitePotential):
-        c = idx[0]
-        h[im1, c] = h[c, im1] = -1.0
-        h[ip1, c] = h[c, ip1] = -1.0
-        h[c, c] = center.v
+        entries = [(c, c, center.v)]
     elif isinstance(center, Interferometer):
-        p, m = idx[PLUS], idx[MINUS]
+        cut += [im1, c, c + 1]
+        entries = [(c, c + 1, center.delta), (c + 1, c, center.delta)]
+        entries += [(c, c, 1j * center.gamma), (c + 1, c + 1, -1j * center.gamma)]
         root2 = math.sqrt(2.0)
-        for sigma, s in ((PLUS, +1.0), (MINUS, -1.0)):
-            c = idx[sigma]
+        for site, s in ((c, +1.0), (c + 1, -1.0)):  # (plus, minus)
             phase = cmath.exp(1j * s * center.phi)
-            h[im1, c] = -phase.conjugate() / root2
-            h[c, im1] = -phase / root2
-            h[ip1, c] = -phase / root2
-            h[c, ip1] = -phase.conjugate() / root2
-        h[p, m] = h[m, p] = center.delta
-        h[p, p] = 1j * center.gamma
-        h[m, m] = -1j * center.gamma
+            entries += [
+                (im1, site, -phase.conjugate() / root2),
+                (site, im1, -phase / root2),
+                (ip1, site, -phase / root2),
+                (site, ip1, -phase.conjugate() / root2),
+            ]
     elif isinstance(center, AsymmetricDimer):
-        a, b = idx[ALPHA], idx[BETA]
-        h[im1, a] = h[a, im1] = -1.0
-        h[ip1, b] = h[b, ip1] = -1.0
-        h[a, b] = -center.mu
-        h[b, a] = -center.nu
+        cut.append(c)
+        entries = [(c, c + 1, -center.mu), (c + 1, c, -center.nu)]
     else:
         raise TypeError(f"unknown center spec {center!r}")
 
-    return HamiltonianMatrix(matrix=h, center=center, lattice=lattice)
+    bonds = np.setdiff1d(np.arange(n - 1), cut)
+    rows, cols, values = zip(*entries)
+    triplets = (
+        np.r_[np.full(2 * bonds.size, -1.0), np.array(values, dtype=complex)],
+        (np.r_[bonds, bonds + 1, rows], np.r_[bonds + 1, bonds, cols]),
+    )
+    return HamiltonianMatrix(scipy.sparse.coo_array(triplets, shape=(n, n)), center, lattice)

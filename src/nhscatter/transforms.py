@@ -3,13 +3,15 @@
 Three maps, each certified numerically on finite matrices:
 
 * a unitary rotation of the gain/loss pair into the asymmetric-hopping pair
-  (exists only at flux pi/4), applied as the 2x2 ALPHA_BETA_BLOCK to the two
-  center rows and columns of H,
+  (exists only at flux pi/4), a sparse similarity by the identity with the
+  2x2 ALPHA_BETA_BLOCK on the two center sites,
 * a biorthogonal diagonal scaling of the right half-chain by sqrt(nu/mu) that
   symmetrizes the dimer coupling (Hermitian uniform chain when mu*nu = 1),
-  applied entrywise from its length-N diagonal,
+  applied to the stored entries from its length-N diagonal,
 * a mirror-parity split of the scaled mu*nu = -1 chain into two decoupled
   half-chains whose end potentials are +i and -i.
+
+Every matrix here is sparse, as H is; none is N x N dense.
 
 Complex square roots use the principal branch (cut on the negative real
 axis); for mu*nu < 0 the scale factor is purely imaginary, and only the
@@ -24,8 +26,6 @@ import numpy as np
 
 from .lattice import (
     BETA,
-    MINUS,
-    PLUS,
     AsymmetricDimer,
     HamiltonianMatrix,
     Interferometer,
@@ -44,20 +44,23 @@ ALPHA_BETA_BLOCK.setflags(write=False)
 def alpha_beta_rotation(ham: HamiltonianMatrix) -> HamiltonianMatrix:
     """Rotate an interferometer Hamiltonian into its equivalent dimer form.
 
-    H -> B^dag H B with B = ALPHA_BETA_BLOCK on (plus, minus), the identity
-    elsewhere; equals build_hamiltonian(AsymmetricDimer(-(delta+gamma),
-    -(delta-gamma)), same lattice) entrywise up to rounding.
+    H -> B^dag H B as sparse products, with B = ALPHA_BETA_BLOCK on (plus,
+    minus) and the identity elsewhere; equals build_hamiltonian(AsymmetricDimer(
+    -(delta+gamma), -(delta-gamma)), same lattice) entrywise up to rounding.
     """
     if not isinstance(ham.center, Interferometer):
         raise ValueError(
             f"rotation applies to interferometer centers, got {type(ham.center).__name__}"
         )
     dimer = as_dimer(ham.center)  # raises off flux pi/4, where no reduction exists
-    pair = [ham.site_index(PLUS), ham.site_index(MINUS)]
-    h = np.array(ham.matrix)
-    h[:, pair] = h[:, pair] @ ALPHA_BETA_BLOCK
-    h[pair, :] = ALPHA_BETA_BLOCK.conj().T @ h[pair, :]
-    return HamiltonianMatrix(matrix=h, center=dimer, lattice=ham.lattice)
+    import scipy.sparse
+
+    start, stop = ham.center_span  # (plus, minus)
+    eye = scipy.sparse.identity
+    b = scipy.sparse.csr_array(
+        scipy.sparse.block_diag((eye(start), ALPHA_BETA_BLOCK, eye(ham.dim - stop)))
+    )
+    return HamiltonianMatrix(b.conj().T @ ham.matrix @ b, center=dimer, lattice=ham.lattice)
 
 
 def biorthogonal_scale(ham: HamiltonianMatrix) -> HamiltonianMatrix:
@@ -82,9 +85,9 @@ def biorthogonal_scale(ham: HamiltonianMatrix) -> HamiltonianMatrix:
     scale = cmath.sqrt(complex(center.nu / center.mu, 0.0))
     d = np.ones(ham.dim, dtype=complex)
     d[ham.site_index(BETA):] = scale
-    return HamiltonianMatrix(
-        matrix=ham.matrix * np.outer(1.0 / d, d), center=center, lattice=ham.lattice
-    )
+    h = ham.matrix.tocoo()
+    h.data = h.data * ((1.0 / d)[h.row] * d[h.col])  # H_ij d_j / d_i, entry by entry
+    return HamiltonianMatrix(matrix=h, center=center, lattice=ham.lattice)
 
 
 #: Tolerance of parity_decompose on the center coupling and the cross coupling.
@@ -98,13 +101,14 @@ class BlockDecomposition:
 
     Block index 0 is the center combination; index l >= 1 pairs the lead sites
     +-l. ``embed_plus``/``embed_minus`` are the isometries mapping block
-    coordinates into the full lattice (symmetric combination first).
+    coordinates into the full lattice (symmetric combination first). All four
+    are SciPy sparse arrays.
     """
 
-    h_plus: np.ndarray
-    h_minus: np.ndarray
-    embed_plus: np.ndarray
-    embed_minus: np.ndarray
+    h_plus: "scipy.sparse.sparray"
+    h_minus: "scipy.sparse.sparray"
+    embed_plus: "scipy.sparse.sparray"
+    embed_minus: "scipy.sparse.sparray"
     cross_coupling: float
 
     @property
@@ -146,29 +150,25 @@ def parity_decompose(ham: HamiltonianMatrix) -> BlockDecomposition:
             f"center coupling squared must be -1 (singularity), got {c_ab * c_ab!r}"
         )
 
+    import scipy.sparse
+
+    # column l pairs the sites -l and +l at indices a - l and b + l, and
+    # column 0 the center pair (a, b); the center-combination signs are a
+    # gauge freedom (they leave the end potential invariant), chosen so both
+    # blocks carry uniform -1 bonds
     n = lat.left_len
-    dim = ham.dim
-    root2 = math.sqrt(2.0)
-    v_plus = np.zeros((dim, n + 1), dtype=complex)
-    v_minus = np.zeros((dim, n + 1), dtype=complex)
-    # center-combination signs are a gauge freedom (they leave the end
-    # potential invariant); chosen so both blocks carry uniform -1 bonds
-    v_plus[a, 0] = v_plus[b, 0] = 1.0 / root2
-    v_minus[a, 0] = -1.0 / root2
-    v_minus[b, 0] = 1.0 / root2
-    for l in range(1, n + 1):
-        i_left = ham.site_index(-l)
-        i_right = ham.site_index(l)
-        v_plus[i_right, l] = v_plus[i_left, l] = 1.0 / root2
-        v_minus[i_right, l] = 1.0 / root2
-        v_minus[i_left, l] = -1.0 / root2
+    l = np.arange(n + 1)
+    where = (np.r_[a - l, b + l], np.r_[l, l])
+    half = np.full(n + 1, 1.0 / math.sqrt(2.0))
+    v_plus = scipy.sparse.csr_array((np.r_[half, half], where), shape=(ham.dim, n + 1))
+    v_minus = scipy.sparse.csr_array((np.r_[-half, half], where), shape=(ham.dim, n + 1))
 
     h_plus = v_plus.conj().T @ ham.matrix @ v_plus
     h_minus = v_minus.conj().T @ ham.matrix @ v_minus
     cross = float(
         max(
-            np.max(np.abs(v_plus.conj().T @ ham.matrix @ v_minus)),
-            np.max(np.abs(v_minus.conj().T @ ham.matrix @ v_plus)),
+            abs(v_plus.conj().T @ ham.matrix @ v_minus).max(),
+            abs(v_minus.conj().T @ ham.matrix @ v_plus).max(),
         )
     )
     if cross > PARITY_TOL:

@@ -7,6 +7,7 @@ integrator, a dense eigendecomposition, dense Pade matrix exponentials, or
 dense density-matrix products.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -14,12 +15,61 @@ import scipy.linalg
 from scipy.integrate import solve_ivp
 
 from nhscatter.dynamics import DensityMatrix
-from nhscatter.lattice import LatticeSpec, build_hamiltonian, site_to_index
+from nhscatter.lattice import (
+    ALPHA,
+    BETA,
+    MINUS,
+    PLUS,
+    AsymmetricDimer,
+    Interferometer,
+    LatticeSpec,
+    OnSitePotential,
+    build_hamiltonian,
+    site_order,
+    site_to_index,
+)
 
 #: lattice sizes tried until the two-port extraction is well conditioned;
 #: cavity resonances of the finite system show up as cond ~ 1e13
 _SIZE_LADDER = (256, 258, 261, 263, 269, 271, 277, 283)
 _COND_LIMIT = 1e6
+
+
+def dense_hamiltonian(center, lattice):
+    """The N x N Hamiltonian filled entry by entry over site labels: lead
+    bonds -1, the hard wall's bond set back to 0, then the center entries."""
+    n = len(site_order(center, lattice))
+    h = np.zeros((n, n), dtype=complex)
+
+    def idx(site):
+        return site_to_index(lattice, site, center)
+
+    for j in list(range(-lattice.left_len, -1)) + list(range(1, lattice.right_len)):
+        h[idx(j), idx(j + 1)] = h[idx(j + 1), idx(j)] = -1.0
+    n0 = lattice.hard_wall_n0
+    if n0 is not None and n0 < lattice.left_len:
+        h[idx(-(n0 + 1)), idx(-n0)] = h[idx(-n0), idx(-(n0 + 1))] = 0.0
+    im1, ip1 = idx(-1), idx(1)
+    if isinstance(center, OnSitePotential):
+        c = idx(0)
+        h[im1, c] = h[c, im1] = h[ip1, c] = h[c, ip1] = -1.0
+        h[c, c] = center.v
+    elif isinstance(center, Interferometer):
+        for sigma, s in ((PLUS, +1.0), (MINUS, -1.0)):
+            c = idx(sigma)
+            phase = cmath.exp(1j * s * center.phi)
+            h[im1, c] = -phase.conjugate() / math.sqrt(2.0)
+            h[c, im1] = -phase / math.sqrt(2.0)
+            h[ip1, c] = -phase / math.sqrt(2.0)
+            h[c, ip1] = -phase.conjugate() / math.sqrt(2.0)
+        p, m = idx(PLUS), idx(MINUS)
+        h[p, m] = h[m, p] = center.delta
+        h[p, p], h[m, m] = 1j * center.gamma, -1j * center.gamma
+    elif isinstance(center, AsymmetricDimer):
+        a, b = idx(ALPHA), idx(BETA)
+        h[im1, a] = h[a, im1] = h[ip1, b] = h[b, ip1] = -1.0
+        h[a, b], h[b, a] = -center.mu, -center.nu
+    return h
 
 
 def linear_solve_amplitudes(center, k, n_lead=None):
@@ -47,7 +97,7 @@ def _solve_at_size(center, k, n_lead):
     lattice = LatticeSpec(n_lead, n_lead)
     ham = build_hamiltonian(center, lattice)
     energy = -2.0 * math.cos(k)
-    full = ham.matrix - energy * np.eye(ham.dim)
+    full = ham.matrix.toarray() - energy * np.eye(ham.dim)
 
     margin = n_lead - 16
     sources = (-margin, margin, -(margin - 5))
@@ -101,7 +151,7 @@ def ode_evolve(ham, psi0, t_final, rtol=1e-11, atol=1e-13):
 
 def eig_evolve(ham, psi0, times):
     """Dense-eigendecomposition evolution, one shot per time."""
-    vals, vecs = np.linalg.eig(ham.matrix)
+    vals, vecs = np.linalg.eig(ham.matrix.toarray())
     coeff = np.linalg.solve(vecs, np.asarray(psi0, dtype=complex))
     return [vecs @ (np.exp(-1j * vals * t) * coeff) for t in np.atleast_1d(times)]
 
@@ -115,7 +165,7 @@ def pade_evolve(ham, psi0, times):
         if t > prev:
             dt = t - prev
             if dt not in steps:
-                steps[dt] = scipy.linalg.expm(-1j * ham.matrix * dt)
+                steps[dt] = scipy.linalg.expm(-1j * ham.matrix.toarray() * dt)
             psi = steps[dt] @ psi
         out.append(psi)
         prev = t
@@ -128,7 +178,7 @@ def dense_density_evolve(ham, rho0, times):
     out, prev = [], 0.0
     for t in np.atleast_1d(times):
         if t > prev:
-            u = scipy.linalg.expm(-1j * ham.matrix * (t - prev))
+            u = scipy.linalg.expm(-1j * ham.matrix.toarray() * (t - prev))
             rho = u @ rho @ u.conj().T
         out.append(rho)
         prev = t
@@ -151,7 +201,7 @@ def density_entries(rho):
 def incoherent_sum_probability(ham, lattice, center, n0, times):
     """Total Dirac probability of the uniform mixture over sites -1..-n0,
     evolved state-by-state via eigendecomposition and summed incoherently."""
-    vals, vecs = np.linalg.eig(ham.matrix)
+    vals, vecs = np.linalg.eig(ham.matrix.toarray())
     vinv = np.linalg.inv(vecs)
     cols = [site_to_index(lattice, -j, center) for j in range(1, n0 + 1)]
     coeff = vinv[:, cols]

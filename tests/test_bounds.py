@@ -8,8 +8,6 @@ table. The one data-dependent threshold, seed_minus_no_regrowth's
 P(fit_start) + 1e-9, is recomputed from series.csv.
 """
 
-import re
-
 import pytest
 
 from nhscatter.experiments import run_scenario
@@ -92,11 +90,6 @@ BOUNDS = {
 }
 
 
-def _plain(threshold: str) -> str:
-    """NumPy >= 2 writes a float64 bound as np.float64(x), older NumPy as x."""
-    return re.sub(r"np\.float64\(([^)]*)\)", r"\1", threshold)
-
-
 def _no_regrowth_threshold(cfg, out_dir) -> str:
     """P_total of seed_minus at the first grid time >= fit_start, plus 1e-9."""
     for line in (out_dir / "series.csv").read_text().splitlines()[1:]:
@@ -118,4 +111,4 @@ def test_thresholds_match_table(tmp_path, label):
         (name, _no_regrowth_threshold(cfg, tmp_path / label) if bound is NO_REGROWTH else bound)
         for name, bound in table
     ]
-    assert [(a.name, _plain(a.threshold)) for a in manifest.assertions] == expected
+    assert [(a.name, a.threshold) for a in manifest.assertions] == expected

@@ -12,6 +12,7 @@ from nhscatter.experiments import (
     SCENARIOS,
     ConfigError,
     TimeConfig,
+    _is_hermitian_center,
     apply_overrides,
     default_config,
     from_ini,
@@ -19,6 +20,28 @@ from nhscatter.experiments import (
     to_ini,
 )
 from nhscatter.cli import main
+from nhscatter.lattice import (
+    AsymmetricDimer,
+    Interferometer,
+    LatticeSpec,
+    OnSitePotential,
+    build_hamiltonian,
+)
+
+
+def _scipy_modules_after(code: str) -> str:
+    """The scipy modules a fresh interpreter holds after running ``code``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code += "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return run.stdout.strip().splitlines()[-1]
 
 
 def small_amplify(out_dir, **extra):
@@ -281,6 +304,25 @@ class TestSweepScenario:
         assert manifest.passed
         assert any(a.name == "hermitian_unitarity" for a in manifest.assertions)
 
+    @pytest.mark.parametrize("eps", [0.0, 4.9e-15, 5e-15, 5.1e-15, 1e-14, 3e-14, 0.5])
+    def test_hermitian_center_predicate_matches_probe(self, eps):
+        # the probe the predicate replaced: max|H - H^dag| < 1e-14 on a built lattice
+        def probe(center):
+            h = build_hamiltonian(center, LatticeSpec(2, 2)).matrix.toarray()
+            return bool(np.max(np.abs(h - h.conj().T)) < 1e-14)
+
+        centers = [
+            OnSitePotential(complex(0.3, eps)),
+            OnSitePotential(complex(-2.0, -eps)),
+            Interferometer(0.7, eps, 0.4),
+            Interferometer(-1.0, -eps, math.pi / 4),
+            AsymmetricDimer(0.4, 0.4 + eps),
+            AsymmetricDimer(1.3 + 2 * eps, 1.3),
+            AsymmetricDimer(eps, -eps),
+        ]
+        for center in centers:
+            assert _is_hermitian_center(center) == probe(center), center
+
     def test_off_quarter_flux_rejected(self, tmp_path):
         cfg = default_config("sweep")
         cfg.out_dir = str(tmp_path / "s")
@@ -432,18 +474,14 @@ class TestCli:
         assert err.startswith("config error: cannot use output directory"), err
 
     def test_start_up_loads_no_scipy(self):
-        # only propagation needs scipy.sparse; it is imported where it is used
-        code = (
-            "import sys, nhscatter.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
-        run = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert run.stdout.strip() == "[]", run.stdout
+        # only building and stepping H need scipy.sparse; it is imported where used
+        assert _scipy_modules_after("import nhscatter.cli") == "[]"
+
+    def test_sweep_run_loads_no_scipy(self, tmp_path):
+        # closed forms, and a Hermiticity check read off the center spec: no H is built
+        out = str(tmp_path / "sweep")
+        code = f"from nhscatter.cli import main; assert main(['sweep', '--out', {out!r}]) == 0"
+        assert _scipy_modules_after(code) == "[]"
 
     def test_bounds_cannot_be_loosened(self, tmp_path, capsys):
         # at t_max = 20 the packet has not crossed the center: the gain check fails

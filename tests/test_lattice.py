@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from nhscatter.lattice import (
     ALPHA,
     BETA,
@@ -163,7 +165,7 @@ class TestLatticeSpec:
     def test_wall_at_lead_end_is_noop(self):
         walled = build_hamiltonian(OnSitePotential(1j), LatticeSpec(6, 6, hard_wall_n0=6))
         open_ = build_hamiltonian(OnSitePotential(1j), LatticeSpec(6, 6))
-        assert np.array_equal(walled.matrix, open_.matrix)
+        assert np.array_equal(walled.matrix.toarray(), open_.matrix.toarray())
 
 
 class TestBuildHamiltonian:
@@ -181,7 +183,7 @@ class TestBuildHamiltonian:
 
     def test_onsite_zero_is_uniform_tridiagonal(self):
         lat = LatticeSpec(4, 4)
-        h = build_hamiltonian(OnSitePotential(0), lat).matrix
+        h = build_hamiltonian(OnSitePotential(0), lat).matrix.toarray()
         expected = -(np.eye(9, k=1) + np.eye(9, k=-1))
         assert np.array_equal(h, expected)
 
@@ -225,7 +227,7 @@ class TestBuildHamiltonian:
     def test_non_hermiticity_confined_to_center(self, delta, gamma, phi):
         lat = LatticeSpec(4, 3)
         ham = build_hamiltonian(Interferometer(delta, gamma, phi), lat)
-        defect = ham.matrix - ham.matrix.conj().T
+        defect = ham.matrix.toarray() - ham.matrix.toarray().conj().T
         start, stop = ham.center_span
         mask = np.ones_like(defect, dtype=bool)
         mask[start:stop, start:stop] = False
@@ -235,38 +237,73 @@ class TestBuildHamiltonian:
     @settings(max_examples=50)
     def test_lossless_interferometer_is_hermitian(self, delta, phi):
         lat = LatticeSpec(3, 3)
-        h = build_hamiltonian(Interferometer(delta, 0.0, phi), lat).matrix
+        h = build_hamiltonian(Interferometer(delta, 0.0, phi), lat).matrix.toarray()
         assert np.max(np.abs(h - h.conj().T)) < 1e-15
 
     @given(t0=finite)
     def test_symmetric_dimer_is_hermitian(self, t0):
-        h = build_hamiltonian(AsymmetricDimer(t0, t0), LatticeSpec(3, 3)).matrix
+        h = build_hamiltonian(AsymmetricDimer(t0, t0), LatticeSpec(3, 3)).matrix.toarray()
         assert np.max(np.abs(h - h.conj().T)) == 0.0
 
     def test_matrix_is_readonly(self):
         ham = build_hamiltonian(OnSitePotential(0), LatticeSpec(2, 2))
-        with pytest.raises(ValueError):
-            ham.matrix[0, 0] = 1.0
+        assert ham.matrix[0, 1] == -1 and ham.matrix[0, 0] == 0
+        for i, j in ((0, 1), (0, 0)):  # a stored entry, then an unstored one
+            with pytest.raises(ValueError), warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # SciPy warns before it inserts
+                ham.matrix[i, j] = 1.0
+        assert ham.matrix[0, 1] == -1 and ham.matrix[0, 0] == 0
+
+    @pytest.mark.parametrize(
+        "center",
+        [
+            OnSitePotential(1 + 2j),
+            OnSitePotential(0),
+            Interferometer(-1.25, 0.75, math.pi / 4),
+            Interferometer(0.0, 0.0, 0.3),
+            AsymmetricDimer(-2.0, 0.5),
+            AsymmetricDimer(0.0, 1.0),
+        ],
+    )
+    @pytest.mark.parametrize("wall", [None, 4, 20])
+    def test_canonical_band_without_stored_zeros(self, center, wall):
+        lattice = LatticeSpec(20, 7, hard_wall_n0=wall)
+        h = build_hamiltonian(center, lattice).matrix
+        # the same entries, bit for bit, as the loop-filled dense reference
+        assert np.array_equal(h.toarray(), oracles.dense_hamiltonian(center, lattice))
+        assert type(h).__name__ == "csr_array" and h.dtype == complex
+        # no stored zeros: a zero center entry or a wall's bond is left out
+        assert h.has_canonical_format and np.all(h.data != 0)
+        rows, cols = h.nonzero()
+        assert np.max(np.abs(rows - cols)) <= 2
 
 
 class TestHamiltonianMatrix:
     def test_build_holds_one_matrix(self):
-        # the holder keeps the built array instead of copying it
-        lattice = LatticeSpec(400, 400)
+        # a build allocates O(N), ~130 B per site, never an N x N array
+        # (16 N^2 B, 64 MB at N = 2,002); the bound leaves room for other
+        # NumPy and SciPy versions
+        build_hamiltonian(AsymmetricDimer(0.5, 2.0), LatticeSpec(2, 2))  # imports
+        lattice = LatticeSpec(1000, 1000)
         tracemalloc.start()
         try:
             ham = build_hamiltonian(AsymmetricDimer(0.5, 2.0), lattice)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * ham.matrix.nbytes, (peak, ham.matrix.nbytes)
+        assert ham.dim == 2002
+        assert peak <= 1000 * ham.dim, peak
 
     def test_holds_given_array_read_only(self):
         center, lattice = AsymmetricDimer(0.5, 2.0), LatticeSpec(2, 2)
-        h = np.zeros((6, 6), dtype=complex)
-        ham = HamiltonianMatrix(h, center, lattice)
-        assert np.shares_memory(ham.matrix, h)
-        with pytest.raises(ValueError):
-            h[0, 0] = 1.0
-        real = HamiltonianMatrix(np.zeros((6, 6)), center, lattice)  # converted
-        assert real.matrix.dtype == complex and not real.matrix.flags.writeable
+        h = np.zeros((6, 6))
+        h[0, 1] = 2.0
+        ham = HamiltonianMatrix(h, center, lattice)  # converted into a copy
+        assert type(ham.matrix).__name__ == "csr_array" and ham.matrix.dtype == complex
+        assert ham.matrix.nnz == 1 and ham.matrix[0, 1] == 2.0
+        for array in (ham.matrix.data, ham.matrix.indices, ham.matrix.indptr):
+            assert not array.flags.writeable
+        h[0, 1] = 3.0  # the caller's array stays its own
+        assert ham.matrix[0, 1] == 2.0
+        with pytest.raises(ValueError, match="does not match"):
+            HamiltonianMatrix(np.zeros((5, 5)), center, lattice)

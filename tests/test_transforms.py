@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,10 @@ from nhscatter.transforms import (
 hopping = st.floats(-2.5, 2.5, allow_nan=False)
 
 
+def dense(ham):
+    return ham.matrix.toarray()
+
+
 def interferometer_ham(delta, gamma, n=8):
     return build_hamiltonian(Interferometer(delta, gamma, math.pi / 4), LatticeSpec(n, n))
 
@@ -40,7 +45,7 @@ class TestAlphaBetaRotation:
         assert dimer.nu == pytest.approx(expected[1])
         assert rotated.center == dimer
         target = build_hamiltonian(dimer, LatticeSpec(8, 8))
-        assert np.max(np.abs(rotated.matrix - target.matrix)) < 1e-14
+        assert np.max(np.abs(dense(rotated) - dense(target))) < 1e-14
 
     def test_touches_only_center_rows_and_columns(self):
         ham = interferometer_ham(0.75, 1.25, n=400)
@@ -49,10 +54,10 @@ class TestAlphaBetaRotation:
         outside = np.ones(ham.dim, dtype=bool)
         outside[slice(*ham.center_span)] = False
         assert np.array_equal(
-            rotated.matrix[np.ix_(outside, outside)], ham.matrix[np.ix_(outside, outside)]
+            dense(rotated)[np.ix_(outside, outside)], dense(ham)[np.ix_(outside, outside)]
         )
         target = build_hamiltonian(AsymmetricDimer(-2.0, 0.5), ham.lattice)
-        assert np.max(np.abs(rotated.matrix - target.matrix)) < 1e-14
+        assert np.max(np.abs(dense(rotated) - dense(target))) < 1e-14
 
     def test_unitary(self):
         b = ALPHA_BETA_BLOCK
@@ -78,7 +83,7 @@ class TestAlphaBetaRotation:
         ham = interferometer_ham(delta, gamma, n=5)
         rotated = alpha_beta_rotation(ham)
         dist = spectrum_distance(
-            np.linalg.eigvals(ham.matrix), np.linalg.eigvals(rotated.matrix)
+            np.linalg.eigvals(dense(ham)), np.linalg.eigvals(dense(rotated))
         )
         assert dist < 1e-10
 
@@ -89,18 +94,18 @@ class TestBiorthogonalScale:
         scaled = biorthogonal_scale(ham)
         n = scaled.dim
         expected = -(np.eye(n, k=1) + np.eye(n, k=-1))
-        assert np.max(np.abs(scaled.matrix - expected)) < 1e-15
+        assert np.max(np.abs(dense(scaled) - expected)) < 1e-15
 
     def test_symmetric_input_unchanged(self):
         ham = build_hamiltonian(AsymmetricDimer(1.4, 1.4), LatticeSpec(5, 5))
         scaled = biorthogonal_scale(ham)
-        assert np.array_equal(scaled.matrix, ham.matrix)
+        assert np.array_equal(dense(scaled), dense(ham))
 
     def test_singular_pair_symmetric_imaginary_coupling(self):
         ham = build_hamiltonian(AsymmetricDimer(-2.0, 0.5), LatticeSpec(6, 6))
         scaled = biorthogonal_scale(ham)
         a, b = scaled.center_span[0], scaled.center_span[0] + 1
-        c_ab, c_ba = scaled.matrix[a, b], scaled.matrix[b, a]
+        c_ab, c_ba = dense(scaled)[a, b], dense(scaled)[b, a]
         assert c_ab == c_ba
         assert c_ab**2 == pytest.approx(-1.0, abs=1e-14)
 
@@ -109,8 +114,8 @@ class TestBiorthogonalScale:
             ham = build_hamiltonian(AsymmetricDimer(mu, nu), LatticeSpec(6, 6))
             d = np.ones(ham.dim, dtype=complex)
             d[ham.center_span[0] + 1:] = np.sqrt(complex(nu / mu))  # beta onward
-            explicit = np.diag(1.0 / d) @ ham.matrix @ np.diag(d)
-            assert np.max(np.abs(biorthogonal_scale(ham).matrix - explicit)) < 1e-15
+            explicit = np.diag(1.0 / d) @ dense(ham) @ np.diag(d)
+            assert np.max(np.abs(dense(biorthogonal_scale(ham)) - explicit)) < 1e-15
 
     @given(mu=hopping, nu=hopping)
     @settings(max_examples=30)
@@ -119,7 +124,7 @@ class TestBiorthogonalScale:
         ham = build_hamiltonian(AsymmetricDimer(mu, nu), LatticeSpec(25, 25))
         scaled = biorthogonal_scale(ham)
         dist = spectrum_distance(
-            np.linalg.eigvals(ham.matrix), np.linalg.eigvals(scaled.matrix)
+            np.linalg.eigvals(dense(ham)), np.linalg.eigvals(dense(scaled))
         )
         assert dist < 1e-10
 
@@ -133,12 +138,12 @@ class TestBiorthogonalScale:
         mu, nu = sign * mag_mu, sign * mag_nu  # same sign: mu*nu > 0 by construction
         ham = build_hamiltonian(AsymmetricDimer(mu, nu), LatticeSpec(20, 20))
         scaled = biorthogonal_scale(ham)
-        assert np.linalg.norm(scaled.matrix - scaled.matrix.conj().T) < 1e-12
+        assert np.linalg.norm(dense(scaled) - dense(scaled).conj().T) < 1e-12
 
     def test_resonant_interferometer_chain_hermitian(self):
         ham = interferometer_ham(-1.25, 0.75, n=30)
         chain = biorthogonal_scale(alpha_beta_rotation(ham))
-        assert np.linalg.norm(chain.matrix - chain.matrix.conj().T) < 1e-12
+        assert np.linalg.norm(dense(chain) - dense(chain).conj().T) < 1e-12
 
     def test_rejects_zero_hopping(self):
         ham = build_hamiltonian(AsymmetricDimer(0.0, 1.0), LatticeSpec(3, 3))
@@ -149,6 +154,38 @@ class TestBiorthogonalScale:
         ham = build_hamiltonian(OnSitePotential(1j), LatticeSpec(3, 3))
         with pytest.raises(ValueError):
             biorthogonal_scale(ham)
+
+
+class TestSparseResults:
+    def test_results_stay_canonical_band_matrices(self):
+        rotated = alpha_beta_rotation(interferometer_ham(0.75, 1.25, n=20))
+        for ham in (rotated, biorthogonal_scale(rotated)):
+            h = ham.matrix
+            assert h.has_canonical_format and np.all(h.data != 0)
+            rows, cols = h.nonzero()
+            assert np.max(np.abs(rows - cols)) <= 2
+
+    def test_memory_is_linear_in_n(self):
+        # each transform allocates O(N), 130-290 B per site, where one N x N
+        # temporary is 16 N^2 B (64 MB at N = 2,002)
+        small = scaled_singular(3)
+        parity_decompose(small)  # imports and first-call set-up
+        alpha_beta_rotation(interferometer_ham(-1.25, 0.75, n=3))
+        singular = build_hamiltonian(AsymmetricDimer(-2.0, 0.5), LatticeSpec(1000, 1000))
+        steps = [
+            (alpha_beta_rotation, interferometer_ham(-1.25, 0.75, n=1000)),
+            (biorthogonal_scale, singular),
+            (parity_decompose, biorthogonal_scale(singular)),
+        ]
+        for transform, ham in steps:
+            assert ham.dim == 2002
+            tracemalloc.start()
+            try:
+                transform(ham)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1000 * ham.dim, (transform.__name__, peak)
 
 
 def scaled_singular(n=100, mu=-2.0, nu=0.5):
@@ -167,7 +204,7 @@ class TestParityDecompose:
 
     def test_blocks_are_uniform_chains_with_end_potential(self):
         blocks = parity_decompose(scaled_singular(40))
-        for block in (blocks.h_plus, blocks.h_minus):
+        for block in (blocks.h_plus.toarray(), blocks.h_minus.toarray()):
             off = np.diagonal(block, 1)
             assert np.max(np.abs(off + 1.0)) < 1e-12
             assert np.max(np.abs(np.diagonal(block)[1:])) < 1e-12
@@ -181,22 +218,22 @@ class TestParityDecompose:
     def test_embedded_blocks_commute_and_reconstruct(self):
         scaled = scaled_singular(60)
         blocks = parity_decompose(scaled)
-        hp, hm = blocks.embedded()
+        hp, hm = (h.toarray() for h in blocks.embedded())
         assert np.linalg.norm(hp @ hm - hm @ hp) < 1e-12
-        assert np.linalg.norm(hp + hm - scaled.matrix) < 1e-12
+        assert np.linalg.norm(hp + hm - dense(scaled)) < 1e-12
 
     def test_spectrum_union(self):
         scaled = scaled_singular(60)
         blocks = parity_decompose(scaled)
         union = np.concatenate(
-            [np.linalg.eigvals(blocks.h_plus), np.linalg.eigvals(blocks.h_minus)]
+            [np.linalg.eigvals(h.toarray()) for h in (blocks.h_plus, blocks.h_minus)]
         )
-        assert spectrum_distance(np.linalg.eigvals(scaled.matrix), union) < 1e-10
+        assert spectrum_distance(np.linalg.eigvals(dense(scaled)), union) < 1e-10
 
     def test_embeddings_are_isometries(self):
         blocks = parity_decompose(scaled_singular(30))
         for v in (blocks.embed_plus, blocks.embed_minus):
-            assert np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) < 1e-14
+            assert np.max(np.abs((v.conj().T @ v).toarray() - np.eye(v.shape[1]))) < 1e-14
 
     def test_rejects_unequal_leads(self):
         ham = build_hamiltonian(AsymmetricDimer(-2.0, 0.5), LatticeSpec(10, 12))
