@@ -411,46 +411,37 @@ def _run_sweep(config: ScenarioConfig, out_dir: Path):
     n = config.sweep.samples
     if n < 1:
         raise ConfigError("sweep.samples must be positive")
-    ks = [i * math.pi / (n + 1) for i in range(1, n + 1)]
-    left_rows = sweep_rows(center, ks, LEFT)
-    right_rows = sweep_rows(center, ks, RIGHT)
-    write_sweep_csv(out_dir / "sweep_left.csv", left_rows)
-    write_sweep_csv(out_dir / "sweep_right.csv", right_rows)
+    ks = np.arange(1, n + 1) * math.pi / (n + 1)
+    left, right = sweep_rows(center, ks, LEFT), sweep_rows(center, ks, RIGHT)
+    write_sweep_csv({out_dir / "sweep_left.csv": left, out_dir / "sweep_right.csv": right})
     outputs = ["sweep_left.csv", "sweep_right.csv"]
 
-    assertions = []
-    flagged = [row for rows in (left_rows, right_rows) for row in rows if row.diverges]
-    finite_ok = all(
-        row.diverges or (math.isfinite(row.T) and math.isfinite(row.R))
-        for rows in (left_rows, right_rows)
-        for row in rows
-    )
-    assertions.append(
+    flags = np.concatenate([left.diverges, right.diverges])
+    T, R = np.concatenate([left.T, right.T]), np.concatenate([left.R, right.R])
+    assertions = [
         _check(
             "amplitudes_finite_or_flagged",
-            finite_ok,
-            f"{len(flagged)} flagged rows",
+            np.all(flags | (np.isfinite(T) & np.isfinite(R))),
+            f"{np.count_nonzero(flags)} flagged rows",
             "all rows finite unless divergence-flagged",
         )
-    )
+    ]
     if _is_hermitian_center(center):
-        worst = max(abs(row.T + row.R - 1.0) for row in left_rows + right_rows)
-        assertions.append(_le("hermitian_unitarity", worst, 1e-12))
+        assertions.append(_le("hermitian_unitarity", np.max(np.abs(T + R - 1.0)), 1e-12))
     try:
         dimer = as_dimer(center)
     except ValueError:  # no dimer reduction: skip the dimer-only checks
         dimer = None
     if dimer is not None and dimer.is_resonant():
-        worst = max(abs(row.r) for row in left_rows + right_rows)
-        assertions.append(_le("resonant_reflectionless", worst, 1e-14))
+        r = np.concatenate([left.r, right.r])
+        assertions.append(_le("resonant_reflectionless", np.max(np.hypot(r.real, r.imag)), 1e-14))
     if dimer is not None and dimer.is_singular():
-        at_half = [row for row in left_rows if abs(row.k - math.pi / 2) < 1e-12]
-        ok = bool(at_half) and all(row.diverges for row in at_half)
+        at_half = np.abs(left.k - math.pi / 2) < 1e-12
         assertions.append(
             _check(
                 "singular_momentum_flagged",
-                ok,
-                f"{len(at_half)} rows at pi/2",
+                at_half.any() and left.diverges[at_half].all(),
+                f"{np.count_nonzero(at_half)} rows at pi/2",
                 "k=pi/2 rows carry the divergence flag",
             )
         )

@@ -10,7 +10,9 @@ infinities leaking out of arithmetic.
 
 import cmath
 import math
+from contextlib import ExitStack
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -21,7 +23,6 @@ from .lattice import (
     PLUS,
     AsymmetricDimer,
     CenterSpec,
-    Interferometer,
     LatticeSpec,
     OnSitePotential,
     as_dimer,
@@ -37,16 +38,6 @@ RIGHT = "right"
 SINGULAR_DENOM_TOL = 1e-9
 
 
-def _check_k(k: float) -> None:
-    if not (0.0 < k < math.pi):
-        raise ValueError(f"momentum k must lie in (0, pi), got {k!r}")
-
-
-def _check_incidence(incidence: str) -> None:
-    if incidence not in (LEFT, RIGHT):
-        raise ValueError(f"incidence must be 'left' or 'right', got {incidence!r}")
-
-
 def dispersion(k: float) -> float:
     """Lead band energy E_k = -2 cos k."""
     return -2.0 * math.cos(k)
@@ -54,11 +45,8 @@ def dispersion(k: float) -> float:
 
 @dataclass(frozen=True)
 class ScatteringAmplitudes:
-    """Reflection/transmission amplitudes and coefficients at one momentum.
-
-    ``diverges`` marks a simple pole; then r and t are None and T, R are
-    math.inf.
-    """
+    """Reflection/transmission amplitudes and coefficients at one momentum; at
+    a simple pole ``diverges`` is set, r and t are None and T, R math.inf."""
 
     k: float
     incidence: str
@@ -69,71 +57,116 @@ class ScatteringAmplitudes:
     diverges: bool = False
 
 
-def _amplitudes(k: float, incidence: str, r: complex, t: complex) -> ScatteringAmplitudes:
-    return ScatteringAmplitudes(
-        k=k, incidence=incidence, r=r, t=t, T=abs(t) ** 2, R=abs(r) ** 2
-    )
+@dataclass(frozen=True)
+class SweepTable:
+    """`ScatteringAmplitudes` over a k grid, one array per field; a diverging row has NaN r, t."""
+
+    k: np.ndarray
+    incidence: str
+    r: np.ndarray
+    t: np.ndarray
+    T: np.ndarray
+    R: np.ndarray
+    diverges: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.k)
+
+    def row(self, i: int) -> ScatteringAmplitudes:
+        flagged = bool(self.diverges[i])
+        r, t = (None, None) if flagged else (self.r[i].item(), self.t[i].item())
+        T, R = self.T[i].item(), self.R[i].item()
+        return ScatteringAmplitudes(self.k[i].item(), self.incidence, r, t, T, R, flagged)
 
 
-def _diverging(k: float, incidence: str) -> ScatteringAmplitudes:
-    return ScatteringAmplitudes(
-        k=k,
-        incidence=incidence,
-        r=None,
-        t=None,
-        T=math.inf,
-        R=math.inf,
-        diverges=True,
-    )
+# The closed forms run on (re, im) float64 arrays in the operation order of
+# Python 3.10-3.13 scalar complex arithmetic, so each element equals cmath's
+# bit for bit: a float operand is promoted with imaginary part 0.0, division
+# is CPython's Smith division, sin/cos and |z|^2 = pow(hypot(re, im), 2) libm's.
 
 
-def dimer_amplitudes(
-    dimer: AsymmetricDimer, k: float, incidence: str = LEFT
-) -> ScatteringAmplitudes:
-    """Amplitudes of the asymmetric dimer.
+def _mul(a_re, a_im, b_re, b_im):
+    return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
 
-    Left incidence: r = (1 - mu*nu) / (mu*nu - e^{-2ik}),
+
+def _quot(a_re, a_im, b_re, b_im):
+    big_re = np.abs(b_re) >= np.abs(b_im)
+    with np.errstate(all="ignore"):  # the branch not taken may overflow or be 0/0
+        ratio = np.where(big_re, b_im / b_re, b_re / b_im)
+        denom = np.where(big_re, b_re + b_im * ratio, b_re * ratio + b_im)
+        re = np.where(big_re, a_re + a_im * ratio, a_re * ratio + a_im) / denom
+        im = np.where(big_re, a_im - a_re * ratio, a_im * ratio - a_re) / denom
+    return re, im
+
+
+def _libm(func, x: np.ndarray, *args) -> np.ndarray:
+    """func(x_i, *args) for each element, in Python floats."""
+    return np.fromiter(map(func, x.tolist(), *map(repeat, args)), dtype=float, count=len(x))
+
+
+def _table(k, incidence, denom, r, t) -> SweepTable:
+    diverges = np.hypot(*denom) < SINGULAR_DENOM_TOL
+    nan = complex(math.nan, math.nan)
+    # stacking (re, im) pairs viewed as complex keeps every bit, signed zeros too
+    r, t = (np.where(diverges, nan, np.stack(z, axis=-1).view(complex)[:, 0]) for z in (r, t))
+    T, R = (_libm(pow, np.hypot(z.real, z.imag), 2) for z in (t, r))
+    T[diverges] = R[diverges] = math.inf
+    return SweepTable(k, incidence, r, t, T, R, diverges)
+
+
+def _dimer_table(dimer: AsymmetricDimer, k: np.ndarray, incidence: str) -> SweepTable:
+    """Left incidence: r = (1 - mu*nu) / (mu*nu - e^{-2ik}),
     t = nu (1 - e^{-2ik}) / (mu*nu - e^{-2ik}); right incidence swaps nu -> mu
-    in t (r depends only on the product mu*nu).
-    """
-    _check_k(k)
-    _check_incidence(incidence)
-    denom = dimer.product - cmath.exp(-2j * k)
-    if abs(denom) < SINGULAR_DENOM_TOL:
-        return _diverging(k, incidence)
-    r = (1.0 - dimer.product) / denom
-    forward = dimer.nu if incidence == LEFT else dimer.mu
-    t = forward * (1.0 - cmath.exp(-2j * k)) / denom
-    return _amplitudes(k, incidence, r, t)
+    in t (r depends only on the product mu*nu)."""
+    product, forward = float(dimer.product), float(dimer.nu if incidence == LEFT else dimer.mu)
+    phase = -2.0 * k  # e^{-2ik} = cmath.exp((0.0, -2k))
+    e_re, e_im = _libm(math.cos, phase), _libm(math.sin, phase)
+    denom = product - e_re, 0.0 - e_im
+    r = _quot(1.0 - product, 0.0, *denom)
+    t = _quot(*_mul(forward, 0.0, 1.0 - e_re, 0.0 - e_im), *denom)
+    return _table(k, incidence, denom, r, t)
 
 
-def onsite_amplitudes(v: complex, k: float, incidence: str = LEFT) -> ScatteringAmplitudes:
-    """Amplitudes of a single on-site potential; independent of incidence.
+def _onsite_table(v: complex, k: np.ndarray, incidence: str) -> SweepTable:
+    """t = 2i sin k / (2i sin k - v), r = v / (2i sin k - v); independent of
+    incidence."""
+    gain = _mul(0.0, 2.0, _libm(math.sin, k), 0.0)  # 2i sin k
+    denom = gain[0] - v.real, gain[1] - v.imag
+    t, r = _quot(*gain, *denom), _quot(v.real, v.imag, *denom)
+    return _table(k, incidence, denom, r, t)
 
-    t = 2i sin k / (2i sin k - v), r = v / (2i sin k - v).
-    """
-    _check_k(k)
-    _check_incidence(incidence)
-    v = complex(v)
-    denom = 2j * math.sin(k) - v
-    if abs(denom) < SINGULAR_DENOM_TOL:
-        return _diverging(k, incidence)
-    t = 2j * math.sin(k) / denom
-    r = v / denom
-    return _amplitudes(k, incidence, r, t)
+
+def _center_table(center: CenterSpec, ks, incidence: str) -> SweepTable:
+    """Interferometers go through their dimer reduction and therefore require
+    phi = pi/4 (`as_dimer` raises otherwise)."""
+    if incidence not in (LEFT, RIGHT):
+        raise ValueError(f"incidence must be 'left' or 'right', got {incidence!r}")
+    k = np.asarray(ks, dtype=float)
+    outside = ~((0.0 < k) & (k < math.pi))
+    if outside.any():
+        raise ValueError(f"momentum k must lie in (0, pi), got {k[outside][0].item()!r}")
+    if isinstance(center, OnSitePotential):
+        return _onsite_table(center.v, k, incidence)
+    return _dimer_table(as_dimer(center), k, incidence)
 
 
 def amplitudes_for_center(
     center: CenterSpec, k: float, incidence: str = LEFT
 ) -> ScatteringAmplitudes:
-    """Dispatch to the closed form matching the center type.
+    """Amplitudes at one momentum: the one-row table of the center's closed form."""
+    return _center_table(center, [k], incidence).row(0)
 
-    Interferometers are handled through their dimer reduction and therefore
-    require phi = pi/4 (`as_dimer` raises otherwise).
-    """
-    if isinstance(center, OnSitePotential):
-        return onsite_amplitudes(center.v, k, incidence)
-    return dimer_amplitudes(as_dimer(center), k, incidence)
+
+def dimer_amplitudes(
+    dimer: AsymmetricDimer, k: float, incidence: str = LEFT
+) -> ScatteringAmplitudes:
+    """Amplitudes of the asymmetric dimer at one momentum (`_dimer_table`)."""
+    return amplitudes_for_center(dimer, k, incidence)
+
+
+def onsite_amplitudes(v: complex, k: float, incidence: str = LEFT) -> ScatteringAmplitudes:
+    """Amplitudes of one on-site potential at one momentum (`_onsite_table`)."""
+    return amplitudes_for_center(OnSitePotential(v), k, incidence)
 
 
 def amplification_coefficient(dimer: AsymmetricDimer, k: float, incidence: str = LEFT) -> float:
@@ -186,7 +219,6 @@ def assemble_scattering_state(
     Interferometer centers are handled by rotating the dimer-basis solution
     into the gain/loss basis.
     """
-    _check_incidence(incidence)
     amps = amplitudes_for_center(center, k, incidence)
     if amps.diverges:
         raise ValueError("cannot assemble a diverging scattering state")
@@ -248,26 +280,43 @@ def scattering_residual(
     return float(np.max(np.abs(resid[1:-1])))
 
 
-def sweep_rows(
-    center: CenterSpec, ks, incidence: str = LEFT
-) -> list[ScatteringAmplitudes]:
-    if isinstance(center, Interferometer):
-        center = as_dimer(center)  # reduce once, not once per row
-    return [amplitudes_for_center(center, float(k), incidence) for k in ks]
+def sweep_rows(center: CenterSpec, ks, incidence: str = LEFT) -> SweepTable:
+    """Amplitudes at every momentum of ks, as one array evaluation; the
+    one-momentum functions bypass this name, so a wrapper of it counts sweep rows."""
+    return _center_table(center, ks, incidence)
 
 
-def write_sweep_csv(path, rows) -> None:
-    """Write a sweep table: k, Re r, Im r, Re t, Im t, T, R.
+#: rows formatted and written per block, so no file's whole text is held
+CSV_BLOCK_ROWS = 1024
 
-    Diverging rows carry empty amplitude cells and inf coefficients.
+
+def write_sweep_csv(tables) -> None:
+    """Write sweep tables, ``{path: SweepTable}``: k, Re r, Im r, Re t, Im t, T, R.
+
+    Diverging rows carry empty amplitude cells (their NaN) and inf
+    coefficients. The files are written together, block by block, and within
+    a block a column slice is formatted once per distinct bit pattern: left
+    and right incidence share k, r and R, and an on-site center's two sides
+    are identical.
     """
-    with open(path, "w") as fh:
-        fh.write("k,re_r,im_r,re_t,im_t,T,R\n")
-        for row in rows:
-            if row.diverges:
-                fh.write(f"{row.k!r},,,,,inf,inf\n")
-            else:
-                fh.write(
-                    f"{row.k!r},{row.r.real!r},{row.r.imag!r},"
-                    f"{row.t.real!r},{row.t.imag!r},{row.T!r},{row.R!r}\n"
-                )
+    formatted = {}  # bit pattern of a column slice -> its cells, for one block
+
+    def cells(values: np.ndarray) -> list[str]:
+        key = values.tobytes()
+        if key not in formatted:
+            formatted[key] = list(map(repr, values.tolist()))
+        return formatted[key]
+
+    with ExitStack() as stack:
+        files = [(stack.enter_context(open(path, "w")), table) for path, table in tables.items()]
+        for fh, _ in files:
+            fh.write("k,re_r,im_r,re_t,im_t,T,R\n")
+        for start in range(0, max(len(table) for _, table in files), CSV_BLOCK_ROWS):
+            block = slice(start, start + CSV_BLOCK_ROWS)
+            formatted.clear()
+            for fh, table in files:
+                r, t = table.r[block], table.t[block]
+                columns = (table.k[block], r.real, r.imag, t.real, t.imag,
+                           table.T[block], table.R[block])
+                text = "\n".join(map(",".join, zip(*map(cells, columns)))) + "\n"
+                fh.write(text.replace("nan", ""))  # only a NaN cell formats as nan

@@ -1,10 +1,12 @@
 """Independent numerical oracles used by the tests.
 
-These deliberately avoid the closed-form amplitude expressions and the
-package propagator: scattering coefficients come from a finite-lattice linear
+These deliberately avoid the package's closed-form amplitude evaluation and
+its propagator: scattering coefficients come from a finite-lattice linear
 solve with plane-wave window fits, and time evolution from an adaptive ODE
 integrator, a dense eigendecomposition, dense Pade matrix exponentials, or
-dense density-matrix products.
+dense density-matrix products. The closed forms themselves are kept here in
+scalar cmath form (`closed_form_amplitudes`), the arithmetic reference the
+package's array evaluation must equal bit for bit.
 """
 
 import cmath
@@ -24,10 +26,12 @@ from nhscatter.lattice import (
     Interferometer,
     LatticeSpec,
     OnSitePotential,
+    as_dimer,
     build_hamiltonian,
     site_order,
     site_to_index,
 )
+from nhscatter.scattering import SINGULAR_DENOM_TOL, ScatteringAmplitudes
 
 #: lattice sizes tried until the two-port extraction is well conditioned;
 #: cavity resonances of the finite system show up as cond ~ 1e13
@@ -70,6 +74,37 @@ def dense_hamiltonian(center, lattice):
         h[im1, a] = h[a, im1] = h[ip1, b] = h[b, ip1] = -1.0
         h[a, b], h[b, a] = -center.mu, -center.nu
     return h
+
+
+def closed_form_amplitudes(center, k, incidence="left"):
+    """r_k, t_k, T, R of a center at one momentum in scalar Python complex
+    arithmetic: dimer (or interferometer at flux pi/4, through its dimer)
+    r = (1 - mu*nu) / (mu*nu - e^{-2ik}), t = nu (1 - e^{-2ik}) / (mu*nu - e^{-2ik})
+    with nu -> mu in t for right incidence; on-site t = 2i sin k / (2i sin k - v),
+    r = v / (2i sin k - v). The float/complex mixed operations promote the float
+    to complex, as Python 3.10-3.13 do. k must lie in (0, pi)."""
+    if isinstance(center, OnSitePotential):
+        v = complex(center.v)
+        denom = 2j * math.sin(k) - v
+        if abs(denom) < SINGULAR_DENOM_TOL:
+            return _diverging(k, incidence)
+        t = 2j * math.sin(k) / denom
+        r = v / denom
+    else:
+        dimer = as_dimer(center)
+        denom = dimer.product - cmath.exp(-2j * k)
+        if abs(denom) < SINGULAR_DENOM_TOL:
+            return _diverging(k, incidence)
+        r = (1.0 - dimer.product) / denom
+        forward = dimer.nu if incidence == "left" else dimer.mu
+        t = forward * (1.0 - cmath.exp(-2j * k)) / denom
+    return ScatteringAmplitudes(k=k, incidence=incidence, r=r, t=t, T=abs(t) ** 2, R=abs(r) ** 2)
+
+
+def _diverging(k, incidence):
+    return ScatteringAmplitudes(
+        k=k, incidence=incidence, r=None, t=None, T=math.inf, R=math.inf, diverges=True
+    )
 
 
 def linear_solve_amplitudes(center, k, n_lead=None):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -322,6 +323,57 @@ class TestSweepScenario:
         ]
         for center in centers:
             assert _is_hermitian_center(center) == probe(center), center
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["center.kind=dimer", "center.mu=-2.0", "center.nu=0.5"],
+            ["center.kind=interferometer", "center.delta=0.0", "center.gamma=1.0"],  # mu*nu = -1
+        ],
+    )
+    def test_sides_share_k_r_R_and_flagged_rows(self, tmp_path, overrides):
+        cfg = apply_overrides(default_config("sweep"), overrides)
+        cfg.out_dir = str(tmp_path / "s")
+        assert run_scenario(cfg).passed
+        left, right = (
+            [line.split(",") for line in (tmp_path / "s" / name).read_text().splitlines()]
+            for name in ("sweep_left.csv", "sweep_right.csv")
+        )
+        assert len(left) == len(right) == cfg.sweep.samples + 1
+        for a, b in zip(left, right):
+            assert [a[0], a[1], a[2], a[6]] == [b[0], b[1], b[2], b[6]]  # k, re_r, im_r, R
+            assert (a[5] == "inf") == (b[5] == "inf")
+        assert sum(a[5] == "inf" for a in left) == 1
+        assert left[1:] != right[1:]  # t differs: nu/mu
+
+    def test_onsite_sides_are_byte_equal(self, tmp_path):
+        cfg = apply_overrides(default_config("sweep"), ["center.kind=onsite", "center.v=0.3+1.1j"])
+        cfg.out_dir = str(tmp_path / "s")
+        assert run_scenario(cfg).passed
+        left = (tmp_path / "s" / "sweep_left.csv").read_bytes()
+        assert left == (tmp_path / "s" / "sweep_right.csv").read_bytes()
+        assert left.count(b"\n") == cfg.sweep.samples + 1
+
+    def test_streamed_sweep_memory(self, tmp_path):
+        # 20,001 rows per side: each file's text is ~2.5 MB and a list of row
+        # objects ~10 MB; the arrays and one block of formatted cells stay
+        # under 6 MB
+        cfg = apply_overrides(
+            default_config("sweep"),
+            ["center.kind=dimer", "center.mu=-2.0", "center.nu=0.5", "sweep.samples=20001"],
+        )
+        cfg.out_dir = str(tmp_path / "warm")
+        run_scenario(cfg)
+        cfg.out_dir = str(tmp_path / "s")
+        tracemalloc.start()
+        try:
+            manifest = run_scenario(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert manifest.passed
+        assert (tmp_path / "s" / "sweep_left.csv").stat().st_size > 2_000_000
+        assert peak <= 6_000_000, peak
 
     def test_off_quarter_flux_rejected(self, tmp_path):
         cfg = default_config("sweep")

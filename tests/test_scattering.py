@@ -15,6 +15,7 @@ from nhscatter.lattice import (
     OnSitePotential,
 )
 from nhscatter.scattering import (
+    CSV_BLOCK_ROWS,
     amplification_coefficient,
     amplitudes_for_center,
     assemble_scattering_state,
@@ -25,6 +26,7 @@ from nhscatter.scattering import (
     sweep_rows,
     write_sweep_csv,
 )
+from oracles import closed_form_amplitudes
 
 k_interior = st.floats(0.1, math.pi - 0.1, allow_nan=False)
 hopping = st.floats(-2.5, 2.5, allow_nan=False)
@@ -222,7 +224,7 @@ class TestSweepCsv:
     def test_columns_and_flags(self, tmp_path):
         rows = sweep_rows(OnSitePotential(2j), [math.pi / 4, math.pi / 2])
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(path, rows)
+        write_sweep_csv({path: rows})
         lines = path.read_text().splitlines()
         assert lines[0] == "k,re_r,im_r,re_t,im_t,T,R"
         assert lines[2].endswith(",,,,inf,inf")
@@ -230,6 +232,138 @@ class TestSweepCsv:
     def test_deterministic_bytes(self, tmp_path):
         rows = sweep_rows(AsymmetricDimer(0.5, 2.0), np.linspace(0.2, 3.0, 17))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_sweep_csv(a, rows)
-        write_sweep_csv(b, sweep_rows(AsymmetricDimer(0.5, 2.0), np.linspace(0.2, 3.0, 17)))
+        write_sweep_csv({a: rows})
+        write_sweep_csv({b: sweep_rows(AsymmetricDimer(0.5, 2.0), np.linspace(0.2, 3.0, 17))})
         assert a.read_bytes() == b.read_bytes()
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def _amplitude_bits(a) -> list[int]:
+    parts = [] if a.diverges else [a.r.real, a.r.imag, a.t.real, a.t.imag]
+    return _bits(parts + [a.T, a.R]).tolist()
+
+
+def assert_bit_equal_to_scalar(table, center, incidence):
+    """Every column of the array evaluation equals the scalar cmath closed
+    forms bit for bit, signed zeros included; flagged rows agree."""
+    rows = [closed_form_amplitudes(center, k, incidence) for k in table.k.tolist()]
+    flags = np.array([a.diverges for a in rows])
+    np.testing.assert_array_equal(table.diverges, flags)
+    for name in ("r", "t"):
+        scalar = np.array([getattr(a, name) for a in rows if not a.diverges], dtype=complex)
+        ours = getattr(table, name)[~flags]
+        np.testing.assert_array_equal(_bits(ours.real), _bits(scalar.real), err_msg=name)
+        np.testing.assert_array_equal(_bits(ours.imag), _bits(scalar.imag), err_msg=name)
+        assert np.isnan(getattr(table, name)[flags]).all()
+    for name in ("T", "R"):
+        scalar = [getattr(a, name) for a in rows]
+        np.testing.assert_array_equal(_bits(getattr(table, name)), _bits(scalar), err_msg=name)
+
+
+#: the sweep grid, pi/2 itself and the ends of (0, pi)
+GRID = np.concatenate([
+    np.arange(1, 2002) * math.pi / 2002,
+    [math.pi / 2, 5e-324, 1e-12, math.nextafter(math.pi, 0.0), math.pi - 1e-9],
+])
+
+ARRAY_CENTERS = {
+    "singular": AsymmetricDimer(-2.0, 0.5),
+    "resonant": AsymmetricDimer(0.5, 2.0),
+    "resonant-uniform": AsymmetricDimer(1.0, 1.0),
+    "resonant-negative": AsymmetricDimer(-4.0, -0.25),
+    "hermitian": AsymmetricDimer(1.3, 1.3),
+    "hermitian-negative": AsymmetricDimer(-0.7, -0.7),
+    "generic": AsymmetricDimer(0.7, 1.9),
+    "interferometer": Interferometer(-1.25, 0.75, math.pi / 4),
+    "interferometer-singular": Interferometer(0.0, 1.0, math.pi / 4),
+    "onsite-gain-2i": OnSitePotential(2j),
+    "onsite-loss-2i": OnSitePotential(-2j),
+    "onsite-real": OnSitePotential(0.7),
+    "onsite-complex": OnSitePotential(0.3 + 1.1j),
+    "onsite-zero": OnSitePotential(0j),
+}
+
+
+class TestArrayClosedForms:
+    @pytest.mark.parametrize("incidence", ["left", "right"])
+    @pytest.mark.parametrize("name", sorted(ARRAY_CENTERS))
+    def test_bit_equal_to_scalar_closed_forms(self, name, incidence):
+        center = ARRAY_CENTERS[name]
+        table = sweep_rows(center, GRID, incidence)
+        assert len(table) == len(GRID) and table.incidence == incidence
+        assert_bit_equal_to_scalar(table, center, incidence)
+
+    @pytest.mark.parametrize("incidence", ["left", "right"])
+    def test_singular_momentum_flagged(self, incidence):
+        table = sweep_rows(AsymmetricDimer(-2.0, 0.5), [1.0, math.pi / 2], incidence)
+        assert table.diverges.tolist() == [False, True]
+        assert table.T[1] == table.R[1] == math.inf
+        row = table.row(1)
+        assert row.diverges and row.r is None and row.t is None and row.T == math.inf
+
+    def test_resonant_reflection_is_signed_zero(self):
+        # r = 0.0 / denom is a zero whose sign follows Smith division; both signs
+        # occur, and the bit-equality test pins each one
+        table = sweep_rows(AsymmetricDimer(0.5, 2.0), GRID)
+        r = table.r[~table.diverges]  # k -> 0 rows are flagged: mu*nu - e^{-2ik} -> 0
+        assert len(r) >= 2001 and not np.any(r)
+        signs = np.signbit(np.concatenate([r.real, r.imag]))
+        assert signs.any() and not signs.all()
+
+    @given(mu=hopping, nu=hopping, k=st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
+           incidence=st.sampled_from(["left", "right"]))
+    def test_dimer_property(self, mu, nu, k, incidence):
+        dimer = AsymmetricDimer(mu, nu)
+        assert_bit_equal_to_scalar(sweep_rows(dimer, [k], incidence), dimer, incidence)
+        # the scalar function is the table's one-row view
+        one = dimer_amplitudes(dimer, k, incidence)
+        ref = closed_form_amplitudes(dimer, k, incidence)
+        assert one.diverges == ref.diverges and (one.r is None) == ref.diverges
+        assert _amplitude_bits(one) == _amplitude_bits(ref)
+
+    @given(re=st.floats(-3, 3), im=st.floats(-3, 3),
+           k=st.floats(0.0, math.pi, exclude_min=True, exclude_max=True))
+    def test_onsite_property(self, re, im, k):
+        center = OnSitePotential(complex(re, im))
+        assert_bit_equal_to_scalar(sweep_rows(center, [k]), center, "left")
+
+    @pytest.mark.parametrize("bad", [0.0, -0.0, math.pi, -0.5, 4.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "center",
+        [AsymmetricDimer(0.5, 2.0), OnSitePotential(2j), Interferometer(-1.25, 0.75, math.pi / 4)],
+    )
+    def test_momentum_outside_band_rejected(self, center, bad):
+        with pytest.raises(ValueError, match="momentum k must lie in"):
+            sweep_rows(center, [0.5, bad, 1.0])
+
+    def test_bad_incidence_rejected(self):
+        for center in (AsymmetricDimer(0.5, 2.0), OnSitePotential(2j)):
+            with pytest.raises(ValueError, match="incidence"):
+                sweep_rows(center, [1.0], "up")
+
+
+class TestSweepCsvSharing:
+    def test_blocks_and_shared_columns_match_single_files(self, tmp_path):
+        # two tables written together equal each written alone, across block edges
+        n = 2 * CSV_BLOCK_ROWS + 7
+        ks = np.arange(1, n + 1) * math.pi / (n + 1)
+        left = sweep_rows(AsymmetricDimer(-2.0, 0.5), ks, "left")
+        right = sweep_rows(AsymmetricDimer(-2.0, 0.5), ks, "right")
+        write_sweep_csv({tmp_path / "l.csv": left, tmp_path / "r.csv": right})
+        write_sweep_csv({tmp_path / "l1.csv": left})
+        write_sweep_csv({tmp_path / "r1.csv": right})
+        assert (tmp_path / "l.csv").read_bytes() == (tmp_path / "l1.csv").read_bytes()
+        assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "r1.csv").read_bytes()
+        lines = (tmp_path / "l.csv").read_text().splitlines()
+        assert len(lines) == len(ks) + 1
+        for line, row in zip(lines[1:], (left.row(i) for i in range(len(ks)))):
+            cells = line.split(",")
+            assert cells[0] == repr(row.k) and cells[5] == repr(row.T) and cells[6] == repr(row.R)
+            if row.diverges:
+                assert cells[1:5] == ["", "", "", ""]
+            else:
+                assert cells[1:5] == [repr(row.r.real), repr(row.r.imag),
+                                      repr(row.t.real), repr(row.t.imag)]
