@@ -1,23 +1,25 @@
 """Initial states, non-unitary time evolution, and Dirac-probability output.
 
 A state is its complex N-vector in ``site_order(center, lattice)`` and
-evolves as psi(t) = e^{-iHt} psi(0); density matrices evolve as
-rho(t) = e^{-iHt} rho(0) e^{+iH^dag t}. A density matrix is held as a factor,
-rho = V W V^dag with V of shape N x r and W = diag(w) real, and steps as
-V <- U V; its site profile is p = |V|^2 w, so P(t) is a weighted Frobenius
-norm of V. The Dirac probability p(j,t) and its total P(t) are not conserved
-when H is non-Hermitian; they are the primary observables here. A run's
-probabilities are one T x N float64 array, row i the site profile at time i,
-so P(t) is its row sums; this array is what the metrics take and what
-write_frames saves.
+evolves as psi(t) = e^{-iHt} psi(0). A density matrix is the pair
+(factor, weights), rho = V diag(w) V^dag with V of shape N x r and r real
+weights w >= 0; rho(t) = e^{-iHt} rho(0) e^{+iH^dag t} is V <- e^{-iHt} V,
+and its site profile is p = |V|^2 w. The Dirac probability p(j,t) and its
+total P(t) are not conserved when H is non-Hermitian; they are the primary
+observables here.
 
-Every step, of a state or of a density factor, goes through one loop,
-Propagator._evolve: the truncated-Taylor action of e^{-iH dt} on the sparse
-H (Al-Mohy & Higham, SIAM J. Sci. Comput. 33:488, 2011), with one
-(degree, scaling) plan per distinct time step. No N x N exponential is
-formed, and no eigenvectors are needed, so it stays accurate arbitrarily
-close to the spectral singularity, where eigenvector matrices become
-ill-conditioned.
+Every run goes through one call, Propagator.frames(start, times, weights).
+An N-vector gives one T x N float64 array, row i the site profile at time i,
+so P(t) is its row sums; this array is what the metrics take and what
+write_frames saves. An N x r block of independent cases that share H gives
+T x r x N, case j at [:, j]; with weights, it gives the mixture's T x N
+profile. A block steps as one, each column exactly as it would alone,
+through one loop, Propagator._evolve: the truncated-Taylor action of
+e^{-iH dt} on the sparse H (Al-Mohy & Higham, SIAM J. Sci. Comput. 33:488,
+2011), with one (degree, scaling) plan per distinct time step. No N x N
+exponential is formed, and no eigenvectors are needed, so it stays accurate
+arbitrarily close to the spectral singularity, where eigenvector matrices
+become ill-conditioned.
 """
 
 import json
@@ -71,25 +73,6 @@ class WavePacketSpec:
             raise ValueError("packet width parameter lam must be positive")
         if not math.isfinite(self.k0):
             raise ValueError("central momentum must be finite")
-
-
-@dataclass
-class DensityMatrix:
-    """Density matrix rho = V diag(w) V^dag over the canonical ordering.
-
-    Held as the N x r factor V (``factor``) and r weights w (``weights``),
-    so a rank-r state costs O(N r) to store and O(N^2 r) to step. The
-    weights must be finite and non-negative, so rho is positive semidefinite
-    and its site profile |V|^2 w is never negative.
-    """
-
-    factor: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        if not np.all(np.isfinite(self.weights) & (self.weights >= 0)):
-            raise ValueError(f"density weights must be finite and >= 0, got {self.weights}")
 
 
 def gaussian_packet(
@@ -274,9 +257,9 @@ class Propagator:
         return u
 
     def _evolve(self, start: np.ndarray, times):
-        """Yield ``start``, a state vector or an N x r density factor, stepped
-        to each time by the step from the previous time. Every yield is a new
-        array, never ``start`` itself, so callers may keep or mutate them."""
+        """Yield ``start``, an N-vector or an N x r block, stepped to each time
+        by the step from the previous time. Every yield is a new array, never
+        ``start`` itself, so callers may keep or mutate them."""
         x, prev_t = np.array(start, dtype=complex), 0.0
         if x.shape[0] != self.ham.dim:
             raise ValueError(
@@ -288,16 +271,26 @@ class Propagator:
             prev_t = t
             yield x
 
-    def states(self, psi0: np.ndarray, times) -> np.ndarray:
-        """T x N complex array of psi(t_i) = e^{-iH t_i} psi0, row i at times[i]."""
-        return np.array(list(self._evolve(psi0, times)))
+    def states(self, start: np.ndarray, times) -> np.ndarray:
+        """e^{-iH t_i} start at each time, row i at times[i]: T x N for a
+        vector, T x N x r for an N x r block."""
+        return np.array(list(self._evolve(start, times)))
 
-    def frames(self, psi0: np.ndarray, times) -> np.ndarray:
-        """T x N array of the Dirac probabilities |psi_j(t_i)|^2, row i at times[i]."""
-        times = _check_times(times)
-        out = np.empty((times.size, self.ham.dim))
-        for row, psi in zip(out, self._evolve(psi0, times)):
-            row[:] = np.abs(psi) ** 2
+    def frames(self, start: np.ndarray, times, weights=None) -> np.ndarray:
+        """Dirac probabilities, row i at times[i]: T x N |psi_j(t_i)|^2 for an
+        N-vector; T x r x N for an N x r block of r independent cases, case j
+        at [:, j]; and with r weights w (finite, >= 0) the T x N profile
+        |V(t)|^2 w of the mixture V diag(w) V^dag."""
+        times, start = _check_times(times), np.asarray(start)
+        if weights is not None:
+            weights = np.asarray(weights, dtype=float)
+            if not np.all(np.isfinite(weights) & (weights >= 0)):
+                raise ValueError(f"density weights must be finite and >= 0, got {weights}")
+        cases = start.shape[1:] if weights is None else ()
+        out = np.empty((times.size, *cases, self.ham.dim))
+        for row, x in zip(out, self._evolve(start, times)):
+            p = np.abs(x) ** 2
+            row[...] = p.T if weights is None else p @ weights
         return out
 
 
@@ -312,35 +305,9 @@ def _check_times(times) -> np.ndarray:
     return times
 
 
-def evolve_density(
-    ham: HamiltonianMatrix, rho0: DensityMatrix, times
-) -> list[DensityMatrix]:
-    """Evolve rho(t) = e^{-iHt} rho(0) e^{+iH^dag t} at the requested times."""
-    return [
-        DensityMatrix(v, rho0.weights.copy())
-        for v in Propagator(ham)._evolve(rho0.factor, times)
-    ]
-
-
-def density_profile_series(ham: HamiltonianMatrix, rho0: DensityMatrix, times) -> np.ndarray:
-    """T x N site populations rho_jj(t_i) of an evolving density matrix.
-
-    Streams the evolution so only the populations |V(t)|^2 w are retained;
-    use this for long time grids where storing every rho(t) would be wasteful.
-    """
-    times = _check_times(times)
-    out = np.empty((times.size, ham.dim))
-    for row, v in zip(out, Propagator(ham)._evolve(rho0.factor, times)):
-        row[:] = (np.abs(v) ** 2) @ rho0.weights
-    return out
-
-
-def mixed_state_uniform(
-    lattice: LatticeSpec, center: CenterSpec, n0: int
-) -> DensityMatrix:
-    """Uniform incoherent mixture (1/n0) sum_j |-j><-j| over sites -1..-n0.
-
-    Built directly as its rank-n0 factor: columns e_{-j}, weights 1/n0, so
+def mixed_state_uniform(lattice: LatticeSpec, center: CenterSpec, n0: int):
+    """Uniform incoherent mixture (1/n0) sum_j |-j><-j| over sites -1..-n0,
+    as (factor, weights): the N x n0 columns e_{-j} and the weights 1/n0, so
     the populations at t = 0 are exactly 1/n0.
     """
     if n0 < 1 or n0 > lattice.left_len:
@@ -348,7 +315,7 @@ def mixed_state_uniform(
     factor = np.zeros((lattice_dim(center, lattice), n0), dtype=complex)
     for col, j in enumerate(range(1, n0 + 1)):
         factor[site_to_index(lattice, -j, center), col] = 1.0
-    return DensityMatrix(factor, np.full(n0, 1.0 / n0))
+    return factor, np.full(n0, 1.0 / n0)
 
 
 def split_probability(p: np.ndarray, center_span: tuple[int, int]):
@@ -459,8 +426,9 @@ def write_frames(path, frames: np.ndarray) -> None:
     np.save(path, frames, allow_pickle=False)
 
 
-# The name perfbench/tracing.py wraps; it exists only for that tracer.
+# The names perfbench/tracing.py wraps; they exist only for that tracer.
 write_frames_csv = write_frames
+evolve_density = density_profile_series = Propagator.frames
 
 
 def write_frames_axes(path, times, lattice: LatticeSpec, center: CenterSpec) -> None:

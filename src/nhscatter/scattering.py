@@ -89,7 +89,8 @@ def _mul(a_re, a_im, b_re, b_im):
     return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
 
 
-def _quot(a_re, a_im, b_re, b_im):
+def quotient(a_re, a_im, b_re, b_im):
+    """(a_re + i a_im) / (b_re + i b_im) elementwise, by CPython's division."""
     big_re = np.abs(b_re) >= np.abs(b_im)
     with np.errstate(all="ignore"):  # the branch not taken may overflow or be 0/0
         ratio = np.where(big_re, b_im / b_re, b_re / b_im)
@@ -122,8 +123,8 @@ def _dimer_table(dimer: AsymmetricDimer, k: np.ndarray, incidence: str) -> Sweep
     phase = -2.0 * k  # e^{-2ik} = cmath.exp((0.0, -2k))
     e_re, e_im = _libm(math.cos, phase), _libm(math.sin, phase)
     denom = product - e_re, 0.0 - e_im
-    r = _quot(1.0 - product, 0.0, *denom)
-    t = _quot(*_mul(forward, 0.0, 1.0 - e_re, 0.0 - e_im), *denom)
+    r = quotient(1.0 - product, 0.0, *denom)
+    t = quotient(*_mul(forward, 0.0, 1.0 - e_re, 0.0 - e_im), *denom)
     return _table(k, incidence, denom, r, t)
 
 
@@ -132,12 +133,13 @@ def _onsite_table(v: complex, k: np.ndarray, incidence: str) -> SweepTable:
     incidence."""
     gain = _mul(0.0, 2.0, _libm(math.sin, k), 0.0)  # 2i sin k
     denom = gain[0] - v.real, gain[1] - v.imag
-    t, r = _quot(*gain, *denom), _quot(v.real, v.imag, *denom)
+    t, r = quotient(*gain, *denom), quotient(v.real, v.imag, *denom)
     return _table(k, incidence, denom, r, t)
 
 
-def _center_table(center: CenterSpec, ks, incidence: str) -> SweepTable:
-    """Interferometers go through their dimer reduction and therefore require
+def amplitude_table(center: CenterSpec, ks, incidence: str = LEFT) -> SweepTable:
+    """Amplitudes at every momentum of ks, as one array evaluation.
+    Interferometers go through their dimer reduction and therefore require
     phi = pi/4 (`as_dimer` raises otherwise)."""
     if incidence not in (LEFT, RIGHT):
         raise ValueError(f"incidence must be 'left' or 'right', got {incidence!r}")
@@ -154,7 +156,7 @@ def amplitudes_for_center(
     center: CenterSpec, k: float, incidence: str = LEFT
 ) -> ScatteringAmplitudes:
     """Amplitudes at one momentum: the one-row table of the center's closed form."""
-    return _center_table(center, [k], incidence).row(0)
+    return amplitude_table(center, [k], incidence).row(0)
 
 
 def dimer_amplitudes(
@@ -281,9 +283,9 @@ def scattering_residual(
 
 
 def sweep_rows(center: CenterSpec, ks, incidence: str = LEFT) -> SweepTable:
-    """Amplitudes at every momentum of ks, as one array evaluation; the
-    one-momentum functions bypass this name, so a wrapper of it counts sweep rows."""
-    return _center_table(center, ks, incidence)
+    """`amplitude_table` under the name the sweep scenario calls, so that a
+    wrapper of it counts the sweep's rows and nothing else."""
+    return amplitude_table(center, ks, incidence)
 
 
 #: rows formatted and written per block, so no file's whole text is held

@@ -16,7 +16,6 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import solve_ivp
 
-from nhscatter.dynamics import DensityMatrix
 from nhscatter.lattice import (
     ALPHA,
     BETA,
@@ -81,23 +80,27 @@ def closed_form_amplitudes(center, k, incidence="left"):
     arithmetic: dimer (or interferometer at flux pi/4, through its dimer)
     r = (1 - mu*nu) / (mu*nu - e^{-2ik}), t = nu (1 - e^{-2ik}) / (mu*nu - e^{-2ik})
     with nu -> mu in t for right incidence; on-site t = 2i sin k / (2i sin k - v),
-    r = v / (2i sin k - v). The float/complex mixed operations promote the float
-    to complex, as Python 3.10-3.13 do. k must lie in (0, pi)."""
+    r = v / (2i sin k - v). Every float operand of a complex operation is
+    written as complex(x, 0.0), the promotion of Python 3.10-3.13, so the
+    reference does not depend on how the interpreter mixes the two types
+    (3.14 no longer promotes). k must lie in (0, pi)."""
     if isinstance(center, OnSitePotential):
         v = complex(center.v)
-        denom = 2j * math.sin(k) - v
+        gain = 2j * complex(math.sin(k), 0.0)
+        denom = gain - v
         if abs(denom) < SINGULAR_DENOM_TOL:
             return _diverging(k, incidence)
-        t = 2j * math.sin(k) / denom
+        t = gain / denom
         r = v / denom
     else:
         dimer = as_dimer(center)
-        denom = dimer.product - cmath.exp(-2j * k)
+        phase = cmath.exp(-2j * complex(k, 0.0))
+        denom = complex(dimer.product, 0.0) - phase
         if abs(denom) < SINGULAR_DENOM_TOL:
             return _diverging(k, incidence)
-        r = (1.0 - dimer.product) / denom
+        r = complex(1.0 - dimer.product, 0.0) / denom
         forward = dimer.nu if incidence == "left" else dimer.mu
-        t = forward * (1.0 - cmath.exp(-2j * k)) / denom
+        t = complex(forward, 0.0) * (complex(1.0, 0.0) - phase) / denom
     return ScatteringAmplitudes(k=k, incidence=incidence, r=r, t=t, T=abs(t) ** 2, R=abs(r) ** 2)
 
 
@@ -221,16 +224,16 @@ def dense_density_evolve(ham, rho0, times):
 
 
 def factor_density(dense):
-    """The package's (factor, weights) record of a Hermitian N x N matrix, by
+    """The package's (factor, weights) pair of a Hermitian N x N matrix, by
     its eigendecomposition; the eigenvalues that are exactly zero are dropped."""
     weights, factor = scipy.linalg.eigh(np.asarray(dense, dtype=complex))
     keep = weights != 0.0
-    return DensityMatrix(factor[:, keep], weights[keep])
+    return factor[:, keep], weights[keep]
 
 
-def density_entries(rho):
+def density_entries(factor, weights):
     """The full N x N matrix V diag(w) V^dag of a factored density matrix."""
-    return (rho.factor * rho.weights) @ rho.factor.conj().T
+    return (factor * weights) @ factor.conj().T
 
 
 def incoherent_sum_probability(ham, lattice, center, n0, times):

@@ -10,13 +10,10 @@ import oracles
 from nhscatter import dynamics
 from nhscatter.dynamics import (
     BoundaryContaminationError,
-    DensityMatrix,
     Propagator,
     PropagatorError,
     WavePacketSpec,
     antisym_two_packets,
-    density_profile_series,
-    evolve_density,
     gaussian_packet,
     mixed_state_uniform,
     seed_state,
@@ -217,6 +214,46 @@ class TestEvolveState:
             _states(ham, psi, [])
 
 
+class TestBlockFrames:
+    """An N x r block steps its columns exactly as each would step alone."""
+
+    TIMES = np.arange(0, 71) * 1.0
+
+    def _check_columns(self, ham, states):
+        prop = Propagator(ham)
+        block = prop.frames(np.column_stack(states), self.TIMES)
+        assert block.shape == (len(self.TIMES), len(states), ham.dim)
+        for j, psi0 in enumerate(states):
+            alone = prop.frames(psi0, self.TIMES)
+            assert np.array_equal(block[:, j], alone)
+            assert np.array_equal(prop.frames(psi0[:, None], self.TIMES)[:, 0], alone)
+
+    def test_singularity_cases(self):
+        lat = LatticeSpec(400, 400)
+        center = SINGULAR
+        assert center.is_singular()
+        self._check_columns(
+            build_hamiltonian(center, lat),
+            [
+                seed_state(lat, center, +1),
+                seed_state(lat, center, -1),
+                gaussian_packet(lat, WavePacketSpec(-60, math.pi / 2, 0.15), center),
+                antisym_two_packets(lat, 60, math.pi / 2, 0.15, center.nu, center),
+            ],
+        )
+
+    def test_flux_interferometer_packets(self):
+        lat = LatticeSpec(400, 400)
+        center = Interferometer(-1.25, 0.75, math.pi / 4 + 0.1 * math.pi)
+        self._check_columns(
+            build_hamiltonian(center, lat),
+            [
+                gaussian_packet(lat, WavePacketSpec(-60, k0, 0.15), center)
+                for k0 in (math.pi / 3, math.pi / 2.5, math.pi / 2)
+            ],
+        )
+
+
 class TestStepCache:
     @pytest.fixture
     def step_builds(self, monkeypatch):
@@ -300,7 +337,7 @@ class TestTaylorStep:
         lat = LatticeSpec(20, 400, hard_wall_n0=20)
         center = AsymmetricDimer(10.0, 0.1)
         ham = build_hamiltonian(center, lat)
-        factor = mixed_state_uniform(lat, center, 20).factor
+        factor, _ = mixed_state_uniform(lat, center, 20)
         results = []
         saved = np.random.get_state()
         for seed in (1, 2):
@@ -335,36 +372,41 @@ class TestTaylorStep:
 
 
 class TestEvolveDensity:
+    """A density matrix is its (factor, weights) pair; it evolves as the
+    block states(factor, times), its profile is frames(factor, times, weights)."""
+
     def test_pure_state_consistency(self):
         lat = LatticeSpec(20, 20)
         center = AsymmetricDimer(-2.0, 0.5)
         ham = build_hamiltonian(center, lat)
         psi0 = seed_state(lat, center, +1)
-        rho0 = DensityMatrix(psi0[:, None], [1.0])
         times = [3.0, 7.0]
-        rhos = evolve_density(ham, rho0, times)
+        factors = _states(ham, psi0[:, None], times)
         psis = _states(ham, psi0, times)
-        for rho, psi in zip(rhos, psis):
-            populations = np.diagonal(oracles.density_entries(rho)).real
+        for factor, psi in zip(factors, psis):
+            populations = np.diagonal(oracles.density_entries(factor, [1.0])).real
             assert np.max(np.abs(populations - np.abs(psi) ** 2)) < 1e-9
 
     def test_hermitian_trace_constant(self):
         lat = LatticeSpec(15, 15)
         ham = build_hamiltonian(UNIFORM, lat)
-        rho0 = mixed_state_uniform(lat, UNIFORM, 10)
-        for rho in evolve_density(ham, rho0, [5.0, 20.0, 60.0]):
-            assert np.trace(oracles.density_entries(rho)).real == pytest.approx(1.0, abs=1e-9)
-            assert rho.factor.shape == (ham.dim, 10)
+        factor0, weights = mixed_state_uniform(lat, UNIFORM, 10)
+        for factor in _states(ham, factor0, [5.0, 20.0, 60.0]):
+            assert np.trace(oracles.density_entries(factor, weights)).real == pytest.approx(
+                1.0, abs=1e-9
+            )
+            assert factor.shape == (ham.dim, 10)
 
     def test_stays_hermitian_psd_and_purity_bounded(self):
         lat = LatticeSpec(15, 15)
         center = AsymmetricDimer(2.0, 0.5)
         ham = build_hamiltonian(center, lat)
-        rho0 = mixed_state_uniform(lat, center, 8)
-        assert np.trace(oracles.density_entries(rho0)).real == pytest.approx(1.0, abs=1e-12)
-        evolved = evolve_density(ham, rho0, [12.0])[0]
-        assert evolved.factor.shape == (ham.dim, 8)
-        full = oracles.density_entries(evolved)
+        factor0, weights = mixed_state_uniform(lat, center, 8)
+        initial = oracles.density_entries(factor0, weights)
+        assert np.trace(initial).real == pytest.approx(1.0, abs=1e-12)
+        evolved = _states(ham, factor0, [12.0])[0]
+        assert evolved.shape == (ham.dim, 8)
+        full = oracles.density_entries(evolved, weights)
         tr = np.trace(full).real
         assert np.max(np.abs(full - full.conj().T)) < 1e-14
         assert np.linalg.eigvalsh(full)[0] > -1e-10
@@ -374,13 +416,14 @@ class TestEvolveDensity:
         lat = LatticeSpec(15, 15)
         center = AsymmetricDimer(2.0, 0.5)
         ham = build_hamiltonian(center, lat)
-        rho0 = mixed_state_uniform(lat, center, 8)
+        factor0, weights = mixed_state_uniform(lat, center, 8)
         times = [2.0, 9.0]
-        series = density_profile_series(ham, rho0, times)
-        rhos = evolve_density(ham, rho0, times)
+        series = Propagator(ham).frames(factor0, times, weights)
+        factors = _states(ham, factor0, times)
         assert series.shape == (2, ham.dim)
-        for row, rho in zip(series, rhos):
-            assert np.max(np.abs(row - np.diagonal(oracles.density_entries(rho)).real)) < 1e-12
+        for row, factor in zip(series, factors):
+            want = np.diagonal(oracles.density_entries(factor, weights)).real
+            assert np.max(np.abs(row - want)) < 1e-12
 
     def test_incoherent_sum_oracle_agreement(self):
         n0 = 6
@@ -389,8 +432,8 @@ class TestEvolveDensity:
         # mu*nu = 1 absorbs; at the singularity mu*nu = -1 P(t) grows to ~5e8
         for center in (AsymmetricDimer(10.0, 0.1), AsymmetricDimer(-2.0, 0.5)):
             ham = build_hamiltonian(center, lat)
-            rho0 = mixed_state_uniform(lat, center, n0)
-            ours = density_profile_series(ham, rho0, times).sum(axis=1)
+            factor0, weights = mixed_state_uniform(lat, center, n0)
+            ours = Propagator(ham).frames(factor0, times, weights).sum(axis=1)
             ref = oracles.incoherent_sum_probability(ham, lat, center, n0, times)
             assert np.max(np.abs(ours - ref) / np.maximum(1.0, ref)) < 1e-9
 
@@ -402,7 +445,7 @@ class TestEvolveDensity:
         center = AsymmetricDimer(10.0, 0.1) if kind == "absorb" else AsymmetricDimer(-2.0, 0.5)
         ham = build_hamiltonian(center, lat)
         if kind in ("mixed", "absorb"):
-            rho0 = mixed_state_uniform(lat, center, n0)
+            factor0, weights = mixed_state_uniform(lat, center, n0)
             dense = np.zeros((ham.dim, ham.dim), dtype=complex)
             for j in range(1, n0 + 1):
                 i = site_to_index(lat, -j, center)
@@ -411,20 +454,20 @@ class TestEvolveDensity:
             if kind == "pure":
                 psi = seed_state(lat, center, +1)
                 dense = np.outer(psi, psi.conj())
-                rho0 = DensityMatrix(psi[:, None], [1.0])
+                factor0, weights = psi[:, None], np.array([1.0])
             else:
                 rng = np.random.default_rng(5)
                 a = rng.normal(size=(ham.dim, ham.dim)) + 1j * rng.normal(size=(ham.dim, ham.dim))
                 dense = a @ a.conj().T / np.trace(a @ a.conj().T).real
-                rho0 = oracles.factor_density(dense)
+                factor0, weights = oracles.factor_density(dense)
         times = [10.0, 40.0]
         ref = oracles.dense_density_evolve(ham, dense, times)
-        rhos = evolve_density(ham, rho0, times)
-        series = density_profile_series(ham, rho0, times)
-        for rho, row, want in zip(rhos, series, ref):
+        factors = _states(ham, factor0, times)
+        series = Propagator(ham).frames(factor0, times, weights)
+        for factor, row, want in zip(factors, series, ref):
             # P(40) of the mixed state is ~5e8, so the bound is relative to max(1, P)
             scale = max(1.0, np.trace(want).real)
-            assert np.max(np.abs(oracles.density_entries(rho) - want)) / scale < 1e-9
+            assert np.max(np.abs(oracles.density_entries(factor, weights) - want)) / scale < 1e-9
             assert np.max(np.abs(row - np.diagonal(want).real)) / scale < 1e-9
 
 
@@ -461,24 +504,29 @@ class TestProfile:
         lat = LatticeSpec(5, 5)
         center = AsymmetricDimer(2.0, 0.5)
         ham = build_hamiltonian(center, lat)
-        rho0 = mixed_state_uniform(lat, center, 4)
+        factor0, weights = mixed_state_uniform(lat, center, 4)
         times = [0.0, 1.0, 3.0]
-        series = density_profile_series(ham, rho0, times)
+        prop = Propagator(ham)
+        series = prop.frames(factor0, times, weights)
         assert series.shape == (3, ham.dim)
         assert series.sum(axis=1)[0] == pytest.approx(1.0)
-        assert rho0.factor.shape == (ham.dim, 4)
-        assert np.array_equal(series[0], np.diagonal(oracles.density_entries(rho0)).real)
-        for row, rho in zip(series, evolve_density(ham, rho0, times)):
-            assert np.array_equal(row, (np.abs(rho.factor) ** 2) @ rho.weights)
+        assert factor0.shape == (ham.dim, 4)
+        initial = np.diagonal(oracles.density_entries(factor0, weights)).real
+        assert np.array_equal(series[0], initial)
+        for row, factor in zip(series, prop.states(factor0, times)):
+            assert np.array_equal(row, (np.abs(factor) ** 2) @ weights)
 
     def test_indefinite_density_rejected(self):
         # a negative weight is an indefinite rho; a non-finite one is no state
         lat = LatticeSpec(3, 3)
+        prop = Propagator(build_hamiltonian(UNIFORM, lat))
         factor = np.eye(8, 2, dtype=complex)
         for weights in ([1.0, -0.5], [1.0, math.nan], [math.inf, 0.0]):
             with pytest.raises(ValueError, match="finite and >= 0"):
-                DensityMatrix(factor, weights)
-        assert DensityMatrix(factor, [1.0, 0.0]).weights.dtype == np.float64
+                prop.frames(factor, [0.0], weights)
+        series = prop.frames(factor, [0.0], [1, 0])  # integer weights are taken as floats
+        assert series.dtype == np.float64
+        assert np.array_equal(series[0], np.eye(8)[0])
 
     def test_results_do_not_alias_the_initial_state(self):
         lat = LatticeSpec(8, 8)
@@ -486,18 +534,19 @@ class TestProfile:
         ham = build_hamiltonian(center, lat)
         prop = Propagator(ham)
         psi0 = gaussian_packet(lat, WavePacketSpec(-4, 1.0, 2.0), center)
-        rho0 = mixed_state_uniform(lat, center, 3)
+        factor0, weights = mixed_state_uniform(lat, center, 3)
         times = [0.0, 1.5]
         results = [
             prop.frames(psi0, times),
             prop.states(psi0, times),
-            density_profile_series(ham, rho0, times),
-            *(x for rho in evolve_density(ham, rho0, times) for x in (rho.factor, rho.weights)),
+            prop.frames(factor0, times),
+            prop.frames(factor0, times, weights),
+            prop.states(factor0, times),
         ]
         kept = [r.copy() for r in results]
         psi0[:] = 7.0
-        rho0.factor[:] = 7.0
-        rho0.weights[:] = 7.0
+        factor0[:] = 7.0
+        weights[:] = 7.0
         for r, k in zip(results, kept):
             assert np.array_equal(r, k)
 

@@ -582,6 +582,14 @@ class TestCli:
         assert "config error" in err and "positive deviation" in err, err
         assert not (tmp_path / "x" / "distortion.csv").exists()
 
+    @pytest.mark.parametrize("k0", ["0.0", repr(math.pi)], ids=["zero", "pi"])
+    def test_flux_k0_outside_open_interval_exit_two(self, tmp_path, capsys, k0):
+        out = str(tmp_path / "x")
+        assert main(["flux-deviation", "--out", out, "--set", f"flux.k0_values={k0}, 1.0"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "packet momentum must lie in (0, pi)" in err, err
+        assert not (tmp_path / "x" / "distortion.csv").exists()
+
     def test_absorb_drop_time_past_t_max_exit_two(self, tmp_path, capsys):
         code = main(
             [
