@@ -171,19 +171,6 @@ def onsite_amplitudes(v: complex, k: float, incidence: str = LEFT) -> Scattering
     return amplitudes_for_center(OnSitePotential(v), k, incidence)
 
 
-def amplification_coefficient(dimer: AsymmetricDimer, k: float, incidence: str = LEFT) -> float:
-    """Transmitted-over-incident norm ratio |t_k|^2 at resonance (mu*nu = 1).
-
-    Equals nu^2 for left incidence (mu^2 for right) independently of k.
-    Raises when called off the resonance locus.
-    """
-    if not dimer.is_resonant():
-        raise ValueError(
-            f"amplification coefficient requires mu*nu = 1, got {dimer.product!r}"
-        )
-    return dimer_amplitudes(dimer, k, incidence).T
-
-
 def singular_wavefunction(dimer: AsymmetricDimer, sign: int, site) -> complex:
     """Amplitude of the k = +-pi/2 singular eigenstate at one site.
 

@@ -14,6 +14,7 @@ from nhscatter.experiments import (
     ConfigError,
     TimeConfig,
     _is_hermitian_center,
+    _spectrum,
     apply_overrides,
     default_config,
     from_ini,
@@ -28,6 +29,7 @@ from nhscatter.lattice import (
     OnSitePotential,
     build_hamiltonian,
 )
+from nhscatter.transforms import biorthogonal_scale, parity_decompose, spectrum_distance
 
 
 def _scipy_modules_after(code: str) -> str:
@@ -390,6 +392,66 @@ class TestSweepScenario:
         assert manifest.passed
         report = (tmp_path / "v" / "assertions.txt").read_text()
         assert "rotation_matches_dimer = pass" in report
+
+
+def _parity_chain():
+    """verify's parity check: the real unscaled mu*nu = -1 chain at N = 202
+    and the parity blocks of its scaled form."""
+    ham = build_hamiltonian(AsymmetricDimer(-2.0, 0.5), LatticeSpec(100, 100))
+    return ham, parity_decompose(biorthogonal_scale(ham))
+
+
+def _verify_spectral_matrices():
+    """The 13 matrices whose spectra verify solves, as (label, matrix, real):
+    the five chains of the scaling battery and their scaled forms (real only
+    for mu*nu > 0), then the unscaled parity chain and its +-i blocks."""
+    found = []
+    for mu, nu in [(0.5, 2.0), (1.5, 0.4), (-1.2, -0.5), (-2.0, 0.5), (0.8, -1.1)]:
+        ham = build_hamiltonian(AsymmetricDimer(mu, nu), LatticeSpec(40, 40))
+        found.append((f"chain[{mu},{nu}]", ham.matrix, True))
+        found.append((f"scaled[{mu},{nu}]", biorthogonal_scale(ham).matrix, mu * nu > 0))
+    ham, blocks = _parity_chain()
+    found.append(("parity_chain", ham.matrix, True))
+    found += [("h_plus", blocks.h_plus, False), ("h_minus", blocks.h_minus, False)]
+    return found
+
+
+class TestVerifySpectra:
+    def test_spectrum_matches_complex_eigvals(self):
+        matrices = _verify_spectral_matrices()
+        assert len(matrices) == 13
+        for label, matrix, _ in matrices:
+            oracle = np.linalg.eigvals(matrix.toarray().astype(complex))
+            assert spectrum_distance(_spectrum(matrix), oracle) <= 1e-12, label
+
+    def test_real_matrices_take_the_real_path(self, monkeypatch):
+        eigvals = np.linalg.eigvals
+        seen = []
+
+        def spy(a):
+            seen.append(a.dtype)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", spy)
+        matrices = _verify_spectral_matrices()
+        for _, matrix, _ in matrices:
+            _spectrum(matrix)
+        expected = [np.dtype(float if real else complex) for _, _, real in matrices]
+        assert seen == expected
+        assert seen.count(np.dtype(complex)) == 4  # scaled mu*nu < 0 (2) and the blocks
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_parity_reference_catches_a_wrong_end_potential(self, index):
+        # +-i -> +-1.001i in one block: the union misses the real chain's spectrum
+        ham, blocks = _parity_chain()
+        reference = _spectrum(ham.matrix)
+        pair = [blocks.h_plus, blocks.h_minus]
+        union = [_spectrum(h) for h in pair]
+        assert spectrum_distance(reference, np.concatenate(union)) <= 1e-12
+        wrong = pair[index].copy()
+        wrong[0, 0] = wrong[0, 0] * 1.001
+        union[index] = _spectrum(wrong)
+        assert spectrum_distance(reference, np.concatenate(union)) > 1e-10
 
 
 class TestSmallScaleRunners:

@@ -16,7 +16,6 @@ from nhscatter.lattice import (
 )
 from nhscatter.scattering import (
     CSV_BLOCK_ROWS,
-    amplification_coefficient,
     amplitudes_for_center,
     assemble_scattering_state,
     dimer_amplitudes,
@@ -141,15 +140,11 @@ class TestCenterDispatch:
 class TestAmplification:
     def test_value_and_k_independence(self):
         dimer = AsymmetricDimer(0.5, 2.0)
-        values = [amplification_coefficient(dimer, k) for k in (0.3, 1.0, math.pi / 2, 2.6)]
+        values = [dimer_amplitudes(dimer, k).T for k in (0.3, 1.0, math.pi / 2, 2.6)]
         assert all(v == pytest.approx(4.0, abs=1e-12) for v in values)
 
     def test_uniform_chain_unit(self):
-        assert amplification_coefficient(AsymmetricDimer(1, 1), 1.3) == pytest.approx(1.0)
-
-    def test_off_resonance_rejected(self):
-        with pytest.raises(ValueError):
-            amplification_coefficient(AsymmetricDimer(0.5, 2.1), 1.0)
+        assert dimer_amplitudes(AsymmetricDimer(1, 1), 1.3).T == pytest.approx(1.0)
 
 
 class TestSingularWavefunction:
