@@ -182,6 +182,56 @@ def parity_decompose(ham: HamiltonianMatrix) -> BlockDecomposition:
     )
 
 
+def _min_sum_pairing(cost: np.ndarray) -> np.ndarray:
+    """Column paired with each row in a minimum-sum pairing of a square,
+    finite cost matrix.
+
+    When every row's nearest column is distinct, that pairing is optimal: the
+    row minima bound every pairing's sum from below. Otherwise the pairing is
+    built by Crouse's shortest augmenting paths (IEEE TAES 52(4):1679, 2016),
+    the method of scipy.optimize.linear_sum_assignment, one row at a time with
+    dual potentials u, v that keep every reduced cost non-negative.
+    """
+    n = len(cost)
+    nearest = cost.argmin(axis=1)
+    if np.unique(nearest).size == n:
+        return nearest
+    u = np.zeros(n)
+    v = np.zeros(n)
+    col4row = np.full(n, -1)
+    row4col = np.full(n, -1)
+    path = np.full(n, -1)
+    for row in range(n):
+        # Dijkstra over the columns from this row, on the reduced costs
+        shortest = np.full(n, np.inf)
+        unvisited = np.ones(n, dtype=bool)
+        visited_rows = [row]
+        i, min_val = row, 0.0
+        while True:
+            reduced = min_val + cost[i] - u[i] - v
+            closer = unvisited & (reduced < shortest)
+            shortest[closer] = reduced[closer]
+            path[closer] = i
+            j = np.where(unvisited, shortest, np.inf).argmin()
+            min_val = shortest[j]
+            unvisited[j] = False
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+            visited_rows.append(i)
+        u[row] += min_val
+        others = np.array(visited_rows[1:], dtype=int)
+        u[others] += min_val - shortest[col4row[others]]
+        v[~unvisited] -= min_val - shortest[~unvisited]
+        while True:  # flip the matched and unmatched edges along the path
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == row:
+                break
+    return col4row
+
+
 def spectrum_distance(a, b) -> float:
     """Largest distance within the minimum-sum pairing of two eigenvalue
     multisets (lexicographic sorting mispairs conjugate clusters whose real
@@ -191,10 +241,11 @@ def spectrum_distance(a, b) -> float:
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError("spectra must have the same size")
-    from scipy.optimize import linear_sum_assignment
-
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError("spectra must be one-dimensional and of the same size")
+    if a.size == 0:
+        raise ValueError("spectra must not be empty")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("spectra must be finite (got NaN or inf)")
     cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    return float(cost[np.arange(a.size), _min_sum_pairing(cost)].max())

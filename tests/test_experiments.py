@@ -33,10 +33,15 @@ from nhscatter.transforms import biorthogonal_scale, parity_decompose, spectrum_
 
 
 def _scipy_modules_after(code: str) -> str:
-    """The scipy modules a fresh interpreter holds after running ``code``."""
+    """The public scipy subpackages a fresh interpreter holds after running
+    ``code`` (``scipy.sparse`` alone brings in no other)."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code += "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code += (
+        "\nimport sys\nprint(sorted(m for m, mod in sys.modules.items()"
+        " if m.startswith('scipy.') and m.count('.') == 1"
+        " and not m.startswith('scipy._') and hasattr(mod, '__path__')))"
+    )
     run = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": path},
@@ -596,6 +601,12 @@ class TestCli:
         out = str(tmp_path / "sweep")
         code = f"from nhscatter.cli import main; assert main(['sweep', '--out', {out!r}]) == 0"
         assert _scipy_modules_after(code) == "[]"
+
+    def test_verify_run_loads_only_scipy_sparse(self, tmp_path):
+        # spectra pair through transforms' own minimum-sum solve, not scipy.optimize
+        out = str(tmp_path / "verify")
+        code = f"from nhscatter.cli import main; assert main(['verify', '--out', {out!r}]) == 0"
+        assert _scipy_modules_after(code) == "['scipy.sparse']"
 
     def test_bounds_cannot_be_loosened(self, tmp_path, capsys):
         # at t_max = 20 the packet has not crossed the center: the gain check fails

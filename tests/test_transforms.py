@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment  # reference solver; src does not import it
 
 from nhscatter.lattice import (
     AsymmetricDimer,
@@ -18,11 +19,13 @@ from nhscatter.transforms import (
     ALPHA_BETA_BLOCK,
     alpha_beta_rotation,
     biorthogonal_scale,
+    _min_sum_pairing,
     parity_decompose,
     spectrum_distance,
 )
 
 hopping = st.floats(-2.5, 2.5, allow_nan=False)
+eigenvalues = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
 
 
 def dense(ham):
@@ -265,3 +268,130 @@ class TestSpectrumDistance:
     def test_rejects_unequal_sizes(self):
         with pytest.raises(ValueError, match="same size"):
             spectrum_distance([0.0, 1.0], [0.0])
+
+    @pytest.mark.parametrize(
+        "a, b, reason",
+        [
+            ([], [], "empty"),
+            ([np.nan, 1.0], [1.0, 0.0], "finite"),
+            ([0.0, 1.0], [1.0, complex(0.0, np.nan)], "finite"),
+            ([np.inf, 1.0], [1.0, 0.0], "finite"),
+            ([0.0, complex(1.0, -np.inf)], [1.0, 0.0], "finite"),
+        ],
+    )
+    def test_rejects_empty_or_non_finite_spectra(self, a, b, reason):
+        with pytest.raises(ValueError, match=reason):
+            spectrum_distance(a, b)
+
+
+def _unique_optimum(cost, best):
+    """Whether every other pairing sums to more than ``best`` beyond rounding.
+
+    Any other pairing leaves out some edge of the optimal one, so forbidding
+    each optimal edge in turn must raise the optimum.
+    """
+    rows, cols = linear_sum_assignment(cost)
+    for i, j in zip(rows, cols):
+        forbidden = cost.copy()
+        forbidden[i, j] = cost.sum() + 1.0
+        r, c = linear_sum_assignment(forbidden)
+        if forbidden[r, c].sum() <= best + 1e-9 * (1.0 + best):
+            return False
+    return True
+
+
+def _check_against_scipy(a, b):
+    """The pairing is a permutation whose sum is SciPy's minimum; the distance
+    is SciPy's wherever the minimum-sum pairing is unique. Returns the cost."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    cost = np.abs(a[:, None] - b[None, :])
+    cols = _min_sum_pairing(cost)
+    assert sorted(cols) == list(range(a.size))
+    rows, ref_cols = linear_sum_assignment(cost)
+    best = cost[rows, ref_cols].sum()
+    assert abs(cost[np.arange(a.size), cols].sum() - best) <= 1e-12 * best
+    if _unique_optimum(cost, best):
+        assert spectrum_distance(a, b) == cost[rows, ref_cols].max()
+    return cost
+
+
+def _collides(cost):
+    """Whether two rows share their nearest column, so the fast path cannot
+    apply and the augmenting-path solve runs."""
+    return np.unique(cost.argmin(axis=1)).size < len(cost)
+
+
+@st.composite
+def multisets(draw):
+    """Two independent multisets of one size."""
+    n = draw(st.integers(1, 12))
+    return tuple(draw(st.lists(eigenvalues, min_size=n, max_size=n)) for _ in range(2))
+
+
+@st.composite
+def near_copies(draw):
+    """A multiset and a permuted copy moved by up to ``scale`` per entry."""
+    a = np.array(draw(st.lists(eigenvalues, min_size=1, max_size=12)), dtype=complex)
+    perm = draw(st.permutations(range(a.size)))
+    scale = draw(st.sampled_from([0.0, 1e-14, 1e-10, 1e-6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    noise = scale * (rng.standard_normal(a.size) + 1j * rng.standard_normal(a.size))
+    return a, a[perm] + noise
+
+
+@st.composite
+def conjugate_pairs(draw):
+    """Conjugate pairs x +- iy against the same pairs with each real part a
+    few ulps off, permuted: the real parts agree only to rounding."""
+    x = np.array(draw(st.lists(st.floats(-3, 3), min_size=1, max_size=6)))
+    y = np.array(draw(st.lists(st.floats(0.0, 3.0), min_size=x.size, max_size=x.size)))
+    a = np.r_[x + 1j * y, x - 1j * y]
+    ulps = np.array(draw(st.lists(st.integers(-4, 4), min_size=a.size, max_size=a.size)))
+    b = a.real + ulps * np.spacing(a.real) + 1j * a.imag
+    perm = draw(st.permutations(range(a.size)))
+    return a, b[list(perm)]
+
+
+@st.composite
+def colliding(draw):
+    """Rows 0 and 1 are both nearest to column 0: a[0] sits on b[0] and a[1]
+    a quarter of b's smallest gap away from it."""
+    n = draw(st.integers(2, 12))
+    b = np.array(draw(st.lists(eigenvalues, min_size=n, max_size=n)), dtype=complex)
+    gap = np.abs(b[:, None] - b[None, :])[~np.eye(n, dtype=bool)].min()
+    assume(gap > 1e-6)
+    a = np.array(draw(st.lists(eigenvalues, min_size=n, max_size=n)), dtype=complex)
+    phase = draw(st.floats(0.0, 2 * math.pi))
+    a[0] = b[0]
+    a[1] = b[0] + 0.25 * gap * np.exp(1j * phase)
+    return a, b
+
+
+class TestMinSumPairing:
+    @given(pair=multisets())
+    @settings(max_examples=200)
+    def test_multisets_match_scipy(self, pair):
+        _check_against_scipy(*pair)
+
+    @given(pair=near_copies())
+    @settings(max_examples=200)
+    def test_permuted_near_copies_match_scipy(self, pair):
+        _check_against_scipy(*pair)
+
+    @given(pair=conjugate_pairs())
+    @settings(max_examples=200)
+    def test_conjugate_pairs_match_scipy(self, pair):
+        _check_against_scipy(*pair)
+
+    @given(pair=colliding())
+    @settings(max_examples=200)
+    def test_colliding_nearest_partners_match_scipy(self, pair):
+        assert _collides(_check_against_scipy(*pair))
+
+    def test_five_against_three_takes_the_augmenting_path(self):
+        theta = 2 * math.asin(5 / 6)
+        cost = _check_against_scipy([0.0, 3 * np.exp(1j * theta)], [0.0, 3.0])
+        assert _collides(cost)
+        assert list(_min_sum_pairing(cost)) == [0, 1]
+
