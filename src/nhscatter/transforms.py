@@ -183,53 +183,19 @@ def parity_decompose(ham: HamiltonianMatrix) -> BlockDecomposition:
 
 
 def _min_sum_pairing(cost: np.ndarray) -> np.ndarray:
-    """Column paired with each row in a minimum-sum pairing of a square,
-    finite cost matrix.
+    """Column paired with each row in a minimum-sum pairing of a square cost
+    matrix.
 
     When every row's nearest column is distinct, that pairing is optimal: the
-    row minima bound every pairing's sum from below. Otherwise the pairing is
-    built by Crouse's shortest augmenting paths (IEEE TAES 52(4):1679, 2016),
-    the method of scipy.optimize.linear_sum_assignment, one row at a time with
-    dual potentials u, v that keep every reduced cost non-negative.
+    row minima bound every pairing's sum from below. Every verify comparison
+    takes this path, so scipy.optimize loads only when nearest columns collide.
     """
-    n = len(cost)
     nearest = cost.argmin(axis=1)
-    if np.unique(nearest).size == n:
+    if np.unique(nearest).size == nearest.size:
         return nearest
-    u = np.zeros(n)
-    v = np.zeros(n)
-    col4row = np.full(n, -1)
-    row4col = np.full(n, -1)
-    path = np.full(n, -1)
-    for row in range(n):
-        # Dijkstra over the columns from this row, on the reduced costs
-        shortest = np.full(n, np.inf)
-        unvisited = np.ones(n, dtype=bool)
-        visited_rows = [row]
-        i, min_val = row, 0.0
-        while True:
-            reduced = min_val + cost[i] - u[i] - v
-            closer = unvisited & (reduced < shortest)
-            shortest[closer] = reduced[closer]
-            path[closer] = i
-            j = np.where(unvisited, shortest, np.inf).argmin()
-            min_val = shortest[j]
-            unvisited[j] = False
-            if row4col[j] < 0:
-                break
-            i = row4col[j]
-            visited_rows.append(i)
-        u[row] += min_val
-        others = np.array(visited_rows[1:], dtype=int)
-        u[others] += min_val - shortest[col4row[others]]
-        v[~unvisited] -= min_val - shortest[~unvisited]
-        while True:  # flip the matched and unmatched edges along the path
-            i = path[j]
-            row4col[j] = i
-            col4row[i], j = j, col4row[i]
-            if i == row:
-                break
-    return col4row
+    from scipy.optimize import linear_sum_assignment
+
+    return linear_sum_assignment(cost)[1]
 
 
 def spectrum_distance(a, b) -> float:
