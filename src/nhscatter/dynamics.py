@@ -97,8 +97,12 @@ def gaussian_packet(
         if isinstance(site, int) and site != 0:
             gauss = math.exp(-0.5 * spec.lam**2 * (site - spec.site) ** 2)
             amp[i] = gauss * np.exp(1j * spec.k0 * site)
-    amp /= np.linalg.norm(amp)
-    return amp
+    norm = np.linalg.norm(amp)
+    if norm == 0.0:
+        raise ValueError(
+            f"packet has no weight on the lead sites (site {spec.site}, lam {spec.lam!r})"
+        )
+    return amp / norm
 
 
 def seed_state(lattice: LatticeSpec, dimer: AsymmetricDimer, sign: int) -> np.ndarray:

@@ -362,7 +362,8 @@ def _le(name, measured, bound, detail="") -> AssertionResult:
 def run_scenario(config: ScenarioConfig) -> RunManifest:
     """Execute one scenario, writing outputs and exactly one manifest. This is
     the one error boundary of the scenario layer: a `ValueError` raised by a
-    runner (a malformed or inconsistent config value) leaves as `ConfigError`."""
+    runner (a malformed or inconsistent config value) and an `OSError` from
+    the output directory or a file written into it leave as `ConfigError`."""
     if config.scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {config.scenario!r}")
     out_dir = Path(config.out_dir)
@@ -374,23 +375,25 @@ def run_scenario(config: ScenarioConfig) -> RunManifest:
     started = time.perf_counter()
     try:
         outputs, assertions = runner(config, out_dir)
+        duration = time.perf_counter() - started
+        config_text = to_ini(config)
+        (out_dir / "config.ini").write_text(config_text)
+        manifest = RunManifest(
+            scenario=config.scenario,
+            code_version=__version__,
+            duration_s=duration,
+            config_text=config_text,
+            outputs=sorted(outputs + ["config.ini", "manifest.json"]),
+            assertions=assertions,
+        )
+        (out_dir / "manifest.json").write_text(manifest.to_json())
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    duration = time.perf_counter() - started
-
-    config_text = to_ini(config)
-    (out_dir / "config.ini").write_text(config_text)
-    manifest = RunManifest(
-        scenario=config.scenario,
-        code_version=__version__,
-        duration_s=duration,
-        config_text=config_text,
-        outputs=sorted(outputs + ["config.ini", "manifest.json"]),
-        assertions=assertions,
-    )
-    (out_dir / "manifest.json").write_text(manifest.to_json())
+    except OSError as exc:
+        path = str(exc.filename or out_dir)  # a failed write() names no file
+        raise ConfigError(f"cannot write output file {path!r}: {exc.strerror or exc}") from None
     return manifest
 
 
@@ -614,8 +617,6 @@ def _run_singularity(config: ScenarioConfig, out_dir: Path):
             )
     lattice = config.lattice.to_lattice()
     ham = build_hamiltonian(center, lattice)
-    prop = Propagator(ham)
-    span = ham.center_span
     nu_mag = abs(center.nu)
 
     cases = {
@@ -636,113 +637,84 @@ def _run_singularity(config: ScenarioConfig, out_dir: Path):
         ),
     }
 
-    outputs = []
-    assertions = []
-    series_path = out_dir / "series.csv"
-    metrics = {}
     # the cases share H, so they step as one block; case j's frames are [:, j]
-    block = prop.frames(np.column_stack(list(cases.values())), times)
-    with open(series_path, "w") as series_fh:
+    block = Propagator(ham).frames(np.column_stack(list(cases.values())), times)
+    left, mid, right = split_probability(block, ham.center_span)  # T x 4 each
+    total = left + mid + right
+    outputs = [f"frames_{name}.npy" for name in cases]
+    with open(out_dir / "series.csv", "w") as series_fh:
         series_fh.write("case,t,P_left,P_center,P_right,P_total\n")
-        for name, frames in zip(cases, block.swapaxes(0, 1)):
-            check_boundaries(frames)
-            fname = f"frames_{name}.npy"
-            write_frames(out_dir / fname, frames)
-            outputs.append(fname)
-            left, mid, right = split_probability(frames, span)
-            total = left + mid + right
-            for t, l, c, r, p in zip(times, left, mid, right, total):
+        for j, (name, fname) in enumerate(zip(cases, outputs)):
+            check_boundaries(block[:, j])
+            write_frames(out_dir / fname, block[:, j])
+            for t, l, c, r, p in zip(times, left[:, j], mid[:, j], right[:, j], total[:, j]):
                 series_fh.write(
                     f"{name},{float(t)!r},{float(l)!r},{float(c)!r},"
                     f"{float(r)!r},{float(p)!r}\n"
                 )
 
-            if name == "seed_plus":
-                slope_p, _, r2_p = _linear_fit(times[window], total[window])
-                slope_l, _, _ = _linear_fit(times[window], left[window])
-                slope_r, _, _ = _linear_fit(times[window], right[window])
-                ratio = math.sqrt(max(slope_r, 0.0) / slope_l)
-                metrics.update(
-                    seed_plus_growth_slope=slope_p,
-                    seed_plus_growth_r2=r2_p,
-                    seed_plus_emission_ratio=ratio,
-                )
-                assertions.append(
-                    _check(
-                        "seed_plus_linear_growth",
-                        r2_p > _LINEAR_R2,
-                        r2_p,
-                        f"> {_LINEAR_R2!r}",
-                    )
-                )
-                assertions.append(
-                    _le(
-                        "seed_plus_emission_ratio",
-                        abs(ratio - nu_mag) / nu_mag,
-                        0.02,
-                        detail=f"ratio={ratio!r} nu={nu_mag!r}",
-                    )
-                )
-            elif name == "seed_minus":
-                p0 = total[0]
-                metrics.update(seed_minus_peak=float(total.max()), seed_minus_final=total[-1])
-                assertions.append(
-                    _le("seed_minus_bounded", float(total.max()), p0 * (1 + 1e-9))
-                )
-                assertions.append(
-                    _le(
-                        "seed_minus_decays",
-                        total[-1],
-                        0.4 * p0,
-                        detail=f"P(0)={_format_value(p0)}",
-                    )
-                )
-                t_idx = int(np.searchsorted(times, sing.fit_start))
-                assertions.append(
-                    _le(
-                        "seed_minus_no_regrowth",
-                        total[-1],
-                        total[t_idx] + 1e-9,
-                        detail=f"P({times[t_idx]})={_format_value(total[t_idx])}",
-                    )
-                )
-            elif name == "packet":
-                slope_l, _, r2_l = _linear_fit(times[late], left[late])
-                slope_r, _, r2_r = _linear_fit(times[late], right[late])
-                metrics.update(
-                    packet_reflected_slope=slope_l,
-                    packet_reflected_r2=r2_l,
-                    packet_transmitted_slope=slope_r,
-                    packet_transmitted_r2=r2_r,
-                )
-                assertions.append(
-                    _check(
-                        "packet_reflected_linear_growth",
-                        r2_l > _LINEAR_R2 and slope_l > 0,
-                        r2_l,
-                        f"> {_LINEAR_R2!r} with positive slope",
-                    )
-                )
-                assertions.append(
-                    _check(
-                        "packet_transmitted_linear_growth",
-                        r2_r > _LINEAR_R2 and slope_r > 0,
-                        r2_r,
-                        f"> {_LINEAR_R2!r} with positive slope",
-                    )
-                )
-            elif name == "pair":
-                residue = total[-1] / total[0]
-                metrics.update(pair_initial=total[0], pair_final=total[-1])
-                assertions.append(
-                    _le(
-                        "pair_fully_absorbed",
-                        residue,
-                        0.02,
-                        detail=f"P(0)={_format_value(total[0])} "
-                        f"P(end)={_format_value(total[-1])}",
-                    )
-                )
+    # columns in case order: seed_plus 0, seed_minus 1, packet 2, pair 3
+    plus, minus, _, pair = total.T
+    slope_p, _, r2_p = _linear_fit(times[window], plus[window])
+    slope_l, _, _ = _linear_fit(times[window], left[window, 0])
+    slope_r, _, _ = _linear_fit(times[window], right[window, 0])
+    ratio = math.sqrt(max(slope_r, 0.0) / slope_l)
+    refl_slope, _, refl_r2 = _linear_fit(times[late], left[late, 2])
+    trans_slope, _, trans_r2 = _linear_fit(times[late], right[late, 2])
+    t_idx = int(np.searchsorted(times, sing.fit_start))
+    metrics = dict(
+        seed_plus_growth_slope=slope_p,
+        seed_plus_growth_r2=r2_p,
+        seed_plus_emission_ratio=ratio,
+        seed_minus_peak=float(minus.max()),
+        seed_minus_final=minus[-1],
+        packet_reflected_slope=refl_slope,
+        packet_reflected_r2=refl_r2,
+        packet_transmitted_slope=trans_slope,
+        packet_transmitted_r2=trans_r2,
+        pair_initial=pair[0],
+        pair_final=pair[-1],
+    )
+    assertions = [
+        _check("seed_plus_linear_growth", r2_p > _LINEAR_R2, r2_p, f"> {_LINEAR_R2!r}"),
+        _le(
+            "seed_plus_emission_ratio",
+            abs(ratio - nu_mag) / nu_mag,
+            0.02,
+            detail=f"ratio={ratio!r} nu={nu_mag!r}",
+        ),
+        _le("seed_minus_bounded", float(minus.max()), minus[0] * (1 + 1e-9)),
+        _le(
+            "seed_minus_decays",
+            minus[-1],
+            0.4 * minus[0],
+            detail=f"P(0)={_format_value(minus[0])}",
+        ),
+        _le(
+            "seed_minus_no_regrowth",
+            minus[-1],
+            minus[t_idx] + 1e-9,
+            detail=f"P({times[t_idx]})={_format_value(minus[t_idx])}",
+        ),
+        _check(
+            "packet_reflected_linear_growth",
+            refl_r2 > _LINEAR_R2 and refl_slope > 0,
+            refl_r2,
+            f"> {_LINEAR_R2!r} with positive slope",
+        ),
+        _check(
+            "packet_transmitted_linear_growth",
+            trans_r2 > _LINEAR_R2 and trans_slope > 0,
+            trans_r2,
+            f"> {_LINEAR_R2!r} with positive slope",
+        ),
+        _le(
+            "pair_fully_absorbed",
+            pair[-1] / pair[0],
+            0.02,
+            detail=f"P(0)={_format_value(pair[0])} P(end)={_format_value(pair[-1])}",
+        ),
+    ]
     write_frames_axes(out_dir / "frames_axes.json", times, lattice, center)
     write_metrics_txt(out_dir / "metrics.txt", metrics)
     outputs += ["frames_axes.json", "series.csv", "metrics.txt"]

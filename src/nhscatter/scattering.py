@@ -19,15 +19,14 @@ import numpy as np
 from .lattice import (
     ALPHA,
     BETA,
-    MINUS,
-    PLUS,
     AsymmetricDimer,
     CenterSpec,
+    Interferometer,
     LatticeSpec,
     OnSitePotential,
     as_dimer,
     build_hamiltonian,
-    site_order,
+    center_sites,
 )
 from .transforms import ALPHA_BETA_BLOCK
 
@@ -203,56 +202,34 @@ def assemble_scattering_state(
 ) -> np.ndarray:
     """Sample the plane-wave scattering solution on a finite lattice.
 
+    For left incidence the state is e^{ikj} + r e^{-ikj} on the incoming
+    (left) lead and t e^{ik(j+m-1)} on the outgoing (right) lead, m being the
+    number of center sites; the center holds 1 + r when m = 1 and
+    (1 + r, t e^{ik}) otherwise. Right incidence is its mirror image, j -> -j
+    with the center pair reversed. An interferometer's (alpha, beta) pair is
+    rotated into its (plus, minus) sites by ALPHA_BETA_BLOCK.
+
     The returned vector solves (H - E_k) psi = 0 on every site except the two
     outermost lead sites, where the truncation injects/extracts the wave.
-    Interferometer centers are handled by rotating the dimer-basis solution
-    into the gain/loss basis.
     """
     amps = amplitudes_for_center(center, k, incidence)
     if amps.diverges:
         raise ValueError("cannot assemble a diverging scattering state")
     r, t = amps.r, amps.t
+    m = len(center_sites(center))
+    mirror = 1 if incidence == LEFT else -1
 
-    order = site_order(center, lattice)
-    psi = np.zeros(len(order), dtype=complex)
+    def lead(j: int) -> complex:  # left incidence; right incidence reads it at -j
+        if j < 0:
+            return cmath.exp(1j * k * j) + r * cmath.exp(-1j * k * j)
+        return t * cmath.exp(1j * k * (j + m - 1))
 
-    def incoming(j: int) -> complex:
-        return cmath.exp(1j * k * j) + r * cmath.exp(-1j * k * j)
-
-    if isinstance(center, OnSitePotential):
-        for i, site in enumerate(order):
-            if site == 0:
-                psi[i] = 1.0 + r
-            elif incidence == LEFT:
-                psi[i] = incoming(site) if site <= -1 else t * cmath.exp(1j * k * site)
-            else:
-                psi[i] = incoming(-site) if site >= 1 else t * cmath.exp(-1j * k * site)
-        return psi
-
-    # dimer-basis center amplitudes (left incidence; mirrored for right)
-    f_near, f_far = 1.0 + r, t * cmath.exp(1j * k)
-    for i, site in enumerate(order):
-        if isinstance(site, int):
-            towards = site if incidence == LEFT else -site
-            if towards <= -1:
-                psi[i] = incoming(towards)
-            else:
-                psi[i] = t * cmath.exp(1j * k * (towards + 1))
-    if isinstance(center, AsymmetricDimer):
-        a = order.index(ALPHA)
-        b = order.index(BETA)
-        psi[a], psi[b] = (f_near, f_far) if incidence == LEFT else (f_far, f_near)
-        return psi
-
-    # interferometer: rotate (alpha, beta) amplitudes into the (plus, minus) basis
-    f_ab = np.array(
-        [f_near, f_far] if incidence == LEFT else [f_far, f_near], dtype=complex
-    )
-    f_pm = ALPHA_BETA_BLOCK @ f_ab
-    p = order.index(PLUS)
-    m = order.index(MINUS)
-    psi[p], psi[m] = f_pm[0], f_pm[1]
-    return psi
+    core = [1.0 + r] if m == 1 else [1.0 + r, t * cmath.exp(1j * k)][::mirror]
+    if isinstance(center, Interferometer):
+        core = ALPHA_BETA_BLOCK @ np.array(core, dtype=complex)
+    left = [lead(mirror * j) for j in range(-lattice.left_len, 0)]
+    right = [lead(mirror * j) for j in range(1, lattice.right_len + 1)]
+    return np.array(left + list(core) + right, dtype=complex)
 
 
 def scattering_residual(

@@ -92,6 +92,12 @@ class TestGaussianPacket:
         with pytest.raises(ValueError):
             gaussian_packet(LatticeSpec(50, 50), WavePacketSpec(-40, 1.0, 0.15), UNIFORM)
 
+    @pytest.mark.parametrize("center", [UNIFORM, OnSitePotential(0.5)], ids=["dimer", "onsite"])
+    def test_no_lead_weight_rejected(self, center):
+        # centred on site 0 with sigma = 1/40, every lead amplitude underflows to 0
+        with pytest.raises(ValueError, match="packet has no weight on the lead sites"):
+            gaussian_packet(LatticeSpec(50, 50), WavePacketSpec(0, 1.0, 40.0), center)
+
 
 class TestSeedState:
     def test_plus_components(self):

@@ -588,6 +588,22 @@ class TestCli:
         assert code == 2
         assert err.startswith("config error: cannot use output directory"), err
 
+    def test_unwritable_output_file_exit_two(self, tmp_path, capsys):
+        # a directory where the run writes series.csv
+        blocker = tmp_path / "x" / "series.csv"
+        blocker.mkdir(parents=True)
+        code = main(["singularity", "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"config error: cannot write output file {str(blocker)!r}"), err
+
+    def test_packet_without_lead_weight_exit_two(self, tmp_path, capsys):
+        args = ["amplify", "--out", str(tmp_path / "x"), "--set", "packet.site=0"]
+        code = main(args + ["--set", "packet.lam=40"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: packet has no weight on the lead sites"), err
+
     def test_start_up_loads_no_scipy(self):
         # only building and stepping H need scipy.sparse; it is imported where used
         assert _scipy_modules_after("import nhscatter.cli") == "[]"

@@ -16,6 +16,8 @@ from nhscatter.lattice import (
 )
 from nhscatter.scattering import (
     CSV_BLOCK_ROWS,
+    LEFT,
+    RIGHT,
     amplitudes_for_center,
     assemble_scattering_state,
     dimer_amplitudes,
@@ -182,13 +184,15 @@ class TestSingularWavefunction:
 
 
 class TestScatteringState:
+    # each residual is checked for both incidence sides: right incidence is the
+    # mirror image j -> -j of the left-incidence state
     @given(mu=hopping, nu=hopping, k=st.floats(0.2, math.pi - 0.2))
     @settings(max_examples=40)
     def test_dimer_residual(self, mu, nu, k):
         assume(abs(mu * nu + 1.0) > 0.05)
         lat = LatticeSpec(60, 60)
-        res = scattering_residual(AsymmetricDimer(mu, nu), lat, k)
-        assert res < 1e-12
+        for incidence in (LEFT, RIGHT):
+            assert scattering_residual(AsymmetricDimer(mu, nu), lat, k, incidence) < 1e-12
 
     @given(
         re=st.floats(-2, 2), im=st.floats(-2, 2), k=st.floats(0.2, math.pi - 0.2)
@@ -198,17 +202,47 @@ class TestScatteringState:
         v = complex(re, im)
         assume(abs(2j * math.sin(k) - v) > 0.05)
         lat = LatticeSpec(60, 60)
-        res = scattering_residual(OnSitePotential(v), lat, k)
-        assert res < 1e-12
+        for incidence in (LEFT, RIGHT):
+            assert scattering_residual(OnSitePotential(v), lat, k, incidence) < 1e-12
 
     def test_right_incidence_residual(self):
         lat = LatticeSpec(60, 60)
         assert scattering_residual(AsymmetricDimer(0.7, 1.9), lat, 1.3, "right") < 1e-12
 
-    def test_interferometer_residual(self):
+    @given(
+        delta=st.floats(-2, 2), gamma=st.floats(-2, 2), k=st.floats(0.2, math.pi - 0.2)
+    )
+    @settings(max_examples=40)
+    def test_interferometer_residual(self, delta, gamma, k):
+        # reduces to the dimer mu = -(delta + gamma), nu = -(delta - gamma)
+        assume(abs(delta**2 - gamma**2 + 1.0) > 0.05)
         lat = LatticeSpec(60, 60)
-        center = Interferometer(-1.25, 0.75, math.pi / 4)
-        assert scattering_residual(center, lat, 1.1) < 1e-12
+        center = Interferometer(delta, gamma, math.pi / 4)
+        for incidence in (LEFT, RIGHT):
+            assert scattering_residual(center, lat, k, incidence) < 1e-12
+
+    @pytest.mark.parametrize("incidence", [LEFT, RIGHT])
+    @pytest.mark.parametrize(
+        "center",
+        [OnSitePotential(0.3 - 0.8j), AsymmetricDimer(0.7, 1.9),
+         Interferometer(-1.25, 0.75, math.pi / 4)],
+        ids=["onsite", "dimer", "interferometer"],
+    )
+    def test_residual_on_unequal_leads(self, center, incidence):
+        assert scattering_residual(center, LatticeSpec(37, 52), 1.1, incidence) < 1e-12
+
+    @given(
+        re=st.floats(-2, 2), im=st.floats(-2, 2), k=st.floats(0.2, math.pi - 0.2)
+    )
+    @settings(max_examples=40)
+    def test_onsite_right_incidence_is_mirror_image(self, re, im, k):
+        # with equal leads the lattice is its own mirror image about site 0
+        center = OnSitePotential(complex(re, im))
+        assume(abs(2j * math.sin(k) - center.v) > 0.05)
+        lat = LatticeSpec(30, 30)
+        left = assemble_scattering_state(center, lat, k, LEFT)
+        right = assemble_scattering_state(center, lat, k, RIGHT)
+        assert np.array_equal(right, left[::-1])
 
     def test_diverging_state_rejected(self):
         with pytest.raises(ValueError):
