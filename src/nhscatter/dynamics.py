@@ -19,7 +19,11 @@ e^{-iH dt} on the sparse H (Al-Mohy & Higham, SIAM J. Sci. Comput. 33:488,
 2011), with one (degree, scaling) plan per distinct time step. No N x N
 exponential is formed, and no eigenvectors are needed, so it stays accurate
 arbitrarily close to the spectral singularity, where eigenvector matrices
-become ill-conditioned.
+become ill-conditioned. Where -iH dt is real in the quarter-turn gauge
+psi_n = (-i)^n phi_n, as for every dimer chain (real bonds between
+neighbouring indices, imaginary on-site entries), a block whose phi has an
+all-zero real or imaginary column steps in real arithmetic on phi and gives
+the complex loop's bits (see TaylorStep).
 """
 
 import json
@@ -206,6 +210,10 @@ def _taylor_plan(a) -> tuple[int, int]:
     return m, max(cost // m, 1)
 
 
+#: i^p for p = 0..3: the gauge's quarter turns, exact in floating point
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
+
+
 class TaylorStep:
     """e^A for A = -iH dt, applied as ``step @ b`` without forming e^A.
 
@@ -213,27 +221,59 @@ class TaylorStep:
     each summing all ``degree`` terms (the backward-error bound of the plan
     holds for the full degree), with ``operator`` = A/s stored as CSR.
     Deterministic: no random norm estimate, so reruns are bit-identical.
+
+    ``gauged`` is K = G^-1 (A/s) G as a real CSR when K is real, with
+    G = diag((-i)^n) over the matrix index n, and None otherwise: K is real
+    for every real chain whose bonds join neighbouring indices and whose
+    on-site entries are imaginary (every dimer chain, hard wall or not, and an
+    imaginary on-site center). When some real or imaginary part of G^-1 b is
+    all zero, the block is stepped as G (e^K applied to G^-1 b), with the
+    parts of G^-1 b as real columns and the zero ones skipped. A block with
+    no zero part is stepped by ``operator``: the arithmetic is the same, and
+    a product on r complex columns is cheaper than on 2r real ones. A
+    quarter turn only swaps and negates components, so each product and sum
+    equals the complex loop's up to the sign of zero.
     """
 
     def __init__(self, a, dt: float):
         self.dt = dt
         self.degree, self.scaling = _taylor_plan(a)
-        self.operator = a / self.scaling
+        self.operator = op = a / self.scaling
+        rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
+        k = op.data * _QUARTER_TURNS[(rows - op.indices) % 4]  # i^(m-n) A_mn
+        self.gauged = None
+        if not np.any(k.imag):
+            self.gauged = type(op)((k.real, op.indices, op.indptr), shape=op.shape)
+            n = np.arange(op.shape[0]) % 4
+            self._into, self._back = _QUARTER_TURNS[n, None], _QUARTER_TURNS[-n, None]
 
     def __matmul__(self, b: np.ndarray) -> np.ndarray:
         out = np.asarray(b, dtype=complex)
+        live = None
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(self.scaling):
-                term, out = out, out.copy()
-                for j in range(1, self.degree + 1):
-                    term = self.operator @ term
-                    term *= 1.0 / j  # a real factor: cheaper than complex division
-                    out += term
+            if self.gauged is not None:
+                phi = np.multiply(out.reshape(len(out), -1), self._into, order="C")
+                parts = phi.view(float)  # N x 2r: re and im of each column, in place
+                live = parts.any(axis=0)
+            if live is None or live.all():
+                out = self._series(self.operator, out)
+            else:  # the live columns copied in C order, where products are faster
+                parts[:, live] = self._series(self.gauged, parts[:, live].copy())
+                out = np.multiply(phi, self._back, out=phi).reshape(out.shape)
         if not np.all(np.isfinite(out)):
             raise PropagatorError(
                 f"propagator for dt={self.dt} overflowed; "
                 "spectral growth too large for this step"
             )
+        return out
+
+    def _series(self, operator, out: np.ndarray) -> np.ndarray:
+        for _ in range(self.scaling):
+            term, out = out, out.copy()
+            for j in range(1, self.degree + 1):
+                term = operator @ term
+                term *= 1.0 / j  # a real factor: cheaper than complex division
+                out += term
         return out
 
 
@@ -288,6 +328,11 @@ class Propagator:
         times, start = _check_times(times), np.asarray(start)
         if weights is not None:
             weights = np.asarray(weights, dtype=float)
+            if start.ndim != 2 or weights.shape != start.shape[1:]:
+                raise ValueError(
+                    f"weights of shape {weights.shape} do not fit a start of shape "
+                    f"{start.shape}: need an N x r block and r weights"
+                )
             if not np.all(np.isfinite(weights) & (weights >= 0)):
                 raise ValueError(f"density weights must be finite and >= 0, got {weights}")
         cases = start.shape[1:] if weights is None else ()
@@ -302,6 +347,8 @@ def _check_times(times) -> np.ndarray:
     times = np.asarray(list(times), dtype=float)
     if times.size == 0:
         raise ValueError("need at least one time")
+    if not np.all(np.isfinite(times)):
+        raise ValueError(f"times must be finite, got {times[~np.isfinite(times)]}")
     if times[0] < 0:
         raise ValueError("times must be >= 0")
     if times.size > 1 and np.any(np.diff(times) <= 0):

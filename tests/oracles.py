@@ -6,7 +6,9 @@ solve with plane-wave window fits, and time evolution from an adaptive ODE
 integrator, a dense eigendecomposition, dense Pade matrix exponentials, or
 dense density-matrix products. The closed forms themselves are kept here in
 scalar cmath form (`closed_form_amplitudes`), the arithmetic reference the
-package's array evaluation must equal bit for bit.
+package's array evaluation must equal bit for bit; likewise the Taylor loop in
+complex arithmetic throughout (`complex_taylor_step`), the reference the
+package's real-in-gauge stepping must equal.
 """
 
 import cmath
@@ -16,6 +18,7 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import solve_ivp
 
+from nhscatter.dynamics import _taylor_plan
 from nhscatter.lattice import (
     ALPHA,
     BETA,
@@ -208,6 +211,37 @@ def pade_evolve(ham, psi0, times):
         out.append(psi)
         prev = t
     return out
+
+
+def complex_taylor_step(ham, dt, b):
+    """e^{-iH dt} b by the package's Taylor plan, in complex arithmetic for
+    every H: the operator -iH dt / s and the loop as `TaylorStep` applies
+    them when its operator is not real in the quarter-turn gauge."""
+    a = -1j * ham.matrix * dt
+    degree, scaling = _taylor_plan(a)
+    op = a / scaling
+    out = np.asarray(b, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(scaling):
+            term, out = out, out.copy()
+            for j in range(1, degree + 1):
+                term = op @ term
+                term *= 1.0 / j
+                out += term
+    return out
+
+
+def complex_taylor_states(ham, start, times):
+    """`complex_taylor_step` over a time grid, row i at times[i]. Each step
+    t_i - t_{i-1} is planned on its own, so the grid's steps must be exact
+    (a `Propagator` reuses one plan for steps within STEP_RTOL)."""
+    x, prev, out = np.array(start, dtype=complex), 0.0, []
+    for t in times:
+        if t > prev:
+            x = complex_taylor_step(ham, t - prev, x)
+        prev = t
+        out.append(x)
+    return np.array(out)
 
 
 def dense_density_evolve(ham, rho0, times):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from nhscatter import dynamics
+from nhscatter import dynamics, experiments
 from nhscatter.dynamics import (
     BoundaryContaminationError,
     Propagator,
@@ -219,6 +219,18 @@ class TestEvolveState:
         with pytest.raises(ValueError):
             _states(ham, psi, [])
 
+    @pytest.mark.parametrize(
+        "times", [[0.0, 1.0, math.nan], [0.0, math.inf], [-math.inf, 1.0]]
+    )
+    def test_non_finite_times_rejected(self, times):
+        lat = LatticeSpec(5, 5)
+        prop = Propagator(build_hamiltonian(UNIFORM, lat))
+        psi = gaussian_packet(lat, WavePacketSpec(-3, 1.0, 3.0), UNIFORM)
+        with pytest.raises(ValueError, match="times must be finite"):
+            prop.frames(psi, times)
+        with pytest.raises(ValueError, match="times must be finite"):
+            prop.states(psi, times)
+
 
 class TestBlockFrames:
     """An N x r block steps its columns exactly as each would step alone."""
@@ -377,6 +389,115 @@ class TestTaylorStep:
             prop.step_matrix(1e15)
 
 
+def _real_in_gauge(psi):
+    """(-i)^n |psi_n| over the index n: a state whose gauge transform is real."""
+    return np.array([1, -1j, -1, 1j])[np.arange(len(psi)) % 4] * np.abs(psi)
+
+
+class TestRealGauge:
+    """Steps whose operator is real in the quarter-turn gauge run in real
+    arithmetic; their states equal the complex loop's (signed zeros aside)
+    and their frames equal it bit for bit."""
+
+    @staticmethod
+    def _check(ham, start, times, weights=None):
+        prop = Propagator(ham)
+        ref = oracles.complex_taylor_states(ham, start, times)
+        assert np.all(prop.states(start, times) == ref)
+        frames = prop.frames(start, times, weights)
+        for row, x in zip(frames, ref):
+            p = np.abs(x) ** 2
+            assert np.array_equal(row, p.T if weights is None else p @ weights)
+        return prop
+
+    @pytest.mark.parametrize(
+        "center, lattice, real",
+        [
+            (UNIFORM, LatticeSpec(30, 30), True),
+            (SINGULAR, LatticeSpec(30, 30), True),
+            (AsymmetricDimer(10.0, 0.1), LatticeSpec(20, 40, hard_wall_n0=20), True),
+            (OnSitePotential(2j), LatticeSpec(30, 30), True),
+            (Interferometer(-1.25, 0.75, math.pi / 4), LatticeSpec(30, 30), False),
+            (OnSitePotential(0.3 + 1.1j), LatticeSpec(30, 30), False),
+        ],
+        ids=["uniform", "singular", "hard_wall_absorber", "onsite_2j", "interferometer", "onsite"],
+    )
+    def test_gauged_operator_exactly_when_real_in_gauge(self, center, lattice, real):
+        step = Propagator(build_hamiltonian(center, lattice)).step_matrix(1.0)
+        assert step.operator.dtype == np.complex128
+        assert (step.gauged is not None) == real
+        if real:
+            assert step.gauged.dtype == np.float64
+
+    @pytest.mark.parametrize("gauge_real", [True, False], ids=["gauge_real", "packet"])
+    def test_block_without_zero_part_takes_complex_operator(self, monkeypatch, gauge_real):
+        # a state real in the gauge has an all-zero imaginary column there,
+        # which is skipped; a packet at k = pi/3 has both parts live
+        lat = LatticeSpec(40, 40)
+        psi0 = gaussian_packet(lat, WavePacketSpec(-20, math.pi / 3, 0.3), UNIFORM)
+        if gauge_real:
+            psi0 = _real_in_gauge(psi0)
+        ham = build_hamiltonian(UNIFORM, lat)
+        step = Propagator(ham).step_matrix(1.0)
+        assert step.gauged is not None
+        used = []
+        series = dynamics.TaylorStep._series
+
+        def spy(self, operator, out):
+            used.append(operator is self.gauged)
+            return series(self, operator, out)
+
+        monkeypatch.setattr(dynamics.TaylorStep, "_series", spy)
+        assert np.all(step @ psi0 == oracles.complex_taylor_step(ham, 1.0, psi0))
+        assert used == [gauge_real]
+
+    @pytest.mark.parametrize("nu", [None, *experiments.AbsorbConfig().nu_values])
+    def test_absorb_mixture_matches_complex_loop(self, nu):
+        # the three absorbing dimers and the uniform control chain (nu None)
+        config = experiments.default_config("absorb")
+        lat = config.lattice.to_lattice()
+        center = UNIFORM if nu is None else AsymmetricDimer(1.0 / nu, nu)
+        factor, weights = mixed_state_uniform(lat, center, lat.hard_wall_n0)
+        times = experiments.TimeConfig(t_max=config.absorb.t_max, dt=config.absorb.dt).times()
+        prop = self._check(build_hamiltonian(center, lat), factor, times, weights)
+        assert prop.step_matrix(config.absorb.dt).gauged is not None
+
+    def test_singularity_cases_match_complex_loop(self):
+        lat = LatticeSpec(400, 400)
+        center = SINGULAR
+        assert center.is_singular()
+        cases = [
+            seed_state(lat, center, +1),
+            seed_state(lat, center, -1),
+            gaussian_packet(lat, WavePacketSpec(-60, math.pi / 2, 0.15), center),
+            antisym_two_packets(lat, 60, math.pi / 2, 0.15, center.nu, center),
+        ]
+        ham = build_hamiltonian(center, lat)
+        assert ham.dim == 802
+        self._check(ham, np.column_stack(cases), np.arange(0, 71) * 1.0)
+
+    @pytest.mark.parametrize(
+        "center",
+        [OnSitePotential(2j), OnSitePotential(0.3 + 1.1j), Interferometer(-1.25, 0.75, 1.0)],
+        ids=["onsite_2j", "onsite", "interferometer"],
+    )
+    def test_packet_matches_complex_loop(self, center):
+        # the second column is real in the gauge, so where the gauged operator
+        # exists it steps the block's three live real columns
+        lat = LatticeSpec(80, 80)
+        psi0 = gaussian_packet(lat, WavePacketSpec(-40, math.pi / 2, 0.3), center)
+        block = np.column_stack([psi0, _real_in_gauge(psi0)])
+        self._check(build_hamiltonian(center, lat), block, np.arange(0, 61) * 0.5)
+
+    def test_zero_column_stays_zero(self):
+        lat = LatticeSpec(60, 60)
+        packet = gaussian_packet(lat, WavePacketSpec(-30, math.pi / 3, 0.3), SINGULAR)
+        block = np.column_stack([seed_state(lat, SINGULAR, +1), np.zeros_like(packet), packet])
+        ham = build_hamiltonian(SINGULAR, lat)
+        prop = self._check(ham, block, np.arange(0, 31) * 1.0)
+        assert not np.any(prop.states(block, [0.0, 30.0])[:, :, 1])
+
+
 class TestEvolveDensity:
     """A density matrix is its (factor, weights) pair; it evolves as the
     block states(factor, times), its profile is frames(factor, times, weights)."""
@@ -533,6 +654,20 @@ class TestProfile:
         series = prop.frames(factor, [0.0], [1, 0])  # integer weights are taken as floats
         assert series.dtype == np.float64
         assert np.array_equal(series[0], np.eye(8)[0])
+
+    def test_weights_need_a_block(self):
+        lat = LatticeSpec(3, 3)
+        prop = Propagator(build_hamiltonian(UNIFORM, lat))
+        psi = np.eye(8)[0].astype(complex)
+        with pytest.raises(ValueError, match=r"shape \(1,\) do not fit a start of shape \(8,\)"):
+            prop.frames(psi, [0.0, 1.0], [1.0])
+
+    def test_weights_must_match_the_columns(self):
+        lat = LatticeSpec(3, 3)
+        prop = Propagator(build_hamiltonian(UNIFORM, lat))
+        factor = np.eye(8, 3, dtype=complex)
+        with pytest.raises(ValueError, match=r"shape \(2,\) do not fit a start of shape \(8, 3\)"):
+            prop.frames(factor, [0.0, 1.0], [0.5, 0.5])
 
     def test_results_do_not_alias_the_initial_state(self):
         lat = LatticeSpec(8, 8)
