@@ -15,15 +15,17 @@ write_frames saves. An N x r block of independent cases that share H gives
 T x r x N, case j at [:, j]; with weights, it gives the mixture's T x N
 profile. A block steps as one, each column exactly as it would alone,
 through one loop, Propagator._evolve: the truncated-Taylor action of
-e^{-iH dt} on the sparse H (Al-Mohy & Higham, SIAM J. Sci. Comput. 33:488,
-2011), with one (degree, scaling) plan per distinct time step. No N x N
-exponential is formed, and no eigenvectors are needed, so it stays accurate
-arbitrarily close to the spectral singularity, where eigenvector matrices
-become ill-conditioned. Where -iH dt is real in the quarter-turn gauge
-psi_n = (-i)^n phi_n, as for every dimer chain (real bonds between
-neighbouring indices, imaginary on-site entries), a block whose phi has an
-all-zero real or imaginary column steps in real arithmetic on phi and gives
-the complex loop's bits (see TaylorStep).
+e^{-iH dt} on H's five diagonals (Al-Mohy & Higham, SIAM J. Sci. Comput.
+33:488, 2011), with one (degree, scaling) plan per distinct time step from
+the exact 1-norms of banded powers. No N x N exponential is formed, and no
+eigenvectors are needed, so it stays accurate arbitrarily close to the
+spectral singularity, where eigenvector matrices become ill-conditioned.
+Products run in NumPy on the diagonals (BandedOperator) with the bits of
+SciPy's CSR products, so stepping imports no SciPy. Where -iH dt is real in
+the quarter-turn gauge psi_n = (-i)^n phi_n, as for every dimer chain (real
+bonds between neighbouring indices, imaginary on-site entries), a block
+whose phi has an all-zero real or imaginary column steps in real arithmetic
+on phi and gives the complex loop's bits (see TaylorStep).
 """
 
 import json
@@ -35,6 +37,7 @@ import numpy as np
 
 from .lattice import (
     ALPHA,
+    BAND_OFFSETS,
     BETA,
     AsymmetricDimer,
     CenterSpec,
@@ -73,8 +76,12 @@ class WavePacketSpec:
     lam: float
 
     def __post_init__(self):
-        if not (self.lam > 0 and math.isfinite(self.lam)):
-            raise ValueError("packet width parameter lam must be positive")
+        # the packet's exponent takes lam**2, which overflows past ~1.3e154
+        if not (self.lam > 0 and math.isfinite(self.lam * self.lam)):
+            raise ValueError(
+                f"packet width parameter lam must be positive with a finite square, "
+                f"got {self.lam!r}"
+            )
         if not math.isfinite(self.k0):
             raise ValueError("central momentum must be finite")
 
@@ -173,25 +180,46 @@ _THETA = {
 }
 #: Largest p of the alpha_p (the paper's p_max).
 _P_MAX = 8
-#: Sparse products one step may take (minutes at N ~ 10^3): the work grows
+#: Banded products one step may take (minutes at N ~ 10^3): the work grows
 #: linearly in dt, so a step of, say, 1e20 would otherwise never finish.
 _MAX_PRODUCTS = 10**7
 
 
-def _taylor_plan(a) -> tuple[int, int]:
-    """Degree m and scaling s for e^A by Al-Mohy & Higham eq. (3.11).
+#: i^p for p = 0..3: the gauge's quarter turns, exact in floating point
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
+#: i^-k for the offsets k of the bands: the gauge's turn of a band's entries
+_BAND_TURNS = _QUARTER_TURNS[np.negative(BAND_OFFSETS) % 4, None]
+
+
+def _taylor_plan(a: np.ndarray) -> tuple[int, int]:
+    """Degree m and scaling s for e^A by Al-Mohy & Higham eq. (3.11), with A
+    given by its five diagonals (HamiltonianMatrix.bands).
 
     alpha_p = max(d_p, d_{p+1}) with the exact d_p = ||A^p||_1^{1/p} of the
-    sparse powers, p = 2..9; a chain's ||A||_1 can far exceed its alpha_p
+    banded powers, p = 2..9; a chain's ||A||_1 can far exceed its alpha_p
     (a dimer with mu = 10), which would overstate the work. Returns the m
     minimizing the number of products m * ceil(alpha_p / theta_m) over
-    p(p-1) <= m+1, and s = ceil(alpha_p / theta_m).
+    p(p-1) <= m+1, and s = ceil(alpha_p / theta_m). The powers are those of
+    K = G^-1 A G (see TaylorStep), whose entries have the magnitudes of A's
+    bit for bit and whose imaginary part, none for a dimer chain, lies near
+    the center.
     """
-    d = {}
-    power = a
-    for p in range(2, _P_MAX + 2):
-        power = power @ a
-        d[p] = float(abs(power).sum(axis=0).max()) ** (1.0 / p)
+    k = a * _BAND_TURNS
+    rows = np.flatnonzero(k.imag.any(axis=0))
+    imag = (rows[0], rows[-1] + 1) if rows.size else None
+    # each diagonal s of K, zero-padded, seen at rows i + o for |o| <= 2 _P_MAX
+    reach, n = 2 * _P_MAX, k.shape[1]
+    padded = np.zeros((2, len(k), n + 2 * reach))
+    padded[:, :, reach : reach + n] = k.real, k.imag
+    windows = np.lib.stride_tricks.sliding_window_view(padded, n, axis=2)
+    live = np.flatnonzero(k.any(axis=1))[::-1]  # a dimer chain's: offsets -1 and 1
+    d, power = {}, np.stack([k.real, k.imag])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in range(2, _P_MAX + 2):
+            power, (lo, hi) = _band_product(power, windows, live, imag)
+            mags = np.abs(power[0])
+            mags[:, lo:hi] = np.abs(power[0, :, lo:hi] + 1j * power[1, :, lo:hi])
+            d[p] = float(_max_column_sum(mags)) ** (1.0 / p)
     if not all(math.isfinite(v) for v in d.values()):
         raise PropagatorError("norms of the powers of -iH dt overflowed; step too large")
     best = None
@@ -210,41 +238,166 @@ def _taylor_plan(a) -> tuple[int, int]:
     return m, max(cost // m, 1)
 
 
-#: i^p for p = 0..3: the gauge's quarter turns, exact in floating point
-_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
+def _band_product(p: np.ndarray, windows: np.ndarray, live, imag) -> tuple:
+    """P @ K on diagonals, for K on offsets -2..2 and P = K^j. ``p`` is the
+    (real, imaginary) pair of P's diagonals (offsets -q..q, row i of each at
+    index i); ``windows[c, s, reach + o, i]`` is part c of K's diagonal s at
+    row i + o, ``live`` lists K's nonzero diagonals in descending order, and
+    ``imag`` is the half-open range of K's rows with an imaginary part, or
+    None. Returns the product's pair and the rows its imaginary part may
+    reach, which contain P's.
+
+    Each entry sums over the inner index ascending, each term by the scalar
+    complex product (a_re b_re - a_im b_im, a_re b_im + a_im b_re) in real
+    arithmetic, so no SIMD level changes a bit; the imaginary parts enter
+    only over their rows, outside of which their terms are zero.
+    """
+    (pr, pi), (q, n) = p, (p.shape[1] // 2, p.shape[2])
+    lo, hi = (max(imag[0] - q, 0), min(imag[1] + q, n)) if imag else (0, 0)
+    reach, w = windows.shape[2] // 2, slice(lo, hi)
+    out = np.zeros((2, 2 * q + windows.shape[1], n))
+    # for one output offset, a higher offset s of K means a lower inner index
+    for s in live:
+        kr, ki = windows[:, s, reach - q : reach + q + 1]  # P[i, i + o] meets row o + q
+        rows, term = slice(s, s + 2 * q + 1), pr * kr
+        if hi > lo:
+            term[:, w] -= pi[:, w] * ki[:, w]
+            out[1, rows, w] += pr[:, w] * ki[:, w] + pi[:, w] * kr[:, w]
+        out[0, rows] += term
+    return out, (lo, hi)
+
+
+def _max_column_sum(mags: np.ndarray) -> float:
+    """max_k sum_i M[i, k] of a matrix given by its diagonals (offsets -q..q,
+    row i of each at index i), summing each column from its first row down."""
+    q, n = len(mags) // 2, mags.shape[1]
+    total = np.zeros(n)
+    reach = min(q, n - 1)  # a diagonal further out lies outside the matrix
+    for o in range(reach, -reach - 1, -1):  # column k meets row k - o: rows ascending
+        if o >= 0:
+            total[o:] += mags[q + o, : n - o]
+        else:
+            total[:o] += mags[q + o, -o:]
+    return total.max()
+
+
+#: A diagonal with at most this many nonzero entries, which only a center
+#: fills, is not applied whole: its rows are recomputed instead.
+_SPARSE_DIAGONAL = 4
+
+
+class BandedOperator:
+    """An N x N matrix held as its nonzero diagonals, applied to an N-vector
+    or an N x r block by ``apply`` with the bits of a CSR product (up to the
+    sign of zero).
+
+    ``diagonals[j, i]`` is M[i, i + offsets[j]], offsets ascending. Row i of
+    a product sums its terms from zero in ascending column order, as a CSR row
+    does. The block is read flat, N * r long: offset k is a shift by k * r,
+    multiplied by the diagonal repeated r times. A term whose matrix entry is
+    real or imaginary is exact in any evaluation, but NumPy's SIMD complex
+    multiply may fuse the two products of an entry with both parts nonzero.
+    So the rows holding such an entry, or one on a diagonal with at most
+    _SPARSE_DIAGONAL entries (the center's rows, at most four in a chain), are
+    recomputed by the scalar product (a_re x_re - a_im x_im, a_re x_im +
+    a_im x_re), term by term in column order, and only the other diagonals
+    are applied whole.
+    """
+
+    def __init__(self, bands: np.ndarray):
+        n = bands.shape[1]
+        stored = bands != 0
+        keep = np.flatnonzero(stored.any(axis=1))
+        self.offsets = [int(k) + BAND_OFFSETS[0] for k in keep]
+        self.diagonals = d = bands[keep]
+        self.dtype, self.shape = bands.dtype, (n, n)
+        sparse = stored[keep].sum(axis=1) <= _SPARSE_DIAGONAL
+        self._whole = np.flatnonzero(~sparse)
+        general = (d.real != 0) & (d.imag != 0)
+        self._rows = np.flatnonzero(stored[keep][sparse].any(axis=0) | general.any(axis=0))
+        self._layouts = {}
+
+    def _layout(self, r: int, dtype) -> tuple:
+        """The flat index spans, repeated entries and scratch arrays of the
+        products on an N x r block of ``dtype``, built once per (r, dtype)."""
+        key = (r, dtype)
+        if key not in self._layouts:
+            n, rows = self.shape[0], self._rows
+            whole, scratch = [], np.empty(n * r, dtype)
+            for j in self._whole:
+                k = self.offsets[j]
+                lo, hi = max(-k, 0) * r, (n - max(k, 0)) * r
+                c = np.repeat(self.diagonals[j], r)[lo:hi]
+                whole.append((slice(lo, hi), slice(lo + k * r, hi + k * r), c, scratch[lo:hi]))
+            first = whole[0][0] if whole else slice(0, 0)
+            unset = slice(0, first.start) if first.start else slice(first.stop, None)
+            cols = np.clip(rows + np.c_[self.offsets], 0, n - 1)  # out of range: entry 0
+            flat = (cols[..., None] * r + np.arange(r)).reshape(len(cols), -1)
+            entries = np.repeat(self.diagonals[:, rows], r, axis=1)
+            parts = [entries.real.astype(dtype)]  # in x's dtype: no cast per product
+            if entries.dtype.kind == "c":
+                parts.append(1j * entries.imag)
+            targets = (rows[:, None] * r + np.arange(r)).reshape(-1)
+            self._layouts[key] = whole, unset, (targets, flat, parts)
+        return self._layouts[key]
+
+    def apply(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out`` = M @ x for C-ordered arrays of one shape, x's first axis N
+        and out of the product's dtype; returns ``out``."""
+        whole, unset, (targets, flat, parts) = self._layout(x.size // self.shape[0], out.dtype)
+        xf, yf = x.reshape(-1), out.reshape(-1)
+        yf[unset] = 0
+        if whole:
+            rows, src, c, _ = whole[0]
+            np.multiply(c, xf[src], out=yf[rows])
+            for rows, src, c, scratch in whole[1:]:
+                y = yf[rows]
+                y += np.multiply(c, xf[src], out=scratch)
+        if targets.size:
+            g = xf[flat]
+            terms = parts[0] * g
+            for part in parts[1:]:  # the imaginary part: a_re x + (i a_im) x
+                terms += part * g
+            # accumulate adds one term at a time, in column order (a reduce
+            # may sum pairwise)
+            yf[targets] = np.add.accumulate(terms)[-1]
+        return out
 
 
 class TaylorStep:
     """e^A for A = -iH dt, applied as ``step @ b`` without forming e^A.
 
-    ``step @ b`` takes ``scaling`` substeps b <- sum_{j<=degree} (A/s)^j b / j!,
-    each summing all ``degree`` terms (the backward-error bound of the plan
-    holds for the full degree), with ``operator`` = A/s stored as CSR.
+    ``a`` is A on the five diagonals of HamiltonianMatrix.bands. ``step @ b``
+    takes ``scaling`` substeps b <- sum_{j<=degree} (A/s)^j b / j!, each
+    summing all ``degree`` terms (the backward-error bound of the plan holds
+    for the full degree), with ``operator`` = A/s as a BandedOperator.
     Deterministic: no random norm estimate, so reruns are bit-identical.
 
-    ``gauged`` is K = G^-1 (A/s) G as a real CSR when K is real, with
-    G = diag((-i)^n) over the matrix index n, and None otherwise: K is real
-    for every real chain whose bonds join neighbouring indices and whose
-    on-site entries are imaginary (every dimer chain, hard wall or not, and an
-    imaginary on-site center). When some real or imaginary part of G^-1 b is
-    all zero, the block is stepped as G (e^K applied to G^-1 b), with the
-    parts of G^-1 b as real columns and the zero ones skipped. A block with
-    no zero part is stepped by ``operator``: the arithmetic is the same, and
-    a product on r complex columns is cheaper than on 2r real ones. A
-    quarter turn only swaps and negates components, so each product and sum
-    equals the complex loop's up to the sign of zero.
+    ``gauged`` is K = G^-1 (A/s) G as a real BandedOperator when K is real,
+    with G = diag((-i)^n) over the matrix index n, and None otherwise: the
+    entry at offset k carries i^-k, so K is real for every real chain whose
+    bonds join neighbouring indices and whose on-site entries are imaginary
+    (every dimer chain, hard wall or not, and an imaginary on-site center).
+    When some real or imaginary part of G^-1 b is all zero, the block is
+    stepped as G (e^K applied to G^-1 b), with the parts of G^-1 b as real
+    columns and the zero ones skipped. A block with no zero part is stepped
+    by ``operator``: the arithmetic is the same, and a product on r complex
+    columns is cheaper than on 2r real ones. A quarter turn only swaps and
+    negates components, so each product and sum equals the complex loop's up
+    to the sign of zero.
     """
 
-    def __init__(self, a, dt: float):
+    def __init__(self, a: np.ndarray, dt: float):
         self.dt = dt
+        self._buffers = {}
         self.degree, self.scaling = _taylor_plan(a)
-        self.operator = op = a / self.scaling
-        rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
-        k = op.data * _QUARTER_TURNS[(rows - op.indices) % 4]  # i^(m-n) A_mn
+        a = a * (1 / self.scaling)  # by the reciprocal, as a CSR matrix is divided
+        self.operator = BandedOperator(a)
+        k = a * _BAND_TURNS  # i^-k on offset k
         self.gauged = None
         if not np.any(k.imag):
-            self.gauged = type(op)((k.real, op.indices, op.indptr), shape=op.shape)
-            n = np.arange(op.shape[0]) % 4
+            self.gauged = BandedOperator(k.real)
+            n = np.arange(a.shape[1]) % 4
             self._into, self._back = _QUARTER_TURNS[n, None], _QUARTER_TURNS[-n, None]
 
     def __matmul__(self, b: np.ndarray) -> np.ndarray:
@@ -267,11 +420,16 @@ class TaylorStep:
             )
         return out
 
-    def _series(self, operator, out: np.ndarray) -> np.ndarray:
+    def _series(self, operator: BandedOperator, out: np.ndarray) -> np.ndarray:
+        # each product writes the buffer its input is not: the terms ping-pong
+        key = (out.shape, out.dtype)
+        if key not in self._buffers:
+            self._buffers[key] = np.empty((2, *out.shape), out.dtype)
+        buffers = self._buffers[key]
         for _ in range(self.scaling):
             term, out = out, out.copy()
             for j in range(1, self.degree + 1):
-                term = operator @ term
+                term = operator.apply(term, buffers[j % 2])
                 term *= 1.0 / j  # a real factor: cheaper than complex division
                 out += term
         return out
@@ -280,8 +438,8 @@ class TaylorStep:
 class Propagator:
     """Builds and applies e^{-iH dt} for one H: one step plan per distinct step.
 
-    H, already sparse, is scaled once by -i, and each distinct dt gets one
-    `TaylorStep`, whose application costs degree x scaling sparse products.
+    H's diagonals are scaled once by -i, and each distinct dt gets one
+    `TaylorStep`, whose application costs degree x scaling banded products.
     A step within a relative STEP_RTOL (1e-12) of a step already seen reuses
     the plan built for that first step, so a grid n*dt costs a single plan
     although its float differences vary in the last digits.
@@ -289,7 +447,7 @@ class Propagator:
 
     def __init__(self, ham: HamiltonianMatrix):
         self.ham = ham
-        self._generator = -1j * ham.matrix
+        self._generator = -1j * ham.bands
         self._cache: dict[float, TaylorStep] = {}
 
     def step_matrix(self, dt: float) -> TaylorStep:

@@ -112,6 +112,11 @@ class PacketConfig:
     pair_site: int = 60  # +-offset of the counter-propagating pair
 
 
+#: Most points a time grid or a sweep may hold: larger grids are refused
+#: before any array is allocated (frames take 8 N bytes per time).
+MAX_GRID_POINTS = 10**7
+
+
 @dataclass
 class TimeConfig:
     """Time grid 0, dt, 2 dt, ..., n dt, where n dt is the last multiple of dt
@@ -125,6 +130,11 @@ class TimeConfig:
         if not (0 < self.dt <= self.t_max and math.isfinite(self.t_max / self.dt)):
             raise ConfigError("need finite dt > 0 and t_max >= dt")
         n = math.floor(self.t_max / self.dt + 1e-9)
+        if n >= MAX_GRID_POINTS:
+            raise ConfigError(
+                f"time grid t_max={self.t_max!r}, dt={self.dt!r} holds {n + 1} points, "
+                f"more than {MAX_GRID_POINTS}"
+            )
         return np.arange(0, n + 1, dtype=float) * self.dt
 
 
@@ -362,8 +372,9 @@ def _le(name, measured, bound, detail="") -> AssertionResult:
 def run_scenario(config: ScenarioConfig) -> RunManifest:
     """Execute one scenario, writing outputs and exactly one manifest. This is
     the one error boundary of the scenario layer: a `ValueError` raised by a
-    runner (a malformed or inconsistent config value) and an `OSError` from
-    the output directory or a file written into it leave as `ConfigError`."""
+    runner (a malformed or inconsistent config value), a `MemoryError` (a
+    config too large to hold) and an `OSError` from the output directory or a
+    file written into it leave as `ConfigError`."""
     if config.scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {config.scenario!r}")
     out_dir = Path(config.out_dir)
@@ -391,6 +402,8 @@ def run_scenario(config: ScenarioConfig) -> RunManifest:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    except MemoryError as exc:
+        raise ConfigError(f"the run does not fit in memory: {exc}") from None
     except OSError as exc:
         path = str(exc.filename or out_dir)  # a failed write() names no file
         raise ConfigError(f"cannot write output file {path!r}: {exc.strerror or exc}") from None
@@ -411,8 +424,8 @@ def _is_hermitian_center(center: CenterSpec) -> bool:
 def _run_sweep(config: ScenarioConfig, out_dir: Path):
     center = config.center.to_center()
     n = config.sweep.samples
-    if n < 1:
-        raise ConfigError("sweep.samples must be positive")
+    if not 1 <= n <= MAX_GRID_POINTS:
+        raise ConfigError(f"sweep.samples must lie in 1..{MAX_GRID_POINTS}, got {n}")
     ks = np.arange(1, n + 1) * math.pi / (n + 1)
     left, right = sweep_rows(center, ks, LEFT), sweep_rows(center, ks, RIGHT)
     write_sweep_csv({out_dir / "sweep_left.csv": left, out_dir / "sweep_right.csv": right})

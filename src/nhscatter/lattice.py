@@ -7,6 +7,9 @@ Energies are measured in units of the lead hopping, so the lead dispersion is
 E_k = -2 cos k and the maximal group velocity is 2. Times are in inverse
 hopping units.
 
+H is held as its five diagonals (HamiltonianMatrix.bands), built with NumPy
+alone; its SciPy CSR form is built on demand.
+
 Leads are finite here while the physics is posed on semi-infinite chains;
 callers must size leads so that no probability reaches the open ends during
 the simulated window (rule of thumb: len >= |packet site| + 2*t_max + 5*width).
@@ -15,7 +18,7 @@ the simulated window (rule of thumb: len >= |packet site| + 2*t_max + 5*width).
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Union
 
 import numpy as np
@@ -183,35 +186,77 @@ def site_to_index(lattice: LatticeSpec, site: SiteLabel, center: CenterSpec) -> 
         raise ValueError(f"site {site!r} does not exist in this lattice") from None
 
 
+#: Offsets of the diagonals H lives on: a chain's bonds join neighbouring
+#: indices, and a two-site center couples a lead end to the far center site.
+BAND_OFFSETS = (-2, -1, 0, 1, 2)
+
+
 @dataclass(frozen=True)
 class HamiltonianMatrix:
-    """H as one canonical complex ``scipy.sparse.csr_array`` (sorted, no
-    stored zeros) with the specs it is indexed by (a transformed matrix no
-    longer follows the build rules of its ``center``). Any input is copied into
-    that form with read-only arrays, so writing through ``matrix`` raises."""
+    """H as its five diagonals, ``bands[2 + k, i] = H[i, i + k]`` for the
+    offsets k of BAND_OFFSETS (complex; zero where i + k falls outside the
+    matrix), with the specs it is indexed by (a transformed matrix no longer
+    follows the build rules of its ``center``). The bands are a read-only copy
+    of the input, so writing through them raises. Building and stepping H use
+    only the bands; ``matrix``, the same entries as a canonical
+    ``scipy.sparse.csr_array`` (sorted, no stored zeros, read-only), is built
+    on first use, by the transforms and verify."""
 
-    matrix: "scipy.sparse.csr_array"
+    bands: np.ndarray
     center: CenterSpec
     lattice: LatticeSpec
 
     def __post_init__(self):
-        import scipy.sparse  # here, not at the top: runs that never build H skip it
-
-        mat = scipy.sparse.csr_array(self.matrix, dtype=complex, copy=True)
-        expected = lattice_dim(self.center, self.lattice)
-        if mat.shape != (expected, expected):
+        bands = np.array(self.bands, dtype=complex)
+        n = lattice_dim(self.center, self.lattice)
+        if bands.shape != (len(BAND_OFFSETS), n):
             raise ValueError(
-                f"matrix shape {mat.shape} does not match lattice dimension {expected}"
+                f"bands of shape {bands.shape} do not match lattice dimension {n}"
             )
-        mat.sum_duplicates()  # also sorts the indices
-        mat.eliminate_zeros()
+        rows = np.arange(n)
+        for band, k in zip(bands, BAND_OFFSETS):
+            if band[(rows + k < 0) | (rows + k >= n)].any():
+                raise ValueError(f"diagonal {k} holds an entry outside the matrix")
+        bands.setflags(write=False)
+        object.__setattr__(self, "bands", bands)
+
+    @classmethod
+    def from_matrix(cls, matrix, center: CenterSpec, lattice: LatticeSpec):
+        """H from an N x N dense or sparse matrix whose entries lie on the
+        diagonals of BAND_OFFSETS; duplicate sparse entries are summed."""
+        import scipy.sparse  # here, not at the top: building and stepping H skip it
+
+        h = scipy.sparse.coo_array(matrix, dtype=complex)
+        h.sum_duplicates()
+        n = lattice_dim(center, lattice)
+        if h.shape != (n, n):
+            raise ValueError(f"matrix shape {h.shape} does not match lattice dimension {n}")
+        stored = h.data != 0
+        rows, offsets = h.row[stored], (h.col - h.row)[stored]
+        if rows.size and np.abs(offsets).max() > BAND_OFFSETS[-1]:
+            raise ValueError(f"matrix has entries off the diagonals {BAND_OFFSETS}")
+        bands = np.zeros((len(BAND_OFFSETS), n), dtype=complex)
+        bands[offsets - BAND_OFFSETS[0], rows] = h.data[stored]
+        return cls(bands, center, lattice)
+
+    @cached_property
+    def matrix(self) -> "scipy.sparse.csr_array":
+        import scipy.sparse
+
+        stored = self.bands.T != 0  # row by row, each row's columns ascending
+        rows, slots = np.nonzero(stored)
+        indptr = np.r_[0, np.cumsum(stored.sum(axis=1))]
+        mat = scipy.sparse.csr_array(
+            (self.bands.T[stored], rows + np.take(BAND_OFFSETS, slots), indptr),
+            shape=(self.dim, self.dim),
+        )
         for array in (mat.data, mat.indices, mat.indptr):
             array.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        return mat
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.bands.shape[1]
 
     def site_index(self, site: SiteLabel) -> int:
         return site_to_index(self.lattice, site, self.center)
@@ -224,12 +269,10 @@ class HamiltonianMatrix:
 
 
 def build_hamiltonian(center: CenterSpec, lattice: LatticeSpec) -> HamiltonianMatrix:
-    """Assemble the sparse Hamiltonian of a center embedded between two leads:
-    at most 5N entries, all on the diagonals -2..2. Every bond (i, i + 1) is
-    -1 but a hard wall's, left out, and those the center replaces by its own
-    entries. Non-Hermitian entries are confined to the center block."""
-    import scipy.sparse  # here, not at the top: runs that never build H skip it
-
+    """Assemble the Hamiltonian of a center embedded between two leads on its
+    five diagonals -2..2. Every bond (i, i + 1) is -1 but a hard wall's, left
+    out, and those the center replaces by its own entries. Non-Hermitian
+    entries are confined to the center block."""
     n = lattice_dim(center, lattice)
     c = lattice.left_len  # first center index
     im1, ip1 = c - 1, n - lattice.right_len  # sites -1 and 1
@@ -255,10 +298,9 @@ def build_hamiltonian(center: CenterSpec, lattice: LatticeSpec) -> HamiltonianMa
     else:
         raise TypeError(f"unknown center spec {center!r}")
 
+    bands = np.zeros((len(BAND_OFFSETS), n), dtype=complex)
     bonds = np.setdiff1d(np.arange(n - 1), cut)
-    rows, cols, values = zip(*entries)
-    triplets = (
-        np.r_[np.full(2 * bonds.size, -1.0), np.array(values, dtype=complex)],
-        (np.r_[bonds, bonds + 1, rows], np.r_[bonds + 1, bonds, cols]),
-    )
-    return HamiltonianMatrix(scipy.sparse.coo_array(triplets, shape=(n, n)), center, lattice)
+    bands[3, bonds] = bands[1, bonds + 1] = -1.0  # H[i, i + 1] and H[i + 1, i]
+    for row, col, value in entries:
+        bands[2 + col - row, row] = value
+    return HamiltonianMatrix(bands, center, lattice)

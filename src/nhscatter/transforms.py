@@ -60,7 +60,7 @@ def alpha_beta_rotation(ham: HamiltonianMatrix) -> HamiltonianMatrix:
     b = scipy.sparse.csr_array(
         scipy.sparse.block_diag((eye(start), ALPHA_BETA_BLOCK, eye(ham.dim - stop)))
     )
-    return HamiltonianMatrix(b.conj().T @ ham.matrix @ b, center=dimer, lattice=ham.lattice)
+    return HamiltonianMatrix.from_matrix(b.conj().T @ ham.matrix @ b, dimer, ham.lattice)
 
 
 def biorthogonal_scale(ham: HamiltonianMatrix) -> HamiltonianMatrix:
@@ -79,7 +79,7 @@ def biorthogonal_scale(ham: HamiltonianMatrix) -> HamiltonianMatrix:
     if center.mu == 0.0 or center.nu == 0.0:
         raise ValueError("scaling requires both hopping amplitudes nonzero")
     if center.mu == center.nu:
-        return ham  # D = 1; the matrix is read-only, so no copy is needed
+        return ham  # D = 1; the bands are read-only, so no copy is needed
     # ratio formed as a real float so the principal square root is taken on
     # (-|x|, +0j) rather than an accidental (-|x|, -0j) from complex division
     scale = cmath.sqrt(complex(center.nu / center.mu, 0.0))
@@ -87,7 +87,7 @@ def biorthogonal_scale(ham: HamiltonianMatrix) -> HamiltonianMatrix:
     d[ham.site_index(BETA):] = scale
     h = ham.matrix.tocoo()
     h.data = h.data * ((1.0 / d)[h.row] * d[h.col])  # H_ij d_j / d_i, entry by entry
-    return HamiltonianMatrix(matrix=h, center=center, lattice=ham.lattice)
+    return HamiltonianMatrix.from_matrix(h, center, ham.lattice)
 
 
 #: Tolerance of parity_decompose on the center coupling and the cross coupling.

@@ -7,8 +7,9 @@ integrator, a dense eigendecomposition, dense Pade matrix exponentials, or
 dense density-matrix products. The closed forms themselves are kept here in
 scalar cmath form (`closed_form_amplitudes`), the arithmetic reference the
 package's array evaluation must equal bit for bit; likewise the Taylor loop in
-complex arithmetic throughout (`complex_taylor_step`), the reference the
-package's real-in-gauge stepping must equal.
+complex arithmetic throughout on SciPy's CSR (`complex_taylor_step`, planned by
+`csr_taylor_plan` from CSR powers), the reference the package's banded NumPy
+stepping must equal, real-in-gauge or not, and `operator_csr` for its products.
 """
 
 import cmath
@@ -16,9 +17,10 @@ import math
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 from scipy.integrate import solve_ivp
 
-from nhscatter.dynamics import _taylor_plan
+from nhscatter.dynamics import _MAX_PRODUCTS, _P_MAX, _THETA, PropagatorError
 from nhscatter.lattice import (
     ALPHA,
     BETA,
@@ -213,12 +215,47 @@ def pade_evolve(ham, psi0, times):
     return out
 
 
+def operator_csr(op):
+    """A `BandedOperator`'s matrix as a canonical SciPy CSR array (sorted
+    indices, no stored zeros), through its dense N x N form."""
+    n = op.shape[0]
+    dense = np.zeros(op.shape, dtype=op.dtype)
+    for k, diagonal in zip(op.offsets, op.diagonals):
+        rows = np.arange(max(-k, 0), n - max(k, 0))
+        dense[rows, rows + k] = diagonal[rows]
+    return scipy.sparse.csr_array(dense)
+
+
+def csr_taylor_plan(a) -> tuple[int, int]:
+    """(degree, scaling) for e^A, A a SciPy sparse matrix, by the rule of
+    `dynamics._taylor_plan` with the norms ||A^p||_1 of SciPy's sparse powers."""
+    d = {}
+    power = a
+    for p in range(2, _P_MAX + 2):
+        power = power @ a
+        d[p] = float(abs(power).sum(axis=0).max()) ** (1.0 / p)
+    if not all(math.isfinite(v) for v in d.values()):
+        raise PropagatorError("norms of the powers of -iH dt overflowed; step too large")
+    best = None
+    for m, theta in _THETA.items():
+        for p in range(2, _P_MAX + 1):
+            if p * (p - 1) <= m + 1:
+                cost = m * math.ceil(max(d[p], d[p + 1]) / theta)
+                if best is None or cost < best[0]:
+                    best = (cost, m)
+    cost, m = best
+    if cost > _MAX_PRODUCTS:
+        raise PropagatorError(f"the step needs {cost:.3e} sparse products")
+    return m, max(cost // m, 1)
+
+
 def complex_taylor_step(ham, dt, b):
     """e^{-iH dt} b by the package's Taylor plan, in complex arithmetic for
-    every H: the operator -iH dt / s and the loop as `TaylorStep` applies
-    them when its operator is not real in the quarter-turn gauge."""
+    every H and on SciPy's CSR: the operator -iH dt / s and the loop as
+    `TaylorStep` applies them when its operator is not real in the
+    quarter-turn gauge."""
     a = -1j * ham.matrix * dt
-    degree, scaling = _taylor_plan(a)
+    degree, scaling = csr_taylor_plan(a)
     op = a / scaling
     out = np.asarray(b, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -498,6 +498,108 @@ class TestRealGauge:
         assert not np.any(prop.states(block, [0.0, 30.0])[:, :, 1])
 
 
+#: Centers of the banded-product checks: every chain the scenarios step, and
+#: centers whose entries have both parts nonzero (interferometer, onsite).
+PRODUCT_CENTERS = [
+    pytest.param(UNIFORM, LatticeSpec(30, 30), id="uniform"),
+    pytest.param(AsymmetricDimer(0.5, 2.0), LatticeSpec(30, 30), id="resonant"),
+    pytest.param(SINGULAR, LatticeSpec(30, 30), id="singular"),
+    pytest.param(
+        AsymmetricDimer(10.0, 0.1), LatticeSpec(20, 40, hard_wall_n0=20), id="hard_wall"
+    ),
+    pytest.param(Interferometer(-1.25, 0.75, math.pi / 4), LatticeSpec(30, 30), id="interferometer"),
+    pytest.param(Interferometer(-1.25, 0.75, 1.0), LatticeSpec(30, 30), id="interferometer_off"),
+    pytest.param(OnSitePotential(2j), LatticeSpec(30, 30), id="onsite_2j"),
+    pytest.param(OnSitePotential(0.3 + 1.1j), LatticeSpec(30, 30), id="onsite"),
+]
+
+
+class TestBandedProducts:
+    """The NumPy banded kernel and plan against SciPy's CSR: products equal
+    with ==, plans equal for every step the scenarios take."""
+
+    @pytest.mark.parametrize("dt", [0.7, 9.0])
+    @pytest.mark.parametrize("center, lattice", PRODUCT_CENTERS)
+    def test_operator_is_the_scaled_csr_generator(self, center, lattice, dt):
+        ham = build_hamiltonian(center, lattice)
+        step = Propagator(ham).step_matrix(dt)
+        assert (step.scaling > 1) == (dt > 1)
+        reference = -1j * ham.matrix * dt / step.scaling
+        ours = oracles.operator_csr(step.operator)
+        assert ours.nnz == reference.nnz
+        assert np.array_equal(ours.toarray(), reference.toarray())
+
+    @pytest.mark.parametrize("width", [None, 1, 3, 20], ids=["vector", "r1", "r3", "r20"])
+    @pytest.mark.parametrize("center, lattice", PRODUCT_CENTERS)
+    def test_products_equal_csr(self, center, lattice, width):
+        step = Propagator(build_hamiltonian(center, lattice)).step_matrix(1.0)
+        n = step.operator.shape[0]
+        shape = (n,) if width is None else (n, width)
+        rng = np.random.default_rng(width or 0)
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 5, shape)
+        z = x + 1j * rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 5, shape)
+        ours = step.operator.apply(z, np.empty_like(z))
+        assert np.all(ours == oracles.operator_csr(step.operator) @ z)
+        if step.gauged is not None:  # the real-gauge route: a real block
+            ours = step.gauged.apply(x, np.empty_like(x))
+            assert np.all(ours == oracles.operator_csr(step.gauged) @ x)
+
+    @pytest.fixture(scope="class")
+    def scenario_steps(self, tmp_path_factory):
+        """(H, dt, plan) of every step plan the six default scenarios,
+        singularity at dt = 0.1 and the two benchmark warm-ups build."""
+        steps = []
+        build = dynamics.Propagator.step_matrix
+
+        def recording(prop, dt):
+            seen = len(prop._cache)
+            step = build(prop, dt)
+            if len(prop._cache) > seen:
+                steps.append((prop.ham, dt, (step.degree, step.scaling)))
+            return step
+
+        runs = [(name, ()) for name in experiments.SCENARIOS]
+        runs += [
+            ("singularity", ("time.dt=0.1",)),
+            ("amplify", ("time.t_max=1.0",)),
+            ("absorb", ("absorb.nu_values=0.5, 0.4", "absorb.t_max=50.0", "absorb.dt=50.0")),
+        ]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics.Propagator, "step_matrix", recording)
+            for i, (name, overrides) in enumerate(runs):
+                out = tmp_path_factory.mktemp("steps") / f"{i}-{name}"
+                config = experiments.default_config(name)
+                config = experiments.apply_overrides(config, [*overrides, f"out_dir={out}"])
+                experiments.run_scenario(config)
+        return steps
+
+    def test_plans_equal_csr_for_every_scenario_step(self, scenario_steps):
+        # amplify 2, flux-deviation 4, singularity 1 and 1 at dt = 0.1,
+        # absorb 4, warm-ups 2 + 3; sweep and verify step nothing
+        assert len(scenario_steps) == 17
+        for ham, dt, plan in scenario_steps:
+            assert plan == oracles.csr_taylor_plan(-1j * ham.matrix * dt), (ham.center, dt)
+
+    @given(
+        kind=st.sampled_from(["dimer", "interferometer", "onsite"]),
+        p=st.floats(-3, 3),
+        q=st.floats(-3, 3),
+        phi=st.floats(0, 2 * math.pi),
+        dt=st.floats(1e-3, 30),
+        wall=st.sampled_from([None, 3]),
+    )
+    @settings(max_examples=60, derandomize=True)
+    def test_plans_equal_csr(self, kind, p, q, phi, dt, wall):
+        center = {
+            "dimer": AsymmetricDimer(p, q),
+            "interferometer": Interferometer(p, q, phi),
+            "onsite": OnSitePotential(complex(p, q)),
+        }[kind]
+        ham = build_hamiltonian(center, LatticeSpec(7, 9, hard_wall_n0=wall))
+        plan = dynamics._taylor_plan(-1j * ham.bands * dt)
+        assert plan == oracles.csr_taylor_plan(-1j * ham.matrix * dt)
+
+
 class TestEvolveDensity:
     """A density matrix is its (factor, weights) pair; it evolves as the
     block states(factor, times), its profile is frames(factor, times, weights)."""

@@ -22,6 +22,7 @@ from nhscatter.experiments import (
     run_scenario,
     to_ini,
 )
+from nhscatter import experiments
 from nhscatter.cli import main
 from nhscatter.lattice import (
     AsymmetricDimer,
@@ -604,8 +605,65 @@ class TestCli:
         assert code == 2
         assert err.startswith("config error: packet has no weight on the lead sites"), err
 
+    def test_huge_packet_lam_exit_two(self, tmp_path, capsys):
+        # lam**2 overflows a float here; the packet's exponent used to raise
+        # OverflowError and print a traceback
+        args = ["amplify", "--out", str(tmp_path / "x"), "--set", "packet.lam=1e300"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: packet width parameter lam") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "scenario, override",
+        [
+            ("absorb", "absorb.t_max=1e13"),
+            ("singularity", "time.t_max=1e13"),
+            ("sweep", "sweep.samples=10000000000"),
+        ],
+    )
+    def test_oversized_grid_exit_two(self, tmp_path, capsys, scenario, override):
+        # refused before any array is allocated (these used to raise NumPy's
+        # MemoryError for 40-80 TB grids)
+        assert main([scenario, "--out", str(tmp_path / "x"), "--set", override]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert str(experiments.MAX_GRID_POINTS) in err
+
+    def test_out_of_memory_exit_two(self, tmp_path, capsys, monkeypatch):
+        def runner(config, out_dir):
+            raise MemoryError("Unable to allocate 64.0 GiB for an array")
+
+        monkeypatch.setitem(experiments._RUNNERS, "amplify", runner)
+        assert main(["amplify", "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: the run does not fit in memory: "
+            "Unable to allocate 64.0 GiB for an array\n"
+        )
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["amplify", "--set", "lattice.left_len=200", "--set", "lattice.right_len=200"],
+            [
+                "flux-deviation",
+                "--set", "lattice.left_len=200",
+                "--set", "lattice.right_len=200",
+                "--set", "flux.k0_values=1.2566370614359172, 1.5707963267948966",
+                "--set", "flux.deviations=0, 10",
+            ],
+            ["singularity", "--set", "lattice.left_len=200", "--set", "lattice.right_len=200"],
+            ["absorb", "--set", "absorb.nu_values=0.5, 0.1"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_propagating_run_loads_no_scipy(self, tmp_path, args):
+        # H is built and stepped on its diagonals, in NumPy
+        out = str(tmp_path / "run")
+        code = f"from nhscatter.cli import main; assert main({args + ['--out', out]!r}) == 0"
+        assert _scipy_modules_after(code) == "[]"
+
     def test_start_up_loads_no_scipy(self):
-        # only building and stepping H need scipy.sparse; it is imported where used
+        # scipy.sparse is imported where used: by the transforms and H's CSR view
         assert _scipy_modules_after("import nhscatter.cli") == "[]"
 
     def test_sweep_run_loads_no_scipy(self, tmp_path):

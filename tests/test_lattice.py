@@ -298,12 +298,48 @@ class TestHamiltonianMatrix:
         center, lattice = AsymmetricDimer(0.5, 2.0), LatticeSpec(2, 2)
         h = np.zeros((6, 6))
         h[0, 1] = 2.0
-        ham = HamiltonianMatrix(h, center, lattice)  # converted into a copy
+        ham = HamiltonianMatrix.from_matrix(h, center, lattice)  # converted into a copy
+        assert ham.bands.dtype == complex and not ham.bands.flags.writeable
+        assert np.count_nonzero(ham.bands) == 1 and ham.bands[3, 0] == 2.0
         assert type(ham.matrix).__name__ == "csr_array" and ham.matrix.dtype == complex
         assert ham.matrix.nnz == 1 and ham.matrix[0, 1] == 2.0
         for array in (ham.matrix.data, ham.matrix.indices, ham.matrix.indptr):
             assert not array.flags.writeable
         h[0, 1] = 3.0  # the caller's array stays its own
         assert ham.matrix[0, 1] == 2.0
-        with pytest.raises(ValueError, match="does not match"):
+        bands = np.array(ham.bands)
+        direct = HamiltonianMatrix(bands, center, lattice)
+        bands[3, 0] = 3.0  # so do the caller's bands
+        assert direct.bands[3, 0] == 2.0 and not direct.bands.flags.writeable
+        with pytest.raises(ValueError, match="match lattice dimension"):
+            HamiltonianMatrix.from_matrix(np.zeros((5, 5)), center, lattice)
+        with pytest.raises(ValueError, match="match lattice dimension"):
             HamiltonianMatrix(np.zeros((5, 5)), center, lattice)
+
+    def test_entries_must_lie_on_the_five_diagonals(self):
+        center, lattice = AsymmetricDimer(0.5, 2.0), LatticeSpec(2, 2)
+        h = np.zeros((6, 6))
+        h[0, 3] = 1.0
+        with pytest.raises(ValueError, match="off the diagonals"):
+            HamiltonianMatrix.from_matrix(h, center, lattice)
+        h[0, 3] = 0.0
+        h[1, 3] = h[3, 1] = 1.0  # offset 2 is the outermost kept
+        assert HamiltonianMatrix.from_matrix(h, center, lattice).bands[4, 1] == 1.0
+        bands = np.zeros((5, 6))
+        bands[4, 5] = 1.0  # H[5, 7] lies outside a 6 x 6 matrix
+        with pytest.raises(ValueError, match="outside the matrix"):
+            HamiltonianMatrix(bands, center, lattice)
+
+    @pytest.mark.parametrize(
+        "center",
+        [
+            OnSitePotential(0.3 + 1.1j),
+            Interferometer(-1.25, 0.75, 1.0),
+            AsymmetricDimer(-2.0, 0.5),
+        ],
+    )
+    def test_matrix_round_trips_through_the_bands(self, center):
+        ham = build_hamiltonian(center, LatticeSpec(9, 6, hard_wall_n0=4))
+        again = HamiltonianMatrix.from_matrix(ham.matrix, center, ham.lattice)
+        assert np.array_equal(again.bands, ham.bands)
+        assert np.array_equal(again.matrix.toarray(), ham.matrix.toarray())
