@@ -17,15 +17,19 @@ profile. A block steps as one, each column exactly as it would alone,
 through one loop, Propagator._evolve: the truncated-Taylor action of
 e^{-iH dt} on H's five diagonals (Al-Mohy & Higham, SIAM J. Sci. Comput.
 33:488, 2011), with one (degree, scaling) plan per distinct time step from
-the exact 1-norms of banded powers. No N x N exponential is formed, and no
-eigenvectors are needed, so it stays accurate arbitrarily close to the
-spectral singularity, where eigenvector matrices become ill-conditioned.
-Products run in NumPy on the diagonals (BandedOperator) with the bits of
-SciPy's CSR products, so stepping imports no SciPy. Where -iH dt is real in
-the quarter-turn gauge psi_n = (-i)^n phi_n, as for every dimer chain (real
-bonds between neighbouring indices, imaginary on-site entries), a block
-whose phi has an all-zero real or imaginary column steps in real arithmetic
-on phi and gives the complex loop's bits (see TaylorStep).
+the exact 1-norms of the powers A^p, A = -iH dt, p = 2..9. These are read
+from A^p applied to 37 probe columns, each the sum of every 37th unit
+vector, whose images stay apart because A^p has no entry further than 18
+from its diagonal. No N x N exponential is formed, and no eigenvectors are
+needed, so it stays accurate arbitrarily close to the spectral singularity,
+where eigenvector matrices become ill-conditioned. Every product, of states
+and of probes, runs in NumPy on the diagonals by one kernel
+(BandedOperator) with the bits of SciPy's CSR products, so stepping imports
+no SciPy. Where -iH dt is real in the quarter-turn gauge psi_n = (-i)^n
+phi_n, as for every dimer chain (real bonds between neighbouring indices,
+imaginary on-site entries), a block whose phi has an all-zero real or
+imaginary column steps in real arithmetic on phi and gives the complex
+loop's bits (see TaylorStep).
 """
 
 import json
@@ -185,10 +189,31 @@ _P_MAX = 8
 _MAX_PRODUCTS = 10**7
 
 
-#: i^p for p = 0..3: the gauge's quarter turns, exact in floating point
-_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
-#: i^-k for the offsets k of the bands: the gauge's turn of a band's entries
-_BAND_TURNS = _QUARTER_TURNS[np.negative(BAND_OFFSETS) % 4, None]
+def _power_norms(a: np.ndarray) -> dict[int, float]:
+    """{p: ||A^p||_1} for p = 2.._P_MAX + 1, with A given by its five
+    diagonals (HamiltonianMatrix.bands).
+
+    A^p e_j lies within reach = 2 (_P_MAX + 1) rows of j, so the columns e_j
+    with j = c (mod W), W = 2 reach + 1, share one probe column c of P: their
+    images under every power are disjoint (Curtis, Powell & Reid, IMA J.
+    Appl. Math. 13:117, 1974). The probes are stepped by BandedOperator.apply,
+    the kernel that steps the states, and each entry (i, c) of |A^p P| is
+    summed into its column j, the one with j = c (mod W) and |i - j| <= reach,
+    rows ascending.
+    """
+    operator, n = BandedOperator(a), a.shape[1]
+    reach = BAND_OFFSETS[-1] * (_P_MAX + 1)
+    width = 2 * reach + 1
+    rows, probes = np.arange(n)[:, None], np.arange(width)
+    owner = np.clip(probes + width * ((rows - probes + reach) // width), 0, n - 1)
+    power = (rows % width == probes).astype(a.dtype)
+    spare, norms = np.empty_like(power), {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in range(1, _P_MAX + 2):
+            power, spare = operator.apply(power, spare), power
+            if p > 1:
+                norms[p] = float(np.bincount(owner.ravel(), np.abs(power).ravel(), n).max())
+    return norms
 
 
 def _taylor_plan(a: np.ndarray) -> tuple[int, int]:
@@ -196,30 +221,13 @@ def _taylor_plan(a: np.ndarray) -> tuple[int, int]:
     given by its five diagonals (HamiltonianMatrix.bands).
 
     alpha_p = max(d_p, d_{p+1}) with the exact d_p = ||A^p||_1^{1/p} of the
-    banded powers, p = 2..9; a chain's ||A||_1 can far exceed its alpha_p
-    (a dimer with mu = 10), which would overstate the work. Returns the m
-    minimizing the number of products m * ceil(alpha_p / theta_m) over
-    p(p-1) <= m+1, and s = ceil(alpha_p / theta_m). The powers are those of
-    K = G^-1 A G (see TaylorStep), whose entries have the magnitudes of A's
-    bit for bit and whose imaginary part, none for a dimer chain, lies near
-    the center.
+    banded powers, p = 2..9 (_power_norms, from probe columns of A); a
+    chain's ||A||_1 can far exceed its alpha_p (a dimer with mu = 10), which
+    would overstate the work. Returns the m minimizing the number of products
+    m * ceil(alpha_p / theta_m) over p(p-1) <= m+1, and s = ceil(alpha_p /
+    theta_m).
     """
-    k = a * _BAND_TURNS
-    rows = np.flatnonzero(k.imag.any(axis=0))
-    imag = (rows[0], rows[-1] + 1) if rows.size else None
-    # each diagonal s of K, zero-padded, seen at rows i + o for |o| <= 2 _P_MAX
-    reach, n = 2 * _P_MAX, k.shape[1]
-    padded = np.zeros((2, len(k), n + 2 * reach))
-    padded[:, :, reach : reach + n] = k.real, k.imag
-    windows = np.lib.stride_tricks.sliding_window_view(padded, n, axis=2)
-    live = np.flatnonzero(k.any(axis=1))[::-1]  # a dimer chain's: offsets -1 and 1
-    d, power = {}, np.stack([k.real, k.imag])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for p in range(2, _P_MAX + 2):
-            power, (lo, hi) = _band_product(power, windows, live, imag)
-            mags = np.abs(power[0])
-            mags[:, lo:hi] = np.abs(power[0, :, lo:hi] + 1j * power[1, :, lo:hi])
-            d[p] = float(_max_column_sum(mags)) ** (1.0 / p)
+    d = {p: norm ** (1.0 / p) for p, norm in _power_norms(a).items()}
     if not all(math.isfinite(v) for v in d.values()):
         raise PropagatorError("norms of the powers of -iH dt overflowed; step too large")
     best = None
@@ -236,49 +244,6 @@ def _taylor_plan(a: np.ndarray) -> tuple[int, int]:
             f"{_MAX_PRODUCTS}; shorten the time step"
         )
     return m, max(cost // m, 1)
-
-
-def _band_product(p: np.ndarray, windows: np.ndarray, live, imag) -> tuple:
-    """P @ K on diagonals, for K on offsets -2..2 and P = K^j. ``p`` is the
-    (real, imaginary) pair of P's diagonals (offsets -q..q, row i of each at
-    index i); ``windows[c, s, reach + o, i]`` is part c of K's diagonal s at
-    row i + o, ``live`` lists K's nonzero diagonals in descending order, and
-    ``imag`` is the half-open range of K's rows with an imaginary part, or
-    None. Returns the product's pair and the rows its imaginary part may
-    reach, which contain P's.
-
-    Each entry sums over the inner index ascending, each term by the scalar
-    complex product (a_re b_re - a_im b_im, a_re b_im + a_im b_re) in real
-    arithmetic, so no SIMD level changes a bit; the imaginary parts enter
-    only over their rows, outside of which their terms are zero.
-    """
-    (pr, pi), (q, n) = p, (p.shape[1] // 2, p.shape[2])
-    lo, hi = (max(imag[0] - q, 0), min(imag[1] + q, n)) if imag else (0, 0)
-    reach, w = windows.shape[2] // 2, slice(lo, hi)
-    out = np.zeros((2, 2 * q + windows.shape[1], n))
-    # for one output offset, a higher offset s of K means a lower inner index
-    for s in live:
-        kr, ki = windows[:, s, reach - q : reach + q + 1]  # P[i, i + o] meets row o + q
-        rows, term = slice(s, s + 2 * q + 1), pr * kr
-        if hi > lo:
-            term[:, w] -= pi[:, w] * ki[:, w]
-            out[1, rows, w] += pr[:, w] * ki[:, w] + pi[:, w] * kr[:, w]
-        out[0, rows] += term
-    return out, (lo, hi)
-
-
-def _max_column_sum(mags: np.ndarray) -> float:
-    """max_k sum_i M[i, k] of a matrix given by its diagonals (offsets -q..q,
-    row i of each at index i), summing each column from its first row down."""
-    q, n = len(mags) // 2, mags.shape[1]
-    total = np.zeros(n)
-    reach = min(q, n - 1)  # a diagonal further out lies outside the matrix
-    for o in range(reach, -reach - 1, -1):  # column k meets row k - o: rows ascending
-        if o >= 0:
-            total[o:] += mags[q + o, : n - o]
-        else:
-            total[:o] += mags[q + o, -o:]
-    return total.max()
 
 
 #: A diagonal with at most this many nonzero entries, which only a center
@@ -362,6 +327,12 @@ class BandedOperator:
             # may sum pairwise)
             yf[targets] = np.add.accumulate(terms)[-1]
         return out
+
+
+#: i^p for p = 0..3: the gauge's quarter turns, exact in floating point
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
+#: i^-k for the offsets k of the bands: the gauge's turn of a band's entries
+_BAND_TURNS = _QUARTER_TURNS[np.negative(BAND_OFFSETS) % 4, None]
 
 
 class TaylorStep:

@@ -25,8 +25,10 @@ from nhscatter.dynamics import (
 )
 from nhscatter.lattice import (
     ALPHA,
+    BAND_OFFSETS,
     BETA,
     AsymmetricDimer,
+    HamiltonianMatrix,
     Interferometer,
     LatticeSpec,
     OnSitePotential,
@@ -586,18 +588,61 @@ class TestBandedProducts:
         q=st.floats(-3, 3),
         phi=st.floats(0, 2 * math.pi),
         dt=st.floats(1e-3, 30),
-        wall=st.sampled_from([None, 3]),
+        left=st.integers(1, 60),
+        right=st.integers(1, 60),
+        wall=st.none() | st.integers(1, 60),
     )
     @settings(max_examples=60, derandomize=True)
-    def test_plans_equal_csr(self, kind, p, q, phi, dt, wall):
+    def test_plans_equal_csr(self, kind, p, q, phi, dt, left, right, wall):
+        # N = left + right + 1 or 2 falls below, at and above the plan's
+        # probe width of 37 columns
         center = {
             "dimer": AsymmetricDimer(p, q),
             "interferometer": Interferometer(p, q, phi),
             "onsite": OnSitePotential(complex(p, q)),
         }[kind]
-        ham = build_hamiltonian(center, LatticeSpec(7, 9, hard_wall_n0=wall))
+        wall = None if wall is None else min(wall, left)
+        ham = build_hamiltonian(center, LatticeSpec(left, right, hard_wall_n0=wall))
         plan = dynamics._taylor_plan(-1j * ham.bands * dt)
         assert plan == oracles.csr_taylor_plan(-1j * ham.matrix * dt)
+
+
+class TestPowerNorms:
+    """The plan's norms ||A^p||_1 from probe columns against SciPy's CSR
+    powers: a plan compares only (degree, scaling), which a norm a few
+    percent off can leave unchanged."""
+
+    @staticmethod
+    def _full_bands():
+        """N = 80 with all five diagonals complex and nonzero: unlike a
+        chain's, its powers A^p fill all 2p diagonals either side."""
+        n = 80
+        rng = np.random.default_rng(5)
+        bands = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+        cols = np.arange(n) + np.array(BAND_OFFSETS)[:, None]
+        bands[(cols < 0) | (cols >= n)] = 0
+        return HamiltonianMatrix(bands, OnSitePotential(0.0), LatticeSpec(40, 39))
+
+    @pytest.mark.parametrize(
+        "center, lattice, dt",
+        [
+            (Interferometer(-1.25, 0.75, math.pi / 4), LatticeSpec(400, 400), 1.0),
+            (Interferometer(-1.25, 0.75, 1.0), LatticeSpec(400, 400), 1.0),
+            (AsymmetricDimer(10.0, 0.1), LatticeSpec(20, 400, hard_wall_n0=20), 2.0),
+            (None, None, 0.3),
+        ],
+        ids=["interferometer", "interferometer_off", "hard_wall_mu10", "full_bands"],
+    )
+    def test_norms_equal_csr_powers(self, center, lattice, dt):
+        ham = self._full_bands() if center is None else build_hamiltonian(center, lattice)
+        norms = dynamics._power_norms(-1j * ham.bands * dt)
+        a = -1j * ham.matrix * dt
+        power = a
+        assert sorted(norms) == list(range(2, 10))
+        for p in range(2, 10):
+            power = power @ a
+            want = float(abs(power).sum(axis=0).max())
+            assert norms[p] == pytest.approx(want, rel=1e-14, abs=0), p
 
 
 class TestEvolveDensity:

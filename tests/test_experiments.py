@@ -1,14 +1,20 @@
 import ast
+import configparser
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhscatter.experiments import (
     SCENARIOS,
@@ -801,3 +807,73 @@ class TestCli:
         )
         assert code == 2
         assert "aborted" in capsys.readouterr().err
+
+
+#: Each scenario on leads of at most 80 sites and times of at most 15, the
+#: base that the config-space test overrides.
+SMALL_RUNS = {
+    "sweep": ["sweep.samples=15"],
+    "amplify": [
+        "lattice.left_len=80", "lattice.right_len=80",
+        "packet.site=-14", "packet.lam=0.6", "time.t_max=15",
+    ],
+    "singularity": [
+        "lattice.left_len=80", "lattice.right_len=80",
+        "packet.site=-14", "packet.pair_site=14", "packet.lam=0.6", "time.t_max=15",
+        "singularity.fit_start=8", "singularity.fit_end=15",
+        "singularity.emission_fit_start=12",
+    ],
+    "absorb": [
+        "lattice.left_len=6", "lattice.right_len=80", "lattice.hard_wall_n0=6",
+        "absorb.nu_values=0.5, 0.1", "absorb.t_max=14", "absorb.drop_time=10",
+    ],
+    "verify": [],  # its matrices are fixed and small
+}
+SMALL_RUNS["flux-deviation"] = SMALL_RUNS["amplify"]
+
+
+def _override_keys() -> list[str]:
+    """Every key --set accepts but the scenario name and the output directory."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(to_ini(default_config("sweep")))
+    keys = [f"{section}.{name}" for section in parser.sections() for name in parser[section]]
+    skip = ("scenario.scenario", "scenario.out_dir")
+    return [key.removeprefix("scenario.") for key in keys if key not in skip]
+
+
+#: Values at the edges of every key's type, and a few valid ones.
+EDGE_VALUES = [
+    "0", "1", "-1", "2", "80", "0.5", "3.5", "1e-300", "1e300", "nan", "inf", "-inf",
+    "", "none", "1j", "0.5, 0.1", "dimer", "onsite",
+]
+
+
+class TestConfigSpace:
+    """Any --set overrides on a small run: the CLI passes, fails its
+    assertions, or refuses the config in one line, and a finished run's
+    manifest lists exactly the files it wrote."""
+
+    @given(
+        scenario=st.sampled_from(SCENARIOS),
+        overrides=st.lists(
+            st.tuples(st.sampled_from(_override_keys()), st.sampled_from(EDGE_VALUES)),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=100, derandomize=True, deadline=None)  # verify takes ~0.2 s
+    def test_every_config_exits_cleanly(self, scenario, overrides):
+        sets = [*SMALL_RUNS[scenario], *(f"{key}={value}" for key, value in overrides)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as out:
+            argv = [scenario, "--out", out, *(arg for item in sets for arg in ("--set", item))]
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            err = stderr.getvalue()
+            assert code in (0, 1, 2), code
+            if code == 2:
+                assert err.startswith(("config error:", "aborted:")), err
+                assert err.count("\n") == 1 and err.endswith("\n"), err
+            else:
+                manifest = json.loads(Path(out, "manifest.json").read_text())
+                assert sorted(manifest["outputs"]) == sorted(os.listdir(out))
