@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (
+    BandedOperator,
     Propagator,
     WavePacketSpec,
     antisym_two_packets,
@@ -37,6 +38,7 @@ from .dynamics import (
     write_metrics_txt,
 )
 from .lattice import (
+    BAND_OFFSETS,
     DIMER_REDUCTION_PHI,
     AsymmetricDimer,
     CenterSpec,
@@ -45,6 +47,7 @@ from .lattice import (
     OnSitePotential,
     as_dimer,
     build_hamiltonian,
+    dense_from_bands,
     dimer_from_interferometer,
     site_order,
 )
@@ -805,11 +808,20 @@ def _run_absorb(config: ScenarioConfig, out_dir: Path):
     return ["ptotal.csv", "metrics.txt"], assertions
 
 
-def _spectrum(matrix) -> np.ndarray:
-    """Eigenvalues of a sparse matrix, from real LAPACK when every stored entry
-    is real (a real xGEEV takes about a quarter of the complex flops)."""
-    dense = matrix.toarray()
-    return np.linalg.eigvals(dense if matrix.data.imag.any() else dense.real)
+def _spectrum(bands) -> np.ndarray:
+    """Eigenvalues of the matrix on ``bands`` from the dense array LAPACK
+    needs, in real arithmetic when every entry is real (a real xGEEV takes
+    about a quarter of the complex flops)."""
+    dense = dense_from_bands(bands)
+    return np.linalg.eigvals(dense if bands.imag.any() else dense.real)
+
+
+def _anti_hermitian_norm(bands) -> float:
+    """Frobenius norm of H - H^dag from H's bands: H^dag[i, i + k] =
+    conj(H[i + k, i]) is diagonal -k moved by k (what rolls in from outside
+    the matrix is zero)."""
+    adjoint = np.array([np.roll(b, -k) for b, k in zip(bands[::-1], BAND_OFFSETS)])
+    return float(np.linalg.norm(bands - adjoint.conj()))
 
 
 def _run_verify(config: ScenarioConfig, out_dir: Path):
@@ -824,41 +836,29 @@ def _run_verify(config: ScenarioConfig, out_dir: Path):
         ham = build_hamiltonian(Interferometer(delta, gamma, DIMER_REDUCTION_PHI), lattice)
         rotated = alpha_beta_rotation(ham)
         target = build_hamiltonian(dimer_from_interferometer(delta, gamma), lattice)
-        worst_eq = max(worst_eq, float(abs(rotated.matrix - target.matrix).max()))
+        worst_eq = max(worst_eq, float(np.abs(rotated.bands - target.bands).max()))
     assertions.append(_le("rotation_matches_dimer", worst_eq, 1e-14))
     b = ALPHA_BETA_BLOCK
     unitary_dev = float(np.max(np.abs(b.conj().T @ b - np.eye(2))))
     assertions.append(_le("rotation_unitary", unitary_dev, 1e-14))
 
-    # biorthogonal scaling: hermiticity for mu*nu > 0, spectrum always; the
-    # Frobenius norm of a sparse matrix is the norm of its stored entries
+    # biorthogonal scaling: hermiticity for mu*nu > 0, spectrum always
     worst_herm = 0.0
     worst_spec = 0.0
     for mu, nu in [(0.5, 2.0), (1.5, 0.4), (-1.2, -0.5), (-2.0, 0.5), (0.8, -1.1)]:
         ham = build_hamiltonian(AsymmetricDimer(mu, nu), LatticeSpec(40, 40))
         scaled = biorthogonal_scale(ham)
         if mu * nu > 0:
-            worst_herm = max(
-                worst_herm,
-                float(np.linalg.norm((scaled.matrix - scaled.matrix.conj().T).data)),
-            )
-        worst_spec = max(
-            worst_spec,
-            spectrum_distance(_spectrum(ham.matrix), _spectrum(scaled.matrix)),
-        )
+            worst_herm = max(worst_herm, _anti_hermitian_norm(scaled.bands))
+        spec_dev = spectrum_distance(_spectrum(ham.bands), _spectrum(scaled.bands))
+        worst_spec = max(worst_spec, spec_dev)
     assertions.append(_le("scaling_hermitian_when_product_positive", worst_herm, 1e-12))
     assertions.append(_le("scaling_preserves_spectrum", worst_spec, 1e-10))
 
     # full chain: rotation then scaling at delta^2 - gamma^2 = 1 is Hermitian
     ham = build_hamiltonian(Interferometer(-1.25, 0.75, DIMER_REDUCTION_PHI), LatticeSpec(40, 40))
     chain = biorthogonal_scale(alpha_beta_rotation(ham))
-    assertions.append(
-        _le(
-            "resonant_chain_hermitian",
-            float(np.linalg.norm((chain.matrix - chain.matrix.conj().T).data)),
-            1e-12,
-        )
-    )
+    assertions.append(_le("resonant_chain_hermitian", _anti_hermitian_norm(chain.bands), 1e-12))
 
     # parity split at the singularity
     ham = build_hamiltonian(AsymmetricDimer(-2.0, 0.5), LatticeSpec(100, 100))
@@ -869,17 +869,12 @@ def _run_verify(config: ScenarioConfig, out_dir: Path):
     assertions.append(_le("parity_end_potentials_are_plus_minus_i", end_dev, 1e-9))
     assertions.append(_le("parity_cross_coupling", blocks.cross_coupling, 1e-12))
     hp, hm = blocks.embedded()
-    commutator = float(np.linalg.norm((hp @ hm - hm @ hp).data))
+    commutator = float(np.linalg.norm(hp @ hm - hm @ hp))
     assertions.append(_le("parity_blocks_commute", commutator, 1e-12))
     # against the real unscaled chain, so the check covers scaling and split
-    union = np.concatenate([_spectrum(h) for h in (blocks.h_plus, blocks.h_minus)])
-    assertions.append(
-        _le(
-            "parity_blocks_reproduce_spectrum",
-            spectrum_distance(_spectrum(ham.matrix), union),
-            1e-10,
-        )
-    )
+    union = np.concatenate([_spectrum(h) for h in (blocks.plus_bands, blocks.minus_bands)])
+    spec_dev = spectrum_distance(_spectrum(ham.bands), union)
+    assertions.append(_le("parity_blocks_reproduce_spectrum", spec_dev, 1e-10))
 
     # scattering-state residuals for random parameters
     lattice = LatticeSpec(100, 100)
@@ -913,10 +908,8 @@ def _run_verify(config: ScenarioConfig, out_dir: Path):
 
     # amplification coefficient |t|^2 is k-independent
     gains = amplitude_table(AsymmetricDimer(0.5, 2.0), ks).T
-    assertions.append(
-        _le("amplification_k_independent", gains.max() - gains.min(), 1e-12,
-            detail=f"A={gains[0].item()!r}")
-    )
+    assertions.append(_le("amplification_k_independent", gains.max() - gains.min(), 1e-12,
+                          detail=f"A={gains[0].item()!r}"))
 
     # Hermitian unitarity battery
     ks = np.linspace(0.1, math.pi - 0.1, 13)
@@ -933,12 +926,8 @@ def _run_verify(config: ScenarioConfig, out_dir: Path):
         for v in (0.3, 1.0, 2.5)
     )
     assertions.append(_le("real_potential_sign_symmetric", worst_sym, 1e-14))
-    asym = abs(
-        onsite_amplitudes(1j, math.pi / 2).T - onsite_amplitudes(-1j, math.pi / 2).T
-    )
-    assertions.append(
-        _check("imaginary_potential_asymmetric", asym > 1e-6, asym, "> 1e-06")
-    )
+    asym = abs(onsite_amplitudes(1j, math.pi / 2).T - onsite_amplitudes(-1j, math.pi / 2).T)
+    assertions.append(_check("imaginary_potential_asymmetric", asym > 1e-6, asym, "> 1e-06"))
 
     # left/right transmission ratio nu/mu off resonance
     worst_ratio = 0.0
@@ -952,26 +941,22 @@ def _run_verify(config: ScenarioConfig, out_dir: Path):
     # analytic fixed points of the imaginary potential
     diverging = onsite_amplitudes(2j, math.pi / 2)
     quarter = onsite_amplitudes(-2j, math.pi / 2)
-    assertions.append(
-        _check(
-            "gain_potential_diverges",
-            diverging.diverges and diverging.T == math.inf,
-            f"diverges={diverging.diverges}",
-            "divergence flag at k=pi/2 for v=2i",
-        )
-    )
+    flagged = diverging.diverges and diverging.T == math.inf
+    assertions.append(_check("gain_potential_diverges", flagged, f"diverges={diverging.diverges}",
+                             "divergence flag at k=pi/2 for v=2i"))
     assertions.append(_le("loss_potential_quarter", abs(quarter.T - 0.25), 1e-15))
 
     # singular eigenstate solves the eigenproblem exactly at E = 0
     dimer = AsymmetricDimer(-2.0, 0.5)
     lattice = LatticeSpec(50, 50)
-    ham = build_hamiltonian(dimer, lattice)
+    op = BandedOperator(build_hamiltonian(dimer, lattice).bands)
     worst_swf = 0.0
     for sign in (+1, -1):
         psi = np.array(
             [singular_wavefunction(dimer, sign, s) for s in site_order(dimer, lattice)]
         )
-        worst_swf = max(worst_swf, float(np.max(np.abs((ham.matrix @ psi)[1:-1]))))
+        residual = op.apply(psi, np.empty_like(psi))  # (H - E) psi at E = 0
+        worst_swf = max(worst_swf, float(np.max(np.abs(residual[1:-1]))))
     assertions.append(_le("singular_state_residual", worst_swf, 1e-12))
 
     with open(out_dir / "assertions.txt", "w") as fh:

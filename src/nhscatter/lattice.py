@@ -7,8 +7,8 @@ Energies are measured in units of the lead hopping, so the lead dispersion is
 E_k = -2 cos k and the maximal group velocity is 2. Times are in inverse
 hopping units.
 
-H is held as its five diagonals (HamiltonianMatrix.bands), built with NumPy
-alone; its SciPy CSR form is built on demand.
+H is held as its five diagonals (HamiltonianMatrix.bands), built, stepped and
+transformed with NumPy alone; its SciPy CSR form is built on demand, for tests.
 
 Leads are finite here while the physics is posed on semi-infinite chains;
 callers must size leads so that no probability reaches the open ends during
@@ -197,10 +197,10 @@ class HamiltonianMatrix:
     offsets k of BAND_OFFSETS (complex; zero where i + k falls outside the
     matrix), with the specs it is indexed by (a transformed matrix no longer
     follows the build rules of its ``center``). The bands are a read-only copy
-    of the input, so writing through them raises. Building and stepping H use
-    only the bands; ``matrix``, the same entries as a canonical
-    ``scipy.sparse.csr_array`` (sorted, no stored zeros, read-only), is built
-    on first use, by the transforms and verify."""
+    of the input, so writing through them raises. Building, stepping and
+    transforming H use only the bands; ``matrix``, the same entries as a
+    canonical ``scipy.sparse.csr_array`` (sorted, no stored zeros, read-only),
+    is built on first use and read only by tests."""
 
     bands: np.ndarray
     center: CenterSpec
@@ -210,34 +210,13 @@ class HamiltonianMatrix:
         bands = np.array(self.bands, dtype=complex)
         n = lattice_dim(self.center, self.lattice)
         if bands.shape != (len(BAND_OFFSETS), n):
-            raise ValueError(
-                f"bands of shape {bands.shape} do not match lattice dimension {n}"
-            )
+            raise ValueError(f"bands of shape {bands.shape} do not match lattice dimension {n}")
         rows = np.arange(n)
         for band, k in zip(bands, BAND_OFFSETS):
             if band[(rows + k < 0) | (rows + k >= n)].any():
                 raise ValueError(f"diagonal {k} holds an entry outside the matrix")
         bands.setflags(write=False)
         object.__setattr__(self, "bands", bands)
-
-    @classmethod
-    def from_matrix(cls, matrix, center: CenterSpec, lattice: LatticeSpec):
-        """H from an N x N dense or sparse matrix whose entries lie on the
-        diagonals of BAND_OFFSETS; duplicate sparse entries are summed."""
-        import scipy.sparse  # here, not at the top: building and stepping H skip it
-
-        h = scipy.sparse.coo_array(matrix, dtype=complex)
-        h.sum_duplicates()
-        n = lattice_dim(center, lattice)
-        if h.shape != (n, n):
-            raise ValueError(f"matrix shape {h.shape} does not match lattice dimension {n}")
-        stored = h.data != 0
-        rows, offsets = h.row[stored], (h.col - h.row)[stored]
-        if rows.size and np.abs(offsets).max() > BAND_OFFSETS[-1]:
-            raise ValueError(f"matrix has entries off the diagonals {BAND_OFFSETS}")
-        bands = np.zeros((len(BAND_OFFSETS), n), dtype=complex)
-        bands[offsets - BAND_OFFSETS[0], rows] = h.data[stored]
-        return cls(bands, center, lattice)
 
     @cached_property
     def matrix(self) -> "scipy.sparse.csr_array":
@@ -266,6 +245,17 @@ class HamiltonianMatrix:
         """Half-open index range [start, stop) occupied by the center sites."""
         start = self.lattice.left_len
         return start, start + len(center_sites(self.center))
+
+
+def dense_from_bands(bands: np.ndarray) -> np.ndarray:
+    """The N x N array whose diagonals BAND_OFFSETS hold ``bands``, laid out
+    as HamiltonianMatrix.bands, and zero elsewhere."""
+    n = bands.shape[1]
+    dense = np.zeros((n, n), dtype=bands.dtype)
+    for band, k in zip(bands, BAND_OFFSETS):
+        i = np.arange(max(-k, 0), n - max(k, 0))
+        dense[i, i + k] = band[i]
+    return dense
 
 
 def build_hamiltonian(center: CenterSpec, lattice: LatticeSpec) -> HamiltonianMatrix:

@@ -16,6 +16,7 @@ from itertools import repeat
 
 import numpy as np
 
+from .dynamics import BandedOperator
 from .lattice import (
     ALPHA,
     BETA,
@@ -242,7 +243,7 @@ def scattering_residual(
     """
     ham = build_hamiltonian(center, lattice)
     psi = assemble_scattering_state(center, lattice, k, incidence)
-    resid = ham.matrix @ psi - dispersion(k) * psi
+    resid = BandedOperator(ham.bands).apply(psi, np.empty_like(psi)) - dispersion(k) * psi
     return float(np.max(np.abs(resid[1:-1])))
 
 

@@ -3,15 +3,16 @@
 Three maps, each certified numerically on finite matrices:
 
 * a unitary rotation of the gain/loss pair into the asymmetric-hopping pair
-  (exists only at flux pi/4), a sparse similarity by the identity with the
-  2x2 ALPHA_BETA_BLOCK on the two center sites,
+  (exists only at flux pi/4), a similarity by the identity with the 2x2
+  ALPHA_BETA_BLOCK on the two center sites,
 * a biorthogonal diagonal scaling of the right half-chain by sqrt(nu/mu) that
   symmetrizes the dimer coupling (Hermitian uniform chain when mu*nu = 1),
-  applied to the stored entries from its length-N diagonal,
 * a mirror-parity split of the scaled mu*nu = -1 chain into two decoupled
   half-chains whose end potentials are +i and -i.
 
-Every matrix here is sparse, as H is; none is N x N dense.
+Every map reads and writes H's five diagonals in NumPy, summing and rounding
+each entry as SciPy's sparse products of the same similarity do, so the
+results equal those products up to the sign of zero.
 
 Complex square roots use the principal branch (cut on the negative real
 axis); for mu*nu < 0 the scale factor is purely imaginary, and only the
@@ -25,11 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (
+    BAND_OFFSETS,
     BETA,
     AsymmetricDimer,
     HamiltonianMatrix,
     Interferometer,
     as_dimer,
+    dense_from_bands,
 )
 
 _U_PLUS = cmath.exp(1j * math.pi / 4)
@@ -39,43 +42,59 @@ ALPHA_BETA_BLOCK = np.array(
     [[_U_PLUS, -1j * _U_PLUS], [_U_MINUS, 1j * _U_MINUS]], dtype=complex
 ) / math.sqrt(2.0)
 ALPHA_BETA_BLOCK.setflags(write=False)
+_OFFSETS = np.array(BAND_OFFSETS)[:, None]  # a column: one row per diagonal
+
+
+def _block_times(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """a @ y for a 2 x 2 a and a 2 x m y: each entry is a sum of two products
+    whose parts are rounded one product at a time, as in a sparse product (a
+    NumPy complex multiply may fuse them)."""
+    p, q = a[:, :, None], y[None, :, :]
+    re = p.real * q.real - p.imag * q.imag
+    im = p.real * q.imag + p.imag * q.real
+    terms = re + 1j * im  # 1j * im moves im into place without rounding
+    return terms[:, 0] + terms[:, 1]
 
 
 def alpha_beta_rotation(ham: HamiltonianMatrix) -> HamiltonianMatrix:
     """Rotate an interferometer Hamiltonian into its equivalent dimer form.
 
-    H -> B^dag H B as sparse products, with B = ALPHA_BETA_BLOCK on (plus,
-    minus) and the identity elsewhere; equals build_hamiltonian(AsymmetricDimer(
+    H -> B^dag H B, with B = ALPHA_BETA_BLOCK on (plus, minus) and the
+    identity elsewhere, rewrites only the rows and columns of the pair, whose
+    entries lie within 2 of it; equals build_hamiltonian(AsymmetricDimer(
     -(delta+gamma), -(delta-gamma)), same lattice) entrywise up to rounding.
     """
-    if not isinstance(ham.center, Interferometer):
-        raise ValueError(
-            f"rotation applies to interferometer centers, got {type(ham.center).__name__}"
-        )
-    dimer = as_dimer(ham.center)  # raises off flux pi/4, where no reduction exists
-    import scipy.sparse
-
-    start, stop = ham.center_span  # (plus, minus)
-    eye = scipy.sparse.identity
-    b = scipy.sparse.csr_array(
-        scipy.sparse.block_diag((eye(start), ALPHA_BETA_BLOCK, eye(ham.dim - stop)))
-    )
-    return HamiltonianMatrix.from_matrix(b.conj().T @ ham.matrix @ b, dimer, ham.lattice)
+    center = ham.center
+    if not isinstance(center, Interferometer):
+        raise ValueError(f"rotation applies to interferometers, got {type(center).__name__}")
+    dimer = as_dimer(center)  # raises off flux pi/4, where no reduction exists
+    p = ham.center_span[0]  # plus; minus is p + 1
+    lo, hi = max(p - 2, 0), min(p + 4, ham.dim)
+    window = dense_from_bands(ham.bands[:, lo:hi])  # H[lo:hi, lo:hi]
+    pair = slice(p - lo, p - lo + 2)
+    window[pair] = _block_times(ALPHA_BETA_BLOCK.conj().T, window[pair])
+    window[:, pair] = _block_times(ALPHA_BETA_BLOCK.T, window[:, pair].T).T
+    if np.triu(window, 3).any() or np.tril(window, -3).any():
+        raise ValueError(f"rotated matrix has entries off the diagonals {BAND_OFFSETS}")
+    bands = np.array(ham.bands)
+    for band, k in zip(bands, BAND_OFFSETS):
+        i = np.arange(max(lo, lo - k), min(hi, hi - k))  # i and i + k in the window
+        band[i] = window[i - lo, i + k - lo]
+    return HamiltonianMatrix(bands, dimer, ham.lattice)
 
 
 def biorthogonal_scale(ham: HamiltonianMatrix) -> HamiltonianMatrix:
     """Similarity-transform the dimer chain to a symmetric center coupling.
 
     H -> D^-1 H D with D = 1 up to alpha, sqrt(nu/mu) from beta onward (beta
-    is followed by the right lead). Both center couplings become
+    is followed by the right lead), applied to each band entry as
+    H[i, i + k] * ((1/d)[i] * d[i + k]). Both center couplings become
     -mu*sqrt(nu/mu) (a square root of mu*nu up to sign); lead bonds stay -1,
     so for mu*nu = 1 the result is the Hermitian uniform chain.
     """
     center = ham.center
     if not isinstance(center, AsymmetricDimer):
-        raise ValueError(
-            f"scaling applies to dimer centers, got {type(center).__name__}"
-        )
+        raise ValueError(f"scaling applies to dimer centers, got {type(center).__name__}")
     if center.mu == 0.0 or center.nu == 0.0:
         raise ValueError("scaling requires both hopping amplitudes nonzero")
     if center.mu == center.nu:
@@ -85,42 +104,50 @@ def biorthogonal_scale(ham: HamiltonianMatrix) -> HamiltonianMatrix:
     scale = cmath.sqrt(complex(center.nu / center.mu, 0.0))
     d = np.ones(ham.dim, dtype=complex)
     d[ham.site_index(BETA):] = scale
-    h = ham.matrix.tocoo()
-    h.data = h.data * ((1.0 / d)[h.row] * d[h.col])  # H_ij d_j / d_i, entry by entry
-    return HamiltonianMatrix.from_matrix(h, center, ham.lattice)
+    cols = np.clip(np.arange(ham.dim) + _OFFSETS, 0, ham.dim - 1)  # outside: entry 0
+    return HamiltonianMatrix(ham.bands * ((1.0 / d) * d[cols]), center, ham.lattice)
 
 
 #: Tolerance of parity_decompose on the center coupling and the cross coupling.
 PARITY_TOL = 1e-9
+_HALF = 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
 class BlockDecomposition:
     """Mirror-parity blocks of the scaled chain, each a -1 half-chain with an
-    imaginary end potential.
+    imaginary end potential, held as their diagonals (laid out as
+    HamiltonianMatrix.bands).
 
     Block index 0 is the center combination; index l >= 1 pairs the lead sites
-    +-l. ``embed_plus``/``embed_minus`` are the isometries mapping block
-    coordinates into the full lattice (symmetric combination first). All four
-    are SciPy sparse arrays.
+    +-l. ``h_plus``/``h_minus`` are the blocks as dense arrays, and
+    ``embed_plus``/``embed_minus`` the dense isometries mapping block
+    coordinates into the full lattice (symmetric combination first).
     """
 
-    h_plus: "scipy.sparse.sparray"
-    h_minus: "scipy.sparse.sparray"
-    embed_plus: "scipy.sparse.sparray"
-    embed_minus: "scipy.sparse.sparray"
+    plus_bands: np.ndarray
+    minus_bands: np.ndarray
     cross_coupling: float
+
+    h_plus = property(lambda self: dense_from_bands(self.plus_bands))
+    h_minus = property(lambda self: dense_from_bands(self.minus_bands))
+    embed_plus = property(lambda self: self._embedding(+1.0))
+    embed_minus = property(lambda self: self._embedding(-1.0))
 
     @property
     def end_potentials(self) -> tuple[complex, complex]:
-        return complex(self.h_plus[0, 0]), complex(self.h_minus[0, 0])
+        return complex(self.plus_bands[2, 0]), complex(self.minus_bands[2, 0])
+
+    def _embedding(self, sign: float) -> np.ndarray:
+        """Block column l onto the sites -l and +l, rows n - l and n + 1 + l."""
+        eye = np.eye(self.plus_bands.shape[1])
+        return np.vstack([sign * _HALF * eye[::-1], _HALF * eye])
 
     def embedded(self) -> tuple[np.ndarray, np.ndarray]:
-        """Blocks pushed back into the full lattice (supported on orthogonal
-        parity sectors, so they commute)."""
-        hp = self.embed_plus @ self.h_plus @ self.embed_plus.conj().T
-        hm = self.embed_minus @ self.h_minus @ self.embed_minus.conj().T
-        return hp, hm
+        """Blocks pushed back into the full lattice, as dense arrays
+        (supported on orthogonal parity sectors, so they commute)."""
+        vp, vm = self.embed_plus, self.embed_minus
+        return vp @ self.h_plus @ vp.T, vm @ self.h_minus @ vm.T
 
 
 def parity_decompose(ham: HamiltonianMatrix) -> BlockDecomposition:
@@ -141,8 +168,7 @@ def parity_decompose(ham: HamiltonianMatrix) -> BlockDecomposition:
     if stop - start != 2:
         raise ValueError("parity split requires a two-site center")
     a, b = start, start + 1
-    c_ab = complex(ham.matrix[a, b])
-    c_ba = complex(ham.matrix[b, a])
+    c_ab, c_ba = complex(ham.bands[3, a]), complex(ham.bands[1, b])  # H[a, b], H[b, a]
     if abs(c_ab - c_ba) > PARITY_TOL:
         raise ValueError("center coupling is not symmetric; scale the matrix first")
     if abs(c_ab * c_ab + 1.0) > PARITY_TOL:
@@ -150,36 +176,31 @@ def parity_decompose(ham: HamiltonianMatrix) -> BlockDecomposition:
             f"center coupling squared must be -1 (singularity), got {c_ab * c_ab!r}"
         )
 
-    import scipy.sparse
-
-    # column l pairs the sites -l and +l at indices a - l and b + l, and
-    # column 0 the center pair (a, b); the center-combination signs are a
-    # gauge freedom (they leave the end potential invariant), chosen so both
-    # blocks carry uniform -1 bonds
+    # block column l pairs the sites -l and +l at indices a - l and b + l,
+    # and column 0 the center pair (a, b); v_s weighs them s/sqrt(2) and
+    # 1/sqrt(2). The center-combination signs are a gauge freedom (they leave
+    # the end potential invariant), chosen so both blocks carry uniform -1
+    # bonds. Entry (l, l') of a block adds H's entries between sites -+l and
+    # -+l', each times 1/2; the block's diagonals hold l' = l + k
     n = lat.left_len
     l = np.arange(n + 1)
-    where = (np.r_[a - l, b + l], np.r_[l, l])
-    half = np.full(n + 1, 1.0 / math.sqrt(2.0))
-    v_plus = scipy.sparse.csr_array((np.r_[half, half], where), shape=(ham.dim, n + 1))
-    v_minus = scipy.sparse.csr_array((np.r_[-half, half], where), shape=(ham.dim, n + 1))
+    m = l + _OFFSETS  # block column of each band entry
 
-    h_plus = v_plus.conj().T @ ham.matrix @ v_plus
-    h_minus = v_minus.conj().T @ ham.matrix @ v_minus
-    cross = float(
-        max(
-            abs(v_plus.conj().T @ ham.matrix @ v_minus).max(),
-            abs(v_minus.conj().T @ ham.matrix @ v_plus).max(),
-        )
-    )
+    def entries(rows, cols):  # H[rows, cols], zero off the bands and outside the block
+        k = cols - rows
+        inside = (np.abs(k) <= 2) & (0 <= m) & (m <= n)
+        return np.where(inside, ham.bands[np.clip(k + 2, 0, 4), rows], 0.0)
+
+    hl, hd = (_HALF * entries(rows, a - m) for rows in (a - l, b + l))  # to site -l'
+    hc, hr = (_HALF * entries(rows, b + m) for rows in (a - l, b + l))  # to site +l'
+
+    def sandwich(s, t):  # v_s^T H v_t, in a sparse product's order
+        return (t * _HALF) * (s * hl + hd) + _HALF * (s * hc + hr)
+
+    cross = float(max(np.abs(sandwich(s, -s)).max() for s in (1.0, -1.0)))
     if cross > PARITY_TOL:
         raise ValueError(f"parity blocks do not decouple (cross coupling {cross:.3e})")
-    return BlockDecomposition(
-        h_plus=h_plus,
-        h_minus=h_minus,
-        embed_plus=v_plus,
-        embed_minus=v_minus,
-        cross_coupling=cross,
-    )
+    return BlockDecomposition(sandwich(1.0, 1.0), sandwich(-1.0, -1.0), cross)
 
 
 def _min_sum_pairing(cost: np.ndarray) -> np.ndarray:

@@ -10,6 +10,9 @@ package's array evaluation must equal bit for bit; likewise the Taylor loop in
 complex arithmetic throughout on SciPy's CSR (`complex_taylor_step`, planned by
 `csr_taylor_plan` from CSR powers), the reference the package's banded NumPy
 stepping must equal, real-in-gauge or not, and `operator_csr` for its products.
+The three transforms are kept as SciPy sparse products on H's CSR form
+(`csr_alpha_beta_rotation`, `coo_biorthogonal_scale`, `csr_parity_blocks`),
+the references the package's transforms on H's diagonals must equal.
 """
 
 import cmath
@@ -23,19 +26,23 @@ from scipy.integrate import solve_ivp
 from nhscatter.dynamics import _MAX_PRODUCTS, _P_MAX, _THETA, PropagatorError
 from nhscatter.lattice import (
     ALPHA,
+    BAND_OFFSETS,
     BETA,
     MINUS,
     PLUS,
     AsymmetricDimer,
+    HamiltonianMatrix,
     Interferometer,
     LatticeSpec,
     OnSitePotential,
     as_dimer,
     build_hamiltonian,
+    lattice_dim,
     site_order,
     site_to_index,
 )
 from nhscatter.scattering import SINGULAR_DENOM_TOL, ScatteringAmplitudes
+from nhscatter.transforms import ALPHA_BETA_BLOCK
 
 #: lattice sizes tried until the two-port extraction is well conditioned;
 #: cavity resonances of the finite system show up as cond ~ 1e13
@@ -319,3 +326,60 @@ def incoherent_sum_probability(ham, lattice, center, n0, times):
         evolved = vecs @ (np.exp(-1j * vals * t)[:, None] * coeff)
         totals.append(float(np.sum(np.abs(evolved) ** 2)) / n0)
     return np.array(totals)
+
+
+def hamiltonian_from_matrix(matrix, center, lattice):
+    """H from an N x N dense or sparse matrix whose entries lie on the
+    diagonals of BAND_OFFSETS; duplicate sparse entries are summed."""
+    h = scipy.sparse.coo_array(matrix, dtype=complex)
+    h.sum_duplicates()
+    n = lattice_dim(center, lattice)
+    if h.shape != (n, n):
+        raise ValueError(f"matrix shape {h.shape} does not match lattice dimension {n}")
+    stored = h.data != 0
+    rows, offsets = h.row[stored], (h.col - h.row)[stored]
+    if rows.size and np.abs(offsets).max() > BAND_OFFSETS[-1]:
+        raise ValueError(f"matrix has entries off the diagonals {BAND_OFFSETS}")
+    bands = np.zeros((len(BAND_OFFSETS), n), dtype=complex)
+    bands[offsets - BAND_OFFSETS[0], rows] = h.data[stored]
+    return HamiltonianMatrix(bands, center, lattice)
+
+
+def csr_alpha_beta_rotation(ham):
+    """B^dag H B as SciPy CSR products, B = ALPHA_BETA_BLOCK on (plus, minus)
+    and the identity elsewhere."""
+    start, stop = ham.center_span
+    eye = scipy.sparse.identity
+    b = scipy.sparse.csr_array(
+        scipy.sparse.block_diag((eye(start), ALPHA_BETA_BLOCK, eye(ham.dim - stop)))
+    )
+    return hamiltonian_from_matrix(
+        b.conj().T @ ham.matrix @ b, as_dimer(ham.center), ham.lattice
+    )
+
+
+def coo_biorthogonal_scale(ham):
+    """D^-1 H D on H's stored COO entries, H_ij * ((1/d)_i * d_j), with
+    d = 1 up to alpha and sqrt(nu/mu) from beta onward."""
+    center = ham.center
+    d = np.ones(ham.dim, dtype=complex)
+    d[ham.site_index(BETA):] = cmath.sqrt(complex(center.nu / center.mu, 0.0))
+    h = ham.matrix.tocoo()
+    h.data = h.data * ((1.0 / d)[h.row] * d[h.col])
+    return hamiltonian_from_matrix(h, center, ham.lattice)
+
+
+def csr_parity_blocks(ham):
+    """(h_plus, h_minus, cross coupling) of the mirror split of an
+    equal-lead two-site chain as CSR products v^T H v, where v_+ and v_-
+    weigh the sites -l and +l by (1, 1)/sqrt(2) and (-1, 1)/sqrt(2)."""
+    a = ham.center_span[0]
+    n = ham.lattice.left_len
+    l = np.arange(n + 1)
+    where = (np.r_[a - l, a + 1 + l], np.r_[l, l])
+    half = np.full(n + 1, 1.0 / math.sqrt(2.0))
+    v_plus = scipy.sparse.csr_array((np.r_[half, half], where), shape=(ham.dim, n + 1))
+    v_minus = scipy.sparse.csr_array((np.r_[-half, half], where), shape=(ham.dim, n + 1))
+    h = ham.matrix
+    cross = max(abs(v_plus.T @ h @ v_minus).max(), abs(v_minus.T @ h @ v_plus).max())
+    return v_plus.T @ h @ v_plus, v_minus.T @ h @ v_minus, float(cross)

@@ -259,11 +259,11 @@ def test_10_transformation_chain(announce):
     assert spec_dev < 1e-10
 
     blocks = parity_decompose(scaled)
-    hp, hm = (h.toarray() for h in blocks.embedded())
+    hp, hm = blocks.embedded()
     commutator = float(np.linalg.norm(hp @ hm - hm @ hp))
     assert commutator < 1e-12
     union = np.concatenate(
-        [np.linalg.eigvals(h.toarray()) for h in (blocks.h_plus, blocks.h_minus)]
+        [np.linalg.eigvals(h) for h in (blocks.h_plus, blocks.h_minus)]
     )
     union_dev = spectrum_distance(np.linalg.eigvals(scaled.matrix.toarray()), union)
     assert union_dev < 1e-10

@@ -1,4 +1,3 @@
-import ast
 import configparser
 import contextlib
 import io
@@ -410,17 +409,20 @@ def _parity_chain():
 
 
 def _verify_spectral_matrices():
-    """The 13 matrices whose spectra verify solves, as (label, matrix, real):
-    the five chains of the scaling battery and their scaled forms (real only
-    for mu*nu > 0), then the unscaled parity chain and its +-i blocks."""
+    """The 13 band arrays whose spectra verify solves, as (label, bands,
+    real): the five chains of the scaling battery and their scaled forms
+    (real only for mu*nu > 0), then the unscaled parity chain and its +-i
+    blocks."""
     found = []
     for mu, nu in [(0.5, 2.0), (1.5, 0.4), (-1.2, -0.5), (-2.0, 0.5), (0.8, -1.1)]:
         ham = build_hamiltonian(AsymmetricDimer(mu, nu), LatticeSpec(40, 40))
-        found.append((f"chain[{mu},{nu}]", ham.matrix, True))
-        found.append((f"scaled[{mu},{nu}]", biorthogonal_scale(ham).matrix, mu * nu > 0))
+        found.append((f"chain[{mu},{nu}]", ham, True))
+        found.append((f"scaled[{mu},{nu}]", biorthogonal_scale(ham), mu * nu > 0))
     ham, blocks = _parity_chain()
-    found.append(("parity_chain", ham.matrix, True))
-    found += [("h_plus", blocks.h_plus, False), ("h_minus", blocks.h_minus, False)]
+    found.append(("parity_chain", ham, True))
+    found = [(label, ham.bands, ham.matrix.toarray(), real) for label, ham, real in found]
+    found += [("h_plus", blocks.plus_bands, blocks.h_plus, False)]
+    found += [("h_minus", blocks.minus_bands, blocks.h_minus, False)]
     return found
 
 
@@ -428,9 +430,9 @@ class TestVerifySpectra:
     def test_spectrum_matches_complex_eigvals(self):
         matrices = _verify_spectral_matrices()
         assert len(matrices) == 13
-        for label, matrix, _ in matrices:
-            oracle = np.linalg.eigvals(matrix.toarray().astype(complex))
-            assert spectrum_distance(_spectrum(matrix), oracle) <= 1e-12, label
+        for label, bands, dense, _ in matrices:
+            oracle = np.linalg.eigvals(dense.astype(complex))
+            assert spectrum_distance(_spectrum(bands), oracle) <= 1e-12, label
 
     def test_real_matrices_take_the_real_path(self, monkeypatch):
         eigvals = np.linalg.eigvals
@@ -442,9 +444,9 @@ class TestVerifySpectra:
 
         monkeypatch.setattr(np.linalg, "eigvals", spy)
         matrices = _verify_spectral_matrices()
-        for _, matrix, _ in matrices:
-            _spectrum(matrix)
-        expected = [np.dtype(float if real else complex) for _, _, real in matrices]
+        for _, bands, _, _ in matrices:
+            _spectrum(bands)
+        expected = [np.dtype(float if real else complex) for _, _, _, real in matrices]
         assert seen == expected
         assert seen.count(np.dtype(complex)) == 4  # scaled mu*nu < 0 (2) and the blocks
 
@@ -452,12 +454,12 @@ class TestVerifySpectra:
     def test_parity_reference_catches_a_wrong_end_potential(self, index):
         # +-i -> +-1.001i in one block: the union misses the real chain's spectrum
         ham, blocks = _parity_chain()
-        reference = _spectrum(ham.matrix)
-        pair = [blocks.h_plus, blocks.h_minus]
+        reference = _spectrum(ham.bands)
+        pair = [blocks.plus_bands, blocks.minus_bands]
         union = [_spectrum(h) for h in pair]
         assert spectrum_distance(reference, np.concatenate(union)) <= 1e-12
         wrong = pair[index].copy()
-        wrong[0, 0] = wrong[0, 0] * 1.001
+        wrong[2, 0] = wrong[2, 0] * 1.001
         union[index] = _spectrum(wrong)
         assert spectrum_distance(reference, np.concatenate(union)) > 1e-10
 
@@ -649,6 +651,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "args",
         [
+            None,  # start-up alone
+            ["sweep"],
             ["amplify", "--set", "lattice.left_len=200", "--set", "lattice.right_len=200"],
             [
                 "flux-deviation",
@@ -659,33 +663,18 @@ class TestCli:
             ],
             ["singularity", "--set", "lattice.left_len=200", "--set", "lattice.right_len=200"],
             ["absorb", "--set", "absorb.nu_values=0.5, 0.1"],
+            ["verify"],
         ],
-        ids=lambda args: args[0],
+        ids=lambda args: "import" if args is None else args[0],
     )
-    def test_propagating_run_loads_no_scipy(self, tmp_path, args):
-        # H is built and stepped on its diagonals, in NumPy
-        out = str(tmp_path / "run")
-        code = f"from nhscatter.cli import main; assert main({args + ['--out', out]!r}) == 0"
+    def test_run_loads_no_scipy(self, tmp_path, args):
+        # H is built, stepped and transformed on its diagonals in NumPy, and
+        # spectra pair through transforms' own minimum-sum solve
+        code = "import nhscatter.cli"
+        if args is not None:
+            out = str(tmp_path / "run")
+            code = f"from nhscatter.cli import main; assert main({args + ['--out', out]!r}) == 0"
         assert _scipy_modules_after(code) == "[]"
-
-    def test_start_up_loads_no_scipy(self):
-        # scipy.sparse is imported where used: by the transforms and H's CSR view
-        assert _scipy_modules_after("import nhscatter.cli") == "[]"
-
-    def test_sweep_run_loads_no_scipy(self, tmp_path):
-        # closed forms, and a Hermiticity check read off the center spec: no H is built
-        out = str(tmp_path / "sweep")
-        code = f"from nhscatter.cli import main; assert main(['sweep', '--out', {out!r}]) == 0"
-        assert _scipy_modules_after(code) == "[]"
-
-    def test_verify_run_loads_only_scipy_sparse(self, tmp_path):
-        # spectra pair through transforms' own minimum-sum solve, not scipy.optimize
-        out = str(tmp_path / "verify")
-        code = f"from nhscatter.cli import main; assert main(['verify', '--out', {out!r}]) == 0"
-        loaded = ast.literal_eval(_scipy_modules_after(code))
-        # public subpackages: each scipy.<name> with a module loaded under it
-        subpackages = {m.rsplit(".", 1)[0] for m in loaded if m.count(".") == 2 and m[6] != "_"}
-        assert subpackages == {"scipy.sparse"}
 
     def test_bounds_cannot_be_loosened(self, tmp_path, capsys):
         # at t_max = 20 the packet has not crossed the center: the gain check fails
@@ -848,28 +837,37 @@ EDGE_VALUES = [
 ]
 
 
+#: A scenario and one to three --set overrides of it, on its small run.
+SMALL_CONFIGS = dict(
+    scenario=st.sampled_from(SCENARIOS),
+    overrides=st.lists(
+        st.tuples(st.sampled_from(_override_keys()), st.sampled_from(EDGE_VALUES)),
+        min_size=1,
+        max_size=3,
+    ),
+)
+
+
+def _run_small(scenario, overrides, out) -> tuple[int, str]:
+    """The CLI's exit code and standard error for a small run into ``out``."""
+    sets = [*SMALL_RUNS[scenario], *(f"{key}={value}" for key, value in overrides)]
+    argv = [scenario, "--out", str(out), *(arg for item in sets for arg in ("--set", item))]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stderr.getvalue()
+
+
 class TestConfigSpace:
     """Any --set overrides on a small run: the CLI passes, fails its
-    assertions, or refuses the config in one line, and a finished run's
-    manifest lists exactly the files it wrote."""
+    assertions, or refuses the config in one line, a finished run's manifest
+    lists exactly the files it wrote, and a rerun writes the same data."""
 
-    @given(
-        scenario=st.sampled_from(SCENARIOS),
-        overrides=st.lists(
-            st.tuples(st.sampled_from(_override_keys()), st.sampled_from(EDGE_VALUES)),
-            min_size=1,
-            max_size=3,
-        ),
-    )
-    @settings(max_examples=100, derandomize=True, deadline=None)  # verify takes ~0.2 s
+    @given(**SMALL_CONFIGS)
+    @settings(max_examples=100, derandomize=True, deadline=None)  # verify takes ~0.15 s
     def test_every_config_exits_cleanly(self, scenario, overrides):
-        sets = [*SMALL_RUNS[scenario], *(f"{key}={value}" for key, value in overrides)]
-        stdout, stderr = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as out:
-            argv = [scenario, "--out", out, *(arg for item in sets for arg in ("--set", item))]
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = main(argv)
-            err = stderr.getvalue()
+            code, err = _run_small(scenario, overrides, out)
             assert code in (0, 1, 2), code
             if code == 2:
                 assert err.startswith(("config error:", "aborted:")), err
@@ -877,3 +875,16 @@ class TestConfigSpace:
             else:
                 manifest = json.loads(Path(out, "manifest.json").read_text())
                 assert sorted(manifest["outputs"]) == sorted(os.listdir(out))
+
+    @given(**SMALL_CONFIGS)
+    @settings(max_examples=40, derandomize=True, deadline=None)  # about 2 s
+    def test_rerun_writes_identical_data_files(self, scenario, overrides):
+        # the manifest holds timings and config.ini the output directory
+        runs = []
+        with tempfile.TemporaryDirectory() as out:
+            for name in ("a", "b"):
+                code, _ = _run_small(scenario, overrides, Path(out, name))
+                files = sorted(Path(out, name).iterdir()) if code != 2 else []
+                data = [f for f in files if f.name not in ("manifest.json", "config.ini")]
+                runs.append((code, {f.name: f.read_bytes() for f in data}))
+        assert runs[0] == runs[1]

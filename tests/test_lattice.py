@@ -21,6 +21,7 @@ from nhscatter.lattice import (
     OnSitePotential,
     as_dimer,
     build_hamiltonian,
+    dense_from_bands,
     dimer_from_interferometer,
     lattice_dim,
     site_order,
@@ -268,9 +269,13 @@ class TestBuildHamiltonian:
     @pytest.mark.parametrize("wall", [None, 4, 20])
     def test_canonical_band_without_stored_zeros(self, center, wall):
         lattice = LatticeSpec(20, 7, hard_wall_n0=wall)
-        h = build_hamiltonian(center, lattice).matrix
-        # the same entries, bit for bit, as the loop-filled dense reference
-        assert np.array_equal(h.toarray(), oracles.dense_hamiltonian(center, lattice))
+        ham = build_hamiltonian(center, lattice)
+        h = ham.matrix
+        # the same entries, bit for bit, as the loop-filled dense reference,
+        # in the CSR view and in the dense array the bands fill
+        dense = oracles.dense_hamiltonian(center, lattice)
+        assert np.array_equal(h.toarray(), dense)
+        assert np.array_equal(dense_from_bands(ham.bands), dense)
         assert type(h).__name__ == "csr_array" and h.dtype == complex
         # no stored zeros: a zero center entry or a wall's bond is left out
         assert h.has_canonical_format and np.all(h.data != 0)
@@ -298,7 +303,7 @@ class TestHamiltonianMatrix:
         center, lattice = AsymmetricDimer(0.5, 2.0), LatticeSpec(2, 2)
         h = np.zeros((6, 6))
         h[0, 1] = 2.0
-        ham = HamiltonianMatrix.from_matrix(h, center, lattice)  # converted into a copy
+        ham = oracles.hamiltonian_from_matrix(h, center, lattice)  # converted into a copy
         assert ham.bands.dtype == complex and not ham.bands.flags.writeable
         assert np.count_nonzero(ham.bands) == 1 and ham.bands[3, 0] == 2.0
         assert type(ham.matrix).__name__ == "csr_array" and ham.matrix.dtype == complex
@@ -312,7 +317,7 @@ class TestHamiltonianMatrix:
         bands[3, 0] = 3.0  # so do the caller's bands
         assert direct.bands[3, 0] == 2.0 and not direct.bands.flags.writeable
         with pytest.raises(ValueError, match="match lattice dimension"):
-            HamiltonianMatrix.from_matrix(np.zeros((5, 5)), center, lattice)
+            oracles.hamiltonian_from_matrix(np.zeros((5, 5)), center, lattice)
         with pytest.raises(ValueError, match="match lattice dimension"):
             HamiltonianMatrix(np.zeros((5, 5)), center, lattice)
 
@@ -321,10 +326,10 @@ class TestHamiltonianMatrix:
         h = np.zeros((6, 6))
         h[0, 3] = 1.0
         with pytest.raises(ValueError, match="off the diagonals"):
-            HamiltonianMatrix.from_matrix(h, center, lattice)
+            oracles.hamiltonian_from_matrix(h, center, lattice)
         h[0, 3] = 0.0
         h[1, 3] = h[3, 1] = 1.0  # offset 2 is the outermost kept
-        assert HamiltonianMatrix.from_matrix(h, center, lattice).bands[4, 1] == 1.0
+        assert oracles.hamiltonian_from_matrix(h, center, lattice).bands[4, 1] == 1.0
         bands = np.zeros((5, 6))
         bands[4, 5] = 1.0  # H[5, 7] lies outside a 6 x 6 matrix
         with pytest.raises(ValueError, match="outside the matrix"):
@@ -340,6 +345,6 @@ class TestHamiltonianMatrix:
     )
     def test_matrix_round_trips_through_the_bands(self, center):
         ham = build_hamiltonian(center, LatticeSpec(9, 6, hard_wall_n0=4))
-        again = HamiltonianMatrix.from_matrix(ham.matrix, center, ham.lattice)
+        again = oracles.hamiltonian_from_matrix(ham.matrix, center, ham.lattice)
         assert np.array_equal(again.bands, ham.bands)
         assert np.array_equal(again.matrix.toarray(), ham.matrix.toarray())

@@ -7,8 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment  # reference solver; src does not import it
 
+import oracles
 from nhscatter.lattice import (
     AsymmetricDimer,
+    HamiltonianMatrix,
     Interferometer,
     LatticeSpec,
     OnSitePotential,
@@ -71,6 +73,13 @@ class TestAlphaBetaRotation:
         ham = build_hamiltonian(AsymmetricDimer(1, 1), LatticeSpec(3, 3))
         with pytest.raises(ValueError):
             alpha_beta_rotation(ham)
+
+    def test_rejects_entries_rotated_off_the_bands(self):
+        ham = interferometer_ham(-1.25, 0.75, n=4)
+        bands = np.array(ham.bands)
+        bands[4, ham.center_span[0] + 1] = 1.0  # H[minus, minus + 2], 3 from plus once rotated
+        with pytest.raises(ValueError, match="off the diagonals"):
+            alpha_beta_rotation(HamiltonianMatrix(bands, ham.center, ham.lattice))
 
     def test_rejects_off_quarter_flux(self):
         ham = build_hamiltonian(Interferometer(-1.25, 0.75, 0.8), LatticeSpec(3, 3))
@@ -191,6 +200,50 @@ class TestSparseResults:
             assert peak <= 1000 * ham.dim, (transform.__name__, peak)
 
 
+#: verify's scaling battery, then dimers at the singularity mu*nu = -1
+VERIFY_DIMERS = [(0.5, 2.0), (1.5, 0.4), (-1.2, -0.5), (-2.0, 0.5), (0.8, -1.1)]
+SINGULAR_DIMERS = [(-2.0, 0.5), (1.0, -1.0), (-0.4, 2.5)]
+#: verify's rotation pairs, then pairs with delta^2 - gamma^2 = -1
+ROTATION_PAIRS = [(-1.25, 0.75), (0.75, 1.25), (0.4, -0.9), (0.0, 1.0)]
+#: lattices whose center pair lies within two sites of an end, or of a wall
+EDGE_LATTICES = [LatticeSpec(1, 1), LatticeSpec(2, 1), LatticeSpec(4, 3, hard_wall_n0=1)]
+
+
+class TestSparseOracles:
+    """The transforms on H's diagonals give the entries of SciPy's sparse
+    products of the same similarities (tests/oracles.py), compared with ==
+    (equal up to the sign of zero)."""
+
+    @pytest.mark.parametrize("mu, nu", VERIFY_DIMERS + SINGULAR_DIMERS)
+    @pytest.mark.parametrize("lattice", [LatticeSpec(40, 40), *EDGE_LATTICES], ids=repr)
+    def test_scaled_bands_equal_coo_scaling(self, mu, nu, lattice):
+        ham = build_hamiltonian(AsymmetricDimer(mu, nu), lattice)
+        expected = oracles.coo_biorthogonal_scale(ham).bands
+        assert np.array_equal(biorthogonal_scale(ham).bands, expected)
+
+    @pytest.mark.parametrize("delta, gamma", ROTATION_PAIRS)
+    @pytest.mark.parametrize("lattice", [LatticeSpec(10, 10), *EDGE_LATTICES], ids=repr)
+    def test_rotated_bands_equal_csr_products(self, delta, gamma, lattice):
+        ham = build_hamiltonian(Interferometer(delta, gamma, math.pi / 4), lattice)
+        rotated = alpha_beta_rotation(ham)
+        assert rotated.center == dimer_from_interferometer(delta, gamma)
+        assert np.array_equal(rotated.bands, oracles.csr_alpha_beta_rotation(ham).bands)
+        # and scaling the rotated chain, whose entries carry rounding residues
+        if abs(delta) != abs(gamma):
+            expected = oracles.coo_biorthogonal_scale(rotated).bands
+            assert np.array_equal(biorthogonal_scale(rotated).bands, expected)
+
+    @pytest.mark.parametrize("mu, nu", SINGULAR_DIMERS)
+    @pytest.mark.parametrize("n", [1, 2, 100])
+    def test_parity_blocks_equal_csr_products(self, mu, nu, n):
+        scaled = scaled_singular(n, mu, nu)
+        blocks = parity_decompose(scaled)
+        h_plus, h_minus, cross = oracles.csr_parity_blocks(scaled)
+        assert np.array_equal(blocks.h_plus, h_plus.toarray())
+        assert np.array_equal(blocks.h_minus, h_minus.toarray())
+        assert blocks.cross_coupling == cross
+
+
 def scaled_singular(n=100, mu=-2.0, nu=0.5):
     ham = build_hamiltonian(AsymmetricDimer(mu, nu), LatticeSpec(n, n))
     return biorthogonal_scale(ham)
@@ -207,7 +260,7 @@ class TestParityDecompose:
 
     def test_blocks_are_uniform_chains_with_end_potential(self):
         blocks = parity_decompose(scaled_singular(40))
-        for block in (blocks.h_plus.toarray(), blocks.h_minus.toarray()):
+        for block in (blocks.h_plus, blocks.h_minus):
             off = np.diagonal(block, 1)
             assert np.max(np.abs(off + 1.0)) < 1e-12
             assert np.max(np.abs(np.diagonal(block)[1:])) < 1e-12
@@ -221,7 +274,7 @@ class TestParityDecompose:
     def test_embedded_blocks_commute_and_reconstruct(self):
         scaled = scaled_singular(60)
         blocks = parity_decompose(scaled)
-        hp, hm = (h.toarray() for h in blocks.embedded())
+        hp, hm = blocks.embedded()
         assert np.linalg.norm(hp @ hm - hm @ hp) < 1e-12
         assert np.linalg.norm(hp + hm - dense(scaled)) < 1e-12
 
@@ -229,14 +282,14 @@ class TestParityDecompose:
         scaled = scaled_singular(60)
         blocks = parity_decompose(scaled)
         union = np.concatenate(
-            [np.linalg.eigvals(h.toarray()) for h in (blocks.h_plus, blocks.h_minus)]
+            [np.linalg.eigvals(h) for h in (blocks.h_plus, blocks.h_minus)]
         )
         assert spectrum_distance(np.linalg.eigvals(dense(scaled)), union) < 1e-10
 
     def test_embeddings_are_isometries(self):
         blocks = parity_decompose(scaled_singular(30))
         for v in (blocks.embed_plus, blocks.embed_minus):
-            assert np.max(np.abs((v.conj().T @ v).toarray() - np.eye(v.shape[1]))) < 1e-14
+            assert np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) < 1e-14
 
     def test_rejects_unequal_leads(self):
         ham = build_hamiltonian(AsymmetricDimer(-2.0, 0.5), LatticeSpec(10, 12))
