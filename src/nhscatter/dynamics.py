@@ -25,11 +25,11 @@ needed, so it stays accurate arbitrarily close to the spectral singularity,
 where eigenvector matrices become ill-conditioned. Every product, of states
 and of probes, runs in NumPy on the diagonals by one kernel
 (BandedOperator) with the bits of SciPy's CSR products, so stepping imports
-no SciPy. Where -iH dt is real in the quarter-turn gauge psi_n = (-i)^n
-phi_n, as for every dimer chain (real bonds between neighbouring indices,
-imaginary on-site entries), a block whose phi has an all-zero real or
-imaginary column steps in real arithmetic on phi and gives the complex
-loop's bits (see TaylorStep).
+no SciPy. Where -iH is real in the quarter-turn gauge psi_n = (-i)^n phi_n,
+as for every dimer chain (real bonds between neighbouring indices, imaginary
+on-site entries), the Propagator holds that real generator and a run steps
+the live real and imaginary parts of phi in real arithmetic, with the complex
+loop's bits (see Propagator).
 """
 
 import json
@@ -338,71 +338,41 @@ _BAND_TURNS = _QUARTER_TURNS[np.negative(BAND_OFFSETS) % 4, None]
 class TaylorStep:
     """e^A for A = -iH dt, applied as ``step @ b`` without forming e^A.
 
-    ``a`` is A on the five diagonals of HamiltonianMatrix.bands. ``step @ b``
-    takes ``scaling`` substeps b <- sum_{j<=degree} (A/s)^j b / j!, each
-    summing all ``degree`` terms (the backward-error bound of the plan holds
-    for the full degree), with ``operator`` = A/s as a BandedOperator.
-    Deterministic: no random norm estimate, so reruns are bit-identical.
-
-    ``gauged`` is K = G^-1 (A/s) G as a real BandedOperator when K is real,
-    with G = diag((-i)^n) over the matrix index n, and None otherwise: the
-    entry at offset k carries i^-k, so K is real for every real chain whose
-    bonds join neighbouring indices and whose on-site entries are imaginary
-    (every dimer chain, hard wall or not, and an imaginary on-site center).
-    When some real or imaginary part of G^-1 b is all zero, the block is
-    stepped as G (e^K applied to G^-1 b), with the parts of G^-1 b as real
-    columns and the zero ones skipped. A block with no zero part is stepped
-    by ``operator``: the arithmetic is the same, and a product on r complex
-    columns is cheaper than on 2r real ones. A quarter turn only swaps and
-    negates components, so each product and sum equals the complex loop's up
-    to the sign of zero.
+    ``a`` is A on the five diagonals of HamiltonianMatrix.bands, real when
+    the Propagator holds -iH in the quarter-turn gauge. ``step @ b`` takes
+    ``scaling`` substeps b <- sum_{j<=degree} (A/s)^j b / j!, each summing all
+    ``degree`` terms (the backward-error bound of the plan holds for the full
+    degree), with ``operator`` = A/s as a BandedOperator, in the common dtype
+    of b and A, so a complex b is never cast to real. Deterministic: no random
+    norm estimate, so reruns are bit-identical.
     """
 
     def __init__(self, a: np.ndarray, dt: float):
         self.dt = dt
         self._buffers = {}
         self.degree, self.scaling = _taylor_plan(a)
-        a = a * (1 / self.scaling)  # by the reciprocal, as a CSR matrix is divided
-        self.operator = BandedOperator(a)
-        k = a * _BAND_TURNS  # i^-k on offset k
-        self.gauged = None
-        if not np.any(k.imag):
-            self.gauged = BandedOperator(k.real)
-            n = np.arange(a.shape[1]) % 4
-            self._into, self._back = _QUARTER_TURNS[n, None], _QUARTER_TURNS[-n, None]
+        # by the reciprocal, as a CSR matrix is divided
+        self.operator = BandedOperator(a * (1 / self.scaling))
 
     def __matmul__(self, b: np.ndarray) -> np.ndarray:
-        out = np.asarray(b, dtype=complex)
-        live = None
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.gauged is not None:
-                phi = np.multiply(out.reshape(len(out), -1), self._into, order="C")
-                parts = phi.view(float)  # N x 2r: re and im of each column, in place
-                live = parts.any(axis=0)
-            if live is None or live.all():
-                out = self._series(self.operator, out)
-            else:  # the live columns copied in C order, where products are faster
-                parts[:, live] = self._series(self.gauged, parts[:, live].copy())
-                out = np.multiply(phi, self._back, out=phi).reshape(out.shape)
-        if not np.all(np.isfinite(out)):
-            raise PropagatorError(
-                f"propagator for dt={self.dt} overflowed; "
-                "spectral growth too large for this step"
-            )
-        return out
-
-    def _series(self, operator: BandedOperator, out: np.ndarray) -> np.ndarray:
+        out = b.astype(np.result_type(b, self.operator.dtype), copy=False)
         # each product writes the buffer its input is not: the terms ping-pong
         key = (out.shape, out.dtype)
         if key not in self._buffers:
             self._buffers[key] = np.empty((2, *out.shape), out.dtype)
         buffers = self._buffers[key]
-        for _ in range(self.scaling):
-            term, out = out, out.copy()
-            for j in range(1, self.degree + 1):
-                term = operator.apply(term, buffers[j % 2])
-                term *= 1.0 / j  # a real factor: cheaper than complex division
-                out += term
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(self.scaling):
+                term, out = out, out.copy()
+                for j in range(1, self.degree + 1):
+                    term = self.operator.apply(term, buffers[j % 2])
+                    term *= 1.0 / j  # a real factor: cheaper than complex division
+                    out += term
+        if not np.all(np.isfinite(out)):
+            raise PropagatorError(
+                f"propagator for dt={self.dt} overflowed; "
+                "spectral growth too large for this step"
+            )
         return out
 
 
@@ -414,14 +384,32 @@ class Propagator:
     A step within a relative STEP_RTOL (1e-12) of a step already seen reuses
     the plan built for that first step, so a grid n*dt costs a single plan
     although its float differences vary in the last digits.
+
+    The generator is -iH in the quarter-turn gauge, G^-1 (-iH) G with G =
+    diag((-i)^n) over the matrix index n, when that is real: the entry at
+    offset k carries i^-k, so it is real for every real chain whose bonds
+    join neighbouring indices and whose on-site entries are imaginary (every
+    dimer chain, hard wall or not, and an imaginary on-site center). A run
+    then turns its start into phi = G^-1 psi once, steps the parts of phi
+    that are not all zero as real columns, and turns phi back into psi only
+    to yield it. A quarter turn only swaps and negates components, so each
+    product and sum equals the complex loop's up to the sign of zero. Other
+    chains (an interferometer, a complex on-site center) step psi by -iH.
     """
 
     def __init__(self, ham: HamiltonianMatrix):
         self.ham = ham
         self._generator = -1j * ham.bands
+        self._turns = None
+        gauged = self._generator * _BAND_TURNS  # i^-k on offset k
+        if not np.any(gauged.imag):
+            self._generator = gauged.real
+            n = np.arange(ham.dim) % 4  # phi = i^n psi and psi = (-i)^n phi
+            self._turns = _QUARTER_TURNS[n, None], _QUARTER_TURNS[-n, None]
         self._cache: dict[float, TaylorStep] = {}
 
     def step_matrix(self, dt: float) -> TaylorStep:
+        """The step by dt, which acts on phi, not psi, when -iH is gauged."""
         for seen, u in self._cache.items():
             if math.isclose(dt, seen, rel_tol=STEP_RTOL):
                 return u
@@ -438,11 +426,21 @@ class Propagator:
             raise ValueError(
                 f"initial dimension {x.shape[0]} does not match H dim {self.ham.dim}"
             )
+        if self._turns is not None:
+            into, back = self._turns
+            phi = np.multiply(x.reshape(len(x), -1), into, order="C")
+            parts = phi.view(float)  # N x 2r: re and im of each column of phi
+            live = parts.any(axis=0)
+            x = parts[:, live].copy()  # in C order, where products are faster
         for t in _check_times(times):
             if t > prev_t:
                 x = self.step_matrix(t - prev_t) @ x
             prev_t = t
-            yield x
+            if self._turns is None:
+                yield x
+            else:
+                parts[:, live] = x
+                yield np.multiply(phi, back).reshape(np.shape(start))
 
     def states(self, start: np.ndarray, times) -> np.ndarray:
         """e^{-iH t_i} start at each time, row i at times[i]: T x N for a

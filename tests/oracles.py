@@ -259,8 +259,9 @@ def csr_taylor_plan(a) -> tuple[int, int]:
 def complex_taylor_step(ham, dt, b):
     """e^{-iH dt} b by the package's Taylor plan, in complex arithmetic for
     every H and on SciPy's CSR: the operator -iH dt / s and the loop as
-    `TaylorStep` applies them when its operator is not real in the
-    quarter-turn gauge."""
+    `TaylorStep` applies them to psi when -iH is not real in the quarter-turn
+    gauge. Where it is, a `Propagator` steps the parts of phi_n = i^n psi_n
+    as real columns, and must give these values (up to the sign of zero)."""
     a = -1j * ham.matrix * dt
     degree, scaling = csr_taylor_plan(a)
     op = a / scaling

@@ -380,7 +380,7 @@ class TestTaylorStep:
         prop = Propagator(ham)
         # the step is never formed as a matrix; its growth e^3000 shows when applied
         with pytest.raises(PropagatorError, match="overflowed"):
-            prop.step_matrix(10.0) @ psi0
+            prop.frames(psi0, [10.0])
         with pytest.raises(PropagatorError, match="overflowed"):
             prop.states(psi0, [0.0, 10.0])
         # a step so long that the norms of (H dt)^p overflow has no plan, and
@@ -426,32 +426,36 @@ class TestRealGauge:
     )
     def test_gauged_operator_exactly_when_real_in_gauge(self, center, lattice, real):
         step = Propagator(build_hamiltonian(center, lattice)).step_matrix(1.0)
-        assert step.operator.dtype == np.complex128
-        assert (step.gauged is not None) == real
-        if real:
-            assert step.gauged.dtype == np.float64
+        assert step.operator.dtype == (np.float64 if real else np.complex128)
+        # a complex block is stepped in complex arithmetic, never cast to real
+        x = np.ones((step.operator.shape[0], 2))
+        assert np.array_equal(step @ (1j * x), 1j * (step @ x))
 
     @pytest.mark.parametrize("gauge_real", [True, False], ids=["gauge_real", "packet"])
-    def test_block_without_zero_part_takes_complex_operator(self, monkeypatch, gauge_real):
-        # a state real in the gauge has an all-zero imaginary column there,
+    def test_live_packet_steps_on_real_operator(self, monkeypatch, gauge_real):
+        # a state real in the gauge has an all-zero imaginary part there,
         # which is skipped; a packet at k = pi/3 has both parts live
         lat = LatticeSpec(40, 40)
         psi0 = gaussian_packet(lat, WavePacketSpec(-20, math.pi / 3, 0.3), UNIFORM)
         if gauge_real:
             psi0 = _real_in_gauge(psi0)
         ham = build_hamiltonian(UNIFORM, lat)
-        step = Propagator(ham).step_matrix(1.0)
-        assert step.gauged is not None
-        used = []
-        series = dynamics.TaylorStep._series
+        prop = Propagator(ham)
+        prop.step_matrix(1.0)  # the plan's probes are not recorded
+        products = []
+        apply = dynamics.BandedOperator.apply
 
-        def spy(self, operator, out):
-            used.append(operator is self.gauged)
-            return series(self, operator, out)
+        def spy(self, x, out):
+            products.append((self.dtype, x.dtype, x.shape))
+            return apply(self, x, out)
 
-        monkeypatch.setattr(dynamics.TaylorStep, "_series", spy)
-        assert np.all(step @ psi0 == oracles.complex_taylor_step(ham, 1.0, psi0))
-        assert used == [gauge_real]
+        monkeypatch.setattr(dynamics.BandedOperator, "apply", spy)
+        states = prop.states(psi0, [0.0, 1.0])
+        assert np.all(states[1] == oracles.complex_taylor_step(ham, 1.0, psi0))
+        live = 1 if gauge_real else 2
+        assert products
+        for operator_dtype, block_dtype, shape in products:
+            assert operator_dtype == block_dtype == np.float64 and shape == (ham.dim, live)
 
     @pytest.mark.parametrize("nu", [None, *experiments.AbsorbConfig().nu_values])
     def test_absorb_mixture_matches_complex_loop(self, nu):
@@ -462,7 +466,7 @@ class TestRealGauge:
         factor, weights = mixed_state_uniform(lat, center, lat.hard_wall_n0)
         times = experiments.TimeConfig(t_max=config.absorb.t_max, dt=config.absorb.dt).times()
         prop = self._check(build_hamiltonian(center, lat), factor, times, weights)
-        assert prop.step_matrix(config.absorb.dt).gauged is not None
+        assert prop.step_matrix(config.absorb.dt).operator.dtype == np.float64
 
     def test_singularity_cases_match_complex_loop(self):
         lat = LatticeSpec(400, 400)
@@ -484,8 +488,8 @@ class TestRealGauge:
         ids=["onsite_2j", "onsite", "interferometer"],
     )
     def test_packet_matches_complex_loop(self, center):
-        # the second column is real in the gauge, so where the gauged operator
-        # exists it steps the block's three live real columns
+        # the second column is real in the gauge, so where -iH is real there
+        # the block steps as three live real columns
         lat = LatticeSpec(80, 80)
         psi0 = gaussian_packet(lat, WavePacketSpec(-40, math.pi / 2, 0.3), center)
         block = np.column_stack([psi0, _real_in_gauge(psi0)])
@@ -526,10 +530,15 @@ class TestBandedProducts:
         ham = build_hamiltonian(center, lattice)
         step = Propagator(ham).step_matrix(dt)
         assert (step.scaling > 1) == (dt > 1)
-        reference = -1j * ham.matrix * dt / step.scaling
+        reference = (-1j * ham.matrix * dt / step.scaling).toarray()
+        if step.operator.dtype == np.float64:  # in the gauge phi_n = i^n psi_n
+            turns = np.array([1, 1j, -1, -1j])[np.arange(ham.dim) % 4]
+            reference = turns[:, None] * reference * turns.conj()
+            assert not np.any(reference.imag)
+            reference = reference.real
         ours = oracles.operator_csr(step.operator)
-        assert ours.nnz == reference.nnz
-        assert np.array_equal(ours.toarray(), reference.toarray())
+        assert ours.nnz == np.count_nonzero(reference) == ham.matrix.nnz
+        assert np.array_equal(ours.toarray(), reference)
 
     @pytest.mark.parametrize("width", [None, 1, 3, 20], ids=["vector", "r1", "r3", "r20"])
     @pytest.mark.parametrize("center, lattice", PRODUCT_CENTERS)
@@ -539,12 +548,10 @@ class TestBandedProducts:
         shape = (n,) if width is None else (n, width)
         rng = np.random.default_rng(width or 0)
         x = rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 5, shape)
-        z = x + 1j * rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 5, shape)
-        ours = step.operator.apply(z, np.empty_like(z))
-        assert np.all(ours == oracles.operator_csr(step.operator) @ z)
-        if step.gauged is not None:  # the real-gauge route: a real block
-            ours = step.gauged.apply(x, np.empty_like(x))
-            assert np.all(ours == oracles.operator_csr(step.gauged) @ x)
+        if step.operator.dtype == np.complex128:
+            x = x + 1j * rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 5, shape)
+        ours = step.operator.apply(x, np.empty_like(x))
+        assert np.all(ours == oracles.operator_csr(step.operator) @ x)
 
     @pytest.fixture(scope="class")
     def scenario_steps(self, tmp_path_factory):
@@ -595,7 +602,8 @@ class TestBandedProducts:
     @settings(max_examples=60, derandomize=True)
     def test_plans_equal_csr(self, kind, p, q, phi, dt, left, right, wall):
         # N = left + right + 1 or 2 falls below, at and above the plan's
-        # probe width of 37 columns
+        # probe width of 37 columns; the plan is made on the generator the
+        # Propagator steps, real in the gauge for every dimer
         center = {
             "dimer": AsymmetricDimer(p, q),
             "interferometer": Interferometer(p, q, phi),
@@ -603,7 +611,7 @@ class TestBandedProducts:
         }[kind]
         wall = None if wall is None else min(wall, left)
         ham = build_hamiltonian(center, LatticeSpec(left, right, hard_wall_n0=wall))
-        plan = dynamics._taylor_plan(-1j * ham.bands * dt)
+        plan = dynamics._taylor_plan(Propagator(ham)._generator * dt)
         assert plan == oracles.csr_taylor_plan(-1j * ham.matrix * dt)
 
 
@@ -635,7 +643,9 @@ class TestPowerNorms:
     )
     def test_norms_equal_csr_powers(self, center, lattice, dt):
         ham = self._full_bands() if center is None else build_hamiltonian(center, lattice)
-        norms = dynamics._power_norms(-1j * ham.bands * dt)
+        # the generator the Propagator steps: real probes on the gauge-real
+        # hard-wall dimer, complex ones on the others
+        norms = dynamics._power_norms(Propagator(ham)._generator * dt)
         a = -1j * ham.matrix * dt
         power = a
         assert sorted(norms) == list(range(2, 10))
@@ -816,9 +826,14 @@ class TestProfile:
         with pytest.raises(ValueError, match=r"shape \(2,\) do not fit a start of shape \(8, 3\)"):
             prop.frames(factor, [0.0, 1.0], [0.5, 0.5])
 
-    def test_results_do_not_alias_the_initial_state(self):
+    @pytest.mark.parametrize(
+        "center",
+        [AsymmetricDimer(2.0, 0.5), Interferometer(-1.25, 0.75, math.pi / 4)],
+        ids=["gauge_real_dimer", "interferometer"],
+    )
+    def test_results_do_not_alias_the_initial_state(self, center):
+        # the two ways _evolve runs: in the real gauge and on complex psi
         lat = LatticeSpec(8, 8)
-        center = AsymmetricDimer(2.0, 0.5)
         ham = build_hamiltonian(center, lat)
         prop = Propagator(ham)
         psi0 = gaussian_packet(lat, WavePacketSpec(-4, 1.0, 2.0), center)

@@ -797,6 +797,21 @@ class TestCli:
         assert code == 2
         assert "aborted" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "step, reason",
+        [("1e40", "norms of the powers"), ("1e15", "sparse products")],
+        ids=["norm_overflow", "too_many_products"],
+    )
+    def test_step_without_plan_exit_two(self, tmp_path, capsys, step, reason):
+        # one step of t_max: the norms of (H dt)^p overflow at 1e40, and at
+        # 1e15 the plan would take more than _MAX_PRODUCTS banded products
+        args = ["amplify", "--out", str(tmp_path / "x")]
+        code = main([*args, "--set", f"time.t_max={step}", "--set", f"time.dt={step}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("aborted: ") and err.count("\n") == 1, err
+        assert reason in err
+
 
 #: Each scenario on leads of at most 80 sites and times of at most 15, the
 #: base that the config-space test overrides.
