@@ -25,17 +25,20 @@ needed, so it stays accurate arbitrarily close to the spectral singularity,
 where eigenvector matrices become ill-conditioned. Every product, of states
 and of probes, runs in NumPy on the diagonals by one kernel
 (BandedOperator) with the bits of SciPy's CSR products, so stepping imports
-no SciPy. Where -iH is real in the quarter-turn gauge psi_n = (-i)^n phi_n,
-as for every dimer chain (real bonds between neighbouring indices, imaginary
-on-site entries), the Propagator holds that real generator and a run steps
-the live real and imaginary parts of phi in real arithmetic, with the complex
-loop's bits (see Propagator).
+no SciPy; each is bound once to fixed arrays, so a Taylor term runs only
+ufuncs on persistent 64-byte-aligned buffers (BandedOperator.bind). Where
+-iH is real in the quarter-turn gauge psi_n = (-i)^n phi_n, as for every
+dimer chain (real bonds between neighbouring indices, imaginary on-site
+entries), the Propagator holds that real generator and a run steps the live
+real and imaginary parts of phi in real arithmetic, with the complex loop's
+bits (see Propagator).
 """
 
 import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -196,21 +199,22 @@ def _power_norms(a: np.ndarray) -> dict[int, float]:
     A^p e_j lies within reach = 2 (_P_MAX + 1) rows of j, so the columns e_j
     with j = c (mod W), W = 2 reach + 1, share one probe column c of P: their
     images under every power are disjoint (Curtis, Powell & Reid, IMA J.
-    Appl. Math. 13:117, 1974). The probes are stepped by BandedOperator.apply,
-    the kernel that steps the states, and each entry (i, c) of |A^p P| is
-    summed into its column j, the one with j = c (mod W) and |i - j| <= reach,
-    rows ascending.
+    Appl. Math. 13:117, 1974). The probes ping-pong between two arrays by two
+    BandedOperator.bind products, the kernel that steps the states, and each
+    entry (i, c) of |A^p P| is summed into its column j, the one with j = c
+    (mod W) and |i - j| <= reach, rows ascending.
     """
     operator, n = BandedOperator(a), a.shape[1]
     reach = BAND_OFFSETS[-1] * (_P_MAX + 1)
     width = 2 * reach + 1
     rows, probes = np.arange(n)[:, None], np.arange(width)
     owner = np.clip(probes + width * ((rows - probes + reach) // width), 0, n - 1)
-    power = (rows % width == probes).astype(a.dtype)
-    spare, norms = np.empty_like(power), {}
+    probe = (rows % width == probes).astype(a.dtype)
+    spare, norms = np.empty_like(probe), {}
+    products = operator.bind(spare, probe), operator.bind(probe, spare)
     with np.errstate(over="ignore", invalid="ignore"):
         for p in range(1, _P_MAX + 2):
-            power, spare = operator.apply(power, spare), power
+            power = products[p % 2]()
             if p > 1:
                 norms[p] = float(np.bincount(owner.ravel(), np.abs(power).ravel(), n).max())
     return norms
@@ -251,10 +255,19 @@ def _taylor_plan(a: np.ndarray) -> tuple[int, int]:
 _SPARSE_DIAGONAL = 4
 
 
+def _aligned(shape: tuple, dtype) -> np.ndarray:
+    """``np.empty(shape, dtype)`` on a 64-byte boundary, one AVX-512 vector:
+    malloc promises 16, and the products' SIMD loops run slower off 64."""
+    raw = np.empty(math.prod(shape) * np.dtype(dtype).itemsize + 64, np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start : start + raw.size - 64].view(dtype).reshape(shape)
+
+
 class BandedOperator:
     """An N x N matrix held as its nonzero diagonals, applied to an N-vector
-    or an N x r block by ``apply`` with the bits of a CSR product (up to the
-    sign of zero).
+    or an N x r block with the bits of a CSR product (up to the sign of zero):
+    ``bind(x, out)`` fixes the arrays of a product that runs many times,
+    ``apply(x, out)`` runs one.
 
     ``diagonals[j, i]`` is M[i, i + offsets[j]], offsets ascending. Row i of
     a product sums its terms from zero in ascending column order, as a CSR row
@@ -288,7 +301,7 @@ class BandedOperator:
         key = (r, dtype)
         if key not in self._layouts:
             n, rows = self.shape[0], self._rows
-            whole, scratch = [], np.empty(n * r, dtype)
+            whole, scratch = [], _aligned((n * r,), dtype)
             for j in self._whole:
                 k = self.offsets[j]
                 lo, hi = max(-k, 0) * r, (n - max(k, 0)) * r
@@ -303,30 +316,44 @@ class BandedOperator:
             if entries.dtype.kind == "c":
                 parts.append(1j * entries.imag)
             targets = (rows[:, None] * r + np.arange(r)).reshape(-1)
-            self._layouts[key] = whole, unset, (targets, flat, parts)
+            patch = targets, flat, parts, np.empty((3, *flat.shape), dtype)  # x, terms, sums
+            self._layouts[key] = whole, unset, patch
         return self._layouts[key]
 
-    def apply(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``out`` = M @ x for C-ordered arrays of one shape, x's first axis N
-        and out of the product's dtype; returns ``out``."""
-        whole, unset, (targets, flat, parts) = self._layout(x.size // self.shape[0], out.dtype)
+    def bind(self, x: np.ndarray, out: np.ndarray):
+        """``out`` = M @ x as a call without arguments that returns ``out``,
+        for C-ordered arrays of one shape, x's first axis N and out of the
+        product's dtype. Every flat view, shifted span and scratch slice is
+        taken here, once, so a call runs only ufuncs on fixed arrays. Calls
+        bound to one (r, dtype) share scratch: run them one at a time."""
+        r = x.size // self.shape[0]
+        whole, unset, (targets, flat, parts, (g, terms, sums)) = self._layout(r, out.dtype)
         xf, yf = x.reshape(-1), out.reshape(-1)
-        yf[unset] = 0
-        if whole:
-            rows, src, c, _ = whole[0]
-            np.multiply(c, xf[src], out=yf[rows])
-            for rows, src, c, scratch in whole[1:]:
-                y = yf[rows]
-                y += np.multiply(c, xf[src], out=scratch)
+        calls = [partial(yf[unset].fill, 0)]
+        for i, (rows, src, c, scratch) in enumerate(whole):  # the first writes out directly
+            calls.append(partial(np.multiply, c, xf[src], scratch if i else yf[rows]))
+            if i:
+                calls.append(partial(np.add, yf[rows], scratch, yf[rows]))
         if targets.size:
-            g = xf[flat]
-            terms = parts[0] * g
+            calls.append(partial(xf.take, flat, None, g, "clip"))
+            calls.append(partial(np.multiply, parts[0], g, terms))
             for part in parts[1:]:  # the imaginary part: a_re x + (i a_im) x
-                terms += part * g
+                calls += [partial(np.multiply, part, g, sums), partial(np.add, terms, sums, terms)]
             # accumulate adds one term at a time, in column order (a reduce
             # may sum pairwise)
-            yf[targets] = np.add.accumulate(terms)[-1]
-        return out
+            calls.append(partial(np.add.accumulate, terms, 0, None, sums))
+            calls.append(partial(yf.put, targets, sums[-1]))
+
+        def product() -> np.ndarray:
+            for call in calls:
+                call()
+            return out
+
+        return product
+
+    def apply(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out`` = M @ x, once: ``bind(x, out)()``."""
+        return self.bind(x, out)()
 
 
 #: i^p for p = 0..3: the gauge's quarter turns, exact in floating point
@@ -345,35 +372,42 @@ class TaylorStep:
     degree), with ``operator`` = A/s as a BandedOperator, in the common dtype
     of b and A, so a complex b is never cast to real. Deterministic: no random
     norm estimate, so reruns are bit-identical.
+
+    Per (shape, dtype) of b, the step keeps three 64-byte-aligned arrays, the
+    two terms that ping-pong and the running sum, and the two products bound
+    between the terms; ``step @ b`` returns a copy of the sum, never a buffer.
     """
 
     def __init__(self, a: np.ndarray, dt: float):
         self.dt = dt
-        self._buffers = {}
+        self._series = {}
         self.degree, self.scaling = _taylor_plan(a)
         # by the reciprocal, as a CSR matrix is divided
         self.operator = BandedOperator(a * (1 / self.scaling))
 
     def __matmul__(self, b: np.ndarray) -> np.ndarray:
-        out = b.astype(np.result_type(b, self.operator.dtype), copy=False)
-        # each product writes the buffer its input is not: the terms ping-pong
-        key = (out.shape, out.dtype)
-        if key not in self._buffers:
-            self._buffers[key] = np.empty((2, *out.shape), out.dtype)
-        buffers = self._buffers[key]
+        key = b.shape, np.result_type(b, self.operator.dtype)
+        if key not in self._series:
+            # term j: its product into the buffer its input is not, that buffer, 1/j
+            even, odd, total = (_aligned(*key) for _ in range(3))
+            products = (self.operator.bind(odd, even), even), (self.operator.bind(even, odd), odd)
+            terms = [(*products[j % 2], 1.0 / j) for j in range(1, self.degree + 1)]
+            self._series[key] = even, total, terms
+        even, total, terms = self._series[key]
+        total[...] = b
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(self.scaling):
-                term, out = out, out.copy()
-                for j in range(1, self.degree + 1):
-                    term = self.operator.apply(term, buffers[j % 2])
-                    term *= 1.0 / j  # a real factor: cheaper than complex division
-                    out += term
-        if not np.all(np.isfinite(out)):
+                even[...] = total
+                for product, term, scale in terms:
+                    product()
+                    term *= scale  # a real factor: cheaper than complex division
+                    total += term
+        if not np.all(np.isfinite(total)):
             raise PropagatorError(
                 f"propagator for dt={self.dt} overflowed; "
                 "spectral growth too large for this step"
             )
-        return out
+        return total.copy()
 
 
 class Propagator:

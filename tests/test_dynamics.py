@@ -363,7 +363,8 @@ class TestTaylorStep:
         for seed in (1, 2):
             np.random.seed(seed)
             before = np.random.get_state()
-            results.append(Propagator(ham).step_matrix(10.0) @ factor)
+            # through states: on this gauge-real chain the step acts on phi
+            results.append(Propagator(ham).states(factor, [0.0, 10.0])[-1])
             after = np.random.get_state()
             assert before[0] == after[0] and np.array_equal(before[1], after[1])
             assert before[2:] == after[2:]
@@ -441,19 +442,21 @@ class TestRealGauge:
             psi0 = _real_in_gauge(psi0)
         ham = build_hamiltonian(UNIFORM, lat)
         prop = Propagator(ham)
-        prop.step_matrix(1.0)  # the plan's probes are not recorded
-        products = []
-        apply = dynamics.BandedOperator.apply
+        step = prop.step_matrix(1.0)  # the plan's probes are not recorded
+        products, runs = [], []
+        bind = dynamics.BandedOperator.bind
 
         def spy(self, x, out):
             products.append((self.dtype, x.dtype, x.shape))
-            return apply(self, x, out)
+            product = bind(self, x, out)
+            return lambda: runs.append(x.shape) or product()
 
-        monkeypatch.setattr(dynamics.BandedOperator, "apply", spy)
+        monkeypatch.setattr(dynamics.BandedOperator, "bind", spy)
         states = prop.states(psi0, [0.0, 1.0])
         assert np.all(states[1] == oracles.complex_taylor_step(ham, 1.0, psi0))
         live = 1 if gauge_real else 2
-        assert products
+        # the two ping-pong products, bound once, run every Taylor term
+        assert len(products) == 2 and len(runs) == step.degree * step.scaling
         for operator_dtype, block_dtype, shape in products:
             assert operator_dtype == block_dtype == np.float64 and shape == (ham.dim, live)
 
@@ -502,6 +505,109 @@ class TestRealGauge:
         ham = build_hamiltonian(SINGULAR, lat)
         prop = self._check(ham, block, np.arange(0, 31) * 1.0)
         assert not np.any(prop.states(block, [0.0, 30.0])[:, :, 1])
+
+
+def _placed(values, offset):
+    """A copy of ``values`` whose data start ``offset`` bytes past a 64-byte
+    boundary."""
+    raw = np.empty(values.nbytes + 128, np.uint8)
+    start = -raw.ctypes.data % 64 + offset
+    placed = raw[start : start + values.nbytes].view(values.dtype).reshape(values.shape)
+    placed[...] = values
+    return placed
+
+
+class TestBoundBuffers:
+    """A TaylorStep keeps its buffers and bound products per (shape, dtype)
+    of the blocks it steps: reuse must not leak one block into another, and
+    neither the buffers' placement nor their reuse may change a bit."""
+
+    CENTERS = [
+        pytest.param(SINGULAR, id="gauge_real"),
+        pytest.param(Interferometer(-1.25, 0.75, 1.0), id="interferometer"),
+    ]
+
+    DT = 12.0  # three substeps: each starts its terms from the last sum
+
+    def _step(self, center):
+        ham = build_hamiltonian(center, LatticeSpec(40, 40))
+        step = Propagator(ham).step_matrix(self.DT)
+        assert step.scaling == 3
+        return ham, step
+
+    @staticmethod
+    def _blocks(n):
+        """Real and complex blocks of shapes N, N x 1 and N x 3."""
+        rng = np.random.default_rng(3)
+        blocks = []
+        for shape in [(n,), (n, 1), (n, 3)]:
+            x = rng.standard_normal(shape)
+            blocks += [x, x + 1j * rng.standard_normal(shape)]
+        return blocks
+
+    @pytest.mark.parametrize("center", CENTERS)
+    def test_interleaved_blocks_match_fresh_step_and_complex_loop(self, center):
+        ham, step = self._step(center)
+        # a gauge-real step acts on phi, psi = (-i)^n phi
+        gauge = np.array([1, -1j, -1, 1j])[np.arange(ham.dim) % 4]
+        if step.operator.dtype == np.complex128:
+            gauge = np.ones(ham.dim)
+        for b in self._blocks(ham.dim) * 2:  # each (shape, dtype) met again later
+            turn = gauge.reshape(-1, *[1] * (b.ndim - 1))
+            want = oracles.complex_taylor_step(ham, self.DT, turn * b) * turn.conj()
+            ours = step @ b
+            assert ours.shape == b.shape
+            assert np.all(ours == want)
+            assert np.array_equal(ours, self._step(center)[1] @ b)
+
+    @pytest.mark.parametrize("center", CENTERS)
+    def test_result_is_never_a_buffer(self, center):
+        ham, step = self._step(center)
+        for b in self._blocks(ham.dim):
+            first = step @ b
+            kept = first.copy()
+            first[...] = 7.0
+            again = step @ b
+            assert not np.shares_memory(first, again)
+            assert np.array_equal(again, kept)
+
+    @pytest.mark.parametrize("center", CENTERS)
+    def test_buffers_are_64_byte_aligned(self, monkeypatch, center):
+        ham, step = self._step(center)
+        bound = []
+        bind = dynamics.BandedOperator.bind
+
+        def spy(self, x, out):
+            bound.append((x, out))
+            return bind(self, x, out)
+
+        monkeypatch.setattr(dynamics.BandedOperator, "bind", spy)
+        blocks = self._blocks(ham.dim)
+        for b in blocks:
+            step @ b
+        keys = {(b.shape, np.result_type(b, step.operator.dtype)) for b in blocks}
+        assert len(bound) == 2 * len(keys) == 2 * len(step._series)
+        sums = [total for _, total, _ in step._series.values()]
+        for a in [*sums, *(a for pair in bound for a in pair)]:
+            assert a.ctypes.data % 64 == 0 and a.flags.c_contiguous and a.flags.writeable
+
+    @pytest.mark.parametrize("width", [None, 3, 20], ids=["vector", "r3", "r20"])
+    @pytest.mark.parametrize(
+        "center", [*CENTERS, pytest.param(OnSitePotential(0.3 + 1.1j), id="onsite")]
+    )
+    def test_offset_arrays_give_aligned_bits(self, center, width):
+        ham, step = self._step(center)
+        shape = (ham.dim,) if width is None else (ham.dim, width)
+        rng = np.random.default_rng(width or 0)
+        x = rng.standard_normal(shape)
+        if step.operator.dtype == np.complex128:
+            x = x + 1j * rng.standard_normal(shape)
+        aligned = _placed(x, 0)
+        want = step.operator.bind(aligned, _placed(x, 0))()
+        for offset in (8, 16, 32):
+            moved = _placed(x, offset)
+            assert moved.ctypes.data % 64 == offset
+            assert np.array_equal(step.operator.bind(moved, _placed(x, offset))(), want)
 
 
 #: Centers of the banded-product checks: every chain the scenarios step, and
