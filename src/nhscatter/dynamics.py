@@ -8,13 +8,19 @@ and its site profile is p = |V|^2 w. The Dirac probability p(j,t) and its
 total P(t) are not conserved when H is non-Hermitian; they are the primary
 observables here.
 
-Every run goes through one call, Propagator.frames(start, times, weights).
-An N-vector gives one T x N float64 array, row i the site profile at time i,
-so P(t) is its row sums; this array is what the metrics take and what
-write_frames saves. An N x r block of independent cases that share H gives
-T x r x N, case j at [:, j]; with weights, it gives the mixture's T x N
-profile. A block steps as one, each column exactly as it would alone,
-through one loop, Propagator._evolve: the truncated-Taylor action of
+Every run goes through one stream, Propagator.frame_rows(start, times,
+weights), which yields the frame at each time as soon as it is stepped: the
+site profile of an N-vector, a float64 N-row whose sum is P(t); an r x N row
+for an N x r block of independent cases that share H, case j in row j; with
+weights, the mixture's N-row profile. Each row is a new C-ordered array, so
+a sum over its sites reduces in the order it does on the collected array,
+and split_probability of a streamed row equals that of the array's row bit
+for bit (a transposed view would reduce in another order). Propagator.frames
+collects the stream into the T x N (or T x r x N) array that the metrics
+take; a scenario that would hold T x r x N values instead consumes the rows
+one by one, writing each to write_frames, whose file gets the .npy header of
+the whole array first. A block steps as one, each column exactly as it would
+alone, through one loop, Propagator._evolve: the truncated-Taylor action of
 e^{-iH dt} on H's five diagonals (Al-Mohy & Higham, SIAM J. Sci. Comput.
 33:488, 2011), with one (degree, scaling) plan per distinct time step from
 the exact 1-norms of the powers A^p, A = -iH dt, p = 2..9. These are read
@@ -23,22 +29,24 @@ vector, whose images stay apart because A^p has no entry further than 18
 from its diagonal. No N x N exponential is formed, and no eigenvectors are
 needed, so it stays accurate arbitrarily close to the spectral singularity,
 where eigenvector matrices become ill-conditioned. Every product, of states
-and of probes, runs in NumPy on the diagonals by one kernel
-(BandedOperator) with the bits of SciPy's CSR products, so stepping imports
-no SciPy; each is bound once to fixed arrays, so a Taylor term runs only
-ufuncs on persistent 64-byte-aligned buffers (BandedOperator.bind). Where
--iH is real in the quarter-turn gauge psi_n = (-i)^n phi_n, as for every
-dimer chain (real bonds between neighbouring indices, imaginary on-site
-entries), the Propagator holds that real generator and a run steps the live
-real and imaginary parts of phi in real arithmetic, with the complex loop's
-bits (see Propagator).
+and of probes, runs in NumPy on the diagonals by one kernel (BandedOperator)
+with the bits of SciPy's CSR products, so stepping imports no SciPy; each is
+bound once to fixed arrays, so a Taylor term runs only ufuncs on persistent
+64-byte-aligned buffers (BandedOperator.bind). Where -iH is real in the
+quarter-turn gauge psi_n = (-i)^n phi_n, as for every dimer chain (real
+bonds between neighbouring indices, imaginary on-site entries), the
+Propagator holds that real generator and a run steps the live real and
+imaginary parts of phi in real arithmetic, with the complex loop's bits (see
+Propagator).
 """
 
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -485,7 +493,23 @@ class Propagator:
         """Dirac probabilities, row i at times[i]: T x N |psi_j(t_i)|^2 for an
         N-vector; T x r x N for an N x r block of r independent cases, case j
         at [:, j]; and with r weights w (finite, >= 0) the T x N profile
-        |V(t)|^2 w of the mixture V diag(w) V^dag."""
+        |V(t)|^2 w of the mixture V diag(w) V^dag. The rows of frame_rows,
+        collected."""
+        times, start = _check_times(times), np.asarray(start)
+        rows = self.frame_rows(start, times, weights)
+        cases = start.shape[1:] if weights is None else ()
+        out = np.empty((times.size, *cases, self.ham.dim))
+        for i, row in enumerate(rows):
+            out[i] = row
+        return out
+
+    def frame_rows(self, start: np.ndarray, times, weights=None):
+        """The rows of ``frames(start, times, weights)`` one at a time, as the
+        steps produce them, so no T x r x N array is held: an iterator of new
+        C-ordered float64 arrays, (N,) for a vector or a mixture and (r, N)
+        for a block. C order matters: a sum over a row's sites (as in
+        split_probability) then reduces in the order it does on a row of
+        ``frames``, so every bit agrees."""
         times, start = _check_times(times), np.asarray(start)
         if weights is not None:
             weights = np.asarray(weights, dtype=float)
@@ -496,12 +520,8 @@ class Propagator:
                 )
             if not np.all(np.isfinite(weights) & (weights >= 0)):
                 raise ValueError(f"density weights must be finite and >= 0, got {weights}")
-        cases = start.shape[1:] if weights is None else ()
-        out = np.empty((times.size, *cases, self.ham.dim))
-        for row, x in zip(out, self._evolve(start, times)):
-            p = np.abs(x) ** 2
-            row[...] = p.T if weights is None else p @ weights
-        return out
+            return ((np.abs(x) ** 2) @ weights for x in self._evolve(start, times))
+        return (np.ascontiguousarray((np.abs(x) ** 2).T) for x in self._evolve(start, times))
 
 
 def _check_times(times) -> np.ndarray:
@@ -561,8 +581,10 @@ def transit_metrics(
 ) -> TransitMetrics:
     """Reflected/transmitted norms, gain, and shape distortion after transit.
 
-    ``frames`` is a T x N probability array, row i at time i. The final row
-    is split at the center; gain is transmitted/incident.
+    ``frames`` is a T x N probability array, row i at time i, of which only
+    the first and last rows are read, so a streamed run passes just those two
+    (and checks its boundaries itself). The final row is split at the center;
+    gain is transmitted/incident.
     Distortion is the minimum over integer shifts |shift| <= _MAX_SHIFT and a
     free non-negative scale of the L2 distance between the transmitted profile
     and the reference run's transmitted profile, normalized by the L2 norm of
@@ -609,7 +631,8 @@ def transit_metrics(
 
 def check_boundaries(frames: np.ndarray) -> float:
     """Worst probability seen on an outermost lead site across the rows of a
-    T x N frame array; raises when it exceeds BOUNDARY_TOL."""
+    T x N frame array, or of its T x 2 end columns alone (what a streamed run
+    keeps); raises when it exceeds BOUNDARY_TOL."""
     worst = float(frames[:, [0, -1]].max())
     if worst > BOUNDARY_TOL:
         raise BoundaryContaminationError(
@@ -631,11 +654,60 @@ def _shift_window(vec: np.ndarray, shift: int) -> np.ndarray:
     return out
 
 
-def write_frames(path, frames: np.ndarray) -> None:
-    """Frame export: one .npy file holding the T x N float64 frame array, row
-    i at time i, columns in site order. Exact, and byte-identical on rerun
-    (np.save writes no timestamp); the axes go to :func:`write_frames_axes`."""
-    np.save(path, frames, allow_pickle=False)
+class write_frames:
+    """Frame export, row by row: ``write_frames(path, (T, N))`` opens one .npy
+    file for a T x N float64 frame array, row i at time i, columns in site
+    order, and writes its header through np.lib.format; ``write(row)`` then
+    appends each row as the stream produces it, so no T x N array is held and
+    the bytes equal np.save's of the whole array: exact, and byte-identical
+    on rerun (no timestamp). Used as a context manager, or closed by
+    ``close()``; either way, a file that did not get exactly T rows is removed
+    and the writer raises ValueError, so no well-formed .npy of another shape
+    is left. The axes go to :func:`write_frames_axes`."""
+
+    def __init__(self, path, shape: tuple[int, int]):
+        self.path, self.shape, self.rows = path, tuple(map(operator.index, shape)), 0
+        self._fh = open(path, "wb")
+        header = {
+            "descr": np.lib.format.dtype_to_descr(np.dtype(float)),
+            "fortran_order": False,
+            "shape": self.shape,
+        }
+        np.lib.format.write_array_header_1_0(self._fh, header)
+
+    def write(self, row: np.ndarray) -> None:
+        """Append the N-vector ``row`` as the next frame."""
+        if self.rows == self.shape[0]:
+            self._discard()
+            raise ValueError(f"{self.path}: more than the {self.shape[0]} rows of its header")
+        row = np.ascontiguousarray(row, dtype=float)
+        if row.shape != self.shape[1:]:
+            raise ValueError(f"{self.path}: a row of shape {row.shape}, not {self.shape[1:]}")
+        self._fh.write(row.data)
+        self.rows += 1
+
+    def close(self) -> None:
+        """Close the file; with fewer rows than its header names, remove it and
+        raise."""
+        self._fh.close()
+        if self.rows != self.shape[0]:
+            self._discard()
+            raise ValueError(
+                f"{self.path}: {self.rows} rows written, but its header names {self.shape[0]}"
+            )
+
+    def _discard(self) -> None:
+        self._fh.close()
+        Path(self.path).unlink(missing_ok=True)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, *_) -> None:
+        if kind is None:
+            self.close()
+        else:  # the rows stopped early: leave no file
+            self._discard()
 
 
 # The names perfbench/tracing.py wraps; they exist only for that tracer.

@@ -15,8 +15,10 @@ import math
 import time
 import types
 import typing
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from io import StringIO
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +44,7 @@ from .lattice import (
     DIMER_REDUCTION_PHI,
     AsymmetricDimer,
     CenterSpec,
+    HamiltonianMatrix,
     Interferometer,
     LatticeSpec,
     OnSitePotential,
@@ -486,10 +489,39 @@ def _require_distinct(name: str, values) -> None:
 _UNIFORM_CHAIN = AsymmetricDimer(1.0, 1.0)
 
 
-def _packet_frames(config, center, k0s):
-    """Send the configured packet at each momentum of k0s through `center`,
-    as one block; returns (H, frames), the run at k0s[j] at frames[:, j].
-    `_UNIFORM_CHAIN` as the center gives the reference runs."""
+def _stream_frames(
+    ham: HamiltonianMatrix, start: np.ndarray, times: np.ndarray, paths=(), split=False
+):
+    """Step the N x r block ``start`` of cases that share ``ham`` to each time
+    and consume its frames row by row, as Propagator.frame_rows produces them,
+    so no T x r x N array is held: case j's T x N frames go to paths[j] when
+    paths are given, and what is kept grows as T r, not T r N. Returns
+    (first, last, ends, sums): the first and last r x N rows, the T x r x 2
+    probabilities on the two outermost lead sites (check_boundaries) and,
+    with ``split``, the 3 x T x r (left lead, center, right lead) sums of
+    split_probability (else None)."""
+    rows = Propagator(ham).frame_rows(start, times)
+    first = next(rows)
+    ends = np.empty((times.size, *first.shape[:-1], 2))
+    sums = np.empty((3, *ends.shape[:-1])) if split else None
+    with ExitStack() as stack:
+        files = [stack.enter_context(write_frames(path, (times.size, ham.dim))) for path in paths]
+        for i, row in enumerate(chain([first], rows)):
+            ends[i] = row[:, [0, -1]]
+            if split:
+                sums[:, i] = split_probability(row, ham.center_span)
+            for fh, frame in zip(files, row):
+                fh.write(frame)
+    return first, row, ends, sums
+
+
+def _packet_runs(config, center, k0s, paths=()):
+    """Send the configured packet at each momentum of k0s through `center`, as
+    one streamed block (_stream_frames), the run at k0s[j] writing its frames
+    to paths[j] when paths are given. Returns (H, runs, ends): runs[j] holds
+    the first and last frames of run j as a 2 x N array (what transit_metrics
+    reads), ends[:, j] its T x 2 end-site probabilities. `_UNIFORM_CHAIN` as
+    the center gives the reference runs."""
     for k0 in k0s:
         if not 0.0 < k0 < math.pi:
             raise ConfigError(f"packet momentum must lie in (0, pi), got k0={k0!r}")
@@ -499,18 +531,20 @@ def _packet_frames(config, center, k0s):
         gaussian_packet(lattice, WavePacketSpec(config.packet.site, k0, config.packet.lam), center)
         for k0 in k0s
     ]
-    return ham, Propagator(ham).frames(np.column_stack(packets), config.time.times())
+    first, last, ends, _ = _stream_frames(
+        ham, np.column_stack(packets), config.time.times(), paths
+    )
+    return ham, np.stack([first, last], axis=1), ends
 
 
 def _run_amplify(config: ScenarioConfig, out_dir: Path):
     dimer = _dimer_on_locus(config, 1)
     center = config.center.to_center()
-    ham, frames = _packet_frames(config, center, [config.packet.k0])
-    ref_frames = _packet_frames(config, _UNIFORM_CHAIN, [config.packet.k0])[1]
-    frames, ref_frames = frames[:, 0], ref_frames[:, 0]
-    metrics = transit_metrics(frames, ham.center_span, ref_frames)
-    write_frames(out_dir / "frames.npy", frames)
-    write_frames(out_dir / "frames_reference.npy", ref_frames)
+    k0s = [config.packet.k0]
+    ham, (run,), ends = _packet_runs(config, center, k0s, [out_dir / "frames.npy"])
+    (ref,) = _packet_runs(config, _UNIFORM_CHAIN, k0s, [out_dir / "frames_reference.npy"])[1]
+    check_boundaries(ends[:, 0])
+    metrics = transit_metrics(run, ham.center_span, ref)
     write_frames_axes(
         out_dir / "frames_axes.json", config.time.times(), ham.lattice, ham.center
     )
@@ -554,15 +588,16 @@ def _run_flux_deviation(config: ScenarioConfig, out_dir: Path):
     devs = sorted(config.flux.deviations)
     step = math.pi / 100
     k0s = config.flux.k0_values
-    ref_frames = _packet_frames(config, _UNIFORM_CHAIN, k0s)[1]
+    refs = _packet_runs(config, _UNIFORM_CHAIN, k0s)[1]
     table = {}
     for dev in devs:
         center = Interferometer(
             config.center.delta, config.center.gamma, DIMER_REDUCTION_PHI + dev * step
         )
-        ham, frames = _packet_frames(config, center, k0s)
+        ham, runs, ends = _packet_runs(config, center, k0s)
         for j, k0 in enumerate(k0s):
-            table[(k0, dev)] = transit_metrics(frames[:, j], ham.center_span, ref_frames[:, j])
+            check_boundaries(ends[:, j])
+            table[(k0, dev)] = transit_metrics(runs[j], ham.center_span, refs[j])
 
     with open(out_dir / "distortion.csv", "w") as fh:
         fh.write("k0,deviation,gain,distortion\n")
@@ -653,16 +688,16 @@ def _run_singularity(config: ScenarioConfig, out_dir: Path):
         ),
     }
 
-    # the cases share H, so they step as one block; case j's frames are [:, j]
-    block = Propagator(ham).frames(np.column_stack(list(cases.values())), times)
-    left, mid, right = split_probability(block, ham.center_span)  # T x 4 each
-    total = left + mid + right
+    # the cases share H, so they step as one block, streamed to one file each
     outputs = [f"frames_{name}.npy" for name in cases]
+    start = np.column_stack(list(cases.values()))
+    paths = [out_dir / fname for fname in outputs]
+    _, _, ends, (left, mid, right) = _stream_frames(ham, start, times, paths, split=True)
+    total = left + mid + right
     with open(out_dir / "series.csv", "w") as series_fh:
         series_fh.write("case,t,P_left,P_center,P_right,P_total\n")
-        for j, (name, fname) in enumerate(zip(cases, outputs)):
-            check_boundaries(block[:, j])
-            write_frames(out_dir / fname, block[:, j])
+        for j, name in enumerate(cases):
+            check_boundaries(ends[:, j])
             for t, l, c, r, p in zip(times, left[:, j], mid[:, j], right[:, j], total[:, j]):
                 series_fh.write(
                     f"{name},{float(t)!r},{float(l)!r},{float(c)!r},"
@@ -824,8 +859,35 @@ def _anti_hermitian_norm(bands) -> float:
     return float(np.linalg.norm(bands - adjoint.conj()))
 
 
+def _scattering_state_residual(seed: int) -> float:
+    """Worst residual (scattering_residual) of verify's scattering states,
+    drawn from ``seed``: 20 dimers, incident from the left and the right in
+    turn, and 10 on-site potentials, at random k, each at least 0.05 off its
+    pole."""
+    rng = np.random.default_rng(seed)
+    lattice = LatticeSpec(100, 100)
+    worst = 0.0
+    count = 0
+    while count < 20:
+        mu, nu = rng.uniform(-2.5, 2.5, size=2)
+        k = rng.uniform(0.2, math.pi - 0.2)
+        if abs(mu * nu + 1.0) < 0.05:
+            continue
+        inc = LEFT if count % 2 == 0 else RIGHT
+        worst = max(worst, scattering_residual(AsymmetricDimer(mu, nu), lattice, k, inc))
+        count += 1
+    count = 0
+    while count < 10:
+        v = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        k = rng.uniform(0.2, math.pi - 0.2)
+        if abs(2j * math.sin(k) - v) < 0.05:
+            continue
+        worst = max(worst, scattering_residual(OnSitePotential(v), lattice, k))
+        count += 1
+    return worst
+
+
 def _run_verify(config: ScenarioConfig, out_dir: Path):
-    rng = np.random.default_rng(config.seed)
     assertions = []
 
     # rotation: interferometer -> dimer equality and unitarity
@@ -876,26 +938,7 @@ def _run_verify(config: ScenarioConfig, out_dir: Path):
     spec_dev = spectrum_distance(_spectrum(ham.bands), union)
     assertions.append(_le("parity_blocks_reproduce_spectrum", spec_dev, 1e-10))
 
-    # scattering-state residuals for random parameters
-    lattice = LatticeSpec(100, 100)
-    worst_res = 0.0
-    count = 0
-    while count < 20:
-        mu, nu = rng.uniform(-2.5, 2.5, size=2)
-        k = rng.uniform(0.2, math.pi - 0.2)
-        if abs(mu * nu + 1.0) < 0.05:
-            continue
-        inc = LEFT if count % 2 == 0 else RIGHT
-        worst_res = max(worst_res, scattering_residual(AsymmetricDimer(mu, nu), lattice, k, inc))
-        count += 1
-    count = 0
-    while count < 10:
-        v = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        k = rng.uniform(0.2, math.pi - 0.2)
-        if abs(2j * math.sin(k) - v) < 0.05:
-            continue
-        worst_res = max(worst_res, scattering_residual(OnSitePotential(v), lattice, k))
-        count += 1
+    worst_res = _scattering_state_residual(config.seed)
     assertions.append(_le("scattering_state_residual", worst_res, 1e-12))
 
     # each k loop below is one table; |z| is hypot(re, im), as abs() takes it

@@ -198,6 +198,28 @@ def singular_wavefunction(dimer: AsymmetricDimer, sign: int, site) -> complex:
     raise ValueError(f"site {site!r} is not a lead site or dimer center site")
 
 
+def _split(x):
+    """Veltkamp's split of x into high + low halves of at most 26 bits each, so
+    that products of halves are exact."""
+    c = 134217729.0 * x  # 2^27 + 1
+    high = c - (c - x)
+    return high, x - high
+
+
+def _phases(k: float, n: np.ndarray):
+    """(cos, sin) of k n at the integers n, as e^{i k n} = e^{i hi} e^{i lo}
+    with k n = hi + lo exactly (Dekker's two-product, Numer. Math. 18:224,
+    1971). The rounding of fl(k n) grows with |n|; here the argument is exact,
+    and the error stays at the ulp of cos and sin. For |k n| < 2^26, |lo| <=
+    ulp(hi) / 2 is below 2^-27, where cos lo rounds to 1 and sin lo to lo, so
+    e^{i lo} is 1 + i lo."""
+    n = np.asarray(n, dtype=float)
+    hi = k * n
+    (k_hi, k_lo), (n_hi, n_lo) = _split(k), _split(n)
+    lo = ((k_hi * n_hi - hi) + k_hi * n_lo + k_lo * n_hi) + k_lo * n_lo
+    return _mul(_libm(math.cos, hi), _libm(math.sin, hi), 1.0, lo)
+
+
 def assemble_scattering_state(
     center: CenterSpec, lattice: LatticeSpec, k: float, incidence: str = LEFT
 ) -> np.ndarray:
@@ -208,7 +230,8 @@ def assemble_scattering_state(
     number of center sites; the center holds 1 + r when m = 1 and
     (1 + r, t e^{ik}) otherwise. Right incidence is its mirror image, j -> -j
     with the center pair reversed. An interferometer's (alpha, beta) pair is
-    rotated into its (plus, minus) sites by ALPHA_BETA_BLOCK.
+    rotated into its (plus, minus) sites by ALPHA_BETA_BLOCK. The lead phases
+    come from _phases, whose error does not grow with |j|.
 
     The returned vector solves (H - E_k) psi = 0 on every site except the two
     outermost lead sites, where the truncation injects/extracts the wave.
@@ -220,17 +243,21 @@ def assemble_scattering_state(
     m = len(center_sites(center))
     mirror = 1 if incidence == LEFT else -1
 
-    def lead(j: int) -> complex:  # left incidence; right incidence reads it at -j
-        if j < 0:
-            return cmath.exp(1j * k * j) + r * cmath.exp(-1j * k * j)
-        return t * cmath.exp(1j * k * (j + m - 1))
+    # the lead sites read as left incidence: incoming where j < 0
+    left, right = np.arange(-lattice.left_len, 0), np.arange(1, lattice.right_len + 1)
+    j = mirror * np.concatenate([left, right])
+    incoming = j < 0
+    c, s = _phases(k, np.where(incoming, j, j + m - 1))
+    back_re, back_im = _mul(r.real, r.imag, c, -s)  # r e^{-ikj}
+    out_re, out_im = _mul(t.real, t.imag, c, s)  # t e^{ik(j+m-1)}
+    leads = np.empty(len(j), dtype=complex)
+    leads.real = np.where(incoming, c + back_re, out_re)
+    leads.imag = np.where(incoming, s + back_im, out_im)
 
     core = [1.0 + r] if m == 1 else [1.0 + r, t * cmath.exp(1j * k)][::mirror]
     if isinstance(center, Interferometer):
         core = ALPHA_BETA_BLOCK @ np.array(core, dtype=complex)
-    left = [lead(mirror * j) for j in range(-lattice.left_len, 0)]
-    right = [lead(mirror * j) for j in range(1, lattice.right_len + 1)]
-    return np.array(left + list(core) + right, dtype=complex)
+    return np.concatenate([leads[: lattice.left_len], core, leads[lattice.left_len :]])
 
 
 def scattering_residual(

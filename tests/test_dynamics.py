@@ -960,6 +960,49 @@ class TestProfile:
             assert np.array_equal(r, k)
 
 
+class TestFrameRows:
+    """frame_rows streams the rows of frames, bit for bit, in C order."""
+
+    @pytest.mark.parametrize(
+        "center",
+        [AsymmetricDimer(2.0, 0.5), Interferometer(-1.25, 0.75, math.pi / 4)],
+        ids=["gauge_real_dimer", "interferometer"],
+    )
+    @pytest.mark.parametrize("start", ["vector", "block", "weighted"])
+    def test_stream_matches_frames(self, center, start):
+        lat = LatticeSpec(60, 60)
+        ham = build_hamiltonian(center, lat)
+        prop = Propagator(ham)
+        packets = [
+            gaussian_packet(lat, WavePacketSpec(site, k0, 0.3), center)
+            for site, k0 in ((-25, math.pi / 2), (-20, 1.0), (25, -2.0))
+        ]
+        weights = None
+        if start == "vector":
+            start = packets[0]
+        elif start == "block":
+            start = np.column_stack(packets)
+        else:
+            start, weights = np.column_stack(packets), np.array([0.5, 0.25, 0.25])
+        times = np.arange(0, 31) * 0.7
+        frames = prop.frames(start, times, weights)
+        rows = list(prop.frame_rows(start, times, weights))  # each row kept
+        assert len(rows) == len(frames)
+        whole = split_probability(frames, ham.center_span)
+        for i, (row, frame) in enumerate(zip(rows, frames)):
+            assert row.dtype == np.float64 and row.flags.c_contiguous
+            assert row.shape == frame.shape and row.tobytes() == frame.tobytes()
+            for part, of_whole in zip(split_probability(row, ham.center_span), whole):
+                assert part.tobytes() == of_whole[i].tobytes()
+
+    def test_bad_weights_rejected_before_stepping(self):
+        lat = LatticeSpec(8, 8)
+        prop = Propagator(build_hamiltonian(UNIFORM, lat))
+        factor, _ = mixed_state_uniform(lat, UNIFORM, 2)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            prop.frame_rows(factor, [0.0, 1.0], [0.5, -0.5])
+
+
 class TestTransitMetrics:
     def _frames(self, center, lat, k0=math.pi / 2, t_max=40.0):
         ham = build_hamiltonian(center, lat)
@@ -1021,7 +1064,9 @@ class TestFrameExport:
         times = np.arange(0, 6) * 0.3
         frames = Propagator(build_hamiltonian(center, lat)).frames(psi, times)
         path = tmp_path / "frames.npy"
-        write_frames(path, frames)
+        with write_frames(path, frames.shape) as out:
+            for row in frames:
+                out.write(row)
         loaded = np.load(path, allow_pickle=False)
         assert loaded.dtype == np.float64
         assert loaded.shape == (6, 8)
@@ -1033,6 +1078,47 @@ class TestFrameExport:
         assert axes["t"] == times.tolist()
         assert axes["j"] == [-3, -2, -1, "alpha", "beta", 1, 2, 3]
         assert tuple(axes["j"]) == site_order(center, lat)
+
+    @pytest.mark.parametrize("shape", [(1, 8), (6, 8), (1234, 3)])
+    def test_rows_write_the_bytes_of_np_save(self, tmp_path, shape):
+        frames = np.random.default_rng(7).random(shape)
+        np.save(tmp_path / "saved.npy", frames, allow_pickle=False)
+        with write_frames(tmp_path / "rows.npy", shape) as out:
+            for row in frames:
+                out.write(row)
+        assert (tmp_path / "rows.npy").read_bytes() == (tmp_path / "saved.npy").read_bytes()
+
+    @pytest.mark.parametrize("count", [0, 2, 4])
+    def test_wrong_row_count_leaves_no_file(self, tmp_path, count):
+        # too many rows fail at the extra write, too few on closing
+        path = tmp_path / "frames.npy"
+        with pytest.raises(ValueError, match="rows"):
+            with write_frames(path, (3, 5)) as out:
+                for row in np.ones((count, 5)):
+                    out.write(row)
+        assert not path.exists()
+
+    def test_close_after_too_few_rows_raises(self, tmp_path):
+        path = tmp_path / "frames.npy"
+        out = write_frames(path, (3, 5))
+        out.write(np.ones(5))
+        with pytest.raises(ValueError, match="1 rows written, but its header names 3"):
+            out.close()
+        assert not path.exists()
+
+    def test_failed_stream_leaves_no_file(self, tmp_path):
+        path = tmp_path / "frames.npy"
+        with pytest.raises(RuntimeError, match="stepping failed"):
+            with write_frames(path, (3, 5)) as out:
+                out.write(np.ones(5))
+                raise RuntimeError("stepping failed")
+        assert not path.exists()
+
+    def test_row_of_wrong_length_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="shape"):
+            with write_frames(tmp_path / "frames.npy", (3, 5)) as out:
+                out.write(np.ones(4))
+        assert not (tmp_path / "frames.npy").exists()
 
     def test_metrics_txt(self, tmp_path):
         path = tmp_path / "metrics.txt"
