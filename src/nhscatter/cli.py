@@ -54,13 +54,13 @@ def main(argv=None) -> int:
         config = default_config(args.scenario)
         if args.config:
             config = load_config(args.config, base=config)
-            if config.scenario != args.scenario:
-                raise ConfigError(
-                    f"config file names scenario {config.scenario!r} but the "
-                    f"{args.scenario!r} subcommand was invoked"
-                )
         if args.overrides:
             config = apply_overrides(config, args.overrides)
+        if config.scenario != args.scenario:
+            raise ConfigError(
+                f"config names scenario {config.scenario!r} but the "
+                f"{args.scenario!r} subcommand was invoked"
+            )
         if args.out:
             config.out_dir = args.out
         manifest = run_scenario(config)

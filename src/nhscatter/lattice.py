@@ -8,7 +8,7 @@ E_k = -2 cos k and the maximal group velocity is 2. Times are in inverse
 hopping units.
 
 H is held as its five diagonals (HamiltonianMatrix.bands), built, stepped and
-transformed with NumPy alone; its SciPy CSR form is built on demand, for tests.
+transformed with NumPy alone.
 
 Leads are finite here while the physics is posed on semi-infinite chains;
 callers must size leads so that no probability reaches the open ends during
@@ -18,7 +18,7 @@ the simulated window (rule of thumb: len >= |packet site| + 2*t_max + 5*width).
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -198,9 +198,7 @@ class HamiltonianMatrix:
     matrix), with the specs it is indexed by (a transformed matrix no longer
     follows the build rules of its ``center``). The bands are a read-only copy
     of the input, so writing through them raises. Building, stepping and
-    transforming H use only the bands; ``matrix``, the same entries as a
-    canonical ``scipy.sparse.csr_array`` (sorted, no stored zeros, read-only),
-    is built on first use and read only by tests."""
+    transforming H use only the bands."""
 
     bands: np.ndarray
     center: CenterSpec
@@ -217,21 +215,6 @@ class HamiltonianMatrix:
                 raise ValueError(f"diagonal {k} holds an entry outside the matrix")
         bands.setflags(write=False)
         object.__setattr__(self, "bands", bands)
-
-    @cached_property
-    def matrix(self) -> "scipy.sparse.csr_array":
-        import scipy.sparse
-
-        stored = self.bands.T != 0  # row by row, each row's columns ascending
-        rows, slots = np.nonzero(stored)
-        indptr = np.r_[0, np.cumsum(stored.sum(axis=1))]
-        mat = scipy.sparse.csr_array(
-            (self.bands.T[stored], rows + np.take(BAND_OFFSETS, slots), indptr),
-            shape=(self.dim, self.dim),
-        )
-        for array in (mat.data, mat.indices, mat.indptr):
-            array.setflags(write=False)
-        return mat
 
     @property
     def dim(self) -> int:

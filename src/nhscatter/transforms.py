@@ -225,6 +225,11 @@ def spectrum_distance(a, b) -> float:
     parts agree only to rounding). It can exceed the bottleneck distance:
     for {0, 3e^{i theta}} and {0, 3} with sin(theta/2) = 5/6 it is 5, where
     the bottleneck (the least largest distance of any pairing) is 3.
+
+    Colliding spectra, in which two entries of ``a`` share a nearest entry of
+    ``b``, are paired by scipy.optimize and so need SciPy from the ``test``
+    extra; without it they raise ImportError. Every verify comparison pairs
+    distinct nearest entries in NumPy.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)

@@ -12,7 +12,9 @@ complex arithmetic throughout on SciPy's CSR (`complex_taylor_step`, planned by
 stepping must equal, real-in-gauge or not, and `operator_csr` for its products.
 The three transforms are kept as SciPy sparse products on H's CSR form
 (`csr_alpha_beta_rotation`, `coo_biorthogonal_scale`, `csr_parity_blocks`),
-the references the package's transforms on H's diagonals must equal.
+the references the package's transforms on H's diagonals must equal. `csr`
+builds that CSR form from H's five diagonals; the package holds only the
+diagonals and needs no SciPy at run time.
 """
 
 import cmath
@@ -87,6 +89,22 @@ def dense_hamiltonian(center, lattice):
     return h
 
 
+def csr(ham):
+    """H's five diagonals as a canonical SciPy CSR array (rows in order, each
+    row's columns ascending, no stored zeros), its data, indices and indptr
+    read-only."""
+    stored = ham.bands.T != 0  # row by row, each row's columns ascending
+    rows, slots = np.nonzero(stored)
+    indptr = np.r_[0, np.cumsum(stored.sum(axis=1))]
+    mat = scipy.sparse.csr_array(
+        (ham.bands.T[stored], rows + np.take(BAND_OFFSETS, slots), indptr),
+        shape=(ham.dim, ham.dim),
+    )
+    for array in (mat.data, mat.indices, mat.indptr):
+        array.setflags(write=False)
+    return mat
+
+
 def closed_form_amplitudes(center, k, incidence="left"):
     """r_k, t_k, T, R of a center at one momentum in scalar Python complex
     arithmetic: dimer (or interferometer at flux pi/4, through its dimer)
@@ -147,7 +165,7 @@ def _solve_at_size(center, k, n_lead):
     lattice = LatticeSpec(n_lead, n_lead)
     ham = build_hamiltonian(center, lattice)
     energy = -2.0 * math.cos(k)
-    full = ham.matrix.toarray() - energy * np.eye(ham.dim)
+    full = csr(ham).toarray() - energy * np.eye(ham.dim)
 
     margin = n_lead - 16
     sources = (-margin, margin, -(margin - 5))
@@ -185,8 +203,9 @@ def _solve_at_size(center, k, n_lead):
 
 def ode_evolve(ham, psi0, t_final, rtol=1e-11, atol=1e-13):
     """High-order adaptive integration of i dpsi/dt = H psi up to t_final."""
+    h = csr(ham)
     sol = solve_ivp(
-        lambda _t, y: -1j * (ham.matrix @ y),
+        lambda _t, y: -1j * (h @ y),
         (0.0, t_final),
         np.asarray(psi0, dtype=complex),
         method="DOP853",
@@ -201,7 +220,7 @@ def ode_evolve(ham, psi0, t_final, rtol=1e-11, atol=1e-13):
 
 def eig_evolve(ham, psi0, times):
     """Dense-eigendecomposition evolution, one shot per time."""
-    vals, vecs = np.linalg.eig(ham.matrix.toarray())
+    vals, vecs = np.linalg.eig(csr(ham).toarray())
     coeff = np.linalg.solve(vecs, np.asarray(psi0, dtype=complex))
     return [vecs @ (np.exp(-1j * vals * t) * coeff) for t in np.atleast_1d(times)]
 
@@ -209,13 +228,13 @@ def eig_evolve(ham, psi0, times):
 def pade_evolve(ham, psi0, times):
     """Dense stepping psi <- U psi with U = expm(-iH dt) by scaled-and-squared
     Pade, one exponential per distinct step; psi0 may be N or N x k."""
-    psi = np.asarray(psi0, dtype=complex)
+    psi, h = np.asarray(psi0, dtype=complex), csr(ham).toarray()
     out, prev, steps = [], 0.0, {}
     for t in np.atleast_1d(times):
         if t > prev:
             dt = t - prev
             if dt not in steps:
-                steps[dt] = scipy.linalg.expm(-1j * ham.matrix.toarray() * dt)
+                steps[dt] = scipy.linalg.expm(-1j * h * dt)
             psi = steps[dt] @ psi
         out.append(psi)
         prev = t
@@ -262,7 +281,7 @@ def complex_taylor_step(ham, dt, b):
     `TaylorStep` applies them to psi when -iH is not real in the quarter-turn
     gauge. Where it is, a `Propagator` steps the parts of phi_n = i^n psi_n
     as real columns, and must give these values (up to the sign of zero)."""
-    a = -1j * ham.matrix * dt
+    a = -1j * csr(ham) * dt
     degree, scaling = csr_taylor_plan(a)
     op = a / scaling
     out = np.asarray(b, dtype=complex)
@@ -291,11 +310,11 @@ def complex_taylor_states(ham, start, times):
 
 def dense_density_evolve(ham, rho0, times):
     """Full N x N matrices rho <- U rho U^dag, one Pade exponential per step."""
-    rho = np.asarray(rho0, dtype=complex)
+    rho, h = np.asarray(rho0, dtype=complex), csr(ham).toarray()
     out, prev = [], 0.0
     for t in np.atleast_1d(times):
         if t > prev:
-            u = scipy.linalg.expm(-1j * ham.matrix.toarray() * (t - prev))
+            u = scipy.linalg.expm(-1j * h * (t - prev))
             rho = u @ rho @ u.conj().T
         out.append(rho)
         prev = t
@@ -318,7 +337,7 @@ def density_entries(factor, weights):
 def incoherent_sum_probability(ham, lattice, center, n0, times):
     """Total Dirac probability of the uniform mixture over sites -1..-n0,
     evolved state-by-state via eigendecomposition and summed incoherently."""
-    vals, vecs = np.linalg.eig(ham.matrix.toarray())
+    vals, vecs = np.linalg.eig(csr(ham).toarray())
     vinv = np.linalg.inv(vecs)
     cols = [site_to_index(lattice, -j, center) for j in range(1, n0 + 1)]
     coeff = vinv[:, cols]
@@ -355,7 +374,7 @@ def csr_alpha_beta_rotation(ham):
         scipy.sparse.block_diag((eye(start), ALPHA_BETA_BLOCK, eye(ham.dim - stop)))
     )
     return hamiltonian_from_matrix(
-        b.conj().T @ ham.matrix @ b, as_dimer(ham.center), ham.lattice
+        b.conj().T @ csr(ham) @ b, as_dimer(ham.center), ham.lattice
     )
 
 
@@ -365,7 +384,7 @@ def coo_biorthogonal_scale(ham):
     center = ham.center
     d = np.ones(ham.dim, dtype=complex)
     d[ham.site_index(BETA):] = cmath.sqrt(complex(center.nu / center.mu, 0.0))
-    h = ham.matrix.tocoo()
+    h = csr(ham).tocoo()
     h.data = h.data * ((1.0 / d)[h.row] * d[h.col])
     return hamiltonian_from_matrix(h, center, ham.lattice)
 
@@ -381,6 +400,6 @@ def csr_parity_blocks(ham):
     half = np.full(n + 1, 1.0 / math.sqrt(2.0))
     v_plus = scipy.sparse.csr_array((np.r_[half, half], where), shape=(ham.dim, n + 1))
     v_minus = scipy.sparse.csr_array((np.r_[-half, half], where), shape=(ham.dim, n + 1))
-    h = ham.matrix
+    h = csr(ham)
     cross = max(abs(v_plus.T @ h @ v_minus).max(), abs(v_minus.T @ h @ v_plus).max())
     return v_plus.T @ h @ v_plus, v_minus.T @ h @ v_minus, float(cross)

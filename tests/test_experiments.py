@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from nhscatter.experiments import (
     SCENARIOS,
     ConfigError,
@@ -39,19 +40,19 @@ from nhscatter.lattice import (
 from nhscatter.transforms import biorthogonal_scale, parity_decompose, spectrum_distance
 
 
-def _scipy_modules_after(code: str) -> str:
-    """The scipy modules a fresh interpreter holds after running ``code``."""
+def _run_without_scipy(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter in which SciPy cannot be imported,
+    as in an install without the test extra, and check that nothing put it
+    back."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code += "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    run = subprocess.run(
+    code = f"import sys\nsys.modules['scipy'] = None\n{code}\nassert sys.modules['scipy'] is None"
+    return subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
-        check=True,
     )
-    return run.stdout.strip().splitlines()[-1]
 
 
 def small_amplify(out_dir, **extra):
@@ -318,7 +319,7 @@ class TestSweepScenario:
     def test_hermitian_center_predicate_matches_probe(self, eps):
         # the probe the predicate replaced: max|H - H^dag| < 1e-14 on a built lattice
         def probe(center):
-            h = build_hamiltonian(center, LatticeSpec(2, 2)).matrix.toarray()
+            h = oracles.csr(build_hamiltonian(center, LatticeSpec(2, 2))).toarray()
             return bool(np.max(np.abs(h - h.conj().T)) < 1e-14)
 
         centers = [
@@ -420,7 +421,7 @@ def _verify_spectral_matrices():
         found.append((f"scaled[{mu},{nu}]", biorthogonal_scale(ham), mu * nu > 0))
     ham, blocks = _parity_chain()
     found.append(("parity_chain", ham, True))
-    found = [(label, ham.bands, ham.matrix.toarray(), real) for label, ham, real in found]
+    found = [(label, ham.bands, oracles.csr(ham).toarray(), real) for label, ham, real in found]
     found += [("h_plus", blocks.plus_bands, blocks.h_plus, False)]
     found += [("h_minus", blocks.minus_bands, blocks.h_minus, False)]
     return found
@@ -654,6 +655,24 @@ class TestCli:
         assert code == 2
         assert err.startswith(f"config error: {reason}") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("source", ["config_file", "override"])
+    def test_scenario_mismatch_exit_two(self, tmp_path, capsys, source):
+        # the subcommand names the run; neither source may name another
+        args = ["sweep", "--out", str(tmp_path / "o")]
+        if source == "config_file":
+            path = tmp_path / "verify.ini"
+            path.write_text("[scenario]\nscenario = verify\n")
+            args += ["--config", str(path)]
+        else:
+            args += ["--set", "scenario=verify"]
+        code = main(args)
+        err = capsys.readouterr().err
+        assert code == 2 and not (tmp_path / "o").exists()
+        assert err == (
+            "config error: config names scenario 'verify' but the 'sweep' "
+            "subcommand was invoked\n"
+        )
+
     def test_unusable_out_dir_exit_two(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")
@@ -734,12 +753,14 @@ class TestCli:
     )
     def test_run_loads_no_scipy(self, tmp_path, args):
         # H is built, stepped and transformed on its diagonals in NumPy, and
-        # spectra pair through transforms' own minimum-sum solve
+        # spectra pair through transforms' own minimum-sum solve, so every
+        # scenario runs where SciPy is not installed
         code = "import nhscatter.cli"
         if args is not None:
             out = str(tmp_path / "run")
             code = f"from nhscatter.cli import main; assert main({args + ['--out', out]!r}) == 0"
-        assert _scipy_modules_after(code) == "[]"
+        run = _run_without_scipy(code)
+        assert run.returncode == 0, run.stderr
 
     def test_bounds_cannot_be_loosened(self, tmp_path, capsys):
         # at t_max = 20 the packet has not crossed the center: the gain check fails

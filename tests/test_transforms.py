@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -31,7 +32,7 @@ eigenvalues = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infi
 
 
 def dense(ham):
-    return ham.matrix.toarray()
+    return oracles.csr(ham).toarray()
 
 
 def interferometer_ham(delta, gamma, n=8):
@@ -172,7 +173,7 @@ class TestSparseResults:
     def test_results_stay_canonical_band_matrices(self):
         rotated = alpha_beta_rotation(interferometer_ham(0.75, 1.25, n=20))
         for ham in (rotated, biorthogonal_scale(rotated)):
-            h = ham.matrix
+            h = oracles.csr(ham)
             assert h.has_canonical_format and np.all(h.data != 0)
             rows, cols = h.nonzero()
             assert np.max(np.abs(rows - cols)) <= 2
@@ -317,6 +318,15 @@ class TestSpectrumDistance:
         a = [0.0, 3 * np.exp(1j * theta)]
         assert spectrum_distance(a, [0.0, 3.0]) == pytest.approx(5.0, rel=1e-12)
         assert spectrum_distance(a[::-1], [0.0, 3.0]) == pytest.approx(5.0, rel=1e-12)
+
+    def test_without_scipy_only_colliding_spectra_fail(self, monkeypatch):
+        # as installed without the test extra: distinct nearest partners pair
+        # in NumPy, and only a collision reaches for scipy.optimize
+        for name in ("scipy", "scipy.optimize"):
+            monkeypatch.setitem(sys.modules, name, None)
+        assert spectrum_distance([0.0, 1.0, 2j], [2j + 1e-9, 1.0, 0.0]) == 1e-9
+        with pytest.raises(ImportError):
+            spectrum_distance([0.0, 0.1], [0.0, 5.0])  # both nearest to 0
 
     def test_rejects_unequal_sizes(self):
         with pytest.raises(ValueError, match="same size"):
