@@ -207,15 +207,27 @@ def _min_sum_pairing(cost: np.ndarray) -> np.ndarray:
     """Column paired with each row in a minimum-sum pairing of a square cost
     matrix.
 
-    When every row's nearest column is distinct, that pairing is optimal: the
-    row minima bound every pairing's sum from below. Every verify comparison
-    takes this path, so scipy.optimize loads only when nearest columns collide.
+    Any pairing of each row with one of its nearest columns is optimal: the
+    row minima bound every pairing's sum from below. Rows take a free nearest
+    column in turn, those with the fewest nearest columns first, so exact ties
+    such as repeated eigenvalues pair in NumPy, as does every verify
+    comparison. scipy.optimize loads only when a row finds no free nearest
+    column, where nearest columns truly collide.
     """
-    nearest = cost.argmin(axis=1)
-    if np.unique(nearest).size == nearest.size:
-        return nearest
-    from scipy.optimize import linear_sum_assignment
-
+    nearest = cost == cost.min(axis=1, keepdims=True)
+    pairing, free = np.full(len(cost), -1), np.ones(len(cost), dtype=bool)
+    for row in np.argsort(nearest.sum(axis=1), kind="stable"):
+        choices = np.flatnonzero(nearest[row] & free)
+        if choices.size == 0:
+            break
+        pairing[row] = choices[0]
+        free[choices[0]] = False
+    else:
+        return pairing
+    try:
+        from scipy.optimize import linear_sum_assignment
+    except ImportError as err:
+        raise ImportError("colliding spectra are paired by scipy.optimize: install SciPy") from err
     return linear_sum_assignment(cost)[1]
 
 
@@ -226,10 +238,9 @@ def spectrum_distance(a, b) -> float:
     for {0, 3e^{i theta}} and {0, 3} with sin(theta/2) = 5/6 it is 5, where
     the bottleneck (the least largest distance of any pairing) is 3.
 
-    Colliding spectra, in which two entries of ``a`` share a nearest entry of
-    ``b``, are paired by scipy.optimize and so need SciPy from the ``test``
-    extra; without it they raise ImportError. Every verify comparison pairs
-    distinct nearest entries in NumPy.
+    Colliding spectra, in which an entry of ``a`` finds each of its nearest
+    entries of ``b`` taken, are paired by scipy.optimize. SciPy is not a
+    run-time dependency: without it they raise ImportError.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)

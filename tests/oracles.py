@@ -91,18 +91,14 @@ def dense_hamiltonian(center, lattice):
 
 def csr(ham):
     """H's five diagonals as a canonical SciPy CSR array (rows in order, each
-    row's columns ascending, no stored zeros), its data, indices and indptr
-    read-only."""
+    row's columns ascending, no stored zeros), built afresh on each call."""
     stored = ham.bands.T != 0  # row by row, each row's columns ascending
     rows, slots = np.nonzero(stored)
     indptr = np.r_[0, np.cumsum(stored.sum(axis=1))]
-    mat = scipy.sparse.csr_array(
+    return scipy.sparse.csr_array(
         (ham.bands.T[stored], rows + np.take(BAND_OFFSETS, slots), indptr),
         shape=(ham.dim, ham.dim),
     )
-    for array in (mat.data, mat.indices, mat.indptr):
-        array.setflags(write=False)
-    return mat
 
 
 def closed_form_amplitudes(center, k, incidence="left"):

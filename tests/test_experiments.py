@@ -40,13 +40,27 @@ from nhscatter.lattice import (
 from nhscatter.transforms import biorthogonal_scale, parity_decompose, spectrum_distance
 
 
+# An import finder that fails every attempt to import a SciPy module with
+# AssertionError, which no `except ImportError` swallows
+_NO_SCIPY = """import sys
+class NoSciPy:
+    def find_spec(self, name, path=None, target=None):
+        assert name.split(".")[0] != "scipy", f"attempted import of {name}"
+sys.meta_path.insert(0, NoSciPy())
+"""
+
+
 def _run_without_scipy(code: str) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter in which SciPy cannot be imported,
-    as in an install without the test extra, and check that nothing put it
-    back."""
+    as in an install without it, and fail if anything tries to import it or
+    a SciPy module is loaded after all."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = f"import sys\nsys.modules['scipy'] = None\n{code}\nassert sys.modules['scipy'] is None"
+    code = (
+        f"{_NO_SCIPY}{code}\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "assert not loaded, loaded"
+    )
     return subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": path},
@@ -754,7 +768,7 @@ class TestCli:
     def test_run_loads_no_scipy(self, tmp_path, args):
         # H is built, stepped and transformed on its diagonals in NumPy, and
         # spectra pair through transforms' own minimum-sum solve, so every
-        # scenario runs where SciPy is not installed
+        # scenario runs where SciPy is not installed and never tries to load it
         code = "import nhscatter.cli"
         if args is not None:
             out = str(tmp_path / "run")

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -247,15 +246,6 @@ class TestBuildHamiltonian:
         h = oracles.csr(build_hamiltonian(AsymmetricDimer(t0, t0), LatticeSpec(3, 3))).toarray()
         assert np.max(np.abs(h - h.conj().T)) == 0.0
 
-    def test_matrix_is_readonly(self):
-        h = oracles.csr(build_hamiltonian(OnSitePotential(0), LatticeSpec(2, 2)))
-        assert h[0, 1] == -1 and h[0, 0] == 0
-        for i, j in ((0, 1), (0, 0)):  # a stored entry, then an unstored one
-            with pytest.raises(ValueError), warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # SciPy warns before it inserts
-                h[i, j] = 1.0
-        assert h[0, 1] == -1 and h[0, 0] == 0
-
     @pytest.mark.parametrize(
         "center",
         [
@@ -307,13 +297,8 @@ class TestHamiltonianMatrix:
         ham = oracles.hamiltonian_from_matrix(h, center, lattice)  # converted into a copy
         assert ham.bands.dtype == complex and not ham.bands.flags.writeable
         assert np.count_nonzero(ham.bands) == 1 and ham.bands[3, 0] == 2.0
-        csr = oracles.csr(ham)
-        assert type(csr).__name__ == "csr_array" and csr.dtype == complex
-        assert csr.nnz == 1 and csr[0, 1] == 2.0
-        for array in (csr.data, csr.indices, csr.indptr):
-            assert not array.flags.writeable
         h[0, 1] = 3.0  # the caller's array stays its own
-        assert oracles.csr(ham)[0, 1] == 2.0
+        assert ham.bands[3, 0] == 2.0
         bands = np.array(ham.bands)
         direct = HamiltonianMatrix(bands, center, lattice)
         bands[3, 0] = 3.0  # so do the caller's bands

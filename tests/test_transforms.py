@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment  # reference solver; src does not import it
 
@@ -320,13 +320,17 @@ class TestSpectrumDistance:
         assert spectrum_distance(a[::-1], [0.0, 3.0]) == pytest.approx(5.0, rel=1e-12)
 
     def test_without_scipy_only_colliding_spectra_fail(self, monkeypatch):
-        # as installed without the test extra: distinct nearest partners pair
-        # in NumPy, and only a collision reaches for scipy.optimize
+        # as installed without SciPy: distinct nearest partners and exact ties
+        # pair in NumPy, and only a collision reaches for scipy.optimize
         for name in ("scipy", "scipy.optimize"):
             monkeypatch.setitem(sys.modules, name, None)
         assert spectrum_distance([0.0, 1.0, 2j], [2j + 1e-9, 1.0, 0.0]) == 1e-9
-        with pytest.raises(ImportError):
-            spectrum_distance([0.0, 0.1], [0.0, 5.0])  # both nearest to 0
+        assert spectrum_distance([1.0, 1.0], [1.0, 1.0]) == 0.0  # repeated values
+        assert spectrum_distance([2.0, 2.0, 5.0], [5.0, 2.0, 2.0]) == 0.0
+        # 0.5 is as near 0 as 1, and 0.1 nearest 0 only: 0.5 takes 1
+        assert spectrum_distance([0.5, 0.1], [0.0, 1.0]) == 0.5
+        with pytest.raises(ImportError, match="colliding spectra .* install SciPy"):
+            spectrum_distance([0.0, 0.1], [0.0, 5.0])  # both nearest to 0 only
 
     def test_rejects_unequal_sizes(self):
         with pytest.raises(ValueError, match="same size"):
@@ -404,8 +408,14 @@ def conjugate_pairs(draw):
 
 class TestMinSumPairing:
     # verify compares permuted near-copies, whose nearest columns are distinct
-    # unless a value repeats; independent multisets often need the fallback
+    # unless a value repeats exactly, a tie the pairing resolves in NumPy;
+    # independent multisets often need the fallback
     @given(pair=st.one_of(near_copies(), conjugate_pairs()))
+    # exact ties: rows with several equally near columns
+    @example(pair=([1.0, 1.0], [1.0, 1.0]))
+    @example(pair=([2.0, 2.0, 5.0, 1j], [5.0, 1j, 2.0, 2.0]))
+    @example(pair=([0.5, 0.1], [0.0, 1.0]))
+    @example(pair=([0.5, 0.5, 3.0], [0.0, 1.0, 3.0]))
     @settings(max_examples=300)
     def test_nearest_columns_match_scipy(self, pair):
         _check_against_scipy(*pair)
