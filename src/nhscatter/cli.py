@@ -9,6 +9,7 @@ import sys
 
 from .dynamics import BoundaryContaminationError, PropagatorError
 from .experiments import (
+    SCENARIO_KEYS,
     SCENARIOS,
     ConfigError,
     apply_overrides,
@@ -43,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
             action="append",
             default=[],
             dest="overrides",
-            help="override a config value, e.g. --set center.delta=-1.25 (repeatable)",
+            help=f"override a config value of {', '.join(SCENARIO_KEYS[name][0])} (repeatable)",
         )
     return parser
 
@@ -54,14 +55,8 @@ def main(argv=None) -> int:
         config = default_config(args.scenario)
         if args.config:
             config = load_config(args.config, base=config)
-        if args.overrides:
-            config = apply_overrides(config, args.overrides)
-        if config.scenario != args.scenario:
-            raise ConfigError(
-                f"config names scenario {config.scenario!r} but the "
-                f"{args.scenario!r} subcommand was invoked"
-            )
-        if args.out:
+        config = apply_overrides(config, args.overrides)
+        if args.out is not None:
             config.out_dir = args.out
         manifest = run_scenario(config)
     except ConfigError as exc:

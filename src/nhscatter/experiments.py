@@ -73,9 +73,6 @@ from .transforms import (
     spectrum_distance,
 )
 
-SCENARIOS = ("sweep", "amplify", "flux-deviation", "singularity", "absorb", "verify")
-
-
 class ConfigError(ValueError):
     """Scenario configuration is invalid or physically inconsistent."""
 
@@ -85,7 +82,6 @@ class CenterConfig:
     kind: str = "interferometer"  # onsite | interferometer | dimer
     delta: float = -1.25
     gamma: float = 0.75
-    phi: float = DIMER_REDUCTION_PHI
     v: complex = 0j
     mu: float = 0.5
     nu: float = 2.0
@@ -94,7 +90,7 @@ class CenterConfig:
         if self.kind == "onsite":
             return OnSitePotential(self.v)
         if self.kind == "interferometer":
-            return Interferometer(self.delta, self.gamma, self.phi)
+            return Interferometer(self.delta, self.gamma, DIMER_REDUCTION_PHI)
         if self.kind == "dimer":
             return AsymmetricDimer(self.mu, self.nu)
         raise ConfigError(f"unknown center kind {self.kind!r}")
@@ -174,7 +170,7 @@ class AbsorbConfig:
 class ScenarioConfig:
     scenario: str = "verify"
     out_dir: str = "runs/verify"
-    seed: int = 0  # reserved; only the verify battery draws random parameters
+    seed: int = 0  # draws verify's random scattering states; no other scenario takes it
     center: CenterConfig = field(default_factory=CenterConfig)
     lattice: LatticeConfig = field(default_factory=LatticeConfig)
     packet: PacketConfig = field(default_factory=PacketConfig)
@@ -185,22 +181,48 @@ class ScenarioConfig:
     absorb: AbsorbConfig = field(default_factory=AbsorbConfig)
 
 
-def default_config(scenario: str) -> ScenarioConfig:
-    if scenario not in SCENARIOS:
+#: Per scenario: the config keys its runner reads, as whole sections or
+#: single keys, and the overrides that give its defaults where they differ
+#: from the field defaults. Each scenario takes these keys besides
+#: "scenario" and "out_dir", and no other.
+SCENARIO_KEYS = {
+    "sweep": (("center", "sweep"), ("center.kind=dimer",)),
+    "amplify": (("center", "lattice", "packet.site", "packet.k0", "packet.lam", "time"), ()),
+    "flux-deviation": (("center", "lattice", "packet.site", "packet.lam", "time", "flux"), ()),
+    "singularity": (("center", "lattice", "packet", "time", "singularity"),
+                    ("center.delta=0.75", "center.gamma=1.25")),
+    "absorb": (("lattice", "absorb"), ("lattice.left_len=20", "lattice.hard_wall_n0=20")),
+    "verify": (("seed",), ()),
+}
+SCENARIOS = tuple(SCENARIO_KEYS)
+
+
+_FIELDS = dataclasses.fields(ScenarioConfig)
+#: "section.name", or "name" for a top-level key -> its type, for every key
+_TYPES = {f.name: f.type for f in _FIELDS if not dataclasses.is_dataclass(f.type)} | {
+    f"{f.name}.{g.name}": g.type
+    for f in _FIELDS
+    if dataclasses.is_dataclass(f.type)
+    for g in dataclasses.fields(f.type)
+}
+
+
+def _keys(scenario: str) -> dict:
+    """key -> type of each key `scenario` takes, in field order: "scenario",
+    "out_dir" and what SCENARIO_KEYS lists."""
+    if scenario not in SCENARIO_KEYS:
         raise ConfigError(f"unknown scenario {scenario!r}; choose from {SCENARIOS}")
-    cfg = ScenarioConfig(scenario=scenario, out_dir=f"runs/{scenario}")
-    if scenario == "singularity":
-        cfg.center = CenterConfig(kind="interferometer", delta=0.75, gamma=1.25)
-    elif scenario == "absorb":
-        cfg.lattice = LatticeConfig(left_len=20, right_len=400, hard_wall_n0=20)
-    elif scenario == "sweep":
-        cfg.center = CenterConfig(kind="dimer", mu=0.5, nu=2.0)
-    return cfg
+    entries = ("scenario", "out_dir", *SCENARIO_KEYS[scenario][0])
+    return {k: t for k, t in _TYPES.items() if k in entries or k.partition(".")[0] in entries}
+
+
+def default_config(scenario: str) -> ScenarioConfig:
+    _keys(scenario)  # refuses an unknown scenario
+    base = ScenarioConfig(scenario=scenario, out_dir=f"runs/{scenario}")
+    return apply_overrides(base, SCENARIO_KEYS[scenario][1])
 
 
 # --- config text format -----------------------------------------------------
-
-_SCALARS = ("scenario", "out_dir", "seed")
 
 
 def _format_value(value) -> str:
@@ -228,35 +250,20 @@ def _parse_value(text: str, ftype):
         if not text:
             return ()
         return tuple(_parse_value(tok, inner) for tok in text.split(","))
-    if ftype is int:
-        return int(text)
-    if ftype is float:
-        return float(text)
     if ftype is complex:
-        return complex(text.replace(" ", ""))
-    if ftype is str:
-        return text
-    raise ConfigError(f"unsupported config field type {ftype}")
-
-
-def _section_dataclasses() -> dict:
-    return {
-        f.name: f.type
-        for f in dataclasses.fields(ScenarioConfig)
-        if dataclasses.is_dataclass(f.type)
-    }
+        text = text.replace(" ", "")
+    return ftype(text)  # int, float, complex or str
 
 
 def to_ini(config: ScenarioConfig) -> str:
+    """The keys the config's scenario takes, top-level ones under [scenario]."""
+    sections = {}
+    for key in _keys(config.scenario):
+        section, _, name = key.rpartition(".")
+        owner = getattr(config, section) if section else config
+        sections.setdefault(section or "scenario", {})[name] = _format_value(getattr(owner, name))
     parser = configparser.ConfigParser(interpolation=None)
-    parser.add_section("scenario")
-    for name in _SCALARS:
-        parser.set("scenario", name, _format_value(getattr(config, name)))
-    for section, cls in _section_dataclasses().items():
-        parser.add_section(section)
-        value = getattr(config, section)
-        for f in dataclasses.fields(cls):
-            parser.set(section, f.name, _format_value(getattr(value, f.name)))
+    parser.read_dict(sections)
     buf = StringIO()
     parser.write(buf)
     return buf.getvalue()
@@ -292,31 +299,26 @@ def load_config(path, base: ScenarioConfig | None = None) -> ScenarioConfig:
 
 
 def apply_overrides(config: ScenarioConfig, assignments) -> ScenarioConfig:
-    """Apply "section.key=value" (or "key=value" for scenario scalars)."""
+    """Apply "section.key=value" (or "key=value" for a top-level key) for
+    keys the config's scenario takes; any other key, and a "scenario=" that
+    names another scenario, is refused."""
     config = copy.deepcopy(config)
-    sections = _section_dataclasses()
+    keys = _keys(config.scenario)
     for item in assignments:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not key=value")
         key, raw = item.split("=", 1)
         key = key.strip()
-        section, _, name = key.partition(".")
-        if not name:
-            if key not in _SCALARS:
-                raise ConfigError(f"unknown top-level key {key!r}")
-            target, name = config, key
-        elif section in sections:
-            target = getattr(config, section)
-        else:
-            raise ConfigError(f"unknown config section {section!r}")
-        field_types = {f.name: f.type for f in dataclasses.fields(target)}
-        if name not in field_types:
-            raise ConfigError(f"unknown key {key}")
+        if key not in keys:
+            raise ConfigError(f"scenario {config.scenario!r} takes no key {key!r}")
         try:
-            value = _parse_value(raw, field_types[name])
+            value = _parse_value(raw, keys[key])
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {exc}") from None
-        setattr(target, name, value)
+        if key == "scenario" and value != config.scenario:
+            raise ConfigError(f"config names scenario {value!r}, not {config.scenario!r}")
+        section, _, name = key.rpartition(".")
+        setattr(getattr(config, section) if section else config, name, value)
     return config
 
 
@@ -381,8 +383,9 @@ def run_scenario(config: ScenarioConfig) -> RunManifest:
     runner (a malformed or inconsistent config value), a `MemoryError` (a
     config too large to hold) and an `OSError` from the output directory or a
     file written into it leave as `ConfigError`."""
-    if config.scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {config.scenario!r}")
+    _keys(config.scenario)  # refuses an unknown scenario
+    if not config.out_dir.strip():
+        raise ConfigError("out_dir is empty; name an output directory")
     out_dir = Path(config.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

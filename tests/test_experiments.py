@@ -1,5 +1,7 @@
 import configparser
 import contextlib
+import copy
+import dataclasses
 import io
 import json
 import math
@@ -132,7 +134,7 @@ class TestConfigFormat:
         assert from_ini(to_ini(cfg)) == cfg
 
     def test_round_trip_preserves_overrides(self):
-        cfg = default_config("amplify")
+        cfg = default_config("flux-deviation")
         cfg.center.delta = -1.0 + 1e-13
         cfg.flux.deviations = (0, 3, 7)
         cfg.lattice.hard_wall_n0 = 17
@@ -144,7 +146,7 @@ class TestConfigFormat:
         # config.ini written then must not load
         base = to_ini(default_config("amplify"))
         for section in ("nope", "tol"):
-            with pytest.raises(ConfigError, match=f"unknown config section '{section}'"):
+            with pytest.raises(ConfigError, match=f"takes no key '{section}.gain_rtol'"):
                 from_ini(f"{base}\n[{section}]\ngain_rtol = 1\n")
 
     def test_unknown_key_rejected(self):
@@ -153,10 +155,10 @@ class TestConfigFormat:
 
     def test_apply_overrides(self):
         cfg = default_config("amplify")
-        out = apply_overrides(cfg, ["center.delta=-1.0", "time.t_max=12.5", "seed=7"])
+        out = apply_overrides(cfg, ["center.delta=-1.0", "time.t_max=12.5", "packet.k0=1.0"])
         assert out.center.delta == -1.0
         assert out.time.t_max == 12.5
-        assert out.seed == 7
+        assert out.packet.k0 == 1.0
         assert cfg.center.delta == -1.25  # original untouched
 
     def test_override_validation(self):
@@ -399,13 +401,12 @@ class TestSweepScenario:
         assert (tmp_path / "s" / "sweep_left.csv").stat().st_size > 2_000_000
         assert peak <= 6_000_000, peak
 
-    def test_off_quarter_flux_rejected(self, tmp_path):
+    def test_center_phi_is_not_a_key(self):
+        # every scenario runs the interferometer at flux pi/4, where it
+        # reduces to a dimer, so the flux is no config key
         cfg = default_config("sweep")
-        cfg.out_dir = str(tmp_path / "s")
-        cfg.center.kind = "interferometer"
-        cfg.center.phi = 0.5
-        with pytest.raises(ConfigError):
-            run_scenario(cfg)
+        with pytest.raises(ConfigError, match="takes no key 'center.phi'"):
+            apply_overrides(cfg, ["center.kind=interferometer", "center.phi=0.5"])
 
     def test_verify_writes_assertion_report(self, tmp_path):
         cfg = default_config("verify")
@@ -682,10 +683,21 @@ class TestCli:
         code = main(args)
         err = capsys.readouterr().err
         assert code == 2 and not (tmp_path / "o").exists()
-        assert err == (
-            "config error: config names scenario 'verify' but the 'sweep' "
-            "subcommand was invoked\n"
-        )
+        assert err == "config error: config names scenario 'verify', not 'sweep'\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--out", ""], ["--out", " "], ["--set", "out_dir="]],
+        ids=["out", "out_blank", "set"],
+    )
+    def test_empty_out_dir_exit_two(self, tmp_path, capsys, monkeypatch, args):
+        # an empty name would write the run into the working directory, and a
+        # blank one into a directory named by whitespace
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", *args]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: out_dir is empty; name an output directory\n"
+        assert not os.listdir(tmp_path)
 
     def test_unusable_out_dir_exit_two(self, tmp_path, capsys):
         blocker = tmp_path / "file"
@@ -783,7 +795,7 @@ class TestCli:
         assert "[FAIL] gain_matches_nu_squared" in capsys.readouterr().out
         code = main(early + ["--set", "tol.gain_rtol=1", "--set", "tol.reflect=1"])
         assert code == 2
-        assert "unknown config section 'tol'" in capsys.readouterr().err
+        assert "takes no key 'tol.gain_rtol'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "overrides, key",
@@ -846,7 +858,7 @@ class TestCli:
     def test_absorb_n0_is_unknown_key_exit_two(self, tmp_path, capsys):
         code = main(["absorb", "--out", str(tmp_path / "x"), "--set", "absorb.n0=20"])
         assert code == 2
-        assert "unknown key absorb.n0" in capsys.readouterr().err
+        assert "scenario 'absorb' takes no key 'absorb.n0'" in capsys.readouterr().err
 
     def test_absorb_without_wall_exit_two(self, tmp_path, capsys):
         code = main(
@@ -936,13 +948,21 @@ SMALL_RUNS = {
 SMALL_RUNS["flux-deviation"] = SMALL_RUNS["amplify"]
 
 
-def _override_keys() -> list[str]:
-    """Every key --set accepts but the scenario name and the output directory."""
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.read_string(to_ini(default_config("sweep")))
-    keys = [f"{section}.{name}" for section in parser.sections() for name in parser[section]]
-    skip = ("scenario.scenario", "scenario.out_dir")
-    return [key.removeprefix("scenario.") for key in keys if key not in skip]
+def _config_keys() -> list[str]:
+    """Every config key but the scenario name and the output directory, read
+    off the config dataclasses: "section.name", or "name" at the top level."""
+    keys = []
+    for f in dataclasses.fields(experiments.ScenarioConfig):
+        if dataclasses.is_dataclass(f.type):
+            keys += [f"{f.name}.{g.name}" for g in dataclasses.fields(f.type)]
+        elif f.name not in ("scenario", "out_dir"):
+            keys.append(f.name)
+    return keys
+
+
+#: Per scenario, the keys of _config_keys() it takes and those it refuses.
+TAKEN = {s: [k for k in _config_keys() if k in experiments._keys(s)] for s in SCENARIOS}
+REFUSED = {s: [k for k in _config_keys() if k not in TAKEN[s]] for s in SCENARIOS}
 
 
 #: Values at the edges of every key's type, and a few valid ones.
@@ -952,14 +972,16 @@ EDGE_VALUES = [
 ]
 
 
-#: A scenario and one to three --set overrides of it, on its small run.
-SMALL_CONFIGS = dict(
-    scenario=st.sampled_from(SCENARIOS),
-    overrides=st.lists(
-        st.tuples(st.sampled_from(_override_keys()), st.sampled_from(EDGE_VALUES)),
-        min_size=1,
-        max_size=3,
-    ),
+#: A scenario and one to three --set overrides of keys it takes, on its small run.
+SMALL_CONFIGS = st.sampled_from(SCENARIOS).flatmap(
+    lambda scenario: st.tuples(
+        st.just(scenario),
+        st.lists(
+            st.tuples(st.sampled_from(TAKEN[scenario]), st.sampled_from(EDGE_VALUES)),
+            min_size=1,
+            max_size=3,
+        ),
+    )
 )
 
 
@@ -978,9 +1000,10 @@ class TestConfigSpace:
     assertions, or refuses the config in one line, a finished run's manifest
     lists exactly the files it wrote, and a rerun writes the same data."""
 
-    @given(**SMALL_CONFIGS)
+    @given(run=SMALL_CONFIGS)
     @settings(max_examples=100, derandomize=True, deadline=None)  # verify takes ~0.15 s
-    def test_every_config_exits_cleanly(self, scenario, overrides):
+    def test_every_config_exits_cleanly(self, run):
+        scenario, overrides = run
         with tempfile.TemporaryDirectory() as out:
             code, err = _run_small(scenario, overrides, out)
             assert code in (0, 1, 2), code
@@ -991,9 +1014,10 @@ class TestConfigSpace:
                 manifest = json.loads(Path(out, "manifest.json").read_text())
                 assert sorted(manifest["outputs"]) == sorted(os.listdir(out))
 
-    @given(**SMALL_CONFIGS)
+    @given(run=SMALL_CONFIGS)
     @settings(max_examples=40, derandomize=True, deadline=None)  # about 2 s
-    def test_rerun_writes_identical_data_files(self, scenario, overrides):
+    def test_rerun_writes_identical_data_files(self, run):
+        scenario, overrides = run
         # the manifest holds timings and config.ini the output directory
         runs = []
         with tempfile.TemporaryDirectory() as out:
@@ -1003,3 +1027,78 @@ class TestConfigSpace:
                 data = [f for f in files if f.name not in ("manifest.json", "config.ini")]
                 runs.append((code, {f.name: f.read_bytes() for f in data}))
         assert runs[0] == runs[1]
+
+
+#: The center fields that each center kind reads.
+CENTER_FIELDS = {"onsite": ("v",), "interferometer": ("delta", "gamma"), "dimer": ("mu", "nu")}
+
+
+def _recording(obj, reads: set, prefix: str):
+    """A copy of the dataclass instance ``obj`` that adds prefix + name to
+    ``reads`` whenever one of its non-dataclass fields is read, by a runner
+    or by one of obj's own methods."""
+    names = {f.name for f in dataclasses.fields(obj) if not dataclasses.is_dataclass(f.type)}
+
+    class Recording(type(obj)):
+        def __getattribute__(self, name):
+            if name in names:
+                reads.add(prefix + name)
+            return super().__getattribute__(name)
+
+    clone = copy.copy(obj)
+    clone.__class__ = Recording
+    return clone
+
+
+class TestScenarioKeys:
+    """Each scenario takes, and its config.ini holds, exactly the keys its
+    runner reads."""
+
+    def test_config_ini_holds_the_keys_taken(self):
+        assert len(_config_keys()) == 26
+        counts = {}
+        for scenario in SCENARIOS:
+            parser = configparser.ConfigParser(interpolation=None)
+            parser.read_string(to_ini(default_config(scenario)))
+            keys = [f"{section}.{name}" for section in parser for name in parser[section]]
+            assert keys[:2] == ["scenario.scenario", "scenario.out_dir"]
+            assert [k.removeprefix("scenario.") for k in keys[2:]] == TAKEN[scenario]
+            counts[scenario] = len(TAKEN[scenario])
+        assert counts == {
+            "sweep": 7,
+            "amplify": 14,
+            "flux-deviation": 15,
+            "singularity": 18,
+            "absorb": 7,
+            "verify": 1,
+        }
+
+    @pytest.mark.parametrize(
+        "scenario, key", [(s, k) for s in SCENARIOS for k in REFUSED[s]], ids=str
+    )
+    def test_key_not_taken_exit_two(self, tmp_path, capsys, scenario, key):
+        # "1" parses as every key's type, so only the key is refused
+        assert main([scenario, "--out", str(tmp_path / "x"), "--set", f"{key}=1"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: scenario {scenario!r} takes no key {key!r}\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_runner_reads_exactly_the_keys_taken(self, tmp_path, scenario):
+        # the drift guard: the key table is the runner's measured traffic
+        config = apply_overrides(default_config(scenario), SMALL_RUNS[scenario])
+        reads = set()
+        sections = {
+            f.name: _recording(getattr(config, f.name), reads, f"{f.name}.")
+            for f in dataclasses.fields(config)
+            if dataclasses.is_dataclass(f.type)
+        }
+        recorded = _recording(dataclasses.replace(config, **sections), reads, "")
+        experiments._RUNNERS[scenario](recorded, tmp_path)  # small: verdicts may fail
+        other_kinds = {
+            f"center.{name}"
+            for kind, names in CENTER_FIELDS.items()
+            if kind != config.center.kind
+            for name in names
+        }
+        assert reads - {"scenario", "out_dir"} == set(TAKEN[scenario]) - other_kinds
