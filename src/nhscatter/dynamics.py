@@ -16,14 +16,15 @@ weights, the mixture's N-row profile. Each row is a new C-ordered array, so
 a sum over its sites reduces in the order it does on the collected array,
 and split_probability of a streamed row equals that of the array's row bit
 for bit (a transposed view would reduce in another order). Propagator.frames
-collects the stream into the T x N (or T x r x N) array that the metrics
-take; a scenario that would hold T x r x N values instead consumes the rows
-one by one, writing each to write_frames, whose file gets the .npy header of
-the whole array first. A block steps as one, each column exactly as it would
-alone, through one loop, Propagator._evolve: the truncated-Taylor action of
-e^{-iH dt} on H's five diagonals (Al-Mohy & Higham, SIAM J. Sci. Comput.
-33:488, 2011), with one (degree, scaling) plan per distinct time step from
-the exact 1-norms of the powers A^p, A = -iH dt, p = 2..9. These are read
+collects the stream into the T x N (or T x r x N) array; a scenario that
+would hold T x r x N values instead consumes the rows one by one, writing
+each to write_frames, whose file gets the .npy header of the whole array
+first, and keeps the first and last rows that transit_metrics reads. A
+block steps as one, each column exactly as it would alone, through one loop,
+Propagator._evolve: the truncated-Taylor action of e^{-iH dt} on H's five
+diagonals (Al-Mohy & Higham, SIAM J. Sci. Comput. 33:488, 2011), with one
+(degree, scaling) plan per distinct time step from the exact 1-norms of the
+powers A^p, A = -iH dt, p = 2..9. These are read
 from A^p applied to 37 probe columns, each the sum of every 37th unit
 vector, whose images stay apart because A^p has no entry further than 18
 from its diagonal. No N x N exponential is formed, and no eigenvectors are
@@ -108,14 +109,15 @@ def gaussian_packet(
     complex amplitudes in ``site_order(center, lattice)``.
 
     Raises if the 5-sigma support (sigma = 1/lam in amplitude) would be
-    clipped by the lattice ends.
+    clipped by the connected leads, which a hard wall at -n0 ends on the left.
     """
     sigma = 1.0 / spec.lam
     lo, hi = spec.site - 5.0 * sigma, spec.site + 5.0 * sigma
-    if lo < -lattice.left_len or hi > lattice.right_len:
+    left = lattice.hard_wall_n0 or lattice.left_len
+    if lo < -left or hi > lattice.right_len:
         raise ValueError(
             f"packet at site {spec.site} with 5 sigma = {5.0 * sigma:.1f} is clipped "
-            f"by the lattice ends [-{lattice.left_len}, {lattice.right_len}]"
+            f"by the lead ends [-{left}, {lattice.right_len}]"
         )
     order = site_order(center, lattice)
     amp = np.zeros(len(order), dtype=complex)
@@ -575,40 +577,25 @@ class TransitMetrics:
 
 
 def transit_metrics(
-    frames: np.ndarray,
-    center_span: tuple[int, int],
-    reference_frames: np.ndarray | None = None,
+    first: np.ndarray, last: np.ndarray, reference: np.ndarray, center_span: tuple[int, int]
 ) -> TransitMetrics:
     """Reflected/transmitted norms, gain, and shape distortion after transit.
 
-    ``frames`` is a T x N probability array, row i at time i, of which only
-    the first and last rows are read, so a streamed run passes just those two
-    (and checks its boundaries itself). The final row is split at the center;
-    gain is transmitted/incident.
-    Distortion is the minimum over integer shifts |shift| <= _MAX_SHIFT and a
-    free non-negative scale of the L2 distance between the transmitted profile
-    and the reference run's transmitted profile, normalized by the L2 norm of
-    the incident profile. Passing reference_frames=None self-compares (zero
-    distortion), which only checks the plumbing.
-
-    Raises BoundaryContaminationError if any frame puts more than BOUNDARY_TOL
-    probability on an outermost lead site.
+    ``first`` and ``last`` are a run's first and last N-site probability
+    frames, ``reference`` the reference run's last frame; the boundaries are
+    checked where the frames are streamed. The last frame is split at the
+    center; gain is transmitted/incident. Distortion is the minimum over
+    integer shifts |shift| <= _MAX_SHIFT and a free non-negative scale of the
+    L2 distance between the transmitted profile and the reference run's
+    transmitted profile, normalized by the L2 norm of the incident profile.
     """
-    if len(frames) == 0:
-        raise ValueError("need at least one frame")
-    check_boundaries(frames)
-    if reference_frames is None:
-        reference_frames = frames
-    if len(reference_frames) != len(frames):
-        raise ValueError("reference run must cover the same frame instants")
-
-    incident = float(frames[0].sum())
-    left, _, right = map(float, split_probability(frames[-1], center_span))
+    incident = float(first.sum())
+    left, _, right = map(float, split_probability(last, center_span))
     gain = right / incident
 
-    target = frames[-1, center_span[1] :]
-    ref = reference_frames[-1, center_span[1] :]
-    norm0 = float(np.linalg.norm(frames[0]))
+    target = last[center_span[1] :]
+    ref = reference[center_span[1] :]
+    norm0 = float(np.linalg.norm(first))
     best = (math.inf, 0, 0.0)
     for shift in range(-_MAX_SHIFT, _MAX_SHIFT + 1):
         shifted = _shift_window(ref, shift)

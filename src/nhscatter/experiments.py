@@ -498,33 +498,34 @@ def _stream_frames(
     """Step the N x r block ``start`` of cases that share ``ham`` to each time
     and consume its frames row by row, as Propagator.frame_rows produces them,
     so no T x r x N array is held: case j's T x N frames go to paths[j] when
-    paths are given, and what is kept grows as T r, not T r N. Returns
-    (first, last, ends, sums): the first and last r x N rows, the T x r x 2
-    probabilities on the two outermost lead sites (check_boundaries) and,
-    with ``split``, the 3 x T x r (left lead, center, right lead) sums of
-    split_probability (else None)."""
+    paths are given, and what is kept grows as T r, not T r N. Each case then
+    goes through check_boundaries, in column order, the one boundary guard of
+    the streamed runs. Returns (first, last, sums): the first and last r x N
+    rows and, with ``split``, the 3 x T x r (left lead, center, right lead)
+    sums of split_probability (else None)."""
     rows = Propagator(ham).frame_rows(start, times)
     first = next(rows)
-    ends = np.empty((times.size, *first.shape[:-1], 2))
-    sums = np.empty((3, *ends.shape[:-1])) if split else None
+    ends = np.empty((first.shape[0], times.size, 2))
+    sums = np.empty((3, times.size, first.shape[0])) if split else None
     with ExitStack() as stack:
         files = [stack.enter_context(write_frames(path, (times.size, ham.dim))) for path in paths]
         for i, row in enumerate(chain([first], rows)):
-            ends[i] = row[:, [0, -1]]
+            ends[:, i] = row[:, [0, -1]]
             if split:
                 sums[:, i] = split_probability(row, ham.center_span)
             for fh, frame in zip(files, row):
                 fh.write(frame)
-    return first, row, ends, sums
+    for case_ends in ends:
+        check_boundaries(case_ends)
+    return first, row, sums
 
 
 def _packet_runs(config, center, k0s, paths=()):
     """Send the configured packet at each momentum of k0s through `center`, as
     one streamed block (_stream_frames), the run at k0s[j] writing its frames
-    to paths[j] when paths are given. Returns (H, runs, ends): runs[j] holds
-    the first and last frames of run j as a 2 x N array (what transit_metrics
-    reads), ends[:, j] its T x 2 end-site probabilities. `_UNIFORM_CHAIN` as
-    the center gives the reference runs."""
+    to paths[j] when paths are given. Returns (H, firsts, lasts): row j of each
+    is run j's first or last frame, the two that transit_metrics reads.
+    `_UNIFORM_CHAIN` as the center gives the reference runs."""
     for k0 in k0s:
         if not 0.0 < k0 < math.pi:
             raise ConfigError(f"packet momentum must lie in (0, pi), got k0={k0!r}")
@@ -534,23 +535,18 @@ def _packet_runs(config, center, k0s, paths=()):
         gaussian_packet(lattice, WavePacketSpec(config.packet.site, k0, config.packet.lam), center)
         for k0 in k0s
     ]
-    first, last, ends, _ = _stream_frames(
-        ham, np.column_stack(packets), config.time.times(), paths
-    )
-    return ham, np.stack([first, last], axis=1), ends
+    first, last, _ = _stream_frames(ham, np.column_stack(packets), config.time.times(), paths)
+    return ham, first, last
 
 
 def _run_amplify(config: ScenarioConfig, out_dir: Path):
     dimer = _dimer_on_locus(config, 1)
     center = config.center.to_center()
     k0s = [config.packet.k0]
-    ham, (run,), ends = _packet_runs(config, center, k0s, [out_dir / "frames.npy"])
-    (ref,) = _packet_runs(config, _UNIFORM_CHAIN, k0s, [out_dir / "frames_reference.npy"])[1]
-    check_boundaries(ends[:, 0])
-    metrics = transit_metrics(run, ham.center_span, ref)
-    write_frames_axes(
-        out_dir / "frames_axes.json", config.time.times(), ham.lattice, ham.center
-    )
+    ham, (first,), (last,) = _packet_runs(config, center, k0s, [out_dir / "frames.npy"])
+    _, _, (ref,) = _packet_runs(config, _UNIFORM_CHAIN, k0s, [out_dir / "frames_reference.npy"])
+    metrics = transit_metrics(first, last, ref, ham.center_span)
+    write_frames_axes(out_dir / "frames_axes.json", config.time.times(), ham.lattice, ham.center)
     expected = dimer.nu**2
     record = dict(dataclasses.asdict(metrics), expected_gain=expected)
     write_metrics_txt(out_dir / "metrics.txt", record)
@@ -591,16 +587,18 @@ def _run_flux_deviation(config: ScenarioConfig, out_dir: Path):
     devs = sorted(config.flux.deviations)
     step = math.pi / 100
     k0s = config.flux.k0_values
-    refs = _packet_runs(config, _UNIFORM_CHAIN, k0s)[1]
-    table = {}
-    for dev in devs:
+    runs = {}
+    for dev in devs:  # streamed before the references, so a deviation run aborts first
         center = Interferometer(
             config.center.delta, config.center.gamma, DIMER_REDUCTION_PHI + dev * step
         )
-        ham, runs, ends = _packet_runs(config, center, k0s)
-        for j, k0 in enumerate(k0s):
-            check_boundaries(ends[:, j])
-            table[(k0, dev)] = transit_metrics(runs[j], ham.center_span, refs[j])
+        runs[dev] = _packet_runs(config, center, k0s)
+    _, _, refs = _packet_runs(config, _UNIFORM_CHAIN, k0s)
+    table = {
+        (k0, dev): transit_metrics(firsts[j], lasts[j], refs[j], ham.center_span)
+        for dev, (ham, firsts, lasts) in runs.items()
+        for j, k0 in enumerate(k0s)
+    }
 
     with open(out_dir / "distortion.csv", "w") as fh:
         fh.write("k0,deviation,gain,distortion\n")
@@ -695,12 +693,11 @@ def _run_singularity(config: ScenarioConfig, out_dir: Path):
     outputs = [f"frames_{name}.npy" for name in cases]
     start = np.column_stack(list(cases.values()))
     paths = [out_dir / fname for fname in outputs]
-    _, _, ends, (left, mid, right) = _stream_frames(ham, start, times, paths, split=True)
+    _, _, (left, mid, right) = _stream_frames(ham, start, times, paths, split=True)
     total = left + mid + right
     with open(out_dir / "series.csv", "w") as series_fh:
         series_fh.write("case,t,P_left,P_center,P_right,P_total\n")
         for j, name in enumerate(cases):
-            check_boundaries(ends[:, j])
             for t, l, c, r, p in zip(times, left[:, j], mid[:, j], right[:, j], total[:, j]):
                 series_fh.write(
                     f"{name},{float(t)!r},{float(l)!r},{float(c)!r},"
@@ -785,6 +782,13 @@ def _run_absorb(config: ScenarioConfig, out_dir: Path):
     if n0 is None:
         raise ConfigError("absorb requires a hard wall (lattice.hard_wall_n0)")
     times = TimeConfig(t_max=ab.t_max, dt=ab.dt).times()
+    # no boundary guard, as the mixture fills the left end (the hard wall): the
+    # right lead must outlast the fastest wave (group velocity 2) instead
+    if 2.0 * times[-1] > lattice.right_len:
+        raise ConfigError(
+            f"absorb runs to t = {float(times[-1])!r}, so lattice.right_len must be at "
+            f"least 2 t = {2.0 * float(times[-1])!r}, got {lattice.right_len}"
+        )
     # the last grid time, not t_max: the grid can end below t_max
     if not 0.0 < ab.drop_time <= times[-1]:
         raise ConfigError(

@@ -94,6 +94,15 @@ class TestGaussianPacket:
         with pytest.raises(ValueError):
             gaussian_packet(LatticeSpec(50, 50), WavePacketSpec(-40, 1.0, 0.15), UNIFORM)
 
+    def test_hard_wall_is_the_left_end(self):
+        # the support -93.3..-26.7 lies inside the lattice, but a wall at -70
+        # would leave its tail on the decoupled sites beyond it
+        spec = WavePacketSpec(-60, math.pi / 2, 0.15)
+        with pytest.raises(ValueError, match=r"clipped by the lead ends \[-70, 400\]"):
+            gaussian_packet(LatticeSpec(400, 400, 70), spec, UNIFORM)
+        psi = gaussian_packet(LatticeSpec(400, 400, 94), spec, UNIFORM)
+        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
+
     @pytest.mark.parametrize("center", [UNIFORM, OnSitePotential(0.5)], ids=["dimer", "onsite"])
     def test_no_lead_weight_rejected(self, center):
         # centred on site 0 with sigma = 1/40, every lead amplitude underflows to 0
@@ -1013,9 +1022,9 @@ class TestTransitMetrics:
     def test_uniform_chain_self_comparison(self):
         lat = LatticeSpec(160, 160)
         ham, frames = self._frames(UNIFORM, lat)
-        m = transit_metrics(frames, ham.center_span)
+        m = transit_metrics(frames[0], frames[-1], frames[-1], ham.center_span)
         assert abs(m.gain - 1.0) < 1e-3
-        assert m.distortion < 1e-3
+        assert m.distortion == 0.0 and m.shift == 0 and m.scale == 1.0
         assert m.reflected < 1e-6
 
     def test_resonant_amplifier(self):
@@ -1023,7 +1032,7 @@ class TestTransitMetrics:
         center = Interferometer(-1.25, 0.75, math.pi / 4)
         ham, frames = self._frames(center, lat)
         _, ref = self._frames(UNIFORM, lat)
-        m = transit_metrics(frames, ham.center_span, reference_frames=ref)
+        m = transit_metrics(frames[0], frames[-1], ref[-1], ham.center_span)
         assert m.gain == pytest.approx(4.0, rel=1e-6)
         assert m.distortion < 1e-10
         assert m.scale == pytest.approx(4.0, rel=1e-6)
@@ -1033,27 +1042,26 @@ class TestTransitMetrics:
         lat = LatticeSpec(160, 160)
         ham, frames = self._frames(UNIFORM, lat)
         # the reference's transmitted profile sits 3 sites behind the run's
-        ref = np.zeros_like(frames)
-        ref[:, :-3] = frames[:, 3:]
-        m = transit_metrics(frames, ham.center_span, reference_frames=ref)
+        ref = np.zeros_like(frames[-1])
+        ref[:-3] = frames[-1, 3:]
+        m = transit_metrics(frames[0], frames[-1], ref, ham.center_span)
         assert m.shift == 3
         assert m.distortion < 1e-12
         assert m.scale == pytest.approx(1.0, rel=1e-12)
 
     def test_boundary_contamination_detected(self):
+        # the stream checks every case of its block over every frame: the
+        # slow packet (k0 = 0.5) stays clear of the ends, the fast one
+        # (k0 = pi/2) reaches the right end, so the block aborts on its worst
         lat = LatticeSpec(100, 100)
         ham = build_hamiltonian(UNIFORM, lat)
-        psi0 = gaussian_packet(lat, WavePacketSpec(-60, math.pi / 2, 0.15), UNIFORM)
+        packets = [WavePacketSpec(-60, k0, 0.15) for k0 in (0.5, math.pi / 2)]
+        start = np.column_stack([gaussian_packet(lat, spec, UNIFORM) for spec in packets])
         times = np.arange(0.0, 81.0, 1.0)
-        frames = Propagator(ham).frames(psi0, times)
-        with pytest.raises(BoundaryContaminationError):
-            transit_metrics(frames, ham.center_span)
-
-    def test_mismatched_reference_rejected(self):
-        lat = LatticeSpec(160, 160)
-        ham, frames = self._frames(UNIFORM, lat)
-        with pytest.raises(ValueError):
-            transit_metrics(frames, ham.center_span, reference_frames=frames[:-1])
+        worst = Propagator(ham).frames(start[:, 1], times)[:, [0, -1]].max()
+        with pytest.raises(BoundaryContaminationError, match=f"probability {worst:.3e} "):
+            experiments._stream_frames(ham, start, times)
+        experiments._stream_frames(ham, start[:, :1], times)  # the slow one alone passes
 
 
 class TestFrameExport:

@@ -532,8 +532,16 @@ class TestStreamedFrames:
             # it again: the first and last frames hold ~1e-17 there
             (["amplify", "lattice.right_len=40", "packet.site=-45"], "1.308e+00"),
             (["flux-deviation", "lattice.right_len=40", "packet.site=-45"], "6.860e-01"),
+            # the dimer run (gain nu^2 = 1/4) peaks at 9.1e-07 on its end site,
+            # its uniform-chain reference, which transmits 4 times as much, at 3.646e-06
+            (
+                ["amplify", "center.kind=dimer", "center.mu=2.0", "center.nu=0.5",
+                 "lattice.right_len=104"],
+                "3.646e-06",
+            ),
         ],
-        ids=["singularity", "amplify_at_end", "amplify_mid_run", "flux_mid_run"],
+        ids=["singularity", "amplify_at_end", "amplify_mid_run", "flux_mid_run",
+             "amplify_reference"],
     )
     def test_boundary_contamination_caught_in_every_frame(self, tmp_path, capsys, args, worst):
         scenario, *sets = args
@@ -568,6 +576,7 @@ class TestSmallScaleRunners:
             np.testing.assert_allclose(frames.sum(axis=1), p_total, rtol=1e-12, atol=0)
 
     def test_absorb_small(self, tmp_path):
+        # 2 t = right_len = 120: the longest run its right lead holds
         manifest = run_scenario(small_absorb(tmp_path / "abs"))
         assert manifest.passed, [a.name for a in manifest.assertions if not a.passed]
         lines = (tmp_path / "abs" / "ptotal.csv").read_text().splitlines()
@@ -854,6 +863,40 @@ class TestCli:
         )
         assert code == 2
         assert "drop_time" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sets, message",
+        [
+            (
+                ["absorb.t_max=600", "absorb.nu_values=0.5, 0.1"],
+                "absorb runs to t = 600.0, so lattice.right_len must be at least 2 t = 1200.0, "
+                "got 400",
+            ),
+            (  # the grid's last time counts, not t_max: t_max = 43 ends the grid at 42
+                ["lattice.right_len=80", "absorb.t_max=43"],
+                "absorb runs to t = 42.0, so lattice.right_len must be at least 2 t = 84.0, "
+                "got 80",
+            ),
+        ],
+        ids=["long_run", "last_grid_time"],
+    )
+    def test_absorb_past_its_right_lead_exit_two(self, tmp_path, capsys, sets, message):
+        # absorb cannot take the boundary guard (the mixture fills its wall
+        # end), and past 2 t = right_len its P(t) depends on the lead length
+        args = ["absorb", "--out", str(tmp_path / "x")]
+        assert main([*args, *(arg for item in sets for arg in ("--set", item))]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "x" / "ptotal.csv").exists()
+
+    def test_packet_behind_hard_wall_exit_two(self, tmp_path, capsys):
+        # the default packet spans sites -93..-27, so a wall at -70 strands its
+        # tail on the decoupled sites
+        args = ["amplify", "--out", str(tmp_path / "x"), "--set", "lattice.hard_wall_n0=70"]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            "config error: packet at site -60 with 5 sigma = 33.3 is clipped "
+            "by the lead ends [-70, 400]\n"
+        )
 
     def test_absorb_n0_is_unknown_key_exit_two(self, tmp_path, capsys):
         code = main(["absorb", "--out", str(tmp_path / "x"), "--set", "absorb.n0=20"])
