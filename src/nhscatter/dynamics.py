@@ -616,11 +616,11 @@ def transit_metrics(
     )
 
 
-def check_boundaries(frames: np.ndarray) -> float:
-    """Worst probability seen on an outermost lead site across the rows of a
-    T x N frame array, or of its T x 2 end columns alone (what a streamed run
-    keeps); raises when it exceeds BOUNDARY_TOL."""
-    worst = float(frames[:, [0, -1]].max())
+def check_boundaries(ends: np.ndarray) -> float:
+    """Worst probability seen on an outermost lead site across the T x 2 end
+    columns of a run's frames (what a streamed run keeps); raises when it
+    exceeds BOUNDARY_TOL."""
+    worst = float(ends.max())
     if worst > BOUNDARY_TOL:
         raise BoundaryContaminationError(
             f"probability {worst:.3e} reached a lattice end; enlarge the leads "

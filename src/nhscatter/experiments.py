@@ -187,10 +187,13 @@ class ScenarioConfig:
 #: "scenario" and "out_dir", and no other.
 SCENARIO_KEYS = {
     "sweep": (("center", "sweep"), ("center.kind=dimer",)),
-    "amplify": (("center", "lattice", "packet.site", "packet.k0", "packet.lam", "time"), ()),
-    "flux-deviation": (("center", "lattice", "packet.site", "packet.lam", "time", "flux"), ()),
-    "singularity": (("center", "lattice", "packet", "time", "singularity"),
-                    ("center.delta=0.75", "center.gamma=1.25")),
+    "amplify": (("center.kind", "center.delta", "center.gamma", "center.mu", "center.nu",
+                 "lattice", "packet.site", "packet.k0", "packet.lam", "time"), ()),
+    "flux-deviation": (("center.delta", "center.gamma", "lattice", "packet.site", "packet.lam",
+                        "time", "flux"), ()),
+    # the paper's interferometer (delta, gamma) = (0.75, 1.25) as its dimer
+    "singularity": (("center.mu", "center.nu", "lattice", "packet", "time", "singularity"),
+                    ("center.mu=-2.0", "center.nu=0.5")),
     "absorb": (("lattice", "absorb"), ("lattice.left_len=20", "lattice.hard_wall_n0=20")),
     "verify": (("seed",), ()),
 }
@@ -389,6 +392,8 @@ def run_scenario(config: ScenarioConfig) -> RunManifest:
     out_dir = Path(config.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+        # a directory without a manifest holds no finished run
+        (out_dir / "manifest.json").unlink(missing_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot use output directory {str(out_dir)!r}: {exc}") from None
     runner = _RUNNERS[config.scenario]
@@ -452,10 +457,8 @@ def _run_sweep(config: ScenarioConfig, out_dir: Path):
     ]
     if _is_hermitian_center(center):
         assertions.append(_le("hermitian_unitarity", np.max(np.abs(T + R - 1.0)), 1e-12))
-    try:
-        dimer = as_dimer(center)
-    except ValueError:  # no dimer reduction: skip the dimer-only checks
-        dimer = None
+    # flux is no key, so only an on-site center has no dimer reduction
+    dimer = None if isinstance(center, OnSitePotential) else as_dimer(center)
     if dimer is not None and dimer.is_resonant():
         r = np.concatenate([left.r, right.r])
         assertions.append(_le("resonant_reflectionless", np.max(np.hypot(r.real, r.imag)), 1e-14))
@@ -472,10 +475,10 @@ def _run_sweep(config: ScenarioConfig, out_dir: Path):
     return outputs, assertions
 
 
-def _dimer_on_locus(config: ScenarioConfig, product: int) -> AsymmetricDimer:
-    """The dimer the center is or reduces to, required on the locus
+def _dimer_on_locus(center: CenterSpec, product: int) -> AsymmetricDimer:
+    """The dimer `center` is or reduces to, required on the locus
     mu*nu = product: +1 (`is_resonant`) or -1 (`is_singular`)."""
-    dimer = as_dimer(config.center.to_center())
+    dimer = as_dimer(center)
     if not (dimer.is_resonant() if product == 1 else dimer.is_singular()):
         raise ConfigError(
             f"scenario requires mu*nu = {product}; got mu*nu = {dimer.product!r}"
@@ -540,8 +543,8 @@ def _packet_runs(config, center, k0s, paths=()):
 
 
 def _run_amplify(config: ScenarioConfig, out_dir: Path):
-    dimer = _dimer_on_locus(config, 1)
     center = config.center.to_center()
+    dimer = _dimer_on_locus(center, 1)
     k0s = [config.packet.k0]
     ham, (first,), (last,) = _packet_runs(config, center, k0s, [out_dir / "frames.npy"])
     _, _, (ref,) = _packet_runs(config, _UNIFORM_CHAIN, k0s, [out_dir / "frames_reference.npy"])
@@ -566,9 +569,8 @@ def _run_amplify(config: ScenarioConfig, out_dir: Path):
 
 
 def _run_flux_deviation(config: ScenarioConfig, out_dir: Path):
-    _dimer_on_locus(config, 1)
-    if config.center.kind != "interferometer":
-        raise ConfigError("flux-deviation requires an interferometer center")
+    delta, gamma = config.center.delta, config.center.gamma
+    _dimer_on_locus(Interferometer(delta, gamma, DIMER_REDUCTION_PHI), 1)
     if any(d < 0 for d in config.flux.deviations) or 0 not in config.flux.deviations:
         raise ConfigError("flux deviations must include 0 and be non-negative")
     if max(config.flux.deviations) == 0 or len(config.flux.k0_values) < 2:
@@ -589,9 +591,7 @@ def _run_flux_deviation(config: ScenarioConfig, out_dir: Path):
     k0s = config.flux.k0_values
     runs = {}
     for dev in devs:  # streamed before the references, so a deviation run aborts first
-        center = Interferometer(
-            config.center.delta, config.center.gamma, DIMER_REDUCTION_PHI + dev * step
-        )
+        center = Interferometer(delta, gamma, DIMER_REDUCTION_PHI + dev * step)
         runs[dev] = _packet_runs(config, center, k0s)
     _, _, refs = _packet_runs(config, _UNIFORM_CHAIN, k0s)
     table = {
@@ -655,7 +655,7 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 
 
 def _run_singularity(config: ScenarioConfig, out_dir: Path):
-    center = _dimer_on_locus(config, -1)
+    center = _dimer_on_locus(AsymmetricDimer(config.center.mu, config.center.nu), -1)
     times = config.time.times()
     sing = config.singularity
     # line-fit windows; with 2 points r^2 = 1 whatever the data
