@@ -12,7 +12,8 @@ Three maps, each certified numerically on finite matrices:
 
 Every map reads and writes H's five diagonals in NumPy, summing and rounding
 each entry as SciPy's sparse products of the same similarity do, so the
-results equal those products up to the sign of zero.
+results equal those products up to the sign of zero. `charpoly_deviation`
+compares spectra on the same diagonals, by characteristic polynomials.
 
 Complex square roots use the principal branch (cut on the negative real
 axis); for mu*nu < 0 the scale factor is purely imaginary, and only the
@@ -45,13 +46,17 @@ ALPHA_BETA_BLOCK.setflags(write=False)
 _OFFSETS = np.array(BAND_OFFSETS)[:, None]  # a column: one row per diagonal
 
 
+def _times(xr, xi, yr, yi):
+    """Real and imaginary parts of (xr + i xi)(yr + i yi), each product and sum
+    its own ufunc, so no SIMD level fuses them (a NumPy complex multiply may)."""
+    return xr * yr - xi * yi, xr * yi + xi * yr
+
+
 def _block_times(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     """a @ y for a 2 x 2 a and a 2 x m y: each entry is a sum of two products
-    whose parts are rounded one product at a time, as in a sparse product (a
-    NumPy complex multiply may fuse them)."""
+    whose parts are rounded one product at a time, as in a sparse product."""
     p, q = a[:, :, None], y[None, :, :]
-    re = p.real * q.real - p.imag * q.imag
-    im = p.real * q.imag + p.imag * q.real
+    re, im = _times(p.real, p.imag, q.real, q.imag)
     terms = re + 1j * im  # 1j * im moves im into place without rounding
     return terms[:, 0] + terms[:, 1]
 
@@ -120,34 +125,16 @@ class BlockDecomposition:
     HamiltonianMatrix.bands).
 
     Block index 0 is the center combination; index l >= 1 pairs the lead sites
-    +-l. ``h_plus``/``h_minus`` are the blocks as dense arrays, and
-    ``embed_plus``/``embed_minus`` the dense isometries mapping block
-    coordinates into the full lattice (symmetric combination first).
+    +-l.
     """
 
     plus_bands: np.ndarray
     minus_bands: np.ndarray
     cross_coupling: float
 
-    h_plus = property(lambda self: dense_from_bands(self.plus_bands))
-    h_minus = property(lambda self: dense_from_bands(self.minus_bands))
-    embed_plus = property(lambda self: self._embedding(+1.0))
-    embed_minus = property(lambda self: self._embedding(-1.0))
-
     @property
     def end_potentials(self) -> tuple[complex, complex]:
         return complex(self.plus_bands[2, 0]), complex(self.minus_bands[2, 0])
-
-    def _embedding(self, sign: float) -> np.ndarray:
-        """Block column l onto the sites -l and +l, rows n - l and n + 1 + l."""
-        eye = np.eye(self.plus_bands.shape[1])
-        return np.vstack([sign * _HALF * eye[::-1], _HALF * eye])
-
-    def embedded(self) -> tuple[np.ndarray, np.ndarray]:
-        """Blocks pushed back into the full lattice, as dense arrays
-        (supported on orthogonal parity sectors, so they commute)."""
-        vp, vm = self.embed_plus, self.embed_minus
-        return vp @ self.h_plus @ vp.T, vm @ self.h_minus @ vm.T
 
 
 def parity_decompose(ham: HamiltonianMatrix) -> BlockDecomposition:
@@ -203,52 +190,71 @@ def parity_decompose(ham: HamiltonianMatrix) -> BlockDecomposition:
     return BlockDecomposition(sandwich(1.0, 1.0), sandwich(-1.0, -1.0), cross)
 
 
-def _min_sum_pairing(cost: np.ndarray) -> np.ndarray:
-    """Column paired with each row in a minimum-sum pairing of a square cost
-    matrix.
+def _tridiagonal(blocks) -> tuple[np.ndarray, np.ndarray, float]:
+    """(a, w, reach) of the block-diagonal matrix with these blocks, each
+    laid out as HamiltonianMatrix.bands: its diagonal a_j, the coupling
+    products w_j = M[j-1, j] M[j, j-1] (zero at j = 0 and where a block
+    starts), and a Gershgorin bound on its spectral radius, the largest row
+    sum of |Re| + |Im| >= |.| over the three diagonals."""
+    a, w, reach = [], [], 0.0
+    for bands in blocks:
+        bands = np.asarray(bands, dtype=complex)
+        if bands.ndim != 2 or bands.shape[0] != len(BAND_OFFSETS) or bands.shape[1] == 0:
+            raise ValueError(f"bands must be a non-empty {len(BAND_OFFSETS)} x n array")
+        if bands[0].any() or bands[-1].any():
+            raise ValueError("matrix is not tridiagonal: entries on diagonals -2 or 2")
+        sub, diag, sup = bands[1:4]
+        a.append(diag)
+        coupling = np.zeros(diag.size, dtype=complex)
+        coupling.real[1:], coupling.imag[1:] = _times(
+            sup.real[:-1], sup.imag[:-1], sub.real[1:], sub.imag[1:]
+        )
+        w.append(coupling)
+        rows = sum(np.abs(band.real) + np.abs(band.imag) for band in (sub, diag, sup))
+        reach = max(reach, float(rows.max()))
+    return np.concatenate(a), np.concatenate(w), reach  # ValueError if no blocks
 
-    Any pairing of each row with one of its nearest columns is optimal: the
-    row minima bound every pairing's sum from below. Rows take a free nearest
-    column in turn, those with the fewest nearest columns first, so exact ties
-    such as repeated eigenvalues pair in NumPy, as does every verify
-    comparison. scipy.optimize loads only when a row finds no free nearest
-    column, where nearest columns truly collide.
+
+def charpoly_deviation(a_blocks, b_blocks) -> float:
+    """max |p_A(z) / p_B(z) - 1| over n + 1 points z, where p_A and p_B are
+    the characteristic polynomials det(M - z) of the block-diagonal matrices
+    of order n whose tridiagonal blocks have the bands ``a_blocks`` and
+    ``b_blocks`` (sequences of arrays laid out as HamiltonianMatrix.bands).
+
+    Two monic polynomials of degree n that agree at n + 1 points are equal,
+    so this is 0 in exact arithmetic if and only if A and B have the same
+    spectrum, counted with multiplicity. The points are the (n + 1)-th roots
+    of unity scaled to 1.5 times the larger Gershgorin bound of A and B, so
+    each lies a third of the radius or more from both spectra and the ratio
+    is well conditioned. Each p(z) comes from the three-term recurrence
+    p_j = (a_j - z) p_{j-1} - w_j p_{j-2} (Wilkinson, The Algebraic Eigenvalue
+    Problem, ch. 5) in O(n^2) NumPy work, as a mantissa and a log2 scale: each
+    step divides p_j and p_{j-1} by the power of two that brings p_j's larger
+    part into [0.5, 1), which is exact. Every operation is one IEEE ufunc on
+    real arrays (angles from the math module), so the value does not depend
+    on the SIMD level or on LAPACK. Raises ValueError for bands off the three
+    central diagonals and for matrices of different orders.
     """
-    nearest = cost == cost.min(axis=1, keepdims=True)
-    pairing, free = np.full(len(cost), -1), np.ones(len(cost), dtype=bool)
-    for row in np.argsort(nearest.sum(axis=1), kind="stable"):
-        choices = np.flatnonzero(nearest[row] & free)
-        if choices.size == 0:
-            break
-        pairing[row] = choices[0]
-        free[choices[0]] = False
-    else:
-        return pairing
-    try:
-        from scipy.optimize import linear_sum_assignment
-    except ImportError as err:
-        raise ImportError("colliding spectra are paired by scipy.optimize: install SciPy") from err
-    return linear_sum_assignment(cost)[1]
-
-
-def spectrum_distance(a, b) -> float:
-    """Largest distance within the minimum-sum pairing of two eigenvalue
-    multisets (lexicographic sorting mispairs conjugate clusters whose real
-    parts agree only to rounding). It can exceed the bottleneck distance:
-    for {0, 3e^{i theta}} and {0, 3} with sin(theta/2) = 5/6 it is 5, where
-    the bottleneck (the least largest distance of any pairing) is 3.
-
-    Colliding spectra, in which an entry of ``a`` finds each of its nearest
-    entries of ``b`` taken, are paired by scipy.optimize. SciPy is not a
-    run-time dependency: without it they raise ImportError.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise ValueError("spectra must be one-dimensional and of the same size")
-    if a.size == 0:
-        raise ValueError("spectra must not be empty")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("spectra must be finite (got NaN or inf)")
-    cost = np.abs(a[:, None] - b[None, :])
-    return float(cost[np.arange(a.size), _min_sum_pairing(cost)].max())
+    (a_a, w_a, reach_a), (a_b, w_b, reach_b) = _tridiagonal(a_blocks), _tridiagonal(b_blocks)
+    if a_a.size != a_b.size:
+        raise ValueError(f"matrices of different orders: {a_a.size} and {a_b.size}")
+    n = a_a.size
+    radius = 1.5 * max(reach_a, reach_b) or 1.0  # two zero matrices: any circle
+    angles = [2.0 * math.pi * k / (n + 1) for k in range(n + 1)]
+    zr, zi = radius * np.array([[math.cos(t) for t in angles], [math.sin(t) for t in angles]])
+    a, w = np.stack([a_a, a_b])[:, :, None], np.stack([w_a, w_b])[:, :, None]  # row 0: A
+    pr, pi = np.ones((2, n + 1)), np.zeros((2, n + 1))  # p_{j-1}, rescaled
+    qr, qi = np.zeros((2, n + 1)), np.zeros((2, n + 1))  # p_{j-2}, rescaled alike
+    exponent = np.zeros((2, n + 1), dtype=int)
+    for j in range(n):
+        nr, ni = _times(a.real[:, j] - zr, a.imag[:, j] - zi, pr, pi)
+        tr, ti = _times(w.real[:, j], w.imag[:, j], qr, qi)
+        nr, ni = nr - tr, ni - ti
+        _, e = np.frexp(np.maximum(np.abs(nr), np.abs(ni)))
+        scale = np.ldexp(1.0, -e)
+        qr, qi, pr, pi = pr * scale, pi * scale, nr * scale, ni * scale
+        exponent += e
+    # |p_A / p_B - 1| = |m_A 2^(e_A - e_B) - m_B| / |m_B|, the power of two exact
+    shift = exponent[0] - exponent[1]
+    dr, di = np.ldexp(pr[0], shift) - pr[1], np.ldexp(pi[0], shift) - pi[1]
+    return float(np.sqrt((dr * dr + di * di) / (pr[1] * pr[1] + pi[1] * pi[1])).max())

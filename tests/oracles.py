@@ -14,7 +14,11 @@ The three transforms are kept as SciPy sparse products on H's CSR form
 (`csr_alpha_beta_rotation`, `coo_biorthogonal_scale`, `csr_parity_blocks`),
 the references the package's transforms on H's diagonals must equal. `csr`
 builds that CSR form from H's five diagonals; the package holds only the
-diagonals and needs no SciPy at run time.
+diagonals and needs no SciPy at run time. Spectra are compared here by dense
+eigenvalues (`spectrum`, `spectrum_distance`) and the parity blocks read as
+dense arrays in the full lattice (`dense_blocks`, `parity_embedding`,
+`embedded_blocks`), the eigenvalue reference for the package's
+characteristic-polynomial comparison.
 """
 
 import cmath
@@ -24,6 +28,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 from scipy.integrate import solve_ivp
+from scipy.optimize import linear_sum_assignment
 
 from nhscatter.dynamics import _MAX_PRODUCTS, _P_MAX, _THETA, PropagatorError
 from nhscatter.lattice import (
@@ -39,6 +44,7 @@ from nhscatter.lattice import (
     OnSitePotential,
     as_dimer,
     build_hamiltonian,
+    dense_from_bands,
     lattice_dim,
     site_order,
     site_to_index,
@@ -399,3 +405,53 @@ def csr_parity_blocks(ham):
     h = csr(ham)
     cross = max(abs(v_plus.T @ h @ v_minus).max(), abs(v_minus.T @ h @ v_plus).max())
     return v_plus.T @ h @ v_plus, v_minus.T @ h @ v_minus, float(cross)
+
+
+def spectrum(bands):
+    """Eigenvalues of the matrix on ``bands`` (laid out as
+    HamiltonianMatrix.bands) by a dense complex eigensolve."""
+    return np.linalg.eigvals(dense_from_bands(np.asarray(bands, dtype=complex)))
+
+
+def spectrum_distance(a, b) -> float:
+    """Largest distance within the minimum-sum pairing of two eigenvalue
+    multisets (lexicographic sorting mispairs conjugate clusters whose real
+    parts agree only to rounding). It can exceed the bottleneck distance:
+    for {0, 3e^{i theta}} and {0, 3} with sin(theta/2) = 5/6 it is 5, where
+    the bottleneck (the least largest distance of any pairing) is 3."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError("spectra must be one-dimensional and of the same size")
+    if a.size == 0:
+        raise ValueError("spectra must not be empty")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("spectra must be finite (got NaN or inf)")
+    cost = np.abs(a[:, None] - b[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
+
+
+def dense_blocks(blocks):
+    """(h_plus, h_minus): a BlockDecomposition's blocks as dense arrays."""
+    return dense_from_bands(blocks.plus_bands), dense_from_bands(blocks.minus_bands)
+
+
+def parity_embedding(n, sign):
+    """The dense isometry from parity-block coordinates 0..n into the
+    2(n + 1) sites of an equal-lead two-site chain: block column l onto the
+    sites -l and +l, rows n - l and n + 1 + l, weighed sign/sqrt(2) and
+    1/sqrt(2) (sign +1 for the symmetric block, -1 for the antisymmetric)."""
+    eye = np.eye(n + 1)
+    half = 1.0 / math.sqrt(2.0)
+    return np.vstack([sign * half * eye[::-1], half * eye])
+
+
+def embedded_blocks(blocks):
+    """A BlockDecomposition's blocks pushed back into the full lattice as
+    dense arrays v h v^T (supported on orthogonal parity sectors, so they
+    commute)."""
+    n = blocks.plus_bands.shape[1] - 1
+    vp, vm = parity_embedding(n, 1.0), parity_embedding(n, -1.0)
+    hp, hm = dense_blocks(blocks)
+    return vp @ hp @ vp.T, vm @ hm @ vm.T

@@ -31,8 +31,8 @@ from nhscatter.transforms import (
     alpha_beta_rotation,
     biorthogonal_scale,
     parity_decompose,
-    spectrum_distance,
 )
+from oracles import dense_blocks, embedded_blocks, spectrum_distance
 
 
 def test_01_analytic_fixed_points(announce):
@@ -259,11 +259,11 @@ def test_10_transformation_chain(announce):
     assert spec_dev < 1e-10
 
     blocks = parity_decompose(scaled)
-    hp, hm = blocks.embedded()
+    hp, hm = embedded_blocks(blocks)
     commutator = float(np.linalg.norm(hp @ hm - hm @ hp))
     assert commutator < 1e-12
     union = np.concatenate(
-        [np.linalg.eigvals(h) for h in (blocks.h_plus, blocks.h_minus)]
+        [np.linalg.eigvals(h) for h in dense_blocks(blocks)]
     )
     union_dev = spectrum_distance(np.linalg.eigvals(oracles.csr(scaled).toarray()), union)
     assert union_dev < 1e-10

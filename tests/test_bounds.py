@@ -58,12 +58,11 @@ BOUNDS = {
         ("rotation_matches_dimer", "<= 1e-14"),
         ("rotation_unitary", "<= 1e-14"),
         ("scaling_hermitian_when_product_positive", "<= 1e-12"),
-        ("scaling_preserves_spectrum", "<= 1e-10"),
+        ("scaling_preserves_characteristic_polynomial", "<= 1e-10"),
         ("resonant_chain_hermitian", "<= 1e-12"),
         ("parity_end_potentials_are_plus_minus_i", "<= 1e-09"),
         ("parity_cross_coupling", "<= 1e-12"),
-        ("parity_blocks_commute", "<= 1e-12"),
-        ("parity_blocks_reproduce_spectrum", "<= 1e-10"),
+        ("parity_blocks_reproduce_characteristic_polynomial", "<= 1e-10"),
         ("scattering_state_residual", "<= 1e-12"),
         ("resonance_reflectionless", "<= 1e-14"),
         ("amplification_k_independent", "<= 1e-12"),

@@ -1,3 +1,4 @@
+import ast
 import configparser
 import contextlib
 import copy
@@ -23,7 +24,6 @@ from nhscatter.experiments import (
     ConfigError,
     TimeConfig,
     _is_hermitian_center,
-    _spectrum,
     apply_overrides,
     default_config,
     from_ini,
@@ -39,7 +39,7 @@ from nhscatter.lattice import (
     OnSitePotential,
     build_hamiltonian,
 )
-from nhscatter.transforms import biorthogonal_scale, parity_decompose, spectrum_distance
+from nhscatter.transforms import biorthogonal_scale, charpoly_deviation, parity_decompose
 
 
 # An import finder that fails every attempt to import a SciPy module with
@@ -219,6 +219,16 @@ class TestValidation:
         cfg.center.kind = "onsite"
         with pytest.raises(ConfigError):
             run_scenario(cfg)
+
+    def test_amplify_names_the_refused_kind(self, tmp_path, capsys):
+        # the on-site center has no dimer reduction; the error names the key
+        # amplify reads, not the on-site potential v it does not take
+        code = main(["amplify", "--out", str(tmp_path / "x"), "--set", "center.kind=onsite"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: amplify takes center.kind 'interferometer' or 'dimer', "
+            "got 'onsite'\n"
+        )
 
     def test_singularity_requires_singular_product(self, tmp_path):
         cfg = default_config("singularity")
@@ -429,60 +439,68 @@ def _parity_chain():
     return ham, parity_decompose(biorthogonal_scale(ham))
 
 
-def _verify_spectral_matrices():
-    """The 13 band arrays whose spectra verify solves, as (label, bands,
-    real): the five chains of the scaling battery and their scaled forms
-    (real only for mu*nu > 0), then the unscaled parity chain and its +-i
-    blocks."""
-    found = []
+def _scaling_battery():
+    """verify's scaling check: (chain, scaled chain) of each dimer."""
     for mu, nu in [(0.5, 2.0), (1.5, 0.4), (-1.2, -0.5), (-2.0, 0.5), (0.8, -1.1)]:
         ham = build_hamiltonian(AsymmetricDimer(mu, nu), LatticeSpec(40, 40))
-        found.append((f"chain[{mu},{nu}]", ham, True))
-        found.append((f"scaled[{mu},{nu}]", biorthogonal_scale(ham), mu * nu > 0))
-    ham, blocks = _parity_chain()
-    found.append(("parity_chain", ham, True))
-    found = [(label, ham.bands, oracles.csr(ham).toarray(), real) for label, ham, real in found]
-    found += [("h_plus", blocks.plus_bands, blocks.h_plus, False)]
-    found += [("h_minus", blocks.minus_bands, blocks.h_minus, False)]
-    return found
+        yield ham, biorthogonal_scale(ham)
 
 
 class TestVerifySpectra:
-    def test_spectrum_matches_complex_eigvals(self):
-        matrices = _verify_spectral_matrices()
-        assert len(matrices) == 13
-        for label, bands, dense, _ in matrices:
-            oracle = np.linalg.eigvals(dense.astype(complex))
-            assert spectrum_distance(_spectrum(bands), oracle) <= 1e-12, label
+    #: verify's bound on both characteristic-polynomial comparisons
+    BOUND = 1e-10
 
-    def test_real_matrices_take_the_real_path(self, monkeypatch):
-        eigvals = np.linalg.eigvals
-        seen = []
+    def test_eigenvalues_confirm_each_comparison(self):
+        # verify's six comparisons read far inside the bound, and the dense
+        # eigenvalue oracle finds the same spectra
+        for ham, scaled in _scaling_battery():
+            assert charpoly_deviation([ham.bands], [scaled.bands]) <= self.BOUND / 1000
+            distance = oracles.spectrum_distance(
+                oracles.spectrum(ham.bands), oracles.spectrum(scaled.bands)
+            )
+            assert distance <= 1e-12, ham.center
+        ham, blocks = _parity_chain()
+        pair = [blocks.plus_bands, blocks.minus_bands]
+        assert charpoly_deviation([ham.bands], pair) <= self.BOUND / 1000
+        union = np.concatenate([oracles.spectrum(h) for h in pair])
+        assert oracles.spectrum_distance(oracles.spectrum(ham.bands), union) <= 1e-12
 
-        def spy(a):
-            seen.append(a.dtype)
-            return eigvals(a)
+    def test_runs_without_an_eigensolve(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify called an eigensolver")
 
-        monkeypatch.setattr(np.linalg, "eigvals", spy)
-        matrices = _verify_spectral_matrices()
-        for _, bands, _, _ in matrices:
-            _spectrum(bands)
-        expected = [np.dtype(float if real else complex) for _, _, _, real in matrices]
-        assert seen == expected
-        assert seen.count(np.dtype(complex)) == 4  # scaled mu*nu < 0 (2) and the blocks
+        for name in ("eigvals", "eig"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        cfg = default_config("verify")
+        cfg.out_dir = str(tmp_path / "v")
+        assert run_scenario(cfg).passed
 
     @pytest.mark.parametrize("index", [0, 1])
     def test_parity_reference_catches_a_wrong_end_potential(self, index):
-        # +-i -> +-1.001i in one block: the union misses the real chain's spectrum
+        # +-i -> +-1.001i in one block: the blocks miss the real chain's spectrum
         ham, blocks = _parity_chain()
-        reference = _spectrum(ham.bands)
         pair = [blocks.plus_bands, blocks.minus_bands]
-        union = [_spectrum(h) for h in pair]
-        assert spectrum_distance(reference, np.concatenate(union)) <= 1e-12
-        wrong = pair[index].copy()
-        wrong[2, 0] = wrong[2, 0] * 1.001
-        union[index] = _spectrum(wrong)
-        assert spectrum_distance(reference, np.concatenate(union)) > 1e-10
+        pair[index] = pair[index].copy()
+        pair[index][2, 0] *= 1.001
+        assert charpoly_deviation([ham.bands], pair) > self.BOUND
+
+    @pytest.mark.parametrize("site", [0, 1, 50, 100])
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_parity_reference_catches_a_moved_diagonal_entry(self, index, site):
+        ham, blocks = _parity_chain()
+        pair = [blocks.plus_bands, blocks.minus_bands]
+        pair[index] = pair[index].copy()
+        pair[index][2, site] += 1e-9
+        assert charpoly_deviation([ham.bands], pair) > self.BOUND
+
+    @pytest.mark.parametrize("site", [0, 40, 41, 81])
+    def test_scaling_reference_catches_a_moved_diagonal_entry(self, site):
+        # in each scaled chain with mu*nu < 0, whose center coupling is imaginary
+        for ham, scaled in _scaling_battery():
+            if ham.center.product < 0:
+                wrong = scaled.bands.copy()
+                wrong[2, site] += 1e-9
+                assert charpoly_deviation([ham.bands], [wrong]) > self.BOUND, ham.center
 
 
 class TestScatteringStateResidual:
@@ -804,7 +822,7 @@ class TestCli:
     )
     def test_run_loads_no_scipy(self, tmp_path, args):
         # H is built, stepped and transformed on its diagonals in NumPy, and
-        # spectra pair through transforms' own minimum-sum solve, so every
+        # verify compares spectra by characteristic polynomials there, so every
         # scenario runs where SciPy is not installed and never tries to load it
         code = "import nhscatter.cli"
         if args is not None:
@@ -812,6 +830,22 @@ class TestCli:
             code = f"from nhscatter.cli import main; assert main({args + ['--out', out]!r}) == 0"
         run = _run_without_scipy(code)
         assert run.returncode == 0, run.stderr
+
+    def test_src_imports_no_scipy(self):
+        # also inside functions, where a lazy import escapes the run tests
+        # above unless a scenario reaches it
+        package = Path(__file__).resolve().parents[1] / "src" / "nhscatter"
+        found = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                found += [(path.name, node.lineno) for name in names if name.split(".")[0] == "scipy"]
+        assert found == []
 
     def test_bounds_cannot_be_loosened(self, tmp_path, capsys):
         # at t_max = 20 the packet has not crossed the center: the gain check fails

@@ -1,12 +1,10 @@
 import math
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linear_sum_assignment  # reference solver; src does not import it
 
 import oracles
 from nhscatter.lattice import (
@@ -22,13 +20,12 @@ from nhscatter.transforms import (
     ALPHA_BETA_BLOCK,
     alpha_beta_rotation,
     biorthogonal_scale,
-    _min_sum_pairing,
+    charpoly_deviation,
     parity_decompose,
-    spectrum_distance,
 )
+from oracles import spectrum_distance
 
 hopping = st.floats(-2.5, 2.5, allow_nan=False)
-eigenvalues = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
 
 
 def dense(ham):
@@ -140,6 +137,7 @@ class TestBiorthogonalScale:
             np.linalg.eigvals(dense(ham)), np.linalg.eigvals(dense(scaled))
         )
         assert dist < 1e-10
+        assert charpoly_deviation([ham.bands], [scaled.bands]) < 1e-12
 
     @given(
         mag_mu=st.floats(0.1, 2.5),
@@ -240,8 +238,9 @@ class TestSparseOracles:
         scaled = scaled_singular(n, mu, nu)
         blocks = parity_decompose(scaled)
         h_plus, h_minus, cross = oracles.csr_parity_blocks(scaled)
-        assert np.array_equal(blocks.h_plus, h_plus.toarray())
-        assert np.array_equal(blocks.h_minus, h_minus.toarray())
+        dense_plus, dense_minus = oracles.dense_blocks(blocks)
+        assert np.array_equal(dense_plus, h_plus.toarray())
+        assert np.array_equal(dense_minus, h_minus.toarray())
         assert blocks.cross_coupling == cross
 
 
@@ -253,15 +252,15 @@ def scaled_singular(n=100, mu=-2.0, nu=0.5):
 class TestParityDecompose:
     def test_block_shapes_and_end_potentials(self):
         blocks = parity_decompose(scaled_singular(100))
-        assert blocks.h_plus.shape == (101, 101)
-        assert blocks.h_minus.shape == (101, 101)
+        assert blocks.plus_bands.shape == (5, 101)
+        assert blocks.minus_bands.shape == (5, 101)
         ends = sorted(blocks.end_potentials, key=lambda z: z.imag)
         assert ends[0] == pytest.approx(-1j, abs=1e-12)
         assert ends[1] == pytest.approx(+1j, abs=1e-12)
 
     def test_blocks_are_uniform_chains_with_end_potential(self):
         blocks = parity_decompose(scaled_singular(40))
-        for block in (blocks.h_plus, blocks.h_minus):
+        for block in oracles.dense_blocks(blocks):
             off = np.diagonal(block, 1)
             assert np.max(np.abs(off + 1.0)) < 1e-12
             assert np.max(np.abs(np.diagonal(block)[1:])) < 1e-12
@@ -275,7 +274,7 @@ class TestParityDecompose:
     def test_embedded_blocks_commute_and_reconstruct(self):
         scaled = scaled_singular(60)
         blocks = parity_decompose(scaled)
-        hp, hm = blocks.embedded()
+        hp, hm = oracles.embedded_blocks(blocks)
         assert np.linalg.norm(hp @ hm - hm @ hp) < 1e-12
         assert np.linalg.norm(hp + hm - dense(scaled)) < 1e-12
 
@@ -283,13 +282,15 @@ class TestParityDecompose:
         scaled = scaled_singular(60)
         blocks = parity_decompose(scaled)
         union = np.concatenate(
-            [np.linalg.eigvals(h) for h in (blocks.h_plus, blocks.h_minus)]
+            [np.linalg.eigvals(h) for h in oracles.dense_blocks(blocks)]
         )
         assert spectrum_distance(np.linalg.eigvals(dense(scaled)), union) < 1e-10
+        pair = [blocks.plus_bands, blocks.minus_bands]
+        assert charpoly_deviation([scaled.bands], pair) < 1e-12
+        assert charpoly_deviation([scaled.bands], pair[::-1]) < 1e-12
 
     def test_embeddings_are_isometries(self):
-        blocks = parity_decompose(scaled_singular(30))
-        for v in (blocks.embed_plus, blocks.embed_minus):
+        for v in (oracles.parity_embedding(30, 1.0), oracles.parity_embedding(30, -1.0)):
             assert np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) < 1e-14
 
     def test_rejects_unequal_leads(self):
@@ -310,6 +311,60 @@ class TestParityDecompose:
             parity_decompose(raw)
 
 
+def _diagonal_bands(values):
+    bands = np.zeros((5, len(values)), dtype=complex)
+    bands[2] = values
+    return bands
+
+
+class TestCharpolyDeviation:
+    def test_chain_against_its_closed_form_eigenvalues(self):
+        # the open -1 chain of n sites has eigenvalues -2 cos(pi k / (n + 1))
+        for n in (2, 7, 82, 202):
+            chain = np.zeros((5, n))
+            chain[1, 1:] = chain[3, :-1] = -1.0
+            values = -2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
+            assert charpoly_deviation([chain], [_diagonal_bands(values)]) < 1e-13, n
+            halves = [_diagonal_bands(values[: n // 2]), _diagonal_bands(values[n // 2:])]
+            assert charpoly_deviation([chain], halves) < 1e-13, n
+
+    def test_one_site_reads_the_moved_eigenvalue(self):
+        # p_A / p_B - 1 = (b - a) / (z - b) at z = +-1.5 b, largest at z = 1.5 b
+        a, b = 1.0, 1.0 + 1e-6
+        assert charpoly_deviation([_diagonal_bands([a])], [_diagonal_bands([b])]) == (
+            pytest.approx((b - a) / (0.5 * b), rel=1e-9)
+        )
+        assert charpoly_deviation([_diagonal_bands([b])], [_diagonal_bands([b])]) == 0.0
+        zero = np.zeros((5, 3))  # no Gershgorin radius: any circle encloses the spectra
+        assert charpoly_deviation([zero], [zero]) == 0.0
+
+    def test_refuses_bands_that_are_not_tridiagonal(self):
+        # an interferometer couples both center sites to sites -1 and 1
+        ham = interferometer_ham(-1.25, 0.75, n=5)
+        chain = alpha_beta_rotation(ham)  # its dimer, tridiagonal
+        with pytest.raises(ValueError, match="not tridiagonal"):
+            charpoly_deviation([ham.bands], [chain.bands])
+        with pytest.raises(ValueError, match="not tridiagonal"):
+            charpoly_deviation([chain.bands], [ham.bands])
+        wrong = np.array(chain.bands)
+        wrong[0, 4] = 1e-300
+        with pytest.raises(ValueError, match="not tridiagonal"):
+            charpoly_deviation([chain.bands], [wrong])
+
+    @pytest.mark.parametrize(
+        "a_blocks, b_blocks, reason",
+        [
+            ([_diagonal_bands([1.0, 2.0])], [_diagonal_bands([1.0])], "different orders"),
+            ([], [_diagonal_bands([1.0])], "at least one array"),
+            ([np.zeros((3, 2))], [_diagonal_bands([1.0, 2.0])], "5 x n"),
+            ([np.zeros((5, 0))], [np.zeros((5, 0))], "5 x n"),
+        ],
+    )
+    def test_refuses_malformed_input(self, a_blocks, b_blocks, reason):
+        with pytest.raises(ValueError, match=reason):
+            charpoly_deviation(a_blocks, b_blocks)
+
+
 class TestSpectrumDistance:
     def test_largest_distance_of_minimum_sum_pairing(self):
         # pairing 0-0 and 3e^{i theta}-3 sums to 5 with largest distance 5;
@@ -318,19 +373,6 @@ class TestSpectrumDistance:
         a = [0.0, 3 * np.exp(1j * theta)]
         assert spectrum_distance(a, [0.0, 3.0]) == pytest.approx(5.0, rel=1e-12)
         assert spectrum_distance(a[::-1], [0.0, 3.0]) == pytest.approx(5.0, rel=1e-12)
-
-    def test_without_scipy_only_colliding_spectra_fail(self, monkeypatch):
-        # as installed without SciPy: distinct nearest partners and exact ties
-        # pair in NumPy, and only a collision reaches for scipy.optimize
-        for name in ("scipy", "scipy.optimize"):
-            monkeypatch.setitem(sys.modules, name, None)
-        assert spectrum_distance([0.0, 1.0, 2j], [2j + 1e-9, 1.0, 0.0]) == 1e-9
-        assert spectrum_distance([1.0, 1.0], [1.0, 1.0]) == 0.0  # repeated values
-        assert spectrum_distance([2.0, 2.0, 5.0], [5.0, 2.0, 2.0]) == 0.0
-        # 0.5 is as near 0 as 1, and 0.1 nearest 0 only: 0.5 takes 1
-        assert spectrum_distance([0.5, 0.1], [0.0, 1.0]) == 0.5
-        with pytest.raises(ImportError, match="colliding spectra .* install SciPy"):
-            spectrum_distance([0.0, 0.1], [0.0, 5.0])  # both nearest to 0 only
 
     def test_rejects_unequal_sizes(self):
         with pytest.raises(ValueError, match="same size"):
@@ -349,79 +391,3 @@ class TestSpectrumDistance:
     def test_rejects_empty_or_non_finite_spectra(self, a, b, reason):
         with pytest.raises(ValueError, match=reason):
             spectrum_distance(a, b)
-
-
-def _unique_optimum(cost, best):
-    """Whether every other pairing sums to more than ``best`` beyond rounding.
-
-    Any other pairing leaves out some edge of the optimal one, so forbidding
-    each optimal edge in turn must raise the optimum.
-    """
-    rows, cols = linear_sum_assignment(cost)
-    for i, j in zip(rows, cols):
-        forbidden = cost.copy()
-        forbidden[i, j] = cost.sum() + 1.0
-        r, c = linear_sum_assignment(forbidden)
-        if forbidden[r, c].sum() <= best + 1e-9 * (1.0 + best):
-            return False
-    return True
-
-
-def _check_against_scipy(a, b):
-    """The pairing is a permutation whose sum is SciPy's minimum; the distance
-    is SciPy's wherever the minimum-sum pairing is unique."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    cost = np.abs(a[:, None] - b[None, :])
-    cols = _min_sum_pairing(cost)
-    assert sorted(cols) == list(range(a.size))
-    rows, ref_cols = linear_sum_assignment(cost)
-    best = cost[rows, ref_cols].sum()
-    assert abs(cost[np.arange(a.size), cols].sum() - best) <= 1e-12 * best
-    if _unique_optimum(cost, best):
-        assert spectrum_distance(a, b) == cost[rows, ref_cols].max()
-
-
-@st.composite
-def near_copies(draw):
-    """A multiset and a permuted copy moved by up to ``scale`` per entry."""
-    a = np.array(draw(st.lists(eigenvalues, min_size=1, max_size=12)), dtype=complex)
-    perm = draw(st.permutations(range(a.size)))
-    scale = draw(st.sampled_from([0.0, 1e-14, 1e-10, 1e-6]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    noise = scale * (rng.standard_normal(a.size) + 1j * rng.standard_normal(a.size))
-    return a, a[perm] + noise
-
-
-@st.composite
-def conjugate_pairs(draw):
-    """Conjugate pairs x +- iy against the same pairs with each real part a
-    few ulps off, permuted: the real parts agree only to rounding."""
-    x = np.array(draw(st.lists(st.floats(-3, 3), min_size=1, max_size=6)))
-    y = np.array(draw(st.lists(st.floats(0.0, 3.0), min_size=x.size, max_size=x.size)))
-    a = np.r_[x + 1j * y, x - 1j * y]
-    ulps = np.array(draw(st.lists(st.integers(-4, 4), min_size=a.size, max_size=a.size)))
-    b = a.real + ulps * np.spacing(a.real) + 1j * a.imag
-    perm = draw(st.permutations(range(a.size)))
-    return a, b[list(perm)]
-
-
-class TestMinSumPairing:
-    # verify compares permuted near-copies, whose nearest columns are distinct
-    # unless a value repeats exactly, a tie the pairing resolves in NumPy;
-    # independent multisets often need the fallback
-    @given(pair=st.one_of(near_copies(), conjugate_pairs()))
-    # exact ties: rows with several equally near columns
-    @example(pair=([1.0, 1.0], [1.0, 1.0]))
-    @example(pair=([2.0, 2.0, 5.0, 1j], [5.0, 1j, 2.0, 2.0]))
-    @example(pair=([0.5, 0.1], [0.0, 1.0]))
-    @example(pair=([0.5, 0.5, 3.0], [0.0, 1.0, 3.0]))
-    @settings(max_examples=300)
-    def test_nearest_columns_match_scipy(self, pair):
-        _check_against_scipy(*pair)
-
-    @given(n=st.integers(1, 12), data=st.data())
-    @settings(max_examples=100)
-    def test_multisets_match_scipy(self, n, data):
-        a, b = (data.draw(st.lists(eigenvalues, min_size=n, max_size=n)) for _ in range(2))
-        _check_against_scipy(a, b)
