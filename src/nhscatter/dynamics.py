@@ -1,31 +1,30 @@
 """Initial states, non-unitary time evolution, and Dirac-probability output.
 
 A state is its complex N-vector in ``site_order(center, lattice)`` and
-evolves as psi(t) = e^{-iHt} psi(0). A density matrix is the pair
-(factor, weights), rho = V diag(w) V^dag with V of shape N x r and r real
-weights w >= 0; rho(t) = e^{-iHt} rho(0) e^{+iH^dag t} is V <- e^{-iHt} V,
-and its site profile is p = |V|^2 w. The Dirac probability p(j,t) and its
-total P(t) are not conserved when H is non-Hermitian; they are the primary
-observables here.
+evolves as psi(t) = e^{-iHt} psi(0). An equal-weight mixture of r states,
+rho = V V^dag / r, is the N x r block V of its states: rho(t) = e^{-iHt}
+rho(0) e^{+iH^dag t} is V <- e^{-iHt} V, and its total probability is the
+sum of the block's frame row over its cases and sites, divided by r. The
+Dirac probability p(j,t) and its total P(t) are not conserved when H is
+non-Hermitian; they are the primary observables here.
 
-Every run goes through one stream, Propagator.frame_rows(start, times,
-weights), which yields the frame at each time as soon as it is stepped: the
-site profile of an N-vector, a float64 N-row whose sum is P(t); an r x N row
-for an N x r block of independent cases that share H, case j in row j; with
-weights, the mixture's N-row profile. Each row is a new C-ordered array, so
-a sum over its sites reduces in the order it does on the collected array,
-and split_probability of a streamed row equals that of the array's row bit
-for bit (a transposed view would reduce in another order). Propagator.frames
-collects the stream into the T x N (or T x r x N) array; a scenario that
-would hold T x r x N values instead consumes the rows one by one, writing
-each to write_frames, whose file gets the .npy header of the whole array
-first, and keeps the first and last rows that transit_metrics reads. A
-block steps as one, each column exactly as it would alone, through one loop,
-Propagator._evolve: the truncated-Taylor action of e^{-iH dt} on H's five
-diagonals (Al-Mohy & Higham, SIAM J. Sci. Comput. 33:488, 2011), with one
-(degree, scaling) plan per distinct time step from the exact 1-norms of the
-powers A^p, A = -iH dt, p = 2..9. These are read
-from A^p applied to 37 probe columns, each the sum of every 37th unit
+Every run goes through one stream, Propagator.frame_rows(start, times),
+which yields the frame at each time as soon as it is stepped: the site
+profile of an N-vector, a float64 N-row whose sum is P(t); an r x N row for
+an N x r block of independent cases that share H, case j in row j. Each row
+is a new C-ordered array, so a sum over its sites reduces in the order it
+does on the collected array, and split_probability of a streamed row equals
+that of the array's row bit for bit (a transposed view would reduce in
+another order). Propagator.frames collects the stream into the T x N (or
+T x r x N) array; a scenario that would hold T x r x N values instead
+consumes the rows one by one, writing each to write_frames, whose file gets
+the .npy header of the whole array first, and keeps the first and last rows
+that transit_metrics reads. A block steps as one, each column exactly as it
+would alone, through one loop, Propagator._evolve: the truncated-Taylor
+action of e^{-iH dt} on H's five diagonals (Al-Mohy & Higham, SIAM J. Sci.
+Comput. 33:488, 2011), with one (degree, scaling) plan per distinct time
+step from the exact 1-norms of the powers A^p, A = -iH dt, p = 2..9. These
+are read from A^p applied to 37 probe columns, each the sum of every 37th unit
 vector, whose images stay apart because A^p has no entry further than 18
 from its diagonal. No N x N exponential is formed, and no eigenvectors are
 needed, so it stays accurate arbitrarily close to the spectral singularity,
@@ -109,15 +108,14 @@ def gaussian_packet(
     complex amplitudes in ``site_order(center, lattice)``.
 
     Raises if the 5-sigma support (sigma = 1/lam in amplitude) would be
-    clipped by the connected leads, which a hard wall at -n0 ends on the left.
+    clipped by the lead ends.
     """
     sigma = 1.0 / spec.lam
     lo, hi = spec.site - 5.0 * sigma, spec.site + 5.0 * sigma
-    left = lattice.hard_wall_n0 or lattice.left_len
-    if lo < -left or hi > lattice.right_len:
+    if lo < -lattice.left_len or hi > lattice.right_len:
         raise ValueError(
             f"packet at site {spec.site} with 5 sigma = {5.0 * sigma:.1f} is clipped "
-            f"by the lead ends [-{left}, {lattice.right_len}]"
+            f"by the lead ends [-{lattice.left_len}, {lattice.right_len}]"
         )
     order = site_order(center, lattice)
     amp = np.zeros(len(order), dtype=complex)
@@ -433,12 +431,12 @@ class Propagator:
     diag((-i)^n) over the matrix index n, when that is real: the entry at
     offset k carries i^-k, so it is real for every real chain whose bonds
     join neighbouring indices and whose on-site entries are imaginary (every
-    dimer chain, hard wall or not, and an imaginary on-site center). A run
-    then turns its start into phi = G^-1 psi once, steps the parts of phi
-    that are not all zero as real columns, and turns phi back into psi only
-    to yield it. A quarter turn only swaps and negates components, so each
-    product and sum equals the complex loop's up to the sign of zero. Other
-    chains (an interferometer, a complex on-site center) step psi by -iH.
+    dimer chain and an imaginary on-site center). A run then turns its start
+    into phi = G^-1 psi once, steps the parts of phi that are not all zero
+    as real columns, and turns phi back into psi only to yield it. A
+    quarter turn only swaps and negates components, so each product and sum
+    equals the complex loop's up to the sign of zero. Other chains (an
+    interferometer, a complex on-site center) step psi by -iH.
     """
 
     def __init__(self, ham: HamiltonianMatrix):
@@ -491,38 +489,24 @@ class Propagator:
         vector, T x N x r for an N x r block."""
         return np.array(list(self._evolve(start, times)))
 
-    def frames(self, start: np.ndarray, times, weights=None) -> np.ndarray:
+    def frames(self, start: np.ndarray, times) -> np.ndarray:
         """Dirac probabilities, row i at times[i]: T x N |psi_j(t_i)|^2 for an
         N-vector; T x r x N for an N x r block of r independent cases, case j
-        at [:, j]; and with r weights w (finite, >= 0) the T x N profile
-        |V(t)|^2 w of the mixture V diag(w) V^dag. The rows of frame_rows,
-        collected."""
+        at [:, j]. The rows of frame_rows, collected."""
         times, start = _check_times(times), np.asarray(start)
-        rows = self.frame_rows(start, times, weights)
-        cases = start.shape[1:] if weights is None else ()
-        out = np.empty((times.size, *cases, self.ham.dim))
-        for i, row in enumerate(rows):
+        out = np.empty((times.size, *start.shape[1:], self.ham.dim))
+        for i, row in enumerate(self.frame_rows(start, times)):
             out[i] = row
         return out
 
-    def frame_rows(self, start: np.ndarray, times, weights=None):
-        """The rows of ``frames(start, times, weights)`` one at a time, as the
-        steps produce them, so no T x r x N array is held: an iterator of new
-        C-ordered float64 arrays, (N,) for a vector or a mixture and (r, N)
-        for a block. C order matters: a sum over a row's sites (as in
-        split_probability) then reduces in the order it does on a row of
-        ``frames``, so every bit agrees."""
-        times, start = _check_times(times), np.asarray(start)
-        if weights is not None:
-            weights = np.asarray(weights, dtype=float)
-            if start.ndim != 2 or weights.shape != start.shape[1:]:
-                raise ValueError(
-                    f"weights of shape {weights.shape} do not fit a start of shape "
-                    f"{start.shape}: need an N x r block and r weights"
-                )
-            if not np.all(np.isfinite(weights) & (weights >= 0)):
-                raise ValueError(f"density weights must be finite and >= 0, got {weights}")
-            return ((np.abs(x) ** 2) @ weights for x in self._evolve(start, times))
+    def frame_rows(self, start: np.ndarray, times):
+        """The rows of ``frames(start, times)`` one at a time, as the steps
+        produce them, so no T x r x N array is held: an iterator of new
+        C-ordered float64 arrays, (N,) for a vector and (r, N) for a block. C
+        order matters: a sum over a row's sites (as in split_probability) then
+        reduces in the order it does on a row of ``frames``, so every bit
+        agrees."""
+        times = _check_times(times)
         return (np.ascontiguousarray((np.abs(x) ** 2).T) for x in self._evolve(start, times))
 
 
@@ -539,17 +523,18 @@ def _check_times(times) -> np.ndarray:
     return times
 
 
-def mixed_state_uniform(lattice: LatticeSpec, center: CenterSpec, n0: int):
+def mixed_state_uniform(lattice: LatticeSpec, center: CenterSpec, n0: int) -> np.ndarray:
     """Uniform incoherent mixture (1/n0) sum_j |-j><-j| over sites -1..-n0,
-    as (factor, weights): the N x n0 columns e_{-j} and the weights 1/n0, so
-    the populations at t = 0 are exactly 1/n0.
+    as its N x n0 block of unit columns e_{-j}, column j - 1 for site -j; the
+    mixture is the block's equal-weight sum, so its populations at t = 0 are
+    exactly 1/n0.
     """
     if n0 < 1 or n0 > lattice.left_len:
         raise ValueError(f"n0 must be in 1..left_len, got {n0}")
     factor = np.zeros((lattice_dim(center, lattice), n0), dtype=complex)
     for col, j in enumerate(range(1, n0 + 1)):
         factor[site_to_index(lattice, -j, center), col] = 1.0
-    return factor, np.full(n0, 1.0 / n0)
+    return factor
 
 
 def split_probability(p: np.ndarray, center_span: tuple[int, int]):

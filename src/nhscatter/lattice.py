@@ -13,6 +13,8 @@ transformed with NumPy alone.
 Leads are finite here while the physics is posed on semi-infinite chains;
 callers must size leads so that no probability reaches the open ends during
 the simulated window (rule of thumb: len >= |packet site| + 2*t_max + 5*width).
+An open end reflects what reaches it: it is a hard wall, and absorb's
+mixture fills the left lead up to it.
 """
 
 import cmath
@@ -124,30 +126,16 @@ def as_dimer(center: CenterSpec) -> AsymmetricDimer:
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Finite truncation of the two leads.
-
-    Left lead sites are -left_len..-1, right lead sites 1..right_len. A hard
-    wall at -n0 (``hard_wall_n0``) severs the bond between -n0 and -(n0+1), so
-    the dynamically connected left lead spans [-n0, -1]; sites beyond the wall
-    stay in the index space but decouple. ``None`` keeps the plain open
-    truncation.
-    """
+    """Finite truncation of the two leads: left lead sites -left_len..-1,
+    right lead sites 1..right_len. Each lead's last site is an open end, a
+    hard wall."""
 
     left_len: int
     right_len: int
-    hard_wall_n0: int | None = None
 
     def __post_init__(self):
         if self.left_len < 1 or self.right_len < 1:
             raise ValueError("lead lengths must be positive integers")
-        if self.hard_wall_n0 is not None:
-            if self.hard_wall_n0 < 1:
-                raise ValueError("hard wall position must be a positive integer")
-            if self.hard_wall_n0 > self.left_len:
-                raise ValueError(
-                    f"hard wall at -{self.hard_wall_n0} lies outside the "
-                    f"left lead of length {self.left_len}"
-                )
 
 
 def center_sites(center: CenterSpec) -> tuple[SiteLabel, ...]:
@@ -243,17 +231,16 @@ def dense_from_bands(bands: np.ndarray) -> np.ndarray:
 
 def build_hamiltonian(center: CenterSpec, lattice: LatticeSpec) -> HamiltonianMatrix:
     """Assemble the Hamiltonian of a center embedded between two leads on its
-    five diagonals -2..2. Every bond (i, i + 1) is -1 but a hard wall's, left
-    out, and those the center replaces by its own entries. Non-Hermitian
-    entries are confined to the center block."""
+    five diagonals -2..2. Every bond (i, i + 1) is -1 but those the center
+    replaces by its own entries. Non-Hermitian entries are confined to the
+    center block."""
     n = lattice_dim(center, lattice)
     c = lattice.left_len  # first center index
     im1, ip1 = c - 1, n - lattice.right_len  # sites -1 and 1
-    cut = [] if lattice.hard_wall_n0 is None else [c - lattice.hard_wall_n0 - 1]
     if isinstance(center, OnSitePotential):
-        entries = [(c, c, center.v)]
+        cut, entries = [], [(c, c, center.v)]
     elif isinstance(center, Interferometer):
-        cut += [im1, c, c + 1]
+        cut = [im1, c, c + 1]
         entries = [(c, c + 1, center.delta), (c + 1, c, center.delta)]
         entries += [(c, c, 1j * center.gamma), (c + 1, c + 1, -1j * center.gamma)]
         root2 = math.sqrt(2.0)
@@ -266,7 +253,7 @@ def build_hamiltonian(center: CenterSpec, lattice: LatticeSpec) -> HamiltonianMa
                 (site, ip1, -phase.conjugate() / root2),
             ]
     elif isinstance(center, AsymmetricDimer):
-        cut.append(c)
+        cut = [c]
         entries = [(c, c + 1, -center.mu), (c + 1, c, -center.nu)]
     else:
         raise TypeError(f"unknown center spec {center!r}")

@@ -29,7 +29,7 @@ from .lattice import (
     build_hamiltonian,
     center_sites,
 )
-from .transforms import ALPHA_BETA_BLOCK
+from .transforms import ALPHA_BETA_BLOCK, _times
 
 LEFT = "left"
 RIGHT = "right"
@@ -81,12 +81,9 @@ class SweepTable:
 
 # The closed forms run on (re, im) float64 arrays in the operation order of
 # Python 3.10-3.13 scalar complex arithmetic, so each element equals cmath's
-# bit for bit: a float operand is promoted with imaginary part 0.0, division
-# is CPython's Smith division, sin/cos and |z|^2 = pow(hypot(re, im), 2) libm's.
-
-
-def _mul(a_re, a_im, b_re, b_im):
-    return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
+# bit for bit: a float operand is promoted with imaginary part 0.0, a product
+# is transforms._times, division is CPython's Smith division, sin/cos and
+# |z|^2 = pow(hypot(re, im), 2) libm's.
 
 
 def quotient(a_re, a_im, b_re, b_im):
@@ -124,14 +121,14 @@ def _dimer_table(dimer: AsymmetricDimer, k: np.ndarray, incidence: str) -> Sweep
     e_re, e_im = _libm(math.cos, phase), _libm(math.sin, phase)
     denom = product - e_re, 0.0 - e_im
     r = quotient(1.0 - product, 0.0, *denom)
-    t = quotient(*_mul(forward, 0.0, 1.0 - e_re, 0.0 - e_im), *denom)
+    t = quotient(*_times(forward, 0.0, 1.0 - e_re, 0.0 - e_im), *denom)
     return _table(k, incidence, denom, r, t)
 
 
 def _onsite_table(v: complex, k: np.ndarray, incidence: str) -> SweepTable:
     """t = 2i sin k / (2i sin k - v), r = v / (2i sin k - v); independent of
     incidence."""
-    gain = _mul(0.0, 2.0, _libm(math.sin, k), 0.0)  # 2i sin k
+    gain = _times(0.0, 2.0, _libm(math.sin, k), 0.0)  # 2i sin k
     denom = gain[0] - v.real, gain[1] - v.imag
     t, r = quotient(*gain, *denom), quotient(v.real, v.imag, *denom)
     return _table(k, incidence, denom, r, t)
@@ -217,7 +214,7 @@ def _phases(k: float, n: np.ndarray):
     hi = k * n
     (k_hi, k_lo), (n_hi, n_lo) = _split(k), _split(n)
     lo = ((k_hi * n_hi - hi) + k_hi * n_lo + k_lo * n_hi) + k_lo * n_lo
-    return _mul(_libm(math.cos, hi), _libm(math.sin, hi), 1.0, lo)
+    return _times(_libm(math.cos, hi), _libm(math.sin, hi), 1.0, lo)
 
 
 def assemble_scattering_state(
@@ -248,8 +245,8 @@ def assemble_scattering_state(
     j = mirror * np.concatenate([left, right])
     incoming = j < 0
     c, s = _phases(k, np.where(incoming, j, j + m - 1))
-    back_re, back_im = _mul(r.real, r.imag, c, -s)  # r e^{-ikj}
-    out_re, out_im = _mul(t.real, t.imag, c, s)  # t e^{ik(j+m-1)}
+    back_re, back_im = _times(r.real, r.imag, c, -s)  # r e^{-ikj}
+    out_re, out_im = _times(t.real, t.imag, c, s)  # t e^{ik(j+m-1)}
     leads = np.empty(len(j), dtype=complex)
     leads.real = np.where(incoming, c + back_re, out_re)
     leads.imag = np.where(incoming, s + back_im, out_im)

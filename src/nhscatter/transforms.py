@@ -140,17 +140,15 @@ class BlockDecomposition:
 def parity_decompose(ham: HamiltonianMatrix) -> BlockDecomposition:
     """Split the scaled mu*nu = -1 chain into two decoupled parity blocks.
 
-    Requires equal lead lengths, no hard wall, and a symmetric center coupling
-    that squares to -1 (i.e. the output of biorthogonal_scale at the
-    singularity). The end potentials of the two blocks form the set {+i, -i};
-    which block carries +i depends on the square-root branch, so callers
-    should only rely on the unordered pair.
+    Requires equal lead lengths and a symmetric center coupling that squares
+    to -1 (i.e. the output of biorthogonal_scale at the singularity). The end
+    potentials of the two blocks form the set {+i, -i}; which block carries
+    +i depends on the square-root branch, so callers should only rely on the
+    unordered pair.
     """
     lat = ham.lattice
     if lat.left_len != lat.right_len:
         raise ValueError("parity split requires equal lead lengths")
-    if lat.hard_wall_n0 is not None:
-        raise ValueError("parity split requires mirror-symmetric (open) leads")
     start, stop = ham.center_span
     if stop - start != 2:
         raise ValueError("parity split requires a two-site center")

@@ -60,7 +60,7 @@ _COND_LIMIT = 1e6
 
 def dense_hamiltonian(center, lattice):
     """The N x N Hamiltonian filled entry by entry over site labels: lead
-    bonds -1, the hard wall's bond set back to 0, then the center entries."""
+    bonds -1, then the center entries."""
     n = len(site_order(center, lattice))
     h = np.zeros((n, n), dtype=complex)
 
@@ -69,9 +69,6 @@ def dense_hamiltonian(center, lattice):
 
     for j in list(range(-lattice.left_len, -1)) + list(range(1, lattice.right_len)):
         h[idx(j), idx(j + 1)] = h[idx(j + 1), idx(j)] = -1.0
-    n0 = lattice.hard_wall_n0
-    if n0 is not None and n0 < lattice.left_len:
-        h[idx(-(n0 + 1)), idx(-n0)] = h[idx(-n0), idx(-(n0 + 1))] = 0.0
     im1, ip1 = idx(-1), idx(1)
     if isinstance(center, OnSitePotential):
         c = idx(0)

@@ -223,7 +223,7 @@ def test_09_incoherent_absorption(announce, tmp_path):
     assert finals[0.1] < 0.05
 
     # dual route at scale: incoherent eigendecomposition sum of basis states
-    lattice = LatticeSpec(20, 400, hard_wall_n0=20)
+    lattice = LatticeSpec(20, 400)
     center = AsymmetricDimer(10.0, 0.1)
     ham = build_hamiltonian(center, lattice)
     oracle_final = oracles.incoherent_sum_probability(ham, lattice, center, 20, [200.0])[0]

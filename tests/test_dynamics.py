@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 
@@ -50,6 +51,12 @@ def _states(ham, psi0, times):
     return Propagator(ham).states(psi0, times)
 
 
+def _mixture(lattice, center, n0):
+    """mixed_state_uniform's block with its equal weights 1/n0: the (factor,
+    weights) pair that tests/oracles.py takes for rho = V diag(w) V^dag."""
+    return mixed_state_uniform(lattice, center, n0), np.full(n0, 1.0 / n0)
+
+
 class TestWavePacketSpec:
     def test_rejects_bad_width(self):
         with pytest.raises(ValueError):
@@ -95,12 +102,12 @@ class TestGaussianPacket:
             gaussian_packet(LatticeSpec(50, 50), WavePacketSpec(-40, 1.0, 0.15), UNIFORM)
 
     def test_hard_wall_is_the_left_end(self):
-        # the support -93.3..-26.7 lies inside the lattice, but a wall at -70
-        # would leave its tail on the decoupled sites beyond it
+        # the support -93.3..-26.7 would leave its tail past a left lead
+        # that ends at -70
         spec = WavePacketSpec(-60, math.pi / 2, 0.15)
         with pytest.raises(ValueError, match=r"clipped by the lead ends \[-70, 400\]"):
-            gaussian_packet(LatticeSpec(400, 400, 70), spec, UNIFORM)
-        psi = gaussian_packet(LatticeSpec(400, 400, 94), spec, UNIFORM)
+            gaussian_packet(LatticeSpec(70, 400), spec, UNIFORM)
+        psi = gaussian_packet(LatticeSpec(94, 400), spec, UNIFORM)
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("center", [UNIFORM, OnSitePotential(0.5)], ids=["dimer", "onsite"])
@@ -356,17 +363,17 @@ class TestTaylorStep:
     def test_plan_uses_power_norms_not_one_norm(self):
         # mu = 10 puts ||H dt||_1 at 22 for dt = 2, so a one-norm plan takes
         # m * s = 150 products; alpha_8 of the powers is 4.8, so 40 do
-        lat = LatticeSpec(20, 400, hard_wall_n0=20)
+        lat = LatticeSpec(20, 400)
         ham = build_hamiltonian(AsymmetricDimer(10.0, 0.1), lat)
         step = Propagator(ham).step_matrix(2.0)
         assert np.abs(oracles.csr(ham).toarray()).sum(axis=0).max() * 2.0 == pytest.approx(22.0)
         assert step.degree * step.scaling < 80
 
     def test_rerun_ignores_and_keeps_global_random_state(self):
-        lat = LatticeSpec(20, 400, hard_wall_n0=20)
+        lat = LatticeSpec(20, 400)
         center = AsymmetricDimer(10.0, 0.1)
         ham = build_hamiltonian(center, lat)
-        factor, _ = mixed_state_uniform(lat, center, 20)
+        factor = mixed_state_uniform(lat, center, 20)
         results = []
         saved = np.random.get_state()
         for seed in (1, 2):
@@ -412,14 +419,12 @@ class TestRealGauge:
     and their frames equal it bit for bit."""
 
     @staticmethod
-    def _check(ham, start, times, weights=None):
+    def _check(ham, start, times):
         prop = Propagator(ham)
         ref = oracles.complex_taylor_states(ham, start, times)
         assert np.all(prop.states(start, times) == ref)
-        frames = prop.frames(start, times, weights)
-        for row, x in zip(frames, ref):
-            p = np.abs(x) ** 2
-            assert np.array_equal(row, p.T if weights is None else p @ weights)
+        for row, x in zip(prop.frames(start, times), ref):
+            assert np.array_equal(row, (np.abs(x) ** 2).T)
         return prop
 
     @pytest.mark.parametrize(
@@ -427,7 +432,7 @@ class TestRealGauge:
         [
             (UNIFORM, LatticeSpec(30, 30), True),
             (SINGULAR, LatticeSpec(30, 30), True),
-            (AsymmetricDimer(10.0, 0.1), LatticeSpec(20, 40, hard_wall_n0=20), True),
+            (AsymmetricDimer(10.0, 0.1), LatticeSpec(20, 40), True),
             (OnSitePotential(2j), LatticeSpec(30, 30), True),
             (Interferometer(-1.25, 0.75, math.pi / 4), LatticeSpec(30, 30), False),
             (OnSitePotential(0.3 + 1.1j), LatticeSpec(30, 30), False),
@@ -475,9 +480,9 @@ class TestRealGauge:
         config = experiments.default_config("absorb")
         lat = config.lattice.to_lattice()
         center = UNIFORM if nu is None else AsymmetricDimer(1.0 / nu, nu)
-        factor, weights = mixed_state_uniform(lat, center, lat.hard_wall_n0)
+        factor = mixed_state_uniform(lat, center, lat.left_len)
         times = experiments.TimeConfig(t_max=config.absorb.t_max, dt=config.absorb.dt).times()
-        prop = self._check(build_hamiltonian(center, lat), factor, times, weights)
+        prop = self._check(build_hamiltonian(center, lat), factor, times)
         assert prop.step_matrix(config.absorb.dt).operator.dtype == np.float64
 
     def test_singularity_cases_match_complex_loop(self):
@@ -625,9 +630,7 @@ PRODUCT_CENTERS = [
     pytest.param(UNIFORM, LatticeSpec(30, 30), id="uniform"),
     pytest.param(AsymmetricDimer(0.5, 2.0), LatticeSpec(30, 30), id="resonant"),
     pytest.param(SINGULAR, LatticeSpec(30, 30), id="singular"),
-    pytest.param(
-        AsymmetricDimer(10.0, 0.1), LatticeSpec(20, 40, hard_wall_n0=20), id="hard_wall"
-    ),
+    pytest.param(AsymmetricDimer(10.0, 0.1), LatticeSpec(20, 40), id="hard_wall"),
     pytest.param(Interferometer(-1.25, 0.75, math.pi / 4), LatticeSpec(30, 30), id="interferometer"),
     pytest.param(Interferometer(-1.25, 0.75, 1.0), LatticeSpec(30, 30), id="interferometer_off"),
     pytest.param(OnSitePotential(2j), LatticeSpec(30, 30), id="onsite_2j"),
@@ -712,10 +715,9 @@ class TestBandedProducts:
         dt=st.floats(1e-3, 30),
         left=st.integers(1, 60),
         right=st.integers(1, 60),
-        wall=st.none() | st.integers(1, 60),
     )
     @settings(max_examples=60, derandomize=True)
-    def test_plans_equal_csr(self, kind, p, q, phi, dt, left, right, wall):
+    def test_plans_equal_csr(self, kind, p, q, phi, dt, left, right):
         # N = left + right + 1 or 2 falls below, at and above the plan's
         # probe width of 37 columns; the plan is made on the generator the
         # Propagator steps, real in the gauge for every dimer
@@ -724,8 +726,7 @@ class TestBandedProducts:
             "interferometer": Interferometer(p, q, phi),
             "onsite": OnSitePotential(complex(p, q)),
         }[kind]
-        wall = None if wall is None else min(wall, left)
-        ham = build_hamiltonian(center, LatticeSpec(left, right, hard_wall_n0=wall))
+        ham = build_hamiltonian(center, LatticeSpec(left, right))
         plan = dynamics._taylor_plan(Propagator(ham)._generator * dt)
         assert plan == oracles.csr_taylor_plan(-1j * oracles.csr(ham) * dt)
 
@@ -751,15 +752,15 @@ class TestPowerNorms:
         [
             (Interferometer(-1.25, 0.75, math.pi / 4), LatticeSpec(400, 400), 1.0),
             (Interferometer(-1.25, 0.75, 1.0), LatticeSpec(400, 400), 1.0),
-            (AsymmetricDimer(10.0, 0.1), LatticeSpec(20, 400, hard_wall_n0=20), 2.0),
+            (AsymmetricDimer(10.0, 0.1), LatticeSpec(20, 400), 2.0),
             (None, None, 0.3),
         ],
         ids=["interferometer", "interferometer_off", "hard_wall_mu10", "full_bands"],
     )
     def test_norms_equal_csr_powers(self, center, lattice, dt):
         ham = self._full_bands() if center is None else build_hamiltonian(center, lattice)
-        # the generator the Propagator steps: real probes on the gauge-real
-        # hard-wall dimer, complex ones on the others
+        # the generator the Propagator steps: real probes on absorb's
+        # gauge-real dimer, complex ones on the others
         norms = dynamics._power_norms(Propagator(ham)._generator * dt)
         a = -1j * oracles.csr(ham) * dt
         power = a
@@ -771,8 +772,9 @@ class TestPowerNorms:
 
 
 class TestEvolveDensity:
-    """A density matrix is its (factor, weights) pair; it evolves as the
-    block states(factor, times), its profile is frames(factor, times, weights)."""
+    """A density matrix is its (factor, weights) pair (tests/oracles.py); it
+    evolves as the block states(factor, times), and its profile is the
+    weighted sum weights @ frames(factor, times) of the block's frames."""
 
     def test_pure_state_consistency(self):
         lat = LatticeSpec(20, 20)
@@ -789,7 +791,7 @@ class TestEvolveDensity:
     def test_hermitian_trace_constant(self):
         lat = LatticeSpec(15, 15)
         ham = build_hamiltonian(UNIFORM, lat)
-        factor0, weights = mixed_state_uniform(lat, UNIFORM, 10)
+        factor0, weights = _mixture(lat, UNIFORM, 10)
         for factor in _states(ham, factor0, [5.0, 20.0, 60.0]):
             assert np.trace(oracles.density_entries(factor, weights)).real == pytest.approx(
                 1.0, abs=1e-9
@@ -800,7 +802,7 @@ class TestEvolveDensity:
         lat = LatticeSpec(15, 15)
         center = AsymmetricDimer(2.0, 0.5)
         ham = build_hamiltonian(center, lat)
-        factor0, weights = mixed_state_uniform(lat, center, 8)
+        factor0, weights = _mixture(lat, center, 8)
         initial = oracles.density_entries(factor0, weights)
         assert np.trace(initial).real == pytest.approx(1.0, abs=1e-12)
         evolved = _states(ham, factor0, [12.0])[0]
@@ -815,9 +817,9 @@ class TestEvolveDensity:
         lat = LatticeSpec(15, 15)
         center = AsymmetricDimer(2.0, 0.5)
         ham = build_hamiltonian(center, lat)
-        factor0, weights = mixed_state_uniform(lat, center, 8)
+        factor0, weights = _mixture(lat, center, 8)
         times = [2.0, 9.0]
-        series = Propagator(ham).frames(factor0, times, weights)
+        series = weights @ Propagator(ham).frames(factor0, times)
         factors = _states(ham, factor0, times)
         assert series.shape == (2, ham.dim)
         for row, factor in zip(series, factors):
@@ -826,25 +828,27 @@ class TestEvolveDensity:
 
     def test_incoherent_sum_oracle_agreement(self):
         n0 = 6
-        lat = LatticeSpec(n0, 60, hard_wall_n0=n0)
+        lat = LatticeSpec(n0, 60)
         times = [10.0, 40.0]
         # mu*nu = 1 absorbs; at the singularity mu*nu = -1 P(t) grows to ~5e8
         for center in (AsymmetricDimer(10.0, 0.1), AsymmetricDimer(-2.0, 0.5)):
             ham = build_hamiltonian(center, lat)
-            factor0, weights = mixed_state_uniform(lat, center, n0)
-            ours = Propagator(ham).frames(factor0, times, weights).sum(axis=1)
+            factor0 = mixed_state_uniform(lat, center, n0)
+            # absorb's readout: each row summed over its cases and sites, / n0
+            rows = Propagator(ham).frame_rows(factor0, times)
+            ours = np.array([row.sum() / n0 for row in rows])
             ref = oracles.incoherent_sum_probability(ham, lat, center, n0, times)
             assert np.max(np.abs(ours - ref) / np.maximum(1.0, ref)) < 1e-9
 
     @pytest.mark.parametrize("kind", ["mixed", "pure", "full_rank", "absorb"])
     def test_dense_oracle_agreement_at_singularity(self, kind):
         n0 = 6
-        lat = LatticeSpec(n0, 60, hard_wall_n0=n0)
+        lat = LatticeSpec(n0, 60)
         # "absorb": the mixed state under the absorbing dimer mu = 10, nu = 0.1
         center = AsymmetricDimer(10.0, 0.1) if kind == "absorb" else AsymmetricDimer(-2.0, 0.5)
         ham = build_hamiltonian(center, lat)
         if kind in ("mixed", "absorb"):
-            factor0, weights = mixed_state_uniform(lat, center, n0)
+            factor0, weights = _mixture(lat, center, n0)
             dense = np.zeros((ham.dim, ham.dim), dtype=complex)
             for j in range(1, n0 + 1):
                 i = site_to_index(lat, -j, center)
@@ -862,7 +866,7 @@ class TestEvolveDensity:
         times = [10.0, 40.0]
         ref = oracles.dense_density_evolve(ham, dense, times)
         factors = _states(ham, factor0, times)
-        series = Propagator(ham).frames(factor0, times, weights)
+        series = weights @ Propagator(ham).frames(factor0, times)
         for factor, row, want in zip(factors, series, ref):
             # P(40) of the mixed state is ~5e8, so the bound is relative to max(1, P)
             scale = max(1.0, np.trace(want).real)
@@ -903,43 +907,18 @@ class TestProfile:
         lat = LatticeSpec(5, 5)
         center = AsymmetricDimer(2.0, 0.5)
         ham = build_hamiltonian(center, lat)
-        factor0, weights = mixed_state_uniform(lat, center, 4)
+        factor0, weights = _mixture(lat, center, 4)
         times = [0.0, 1.0, 3.0]
         prop = Propagator(ham)
-        series = prop.frames(factor0, times, weights)
-        assert series.shape == (3, ham.dim)
+        frames = prop.frames(factor0, times)
+        assert frames.shape == (3, 4, ham.dim)
+        series = weights @ frames
         assert series.sum(axis=1)[0] == pytest.approx(1.0)
         assert factor0.shape == (ham.dim, 4)
         initial = np.diagonal(oracles.density_entries(factor0, weights)).real
         assert np.array_equal(series[0], initial)
-        for row, factor in zip(series, prop.states(factor0, times)):
-            assert np.array_equal(row, (np.abs(factor) ** 2) @ weights)
-
-    def test_indefinite_density_rejected(self):
-        # a negative weight is an indefinite rho; a non-finite one is no state
-        lat = LatticeSpec(3, 3)
-        prop = Propagator(build_hamiltonian(UNIFORM, lat))
-        factor = np.eye(8, 2, dtype=complex)
-        for weights in ([1.0, -0.5], [1.0, math.nan], [math.inf, 0.0]):
-            with pytest.raises(ValueError, match="finite and >= 0"):
-                prop.frames(factor, [0.0], weights)
-        series = prop.frames(factor, [0.0], [1, 0])  # integer weights are taken as floats
-        assert series.dtype == np.float64
-        assert np.array_equal(series[0], np.eye(8)[0])
-
-    def test_weights_need_a_block(self):
-        lat = LatticeSpec(3, 3)
-        prop = Propagator(build_hamiltonian(UNIFORM, lat))
-        psi = np.eye(8)[0].astype(complex)
-        with pytest.raises(ValueError, match=r"shape \(1,\) do not fit a start of shape \(8,\)"):
-            prop.frames(psi, [0.0, 1.0], [1.0])
-
-    def test_weights_must_match_the_columns(self):
-        lat = LatticeSpec(3, 3)
-        prop = Propagator(build_hamiltonian(UNIFORM, lat))
-        factor = np.eye(8, 3, dtype=complex)
-        with pytest.raises(ValueError, match=r"shape \(2,\) do not fit a start of shape \(8, 3\)"):
-            prop.frames(factor, [0.0, 1.0], [0.5, 0.5])
+        for row, factor in zip(frames, prop.states(factor0, times)):
+            assert np.array_equal(row, (np.abs(factor) ** 2).T)
 
     @pytest.mark.parametrize(
         "center",
@@ -952,21 +931,40 @@ class TestProfile:
         ham = build_hamiltonian(center, lat)
         prop = Propagator(ham)
         psi0 = gaussian_packet(lat, WavePacketSpec(-4, 1.0, 2.0), center)
-        factor0, weights = mixed_state_uniform(lat, center, 3)
+        factor0 = mixed_state_uniform(lat, center, 3)
         times = [0.0, 1.5]
         results = [
             prop.frames(psi0, times),
             prop.states(psi0, times),
             prop.frames(factor0, times),
-            prop.frames(factor0, times, weights),
             prop.states(factor0, times),
         ]
         kept = [r.copy() for r in results]
         psi0[:] = 7.0
         factor0[:] = 7.0
-        weights[:] = 7.0
         for r, k in zip(results, kept):
             assert np.array_equal(r, k)
+
+
+class TestMixedStateUniform:
+    @pytest.mark.parametrize("center", [UNIFORM, OnSitePotential(0.5)], ids=["dimer", "onsite"])
+    def test_unit_columns_on_the_left_lead(self, center):
+        lat = LatticeSpec(6, 4)
+        order = site_order(center, lat)
+        factor = mixed_state_uniform(lat, center, 5)
+        assert factor.shape == (len(order), 5) and factor.dtype == complex
+        # column j - 1 is the unit vector on site -j, j = 1..5
+        for col in range(5):
+            (rows,) = np.nonzero(factor[:, col])
+            assert [order[i] for i in rows] == [-(col + 1)]
+            assert factor[rows[0], col] == 1.0
+
+    def test_n0_must_lie_in_the_left_lead(self):
+        lat = LatticeSpec(6, 4)
+        assert mixed_state_uniform(lat, UNIFORM, 6).shape[1] == 6
+        for n0 in (0, 7):
+            with pytest.raises(ValueError, match=rf"n0 must be in 1..left_len, got {n0}"):
+                mixed_state_uniform(lat, UNIFORM, n0)
 
 
 class TestFrameRows:
@@ -977,7 +975,7 @@ class TestFrameRows:
         [AsymmetricDimer(2.0, 0.5), Interferometer(-1.25, 0.75, math.pi / 4)],
         ids=["gauge_real_dimer", "interferometer"],
     )
-    @pytest.mark.parametrize("start", ["vector", "block", "weighted"])
+    @pytest.mark.parametrize("start", ["vector", "block", "mixture"])
     def test_stream_matches_frames(self, center, start):
         lat = LatticeSpec(60, 60)
         ham = build_hamiltonian(center, lat)
@@ -986,16 +984,14 @@ class TestFrameRows:
             gaussian_packet(lat, WavePacketSpec(site, k0, 0.3), center)
             for site, k0 in ((-25, math.pi / 2), (-20, 1.0), (25, -2.0))
         ]
-        weights = None
-        if start == "vector":
-            start = packets[0]
-        elif start == "block":
-            start = np.column_stack(packets)
-        else:
-            start, weights = np.column_stack(packets), np.array([0.5, 0.25, 0.25])
+        start = {
+            "vector": lambda: packets[0],
+            "block": lambda: np.column_stack(packets),
+            "mixture": lambda: mixed_state_uniform(lat, center, lat.left_len),  # absorb's start
+        }[start]()
         times = np.arange(0, 31) * 0.7
-        frames = prop.frames(start, times, weights)
-        rows = list(prop.frame_rows(start, times, weights))  # each row kept
+        frames = prop.frames(start, times)
+        rows = list(prop.frame_rows(start, times))  # each row kept
         assert len(rows) == len(frames)
         whole = split_probability(frames, ham.center_span)
         for i, (row, frame) in enumerate(zip(rows, frames)):
@@ -1003,13 +999,25 @@ class TestFrameRows:
             assert row.shape == frame.shape and row.tobytes() == frame.tobytes()
             for part, of_whole in zip(split_probability(row, ham.center_span), whole):
                 assert part.tobytes() == of_whole[i].tobytes()
+            # absorb's readout, a sum over the whole row
+            assert row.sum().tobytes() == frame.sum().tobytes()
 
-    def test_bad_weights_rejected_before_stepping(self):
+    def test_bad_times_rejected_before_stepping(self):
         lat = LatticeSpec(8, 8)
         prop = Propagator(build_hamiltonian(UNIFORM, lat))
-        factor, _ = mixed_state_uniform(lat, UNIFORM, 2)
-        with pytest.raises(ValueError, match="finite and >= 0"):
-            prop.frame_rows(factor, [0.0, 1.0], [0.5, -0.5])
+        factor = mixed_state_uniform(lat, UNIFORM, 2)
+        for times in ([], [-1.0], [0.0, 2.0, 1.0], [0.0, math.nan]):
+            with pytest.raises(ValueError, match="time"):
+                prop.frame_rows(factor, times)  # at the call, before the first row
+
+    @pytest.mark.parametrize("method", ["frames", "frame_rows"])
+    def test_takes_start_and_times(self, method):
+        # no weights: a mixture is its block, and the caller sums its rows
+        assert list(inspect.signature(getattr(Propagator, method)).parameters) == [
+            "self",
+            "start",
+            "times",
+        ]
 
 
 class TestTransitMetrics:

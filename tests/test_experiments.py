@@ -104,7 +104,6 @@ def small_absorb(out_dir):
     cfg.out_dir = str(out_dir)
     cfg.lattice.left_len = 6
     cfg.lattice.right_len = 120
-    cfg.lattice.hard_wall_n0 = 6
     cfg.absorb.nu_values = (0.5, 0.1)
     cfg.absorb.t_max = 60.0
     cfg.absorb.dt = 2.0
@@ -137,7 +136,7 @@ class TestConfigFormat:
         cfg = default_config("flux-deviation")
         cfg.center.delta = -1.0 + 1e-13
         cfg.flux.deviations = (0, 3, 7)
-        cfg.lattice.hard_wall_n0 = 17
+        cfg.lattice.right_len = 417
         assert from_ini(to_ini(cfg)) == cfg
 
     def test_round_trip_preserves_complex_override(self):
@@ -174,12 +173,6 @@ class TestConfigFormat:
             apply_overrides(cfg, ["center.bogus=1"])
         with pytest.raises(ConfigError):
             apply_overrides(cfg, ["bogus.delta=1"])
-
-    def test_none_field_round_trip(self):
-        cfg = default_config("absorb")
-        assert cfg.lattice.hard_wall_n0 == 20
-        out = apply_overrides(cfg, ["lattice.hard_wall_n0=none"])
-        assert out.lattice.hard_wall_n0 is None
 
     def test_unknown_scenario(self):
         with pytest.raises(ConfigError):
@@ -236,13 +229,6 @@ class TestValidation:
         cfg.center.mu = 0.5
         cfg.center.nu = 2.0  # mu*nu = 1
         with pytest.raises(ConfigError, match="requires mu\\*nu = -1"):
-            run_scenario(cfg)
-
-    def test_absorb_requires_matching_wall(self, tmp_path):
-        cfg = default_config("absorb")
-        cfg.out_dir = str(tmp_path / "x")
-        cfg.lattice.hard_wall_n0 = None
-        with pytest.raises(ConfigError):
             run_scenario(cfg)
 
     @pytest.mark.parametrize("drop_time", [0.0, -5.0, 50.0])
@@ -931,17 +917,18 @@ class TestCli:
         ids=["long_run", "last_grid_time"],
     )
     def test_absorb_past_its_right_lead_exit_two(self, tmp_path, capsys, sets, message):
-        # absorb cannot take the boundary guard (the mixture fills its wall
-        # end), and past 2 t = right_len its P(t) depends on the lead length
+        # absorb cannot take the boundary guard (the mixture fills its left
+        # lead to the end), and past 2 t = right_len its P(t) depends on the
+        # lead length
         args = ["absorb", "--out", str(tmp_path / "x")]
         assert main([*args, *(arg for item in sets for arg in ("--set", item))]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "x" / "ptotal.csv").exists()
 
     def test_packet_behind_hard_wall_exit_two(self, tmp_path, capsys):
-        # the default packet spans sites -93..-27, so a wall at -70 strands its
-        # tail on the decoupled sites
-        args = ["amplify", "--out", str(tmp_path / "x"), "--set", "lattice.hard_wall_n0=70"]
+        # the default packet spans sites -93..-27, so a left lead that ends
+        # at -70 clips its tail
+        args = ["amplify", "--out", str(tmp_path / "x"), "--set", "lattice.left_len=70"]
         assert main(args) == 2
         assert capsys.readouterr().err == (
             "config error: packet at site -60 with 5 sigma = 33.3 is clipped "
@@ -953,12 +940,21 @@ class TestCli:
         assert code == 2
         assert "scenario 'absorb' takes no key 'absorb.n0'" in capsys.readouterr().err
 
-    def test_absorb_without_wall_exit_two(self, tmp_path, capsys):
-        code = main(
-            ["absorb", "--out", str(tmp_path / "x"), "--set", "lattice.hard_wall_n0=none"]
+    def test_absorb_config_with_hard_wall_exit_two(self, tmp_path, capsys):
+        # absorb's config.ini as written while the lattice had a hard-wall
+        # key: the left lead's end is the wall now, and the key is refused
+        path = tmp_path / "absorb.ini"
+        path.write_text(
+            "[scenario]\nscenario = absorb\nout_dir = runs/absorb\n\n"
+            "[lattice]\nleft_len = 20\nright_len = 400\nhard_wall_n0 = 20\n\n"
+            "[absorb]\nnu_values = 0.5, 0.4, 0.1\nt_max = 200.0\ndt = 2.0\n"
+            "drop_time = 50.0\n"
         )
-        assert code == 2
-        assert "hard wall" in capsys.readouterr().err
+        assert main(["absorb", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: scenario 'absorb' takes no key 'lattice.hard_wall_n0'\n"
+        )
+        assert not (tmp_path / "x").exists()
 
     def test_set_overrides_config_file(self, tmp_path, capsys):
         cfg = small_amplify(tmp_path / "from_file")
@@ -1033,7 +1029,7 @@ SMALL_RUNS = {
         "singularity.emission_fit_start=12",
     ],
     "absorb": [
-        "lattice.left_len=6", "lattice.right_len=80", "lattice.hard_wall_n0=6",
+        "lattice.left_len=6", "lattice.right_len=80",
         "absorb.nu_values=0.5, 0.1", "absorb.t_max=14", "absorb.drop_time=10",
     ],
     "verify": [],  # its matrices are fixed and small
@@ -1056,6 +1052,9 @@ def _config_keys() -> list[str]:
 #: Per scenario, the keys of _config_keys() it takes and those it refuses.
 TAKEN = {s: [k for k in _config_keys() if k in experiments._keys(s)] for s in SCENARIOS}
 REFUSED = {s: [k for k in _config_keys() if k not in TAKEN[s]] for s in SCENARIOS}
+
+#: Keys that earlier configs held and no config dataclass has now.
+RETIRED = ["lattice.hard_wall_n0"]
 
 
 #: Values at the edges of every key's type, and a few valid ones.
@@ -1148,7 +1147,7 @@ class TestScenarioKeys:
     runner reads."""
 
     def test_config_ini_holds_the_keys_taken(self):
-        assert len(_config_keys()) == 26
+        assert len(_config_keys()) == 25
         counts = {}
         for scenario in SCENARIOS:
             parser = configparser.ConfigParser(interpolation=None)
@@ -1159,15 +1158,16 @@ class TestScenarioKeys:
             counts[scenario] = len(TAKEN[scenario])
         assert counts == {
             "sweep": 7,
-            "amplify": 13,
-            "flux-deviation": 11,
-            "singularity": 14,
-            "absorb": 7,
+            "amplify": 12,
+            "flux-deviation": 10,
+            "singularity": 13,
+            "absorb": 6,
             "verify": 1,
         }
+        assert sum(counts.values()) == 49  # the settable (scenario, key) pairs
 
     @pytest.mark.parametrize(
-        "scenario, key", [(s, k) for s in SCENARIOS for k in REFUSED[s]], ids=str
+        "scenario, key", [(s, k) for s in SCENARIOS for k in REFUSED[s] + RETIRED], ids=str
     )
     def test_key_not_taken_exit_two(self, tmp_path, capsys, scenario, key):
         # "1" parses as every key's type, so only the key is refused

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -146,26 +147,23 @@ class TestLatticeSpec:
         with pytest.raises(ValueError):
             LatticeSpec(5, -1)
 
-    def test_rejects_wall_outside_lead(self):
-        with pytest.raises(ValueError):
-            LatticeSpec(10, 10, hard_wall_n0=11)
-        with pytest.raises(ValueError):
-            LatticeSpec(10, 10, hard_wall_n0=0)
+    def test_two_fields(self):
+        # the lead lengths are the whole spec: no field cuts a bond
+        assert [f.name for f in dataclasses.fields(LatticeSpec)] == ["left_len", "right_len"]
 
-    def test_wall_severs_bond(self):
-        lat = LatticeSpec(10, 5, hard_wall_n0=4)
-        center = OnSitePotential(0)
-        h = oracles.csr(build_hamiltonian(center, lat))
-        i, j = site_to_index(lat, -5, center), site_to_index(lat, -4, center)
-        assert h[i, j] == 0 and h[j, i] == 0
-        # neighboring bonds survive on both sides of the wall
-        assert h[site_to_index(lat, -4, center), site_to_index(lat, -3, center)] == -1
-        assert h[site_to_index(lat, -6, center), site_to_index(lat, -5, center)] == -1
-
-    def test_wall_at_lead_end_is_noop(self):
-        walled = build_hamiltonian(OnSitePotential(1j), LatticeSpec(6, 6, hard_wall_n0=6))
-        open_ = build_hamiltonian(OnSitePotential(1j), LatticeSpec(6, 6))
-        assert np.array_equal(oracles.csr(walled).toarray(), oracles.csr(open_).toarray())
+    def test_left_lead_end_is_the_wall(self):
+        # site -left_len couples only to -left_len + 1, so nothing passes it
+        lat = LatticeSpec(6, 6)
+        for center in (
+            AsymmetricDimer(10.0, 0.1),
+            OnSitePotential(1j),
+            Interferometer(-1.25, 0.75, 1.0),
+        ):
+            h = oracles.csr(build_hamiltonian(center, lat)).toarray()
+            order = site_order(center, lat)
+            end = site_to_index(lat, -6, center)
+            for line in (h[end], h[:, end]):
+                assert [order[i] for i in np.flatnonzero(line)] == [-5]
 
 
 class TestBuildHamiltonian:
@@ -257,9 +255,9 @@ class TestBuildHamiltonian:
             AsymmetricDimer(0.0, 1.0),
         ],
     )
-    @pytest.mark.parametrize("wall", [None, 4, 20])
-    def test_canonical_band_without_stored_zeros(self, center, wall):
-        lattice = LatticeSpec(20, 7, hard_wall_n0=wall)
+    @pytest.mark.parametrize("left", [1, 4, 20])
+    def test_canonical_band_without_stored_zeros(self, center, left):
+        lattice = LatticeSpec(left, 7)
         ham = build_hamiltonian(center, lattice)
         h = oracles.csr(ham)
         # the same entries, bit for bit, as the loop-filled dense reference,
@@ -268,7 +266,7 @@ class TestBuildHamiltonian:
         assert np.array_equal(h.toarray(), dense)
         assert np.array_equal(dense_from_bands(ham.bands), dense)
         assert type(h).__name__ == "csr_array" and h.dtype == complex
-        # no stored zeros: a zero center entry or a wall's bond is left out
+        # no stored zeros: a zero center entry is left out
         assert h.has_canonical_format and np.all(h.data != 0)
         rows, cols = h.nonzero()
         assert np.max(np.abs(rows - cols)) <= 2
@@ -331,7 +329,7 @@ class TestHamiltonianMatrix:
         ],
     )
     def test_matrix_round_trips_through_the_bands(self, center):
-        ham = build_hamiltonian(center, LatticeSpec(9, 6, hard_wall_n0=4))
+        ham = build_hamiltonian(center, LatticeSpec(9, 6))
         again = oracles.hamiltonian_from_matrix(oracles.csr(ham), center, ham.lattice)
         assert np.array_equal(again.bands, ham.bands)
         assert np.array_equal(oracles.csr(again).toarray(), oracles.csr(ham).toarray())

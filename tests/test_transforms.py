@@ -204,8 +204,8 @@ VERIFY_DIMERS = [(0.5, 2.0), (1.5, 0.4), (-1.2, -0.5), (-2.0, 0.5), (0.8, -1.1)]
 SINGULAR_DIMERS = [(-2.0, 0.5), (1.0, -1.0), (-0.4, 2.5)]
 #: verify's rotation pairs, then pairs with delta^2 - gamma^2 = -1
 ROTATION_PAIRS = [(-1.25, 0.75), (0.75, 1.25), (0.4, -0.9), (0.0, 1.0)]
-#: lattices whose center pair lies within two sites of an end, or of a wall
-EDGE_LATTICES = [LatticeSpec(1, 1), LatticeSpec(2, 1), LatticeSpec(4, 3, hard_wall_n0=1)]
+#: lattices whose center pair lies within two sites of an end
+EDGE_LATTICES = [LatticeSpec(1, 1), LatticeSpec(2, 1), LatticeSpec(1, 3)]
 
 
 class TestSparseOracles:
