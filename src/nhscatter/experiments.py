@@ -56,7 +56,6 @@ from .scattering import (
     LEFT,
     RIGHT,
     amplitude_table,
-    onsite_amplitudes,
     quotient,
     scattering_residual,
     singular_wavefunction,
@@ -958,7 +957,8 @@ def _run_verify(config: ScenarioConfig, out_dir: Path):
         for v in (0.3, 1.0, 2.5)
     )
     assertions.append(_le("real_potential_sign_symmetric", worst_sym, 1e-14))
-    asym = abs(onsite_amplitudes(1j, math.pi / 2).T - onsite_amplitudes(-1j, math.pi / 2).T)
+    gain, loss = (amplitude_table(OnSitePotential(v), math.pi / 2).T.item() for v in (1j, -1j))
+    asym = abs(gain - loss)
     assertions.append(_check("imaginary_potential_asymmetric", asym > 1e-6, asym, "> 1e-06"))
 
     # left/right transmission ratio nu/mu off resonance
@@ -971,12 +971,13 @@ def _run_verify(config: ScenarioConfig, out_dir: Path):
     assertions.append(_le("left_right_transmission_ratio", worst_ratio, 1e-12))
 
     # analytic fixed points of the imaginary potential
-    diverging = onsite_amplitudes(2j, math.pi / 2)
-    quarter = onsite_amplitudes(-2j, math.pi / 2)
-    flagged = diverging.diverges and diverging.T == math.inf
-    assertions.append(_check("gain_potential_diverges", flagged, f"diverges={diverging.diverges}",
+    diverging = amplitude_table(OnSitePotential(2j), math.pi / 2)
+    quarter = amplitude_table(OnSitePotential(-2j), math.pi / 2).T.item()
+    diverges = diverging.diverges.item()
+    flagged = diverges and diverging.T.item() == math.inf
+    assertions.append(_check("gain_potential_diverges", flagged, f"diverges={diverges}",
                              "divergence flag at k=pi/2 for v=2i"))
-    assertions.append(_le("loss_potential_quarter", abs(quarter.T - 0.25), 1e-15))
+    assertions.append(_le("loss_potential_quarter", abs(quarter - 0.25), 1e-15))
 
     # singular eigenstate solves the eigenproblem exactly at E = 0
     dimer = AsymmetricDimer(-2.0, 0.5)

@@ -2,10 +2,11 @@
 
 Plane-wave scattering states on the leads (momentum k in (0, pi), energy
 E_k = -2 cos k) are matched through the center, giving the reflection and
-transmission amplitudes r_k, t_k in closed form. At the spectral-singularity
-locus (dimer with mu*nu = -1, k = pi/2) the amplitudes have a simple pole;
-results there carry an explicit divergence flag instead of floating-point
-infinities leaking out of arithmetic.
+transmission amplitudes r_k, t_k in closed form. `amplitude_table` is the one
+call that evaluates them, as arrays over the momenta it is given. At the
+spectral-singularity locus (dimer with mu*nu = -1, k = pi/2) the amplitudes
+have a simple pole, written one way instead of as floating-point infinities
+leaking out of arithmetic: ``diverges`` is set, r and t are NaN and T, R inf.
 """
 
 import cmath
@@ -44,22 +45,9 @@ def dispersion(k: float) -> float:
 
 
 @dataclass(frozen=True)
-class ScatteringAmplitudes:
-    """Reflection/transmission amplitudes and coefficients at one momentum; at
-    a simple pole ``diverges`` is set, r and t are None and T, R math.inf."""
-
-    k: float
-    incidence: str
-    r: complex | None
-    t: complex | None
-    T: float
-    R: float
-    diverges: bool = False
-
-
-@dataclass(frozen=True)
 class SweepTable:
-    """`ScatteringAmplitudes` over a k grid, one array per field; a diverging row has NaN r, t."""
+    """Amplitudes and coefficients over momenta k, one array per field in the
+    shape of k; a diverging entry has NaN r, t and inf T, R."""
 
     k: np.ndarray
     incidence: str
@@ -71,12 +59,6 @@ class SweepTable:
 
     def __len__(self) -> int:
         return len(self.k)
-
-    def row(self, i: int) -> ScatteringAmplitudes:
-        flagged = bool(self.diverges[i])
-        r, t = (None, None) if flagged else (self.r[i].item(), self.t[i].item())
-        T, R = self.T[i].item(), self.R[i].item()
-        return ScatteringAmplitudes(self.k[i].item(), self.incidence, r, t, T, R, flagged)
 
 
 # The closed forms run on (re, im) float64 arrays in the operation order of
@@ -98,15 +80,16 @@ def quotient(a_re, a_im, b_re, b_im):
 
 
 def _libm(func, x: np.ndarray, *args) -> np.ndarray:
-    """func(x_i, *args) for each element, in Python floats."""
-    return np.fromiter(map(func, x.tolist(), *map(repeat, args)), dtype=float, count=len(x))
+    """func(x_i, *args) for each element, in Python floats, in the shape of x."""
+    values = map(func, x.ravel().tolist(), *map(repeat, args))
+    return np.fromiter(values, dtype=float, count=x.size).reshape(x.shape)
 
 
 def _table(k, incidence, denom, r, t) -> SweepTable:
     diverges = np.hypot(*denom) < SINGULAR_DENOM_TOL
     nan = complex(math.nan, math.nan)
     # stacking (re, im) pairs viewed as complex keeps every bit, signed zeros too
-    r, t = (np.where(diverges, nan, np.stack(z, axis=-1).view(complex)[:, 0]) for z in (r, t))
+    r, t = (np.where(diverges, nan, np.stack(z, axis=-1).view(complex)[..., 0]) for z in (r, t))
     T, R = (_libm(pow, np.hypot(z.real, z.imag), 2) for z in (t, r))
     T[diverges] = R[diverges] = math.inf
     return SweepTable(k, incidence, r, t, T, R, diverges)
@@ -135,9 +118,11 @@ def _onsite_table(v: complex, k: np.ndarray, incidence: str) -> SweepTable:
 
 
 def amplitude_table(center: CenterSpec, ks, incidence: str = LEFT) -> SweepTable:
-    """Amplitudes at every momentum of ks, as one array evaluation.
-    Interferometers go through their dimer reduction and therefore require
-    phi = pi/4 (`as_dimer` raises otherwise)."""
+    """Amplitudes at every momentum of ks, as one array evaluation. Each
+    field has the shape of ks, so a single momentum gives 0-d fields, read as
+    Python scalars by ``.item()``. Interferometers go through their dimer
+    reduction and therefore require phi = pi/4 (`as_dimer` raises
+    otherwise)."""
     if incidence not in (LEFT, RIGHT):
         raise ValueError(f"incidence must be 'left' or 'right', got {incidence!r}")
     k = np.asarray(ks, dtype=float)
@@ -147,25 +132,6 @@ def amplitude_table(center: CenterSpec, ks, incidence: str = LEFT) -> SweepTable
     if isinstance(center, OnSitePotential):
         return _onsite_table(center.v, k, incidence)
     return _dimer_table(as_dimer(center), k, incidence)
-
-
-def amplitudes_for_center(
-    center: CenterSpec, k: float, incidence: str = LEFT
-) -> ScatteringAmplitudes:
-    """Amplitudes at one momentum: the one-row table of the center's closed form."""
-    return amplitude_table(center, [k], incidence).row(0)
-
-
-def dimer_amplitudes(
-    dimer: AsymmetricDimer, k: float, incidence: str = LEFT
-) -> ScatteringAmplitudes:
-    """Amplitudes of the asymmetric dimer at one momentum (`_dimer_table`)."""
-    return amplitudes_for_center(dimer, k, incidence)
-
-
-def onsite_amplitudes(v: complex, k: float, incidence: str = LEFT) -> ScatteringAmplitudes:
-    """Amplitudes of one on-site potential at one momentum (`_onsite_table`)."""
-    return amplitudes_for_center(OnSitePotential(v), k, incidence)
 
 
 def singular_wavefunction(dimer: AsymmetricDimer, sign: int, site) -> complex:
@@ -233,10 +199,10 @@ def assemble_scattering_state(
     The returned vector solves (H - E_k) psi = 0 on every site except the two
     outermost lead sites, where the truncation injects/extracts the wave.
     """
-    amps = amplitudes_for_center(center, k, incidence)
+    amps = amplitude_table(center, k, incidence)
     if amps.diverges:
         raise ValueError("cannot assemble a diverging scattering state")
-    r, t = amps.r, amps.t
+    r, t = amps.r.item(), amps.t.item()
     m = len(center_sites(center))
     mirror = 1 if incidence == LEFT else -1
 

@@ -23,6 +23,7 @@ characteristic-polynomial comparison.
 
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -49,7 +50,7 @@ from nhscatter.lattice import (
     site_order,
     site_to_index,
 )
-from nhscatter.scattering import SINGULAR_DENOM_TOL, ScatteringAmplitudes
+from nhscatter.scattering import SINGULAR_DENOM_TOL
 from nhscatter.transforms import ALPHA_BETA_BLOCK
 
 #: lattice sizes tried until the two-port extraction is well conditioned;
@@ -104,6 +105,20 @@ def csr(ham):
     )
 
 
+@dataclass(frozen=True)
+class ClosedForm:
+    """One momentum's closed-form amplitudes; a pole is written as the
+    package's tables write it: ``diverges`` set, r and t NaN, T and R inf."""
+
+    k: float
+    incidence: str
+    r: complex
+    t: complex
+    T: float
+    R: float
+    diverges: bool = False
+
+
 def closed_form_amplitudes(center, k, incidence="left"):
     """r_k, t_k, T, R of a center at one momentum in scalar Python complex
     arithmetic: dimer (or interferometer at flux pi/4, through its dimer)
@@ -130,13 +145,12 @@ def closed_form_amplitudes(center, k, incidence="left"):
         r = complex(1.0 - dimer.product, 0.0) / denom
         forward = dimer.nu if incidence == "left" else dimer.mu
         t = complex(forward, 0.0) * (complex(1.0, 0.0) - phase) / denom
-    return ScatteringAmplitudes(k=k, incidence=incidence, r=r, t=t, T=abs(t) ** 2, R=abs(r) ** 2)
+    return ClosedForm(k=k, incidence=incidence, r=r, t=t, T=abs(t) ** 2, R=abs(r) ** 2)
 
 
 def _diverging(k, incidence):
-    return ScatteringAmplitudes(
-        k=k, incidence=incidence, r=None, t=None, T=math.inf, R=math.inf, diverges=True
-    )
+    nan = complex(math.nan, math.nan)
+    return ClosedForm(k, incidence, r=nan, t=nan, T=math.inf, R=math.inf, diverges=True)
 
 
 def linear_solve_amplitudes(center, k, n_lead=None):

@@ -22,11 +22,7 @@ from nhscatter.lattice import (
     dimer_from_interferometer,
     site_order,
 )
-from nhscatter.scattering import (
-    dimer_amplitudes,
-    onsite_amplitudes,
-    scattering_residual,
-)
+from nhscatter.scattering import amplitude_table, scattering_residual
 from nhscatter.transforms import (
     alpha_beta_rotation,
     biorthogonal_scale,
@@ -36,9 +32,9 @@ from oracles import dense_blocks, embedded_blocks, spectrum_distance
 
 
 def test_01_analytic_fixed_points(announce):
-    diverging = onsite_amplitudes(2j, math.pi / 2)
+    diverging = amplitude_table(OnSitePotential(2j), math.pi / 2)
     assert diverging.diverges and diverging.T == math.inf
-    finite = onsite_amplitudes(-2j, math.pi / 2)
+    finite = amplitude_table(OnSitePotential(-2j), math.pi / 2)
     assert finite.T == 0.25
     announce(
         "ACCEPTANCE 01 analytic fixed points: PASS "
@@ -101,10 +97,10 @@ def test_04_linear_solve_oracle_equivalence(announce):
         for k in ORACLE_MOMENTA:
             got = oracles.linear_solve_amplitudes(center, k)
             if params is not None:
-                left = dimer_amplitudes(params, k, "left")
-                right = dimer_amplitudes(params, k, "right")
+                left = amplitude_table(params, k, "left")
+                right = amplitude_table(params, k, "right")
             else:
-                left = right = onsite_amplitudes(center.v, k)
+                left = right = amplitude_table(center, k)
             worst = max(
                 worst,
                 abs(got["T_left"] - left.T),
@@ -284,11 +280,11 @@ def test_11_hermitian_controls(announce):
     for delta in (-1.0, -0.4, 0.8, 1.7):
         params = dimer_from_interferometer(delta, 0.0)
         for k in ks:
-            a = dimer_amplitudes(params, float(k))
+            a = amplitude_table(params, k)
             worst_unitarity = max(worst_unitarity, abs(a.T + a.R - 1.0))
     for v in (-2.0, 0.5, 1.5):
         for k in ks:
-            a = onsite_amplitudes(v, float(k))
+            a = amplitude_table(OnSitePotential(v), k)
             worst_unitarity = max(worst_unitarity, abs(a.T + a.R - 1.0))
     assert worst_unitarity < 1e-12
 
@@ -307,7 +303,8 @@ def test_11_hermitian_controls(announce):
         for k in ks:
             worst_symmetry = max(
                 worst_symmetry,
-                abs(onsite_amplitudes(v, float(k)).T - onsite_amplitudes(-v, float(k)).T),
+                abs(amplitude_table(OnSitePotential(v), k).T
+                    - amplitude_table(OnSitePotential(-v), k).T),
             )
     assert worst_symmetry < 1e-14
 
