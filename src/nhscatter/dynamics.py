@@ -505,9 +505,18 @@ class Propagator:
         C-ordered float64 arrays, (N,) for a vector and (r, N) for a block. C
         order matters: a sum over a row's sites (as in split_probability) then
         reduces in the order it does on a row of ``frames``, so every bit
-        agrees."""
+        agrees. |x|^2 is re*re + im*im, not abs(x)**2, whose complex hypot
+        rounds differently at different SIMD levels."""
         times = _check_times(times)
-        return (np.ascontiguousarray((np.abs(x) ** 2).T) for x in self._evolve(start, times))
+        return (_probabilities(x) for x in self._evolve(start, times))
+
+
+def _probabilities(x: np.ndarray) -> np.ndarray:
+    """re*re + im*im of an N-vector or N x r block, as a C-ordered (N,) or
+    (r, N) array."""
+    p = x.real * x.real
+    p += x.imag * x.imag
+    return np.ascontiguousarray(p.T)
 
 
 def _check_times(times) -> np.ndarray:

@@ -28,7 +28,6 @@ import numpy as np
 
 from .lattice import (
     BAND_OFFSETS,
-    BETA,
     AsymmetricDimer,
     HamiltonianMatrix,
     Interferometer,
@@ -108,7 +107,7 @@ def biorthogonal_scale(ham: HamiltonianMatrix) -> HamiltonianMatrix:
     # (-|x|, +0j) rather than an accidental (-|x|, -0j) from complex division
     scale = cmath.sqrt(complex(center.nu / center.mu, 0.0))
     d = np.ones(ham.dim, dtype=complex)
-    d[ham.site_index(BETA):] = scale
+    d[ham.center_span[1] - 1 :] = scale  # beta, the last center site, onward
     cols = np.clip(np.arange(ham.dim) + _OFFSETS, 0, ham.dim - 1)  # outside: entry 0
     return HamiltonianMatrix(ham.bands * ((1.0 / d) * d[cols]), center, ham.lattice)
 

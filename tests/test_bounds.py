@@ -45,6 +45,8 @@ BOUNDS = {
         ("pair_fully_absorbed", "<= 0.02"),
     ]),
     "absorb": ("absorb", {}, [
+        ("scales_to_uniform_chain[nu=0.5]", "<= 1e-15"),
+        ("scales_to_uniform_chain[nu=0.1]", "<= 1e-15"),
         ("rapid_drop[nu=0.5]", "<= 0.5"),
         ("rapid_drop[nu=0.1]", "<= 0.5"),
         (

@@ -32,6 +32,7 @@ from nhscatter.experiments import (
 )
 from nhscatter import experiments
 from nhscatter.cli import main
+from nhscatter.dynamics import Propagator, mixed_state_uniform
 from nhscatter.lattice import (
     AsymmetricDimer,
     Interferometer,
@@ -183,7 +184,7 @@ class TestConfigFormat:
         [
             (7.0, 2.0, 4, 6.0),  # last multiple of dt not past t_max
             (9.0, 2.0, 5, 8.0),
-            (35.0, 10.0, 4, 30.0),  # absorb control grid at absorb.t_max=35
+            (35.0, 10.0, 4, 30.0),
             (0.3, 0.1, 4, 0.30000000000000004),  # t_max on the grid up to round-off
             (70.0, 1.0, 71, 70.0),
             (70.0, 0.1, 701, 70.0),
@@ -603,8 +604,8 @@ class TestSmallScaleRunners:
         assert lines[0] == "nu,t,P"
         assert any(a.name == "hermitian_control_conserves" for a in manifest.assertions)
 
-    def test_absorb_shorter_than_control_step(self, tmp_path):
-        # t_max below the Hermitian control's 10-unit step
+    def test_absorb_few_steps_reads_control_on_its_grid(self, tmp_path):
+        # a four-step run: the control is read from the same five rows as P(t)
         cfg = default_config("absorb")
         cfg.out_dir = str(tmp_path / "abs")
         cfg.absorb.t_max = 8.0
@@ -615,6 +616,37 @@ class TestSmallScaleRunners:
         assert len(control) == 1 and control[0].passed
         lines = (tmp_path / "abs" / "ptotal.csv").read_text().splitlines()
         assert len(lines) == 1 + 3 * 5
+
+
+class TestAbsorbSimilarity:
+    """absorb reads every P_nu(t) from one propagation of the uniform chain,
+    as (left + nu^2 right) / n0, since the dimer (1/nu, nu) is that chain under
+    a diagonal similarity; each dimer's own propagation, read directly as each
+    row's sum / n0, must give the same series at every grid time."""
+
+    @pytest.mark.parametrize("small", [False, True], ids=["defaults", "small_nu_0.3_3.0"])
+    def test_ptotal_equals_direct_dimer_readout(self, tmp_path, small):
+        if small:  # nu = 3 amplifies; only the series is compared, not the verdicts
+            cfg = small_absorb(tmp_path / "abs")
+            cfg.absorb.nu_values = (0.3, 3.0)
+        else:
+            cfg = default_config("absorb")
+            cfg.out_dir = str(tmp_path / "abs")
+        run_scenario(cfg)
+        lattice = cfg.lattice.to_lattice()
+        n0 = lattice.left_len
+        times = TimeConfig(t_max=cfg.absorb.t_max, dt=cfg.absorb.dt).times()
+        lines = (tmp_path / "abs" / "ptotal.csv").read_text().splitlines()[1:]
+        cells = np.array([[float(c) for c in line.split(",")] for line in lines])
+        assert sorted(set(cells[:, 0])) == sorted(cfg.absorb.nu_values)
+        for nu in cfg.absorb.nu_values:
+            center = AsymmetricDimer(1.0 / nu, nu)
+            factor = mixed_state_uniform(lattice, center, n0)
+            rows = Propagator(build_hamiltonian(center, lattice)).frame_rows(factor, times)
+            direct = np.array([row.sum() / n0 for row in rows])
+            written = cells[cells[:, 0] == nu]
+            assert np.array_equal(written[:, 1], times)
+            assert np.max(np.abs(written[:, 2] - direct) / direct) < 1e-13, nu
 
 
 class TestRunArtifacts:
