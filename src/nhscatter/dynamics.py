@@ -30,14 +30,16 @@ from its diagonal. No N x N exponential is formed, and no eigenvectors are
 needed, so it stays accurate arbitrarily close to the spectral singularity,
 where eigenvector matrices become ill-conditioned. Every product, of states
 and of probes, runs in NumPy on the diagonals by one kernel (BandedOperator)
-with the bits of SciPy's CSR products, so stepping imports no SciPy; each is
-bound once to fixed arrays, so a Taylor term runs only ufuncs on persistent
-64-byte-aligned buffers (BandedOperator.bind). Where -iH is real in the
-quarter-turn gauge psi_n = (-i)^n phi_n, as for every dimer chain (real
-bonds between neighbouring indices, imaginary on-site entries), the
-Propagator holds that real generator and a run steps the live real and
-imaginary parts of phi in real arithmetic, with the complex loop's bits (see
-Propagator).
+with the bits of SciPy's CSR products, so stepping imports no SciPy: the lead
+rows, whose entries are h and +-h, take one multiply z = h x and one add or
+subtract of z's shifted spans, and only the rows off that pattern (at most
+six, around the center) are recomputed. Each product is bound once to fixed
+arrays, so a Taylor term runs only ufuncs on persistent 64-byte-aligned
+buffers (BandedOperator.bind). Where -iH is real in the quarter-turn gauge
+psi_n = (-i)^n phi_n, as for every dimer chain (real bonds between
+neighbouring indices, imaginary on-site entries), the Propagator holds that
+real generator and a run steps the live real and imaginary parts of phi in
+real arithmetic, with the complex loop's bits (see Propagator).
 """
 
 import json
@@ -258,15 +260,11 @@ def _taylor_plan(a: np.ndarray) -> tuple[int, int]:
     return m, max(cost // m, 1)
 
 
-#: A diagonal with at most this many nonzero entries, which only a center
-#: fills, is not applied whole: its rows are recomputed instead.
-_SPARSE_DIAGONAL = 4
-
-
-def _aligned(shape: tuple, dtype) -> np.ndarray:
-    """``np.empty(shape, dtype)`` on a 64-byte boundary, one AVX-512 vector:
-    malloc promises 16, and the products' SIMD loops run slower off 64."""
-    raw = np.empty(math.prod(shape) * np.dtype(dtype).itemsize + 64, np.uint8)
+def _aligned(shape: tuple, dtype, allocate=np.empty) -> np.ndarray:
+    """``allocate(shape, dtype)`` (np.empty or np.zeros) on a 64-byte boundary,
+    one AVX-512 vector: malloc promises 16, and the products' SIMD loops run
+    slower off 64."""
+    raw = allocate(math.prod(shape) * np.dtype(dtype).itemsize + 64, np.uint8)
     start = -raw.ctypes.data % 64
     return raw[start : start + raw.size - 64].view(dtype).reshape(shape)
 
@@ -279,44 +277,45 @@ class BandedOperator:
 
     ``diagonals[j, i]`` is M[i, i + offsets[j]], offsets ascending. Row i of
     a product sums its terms from zero in ascending column order, as a CSR row
-    does. The block is read flat, N * r long: offset k is a shift by k * r,
-    multiplied by the diagonal repeated r times. A term whose matrix entry is
-    real or imaginary is exact in any evaluation, but NumPy's SIMD complex
-    multiply may fuse the two products of an entry with both parts nonzero.
-    So the rows holding such an entry, or one on a diagonal with at most
-    _SPARSE_DIAGONAL entries (the center's rows, at most four in a chain), are
-    recomputed by the scalar product (a_re x_re - a_im x_im, a_re x_im +
-    a_im x_re), term by term in column order, and only the other diagonals
-    are applied whole.
+    does. A chain's lead rows hold only M[i, i + 1] = h and M[i, i - 1] =
+    sigma h, sigma = +-1, h read from the first row and sigma from the last.
+    Negation is exact, so such a row is z[i + 1] + sigma z[i - 1] with z = h x
+    bit for bit: the block, read flat and N * r long, is multiplied by h once
+    into the interior of a zero-padded buffer, whose spans shifted by -+r are
+    then added or subtracted; the zero pads give the end rows. A term whose
+    entry is real or imaginary is exact in any evaluation, but NumPy's SIMD
+    complex multiply may fuse the two products of an entry with both parts
+    nonzero, so such an h does not count (it is taken as 0). Every row off
+    the pattern (a center's, one with an entry on offsets 0 or +-2, or one
+    holding an entry with both parts nonzero) is recomputed by the scalar
+    product (a_re x_re - a_im x_im, a_re x_im + a_im x_re), term by term in
+    column order.
     """
 
     def __init__(self, bands: np.ndarray):
         n = bands.shape[1]
-        stored = bands != 0
-        keep = np.flatnonzero(stored.any(axis=1))
+        keep = np.flatnonzero((bands != 0).any(axis=1))
         self.offsets = [int(k) + BAND_OFFSETS[0] for k in keep]
-        self.diagonals = d = bands[keep]
+        self.diagonals = bands[keep]
         self.dtype, self.shape = bands.dtype, (n, n)
-        sparse = stored[keep].sum(axis=1) <= _SPARSE_DIAGONAL
-        self._whole = np.flatnonzero(~sparse)
-        general = (d.real != 0) & (d.imag != 0)
-        self._rows = np.flatnonzero(stored[keep][sparse].any(axis=0) | general.any(axis=0))
+        h, last = bands[3, 0], bands[1, -1]  # M[0, 1] and M[N - 1, N - 2]
+        sigma = 1 if last == h else -1
+        if (h.real and h.imag) or last != sigma * h:
+            h = 0 * h  # no pattern: every row with an entry is recomputed
+        lead = np.zeros_like(bands)
+        lead[3, :-1], lead[1, 1:] = h, sigma * h
+        self._lead = h, np.add if sigma == 1 else np.subtract
+        self._rows = np.flatnonzero((bands != lead).any(axis=0))
         self._layouts = {}
 
     def _layout(self, r: int, dtype) -> tuple:
-        """The flat index spans, repeated entries and scratch arrays of the
-        products on an N x r block of ``dtype``, built once per (r, dtype)."""
+        """The padded buffer of z = h x, and the flat indices, entries and
+        scratch arrays of the recomputed rows, of the products on an N x r
+        block of ``dtype``, built once per (r, dtype)."""
         key = (r, dtype)
         if key not in self._layouts:
             n, rows = self.shape[0], self._rows
-            whole, scratch = [], _aligned((n * r,), dtype)
-            for j in self._whole:
-                k = self.offsets[j]
-                lo, hi = max(-k, 0) * r, (n - max(k, 0)) * r
-                c = np.repeat(self.diagonals[j], r)[lo:hi]
-                whole.append((slice(lo, hi), slice(lo + k * r, hi + k * r), c, scratch[lo:hi]))
-            first = whole[0][0] if whole else slice(0, 0)
-            unset = slice(0, first.start) if first.start else slice(first.stop, None)
+            padded = _aligned(((n + 2) * r,), dtype, np.zeros)  # the pads are never written
             cols = np.clip(rows + np.c_[self.offsets], 0, n - 1)  # out of range: entry 0
             flat = (cols[..., None] * r + np.arange(r)).reshape(len(cols), -1)
             entries = np.repeat(self.diagonals[:, rows], r, axis=1)
@@ -325,23 +324,22 @@ class BandedOperator:
                 parts.append(1j * entries.imag)
             targets = (rows[:, None] * r + np.arange(r)).reshape(-1)
             patch = targets, flat, parts, np.empty((3, *flat.shape), dtype)  # x, terms, sums
-            self._layouts[key] = whole, unset, patch
+            self._layouts[key] = padded, patch
         return self._layouts[key]
 
     def bind(self, x: np.ndarray, out: np.ndarray):
         """``out`` = M @ x as a call without arguments that returns ``out``,
         for C-ordered arrays of one shape, x's first axis N and out of the
-        product's dtype. Every flat view, shifted span and scratch slice is
-        taken here, once, so a call runs only ufuncs on fixed arrays. Calls
-        bound to one (r, dtype) share scratch: run them one at a time."""
+        product's dtype. Every flat view and shifted span is taken here,
+        once, so a call runs only ufuncs on fixed arrays. Calls bound to one
+        (r, dtype) share scratch: run them one at a time."""
         r = x.size // self.shape[0]
-        whole, unset, (targets, flat, parts, (g, terms, sums)) = self._layout(r, out.dtype)
-        xf, yf = x.reshape(-1), out.reshape(-1)
-        calls = [partial(yf[unset].fill, 0)]
-        for i, (rows, src, c, scratch) in enumerate(whole):  # the first writes out directly
-            calls.append(partial(np.multiply, c, xf[src], scratch if i else yf[rows]))
-            if i:
-                calls.append(partial(np.add, yf[rows], scratch, yf[rows]))
+        padded, (targets, flat, parts, (g, terms, sums)) = self._layout(r, out.dtype)
+        (h, combine), xf, yf, end = self._lead, x.reshape(-1), out.reshape(-1), padded.size
+        calls = [
+            partial(np.multiply, xf, h, padded[r : end - r]),
+            partial(combine, padded[2 * r :], padded[: end - 2 * r], yf),
+        ]
         if targets.size:
             calls.append(partial(xf.take, flat, None, g, "clip"))
             calls.append(partial(np.multiply, parts[0], g, terms))

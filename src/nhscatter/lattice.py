@@ -20,7 +20,6 @@ mixture fills the left lead up to it.
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -153,7 +152,6 @@ def lattice_dim(center: CenterSpec, lattice: LatticeSpec) -> int:
     return lattice.left_len + lattice.right_len + len(center_sites(center))
 
 
-@lru_cache(maxsize=128)
 def site_order(center: CenterSpec, lattice: LatticeSpec) -> tuple[SiteLabel, ...]:
     """All site labels in canonical matrix order: left lead, center, right lead."""
     left = tuple(range(-lattice.left_len, 0))
@@ -161,17 +159,17 @@ def site_order(center: CenterSpec, lattice: LatticeSpec) -> tuple[SiteLabel, ...
     return left + center_sites(center) + right
 
 
-@lru_cache(maxsize=128)
-def _site_index_map(center: CenterSpec, lattice: LatticeSpec) -> dict:
-    return {site: i for i, site in enumerate(site_order(center, lattice))}
-
-
 def site_to_index(lattice: LatticeSpec, site: SiteLabel, center: CenterSpec) -> int:
-    """Matrix index of a site label (position in :func:`site_order`)."""
-    try:
-        return _site_index_map(center, lattice)[site]
-    except KeyError:
-        raise ValueError(f"site {site!r} does not exist in this lattice") from None
+    """Matrix index of a site label (position in :func:`site_order`): lead
+    site j sits at left_len + j on the left, a center label left_len on from
+    its position in center_sites, and the right lead follows the center."""
+    centers = center_sites(center)
+    if site in centers:
+        return lattice.left_len + centers.index(site)
+    lead = isinstance(site, (int, np.integer)) and -lattice.left_len <= site <= lattice.right_len
+    if lead and site != 0:  # the right lead's site 1 follows the center's last label
+        return lattice.left_len + int(site) + (len(centers) - 1 if site > 0 else 0)
+    raise ValueError(f"site {site!r} does not exist in this lattice")
 
 
 #: Offsets of the diagonals H lives on: a chain's bonds join neighbouring

@@ -641,7 +641,23 @@ PRODUCT_CENTERS = [
     pytest.param(Interferometer(-1.25, 0.75, 1.0), LatticeSpec(30, 30), id="interferometer_off"),
     pytest.param(OnSitePotential(2j), LatticeSpec(30, 30), id="onsite_2j"),
     pytest.param(OnSitePotential(0.3 + 1.1j), LatticeSpec(30, 30), id="onsite"),
+    pytest.param(SINGULAR, LatticeSpec(1, 30), id="dimer_at_left_end"),
+    pytest.param(SINGULAR, LatticeSpec(30, 1), id="dimer_at_right_end"),
 ]
+
+#: Generators off the lead pattern, every row of whose products is recomputed
+#: (see _off_pattern).
+OFF_PATTERN = [pytest.param(None, name, id=name) for name in ("full_bands", "turned_chain")]
+
+
+def _off_pattern(name):
+    """H with all five diagonals complex and nonzero (TestPowerNorms._full_bands)
+    for "full_bands"; for "turned_chain", the uniform chain times e^{0.3i},
+    whose lead entries have both parts nonzero."""
+    if name == "full_bands":
+        return TestPowerNorms._full_bands()
+    ham = build_hamiltonian(UNIFORM, LatticeSpec(30, 30))
+    return HamiltonianMatrix(ham.bands * np.exp(0.3j), ham.center, ham.lattice)
 
 
 class TestBandedProducts:
@@ -665,9 +681,10 @@ class TestBandedProducts:
         assert np.array_equal(ours.toarray(), reference)
 
     @pytest.mark.parametrize("width", [None, 1, 3, 20], ids=["vector", "r1", "r3", "r20"])
-    @pytest.mark.parametrize("center, lattice", PRODUCT_CENTERS)
+    @pytest.mark.parametrize("center, lattice", [*PRODUCT_CENTERS, *OFF_PATTERN])
     def test_products_equal_csr(self, center, lattice, width):
-        step = Propagator(build_hamiltonian(center, lattice)).step_matrix(1.0)
+        ham = _off_pattern(lattice) if center is None else build_hamiltonian(center, lattice)
+        step = Propagator(ham).step_matrix(1.0)
         n = step.operator.shape[0]
         shape = (n,) if width is None else (n, width)
         rng = np.random.default_rng(width or 0)
@@ -676,6 +693,19 @@ class TestBandedProducts:
             x = x + 1j * rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 5, shape)
         ours = step.operator.apply(x, np.empty_like(x))
         assert np.all(ours == oracles.operator_csr(step.operator) @ x)
+
+    @pytest.mark.parametrize("center, lattice", [*PRODUCT_CENTERS, *OFF_PATTERN])
+    def test_only_rows_off_the_lead_pattern_are_recomputed(self, center, lattice):
+        # a lead pattern that is silently not found still gives CSR's bits,
+        # but recomputes every row by the scalar product
+        ham = _off_pattern(lattice) if center is None else build_hamiltonian(center, lattice)
+        rows = Propagator(ham).step_matrix(1.0).operator._rows.size
+        if center is None:
+            assert rows == ham.dim
+        elif center == UNIFORM:
+            assert rows == 0
+        else:
+            assert 0 < rows <= 6
 
     @pytest.fixture(scope="class")
     def scenario_steps(self, tmp_path_factory):

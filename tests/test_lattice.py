@@ -125,15 +125,22 @@ class TestSiteIndexing:
 
     def test_unknown_site(self):
         lat = LatticeSpec(3, 2)
-        with pytest.raises(ValueError):
-            site_to_index(lat, 5, AsymmetricDimer(1, 1))
-        with pytest.raises(ValueError):
-            site_to_index(lat, 0, AsymmetricDimer(1, 1))
+        for site, center in [
+            *((site, AsymmetricDimer(1, 1)) for site in (5, 3, -4, 0, PLUS, "0", None)),
+            *((site, OnSitePotential(0)) for site in (ALPHA, MINUS, 3, -4)),
+        ]:
+            with pytest.raises(ValueError):
+                site_to_index(lat, site, center)
 
-    @given(left=st.integers(1, 30), right=st.integers(1, 30))
-    def test_round_trip_bijection(self, left, right):
+    @given(
+        left=st.integers(1, 30),
+        right=st.integers(1, 30),
+        center=st.sampled_from(
+            [AsymmetricDimer(0.5, 2.0), Interferometer(-1.25, 0.75, 1.0), OnSitePotential(2j)]
+        ),
+    )
+    def test_round_trip_bijection(self, left, right, center):
         lat = LatticeSpec(left, right)
-        center = AsymmetricDimer(0.5, 2.0)
         order = site_order(center, lat)
         assert len(order) == lattice_dim(center, lat)
         for i, site in enumerate(order):
