@@ -34,12 +34,13 @@ with the bits of SciPy's CSR products, so stepping imports no SciPy: the lead
 rows, whose entries are h and +-h, take one multiply z = h x and one add or
 subtract of z's shifted spans, and only the rows off that pattern (at most
 six, around the center) are recomputed. Each product is bound once to fixed
-arrays, so a Taylor term runs only ufuncs on persistent 64-byte-aligned
-buffers (BandedOperator.bind). Where -iH is real in the quarter-turn gauge
-psi_n = (-i)^n phi_n, as for every dimer chain (real bonds between
-neighbouring indices, imaginary on-site entries), the Propagator holds that
-real generator and a run steps the live real and imaginary parts of phi in
-real arithmetic, with the complex loop's bits (see Propagator).
+arrays, its Taylor term's factor 1/j folded into its entries, so a term is
+one product and one add on persistent 64-byte-aligned buffers (see
+BandedOperator.bind). Where -iH is real in the quarter-turn gauge psi_n =
+(-i)^n phi_n, as for every dimer chain (real bonds between neighbouring
+indices, imaginary on-site entries), the Propagator holds that real
+generator, a run steps the live real and imaginary parts of phi in real
+arithmetic, with the complex loop's bits, and frames square those parts.
 """
 
 import json
@@ -327,17 +328,19 @@ class BandedOperator:
             self._layouts[key] = padded, patch
         return self._layouts[key]
 
-    def bind(self, x: np.ndarray, out: np.ndarray):
-        """``out`` = M @ x as a call without arguments that returns ``out``,
-        for C-ordered arrays of one shape, x's first axis N and out of the
-        product's dtype. Every flat view and shifted span is taken here,
-        once, so a call runs only ufuncs on fixed arrays. Calls bound to one
-        (r, dtype) share scratch: run them one at a time."""
+    def bind(self, x: np.ndarray, out: np.ndarray, factor: float = 1.0):
+        """``out`` = (factor M) @ x as a call without arguments that returns
+        ``out``, for C-ordered arrays of one shape, x's first axis N and out
+        of the product's dtype. Every flat view and shifted span is taken
+        here, once, and the real ``factor`` multiplied into h and the
+        recomputed entries, as into a CSR matrix's, so a call runs only ufuncs
+        on fixed arrays. Calls bound to one (r, dtype) share scratch."""
         r = x.size // self.shape[0]
         padded, (targets, flat, parts, (g, terms, sums)) = self._layout(r, out.dtype)
         (h, combine), xf, yf, end = self._lead, x.reshape(-1), out.reshape(-1), padded.size
+        parts = [part * factor for part in parts]
         calls = [
-            partial(np.multiply, xf, h, padded[r : end - r]),
+            partial(np.multiply, xf, h * factor, padded[r : end - r]),
             partial(combine, padded[2 * r :], padded[: end - 2 * r], yf),
         ]
         if targets.size:
@@ -380,8 +383,9 @@ class TaylorStep:
     norm estimate, so reruns are bit-identical.
 
     Per (shape, dtype) of b, the step keeps three 64-byte-aligned arrays, the
-    two terms that ping-pong and the running sum, and the two products bound
-    between the terms; ``step @ b`` returns a copy of the sum, never a buffer.
+    even and odd terms and the running sum, and one product per term j, bound
+    from term j - 1 into the other array with 1/j folded in, so a term is one
+    product and one add; ``step @ b`` returns a copy of the sum, never a buffer.
     """
 
     def __init__(self, a: np.ndarray, dt: float):
@@ -394,20 +398,18 @@ class TaylorStep:
     def __matmul__(self, b: np.ndarray) -> np.ndarray:
         key = b.shape, np.result_type(b, self.operator.dtype)
         if key not in self._series:
-            # term j: its product into the buffer its input is not, that buffer, 1/j
+            # term j: (A/s)/j times term j - 1, into the buffer that one is not
             even, odd, total = (_aligned(*key) for _ in range(3))
-            products = (self.operator.bind(odd, even), even), (self.operator.bind(even, odd), odd)
-            terms = [(*products[j % 2], 1.0 / j) for j in range(1, self.degree + 1)]
+            pairs = (odd, even), (even, odd)
+            terms = [self.operator.bind(*pairs[j % 2], 1.0 / j) for j in range(1, self.degree + 1)]
             self._series[key] = even, total, terms
         even, total, terms = self._series[key]
         total[...] = b
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(self.scaling):
                 even[...] = total
-                for product, term, scale in terms:
-                    product()
-                    term *= scale  # a real factor: cheaper than complex division
-                    total += term
+                for term in terms:
+                    total += term()
         if not np.all(np.isfinite(total)):
             raise PropagatorError(
                 f"propagator for dt={self.dt} overflowed; "
@@ -431,10 +433,10 @@ class Propagator:
     join neighbouring indices and whose on-site entries are imaginary (every
     dimer chain and an imaginary on-site center). A run then turns its start
     into phi = G^-1 psi once, steps the parts of phi that are not all zero
-    as real columns, and turns phi back into psi only to yield it. A
-    quarter turn only swaps and negates components, so each product and sum
-    equals the complex loop's up to the sign of zero. Other chains (an
-    interferometer, a complex on-site center) step psi by -iH.
+    as real columns, squares frames from them and turns phi back into psi
+    only in states(). A quarter turn only swaps and negates components, so
+    each product and sum equals the complex loop's up to the sign of zero.
+    Other chains (an interferometer, a complex on-site center) step psi by -iH.
     """
 
     def __init__(self, ham: HamiltonianMatrix):
@@ -457,35 +459,39 @@ class Propagator:
         self._cache[dt] = u
         return u
 
-    def _evolve(self, start: np.ndarray, times):
-        """Yield ``start``, an N-vector or an N x r block, stepped to each time
-        by the step from the previous time. Every yield is a new array, never
-        ``start`` itself, so callers may keep or mutate them."""
-        x, prev_t = np.array(start, dtype=complex), 0.0
+    def _evolve(self, start: np.ndarray, times) -> tuple:
+        """The live mask of the re and im parts of ``start``'s columns, and an
+        iterator of new arrays stepped to each time from the one before: psi,
+        or in the gauge the real N x L block of phi's live (nonzero) parts."""
+        x = np.array(start, dtype=complex)
         if x.shape[0] != self.ham.dim:
             raise ValueError(
                 f"initial dimension {x.shape[0]} does not match H dim {self.ham.dim}"
             )
+        times, live = _check_times(times), np.ones(2 * x[0].size, bool)
         if self._turns is not None:
-            into, back = self._turns
-            phi = np.multiply(x.reshape(len(x), -1), into, order="C")
-            parts = phi.view(float)  # N x 2r: re and im of each column of phi
+            parts = np.multiply(x.reshape(len(x), -1), self._turns[0], order="C").view(float)
             live = parts.any(axis=0)
             x = parts[:, live].copy()  # in C order, where products are faster
-        for t in _check_times(times):
-            if t > prev_t:
-                x = self.step_matrix(t - prev_t) @ x
-            prev_t = t
-            if self._turns is None:
+
+        def steps(x, prev_t=0.0):
+            for t in times:
+                if t > prev_t:
+                    x = self.step_matrix(t - prev_t) @ x
+                prev_t = t
                 yield x
-            else:
-                parts[:, live] = x
-                yield np.multiply(phi, back).reshape(np.shape(start))
+
+        return live, steps(x)
 
     def states(self, start: np.ndarray, times) -> np.ndarray:
         """e^{-iH t_i} start at each time, row i at times[i]: T x N for a
-        vector, T x N x r for an N x r block."""
-        return np.array(list(self._evolve(start, times)))
+        vector, T x N x r for an N x r block. Only here is phi turned back."""
+        live, steps = self._evolve(start, times)
+        if self._turns is None:
+            return np.array(list(steps))
+        phi = np.zeros((self.ham.dim, live.size))  # each step fills its live parts
+        psi = [np.multiply(phi.view(complex), self._turns[1]) for phi[:, live] in steps]
+        return np.array(psi).reshape(-1, *np.shape(start))
 
     def frames(self, start: np.ndarray, times) -> np.ndarray:
         """Dirac probabilities, row i at times[i]: T x N |psi_j(t_i)|^2 for an
@@ -503,18 +509,22 @@ class Propagator:
         C-ordered float64 arrays, (N,) for a vector and (r, N) for a block. C
         order matters: a sum over a row's sites (as in split_probability) then
         reduces in the order it does on a row of ``frames``, so every bit
-        agrees. |x|^2 is re*re + im*im, not abs(x)**2, whose complex hypot
-        rounds differently at different SIMD levels."""
-        times = _check_times(times)
-        return (_probabilities(x) for x in self._evolve(start, times))
+        agrees. |x|^2 is re*re + im*im, not abs(x)**2 (a complex hypot, whose
+        rounding follows the SIMD level), read straight off the stepped parts:
+        a quarter turn only swaps and negates re and im, a dead part adds +0."""
+        live, steps = self._evolve(start, times)
+        # part k is row index[k] of the squares; a dead part's, the last, stays 0
+        index = np.where(live, np.cumsum(live) - 1, np.count_nonzero(live)).reshape(-1, 2).T
+        squares = np.zeros((np.count_nonzero(live) + 1, self.ham.dim))
 
+        def row(x: np.ndarray) -> np.ndarray:
+            squares[:-1] = x.reshape(len(x), -1).view(float).T
+            np.multiply(squares, squares, squares)
+            p = squares[index[0]]
+            p += squares[index[1]]
+            return p.reshape(*np.shape(start)[1:], -1)
 
-def _probabilities(x: np.ndarray) -> np.ndarray:
-    """re*re + im*im of an N-vector or N x r block, as a C-ordered (N,) or
-    (r, N) array."""
-    p = x.real * x.real
-    p += x.imag * x.imag
-    return np.ascontiguousarray(p.T)
+        return map(row, steps)
 
 
 def _check_times(times) -> np.ndarray:

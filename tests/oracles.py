@@ -290,9 +290,9 @@ def csr_taylor_plan(a) -> tuple[int, int]:
 
 def complex_taylor_step(ham, dt, b):
     """e^{-iH dt} b by the package's Taylor plan, in complex arithmetic for
-    every H and on SciPy's CSR: the operator -iH dt / s and the loop as
-    `TaylorStep` applies them to psi when -iH is not real in the quarter-turn
-    gauge. Where it is, a `Propagator` steps the parts of phi_n = i^n psi_n
+    every H and on SciPy's CSR: the operator -iH dt / s, scaled by 1/j for
+    term j, and the loop as `TaylorStep` applies them to psi when -iH is not
+    real in the quarter-turn gauge. Where it is, a `Propagator` steps the parts of phi_n = i^n psi_n
     as real columns, and must give these values (up to the sign of zero)."""
     a = -1j * csr(ham) * dt
     degree, scaling = csr_taylor_plan(a)
@@ -302,8 +302,7 @@ def complex_taylor_step(ham, dt, b):
         for _ in range(scaling):
             term, out = out, out.copy()
             for j in range(1, degree + 1):
-                term = op @ term
-                term *= 1.0 / j
+                term = (op * (1.0 / j)) @ term
                 out += term
     return out
 

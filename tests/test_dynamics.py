@@ -466,19 +466,25 @@ class TestRealGauge:
         products, runs = [], []
         bind = dynamics.BandedOperator.bind
 
-        def spy(self, x, out):
-            products.append((self.dtype, x.dtype, x.shape))
-            product = bind(self, x, out)
-            return lambda: runs.append(x.shape) or product()
+        def spy(self, x, out, factor=1.0):
+            products.append((self.dtype, x, out, factor))
+            product = bind(self, x, out, factor)
+            return lambda: runs.append(factor) or product()
 
         monkeypatch.setattr(dynamics.BandedOperator, "bind", spy)
         states = prop.states(psi0, [0.0, 1.0])
         assert np.all(states[1] == oracles.complex_taylor_step(ham, 1.0, psi0))
         live = 1 if gauge_real else 2
-        # the two ping-pong products, bound once, run every Taylor term
-        assert len(products) == 2 and len(runs) == step.degree * step.scaling
-        for operator_dtype, block_dtype, shape in products:
-            assert operator_dtype == block_dtype == np.float64 and shape == (ham.dim, live)
+        # one product per Taylor term j, bound once with its factor 1/j, from
+        # the term before into the other buffer, runs in every substep
+        factors = [1.0 / j for j in range(1, step.degree + 1)]
+        assert [factor for *_, factor in products] == factors
+        assert runs == factors * step.scaling
+        for (_, _, before, _), (_, x, out, _) in zip(products, products[1:]):
+            assert x is before and out is not x
+        for operator_dtype, x, out, _ in products:
+            assert operator_dtype == x.dtype == out.dtype == np.float64
+            assert x.shape == out.shape == (ham.dim, live)
 
     @pytest.mark.parametrize("nu", [None, *experiments.AbsorbConfig().nu_values])
     def test_absorb_mixture_matches_complex_loop(self, nu):
@@ -597,16 +603,17 @@ class TestBoundBuffers:
         bound = []
         bind = dynamics.BandedOperator.bind
 
-        def spy(self, x, out):
+        def spy(self, x, out, factor=1.0):
             bound.append((x, out))
-            return bind(self, x, out)
+            return bind(self, x, out, factor)
 
         monkeypatch.setattr(dynamics.BandedOperator, "bind", spy)
         blocks = self._blocks(ham.dim)
         for b in blocks:
             step @ b
         keys = {(b.shape, np.result_type(b, step.operator.dtype)) for b in blocks}
-        assert len(bound) == 2 * len(keys) == 2 * len(step._series)
+        # one product per Taylor term, bound once per (shape, dtype)
+        assert len(bound) == step.degree * len(keys) == step.degree * len(step._series)
         sums = [total for _, total, _ in step._series.values()]
         for a in [*sums, *(a for pair in bound for a in pair)]:
             assert a.ctypes.data % 64 == 0 and a.flags.c_contiguous and a.flags.writeable
@@ -693,6 +700,10 @@ class TestBandedProducts:
             x = x + 1j * rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 5, shape)
         ours = step.operator.apply(x, np.empty_like(x))
         assert np.all(ours == oracles.operator_csr(step.operator) @ x)
+        # a Taylor term's factor 1/j, folded into the entries as into CSR's
+        for j in (3, 35):
+            ours = step.operator.bind(x, np.empty_like(x), 1.0 / j)()
+            assert np.all(ours == (oracles.operator_csr(step.operator) * (1.0 / j)) @ x)
 
     @pytest.mark.parametrize("center, lattice", [*PRODUCT_CENTERS, *OFF_PATTERN])
     def test_only_rows_off_the_lead_pattern_are_recomputed(self, center, lattice):
@@ -1037,6 +1048,43 @@ class TestFrameRows:
                 assert part.tobytes() == of_whole[i].tobytes()
             # absorb's readout, a sum over the whole row
             assert row.sum().tobytes() == frame.sum().tobytes()
+
+    @pytest.mark.parametrize("case", ["singular_block", "interferometer_packet", "vector"])
+    def test_rows_square_the_stepped_parts_as_states_do(self, case):
+        # rows are squared from the stepped parts, in the gauge without
+        # turning phi back into psi: they must equal re*re + im*im of the
+        # turned-back states bit for bit, at the spectral singularity too
+        lat = LatticeSpec(100, 100)
+        center = Interferometer(-1.25, 0.75, math.pi / 4) if "interferometer" in case else SINGULAR
+        packet = gaussian_packet(lat, WavePacketSpec(-40, math.pi / 2, 0.3), center)
+        start = {
+            "singular_block": lambda: np.column_stack(
+                [
+                    seed_state(lat, center, +1),
+                    seed_state(lat, center, -1),
+                    packet,
+                    antisym_two_packets(lat, 40, math.pi / 2, 0.3, center.nu, center),
+                ]
+            ),
+            "interferometer_packet": lambda: packet,
+            "vector": lambda: gaussian_packet(lat, WavePacketSpec(-40, 1.0, 0.3), center),
+        }[case]()
+        ham = build_hamiltonian(center, lat)
+        prop = Propagator(ham)
+        times = np.arange(0, 41) * 0.5
+        live, _ = prop._evolve(start, times)
+        # in the gauge the singularity's two seeds have a dead part each and
+        # its packets none; the interferometer steps psi; the vector at k0 = 1
+        # has both parts live
+        assert live.all() == (case != "singular_block")
+        assert (prop.step_matrix(0.5).operator.dtype == np.complex128) == (
+            case == "interferometer_packet"
+        )
+        rows = list(prop.frame_rows(start, times))
+        assert len(rows) == times.size
+        for row, x in zip(rows, prop.states(start, times)):
+            assert row.flags.c_contiguous and row.shape == x.T.shape
+            assert row.tobytes() == np.ascontiguousarray(_born(x).T).tobytes()
 
     def test_bad_times_rejected_before_stepping(self):
         lat = LatticeSpec(8, 8)
