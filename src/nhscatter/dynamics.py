@@ -65,6 +65,7 @@ from .lattice import (
     site_order,
     site_to_index,
 )
+from .transforms import _libm, _times
 
 
 class PropagatorError(RuntimeError):
@@ -120,12 +121,18 @@ def gaussian_packet(
             f"packet at site {spec.site} with 5 sigma = {5.0 * sigma:.1f} is clipped "
             f"by the lead ends [-{lattice.left_len}, {lattice.right_len}]"
         )
-    order = site_order(center, lattice)
-    amp = np.zeros(len(order), dtype=complex)
-    for i, site in enumerate(order):
-        if isinstance(site, int) and site != 0:
-            gauss = math.exp(-0.5 * spec.lam**2 * (site - spec.site) ** 2)
-            amp[i] = gauss * np.exp(1j * spec.k0 * site)
+    # each lead site j gets e^{-lam^2 (j - site)^2 / 2} (cos k0 j + i sin k0 j),
+    # through libm and in the order of a scalar complex product, as cmath
+    # would evaluate it site by site
+    n = lattice_dim(center, lattice)
+    leads = np.r_[: lattice.left_len, n - lattice.right_len : n]
+    sites = np.r_[-lattice.left_len : 0, 1 : lattice.right_len + 1]
+    gauss = _libm(math.exp, -0.5 * spec.lam**2 * ((sites - spec.site) ** 2))
+    phase = spec.k0 * sites
+    amp = np.zeros(n, dtype=complex)
+    amp.real[leads], amp.imag[leads] = _times(
+        gauss, 0.0, _libm(math.cos, phase), _libm(math.sin, phase)
+    )
     norm = np.linalg.norm(amp)
     if norm == 0.0:
         raise ValueError(

@@ -257,8 +257,9 @@ def build_hamiltonian(center: CenterSpec, lattice: LatticeSpec) -> HamiltonianMa
         raise TypeError(f"unknown center spec {center!r}")
 
     bands = np.zeros((len(BAND_OFFSETS), n), dtype=complex)
-    bonds = np.setdiff1d(np.arange(n - 1), cut)
-    bands[3, bonds] = bands[1, bonds + 1] = -1.0  # H[i, i + 1] and H[i + 1, i]
+    bands[3, :-1] = bands[1, 1:] = -1.0  # every bond H[i, i + 1], H[i + 1, i]
+    cut = np.array(cut, dtype=int)
+    bands[3, cut] = bands[1, cut + 1] = 0.0  # but those the center replaces
     for row, col, value in entries:
         bands[2 + col - row, row] = value
     return HamiltonianMatrix(bands, center, lattice)

@@ -2,8 +2,9 @@
 
 Plane-wave scattering states on the leads (momentum k in (0, pi), energy
 E_k = -2 cos k) are matched through the center, giving the reflection and
-transmission amplitudes r_k, t_k in closed form. `amplitude_table` is the one
-call that evaluates them, as arrays over the momenta it is given. At the
+transmission amplitudes r_k, t_k in closed form, evaluated as arrays: over the
+momenta of one center by `amplitude_table`, and over many (center, k) cases at
+once for the scattering states, one table per kind of center and side. At the
 spectral-singularity locus (dimer with mu*nu = -1, k = pi/2) the amplitudes
 have a simple pole, written one way instead of as floating-point infinities
 leaking out of arithmetic: ``diverges`` is set, r and t are NaN and T, R inf.
@@ -13,13 +14,13 @@ import cmath
 import math
 from contextlib import ExitStack
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from .dynamics import BandedOperator
 from .lattice import (
     ALPHA,
+    BAND_OFFSETS,
     BETA,
     AsymmetricDimer,
     CenterSpec,
@@ -30,7 +31,7 @@ from .lattice import (
     build_hamiltonian,
     center_sites,
 )
-from .transforms import ALPHA_BETA_BLOCK, _times
+from .transforms import ALPHA_BETA_BLOCK, _libm, _times
 
 LEFT = "left"
 RIGHT = "right"
@@ -79,12 +80,6 @@ def quotient(a_re, a_im, b_re, b_im):
     return re, im
 
 
-def _libm(func, x: np.ndarray, *args) -> np.ndarray:
-    """func(x_i, *args) for each element, in Python floats, in the shape of x."""
-    values = map(func, x.ravel().tolist(), *map(repeat, args))
-    return np.fromiter(values, dtype=float, count=x.size).reshape(x.shape)
-
-
 def _table(k, incidence, denom, r, t) -> SweepTable:
     diverges = np.hypot(*denom) < SINGULAR_DENOM_TOL
     nan = complex(math.nan, math.nan)
@@ -95,11 +90,12 @@ def _table(k, incidence, denom, r, t) -> SweepTable:
     return SweepTable(k, incidence, r, t, T, R, diverges)
 
 
-def _dimer_table(dimer: AsymmetricDimer, k: np.ndarray, incidence: str) -> SweepTable:
+def _dimer_table(product, forward, k: np.ndarray, incidence: str) -> SweepTable:
     """Left incidence: r = (1 - mu*nu) / (mu*nu - e^{-2ik}),
     t = nu (1 - e^{-2ik}) / (mu*nu - e^{-2ik}); right incidence swaps nu -> mu
-    in t (r depends only on the product mu*nu)."""
-    product, forward = float(dimer.product), float(dimer.nu if incidence == LEFT else dimer.mu)
+    in t (r depends only on the product mu*nu). ``product`` is mu*nu and
+    ``forward`` the hopping into the outgoing lead, floats or arrays in the
+    shape of k."""
     phase = -2.0 * k  # e^{-2ik} = cmath.exp((0.0, -2k))
     e_re, e_im = _libm(math.cos, phase), _libm(math.sin, phase)
     denom = product - e_re, 0.0 - e_im
@@ -108,9 +104,14 @@ def _dimer_table(dimer: AsymmetricDimer, k: np.ndarray, incidence: str) -> Sweep
     return _table(k, incidence, denom, r, t)
 
 
-def _onsite_table(v: complex, k: np.ndarray, incidence: str) -> SweepTable:
+def _forward(dimer: AsymmetricDimer, incidence: str) -> float:
+    """The hopping into the outgoing lead: nu for left incidence, mu for right."""
+    return float(dimer.nu if incidence == LEFT else dimer.mu)
+
+
+def _onsite_table(v, k: np.ndarray, incidence: str) -> SweepTable:
     """t = 2i sin k / (2i sin k - v), r = v / (2i sin k - v); independent of
-    incidence."""
+    incidence. ``v`` is a complex or an array in the shape of k."""
     gain = _times(0.0, 2.0, _libm(math.sin, k), 0.0)  # 2i sin k
     denom = gain[0] - v.real, gain[1] - v.imag
     t, r = quotient(*gain, *denom), quotient(v.real, v.imag, *denom)
@@ -123,15 +124,22 @@ def amplitude_table(center: CenterSpec, ks, incidence: str = LEFT) -> SweepTable
     Python scalars by ``.item()``. Interferometers go through their dimer
     reduction and therefore require phi = pi/4 (`as_dimer` raises
     otherwise)."""
+    k = _momenta(ks, incidence)
+    if isinstance(center, OnSitePotential):
+        return _onsite_table(center.v, k, incidence)
+    dimer = as_dimer(center)
+    return _dimer_table(float(dimer.product), _forward(dimer, incidence), k, incidence)
+
+
+def _momenta(ks, incidence: str) -> np.ndarray:
+    """ks as a float array, checked to lie in (0, pi), for a checked side."""
     if incidence not in (LEFT, RIGHT):
         raise ValueError(f"incidence must be 'left' or 'right', got {incidence!r}")
     k = np.asarray(ks, dtype=float)
     outside = ~((0.0 < k) & (k < math.pi))
     if outside.any():
         raise ValueError(f"momentum k must lie in (0, pi), got {k[outside][0].item()!r}")
-    if isinstance(center, OnSitePotential):
-        return _onsite_table(center.v, k, incidence)
-    return _dimer_table(as_dimer(center), k, incidence)
+    return k
 
 
 def singular_wavefunction(dimer: AsymmetricDimer, sign: int, site) -> complex:
@@ -183,6 +191,68 @@ def _phases(k: float, n: np.ndarray):
     return _times(_libm(math.cos, hi), _libm(math.sin, hi), 1.0, lo)
 
 
+def _case_amplitudes(cases) -> tuple[np.ndarray, np.ndarray]:
+    """r and t of each case (center, lattice, k, incidence), as complex
+    arrays: the cases of one kind of center and one side share one table,
+    each entry equal to its case's `amplitude_table`. Raises if one
+    diverges."""
+    r, t = np.empty((2, len(cases)), dtype=complex)
+    groups = {}
+    for i, (center, _, _, incidence) in enumerate(cases):
+        groups.setdefault((isinstance(center, OnSitePotential), incidence), []).append(i)
+    for (onsite, incidence), index in groups.items():
+        k = _momenta([cases[i][2] for i in index], incidence)
+        if onsite:
+            table = _onsite_table(np.array([cases[i][0].v for i in index]), k, incidence)
+        else:
+            dimers = [as_dimer(cases[i][0]) for i in index]
+            product = np.array([float(dimer.product) for dimer in dimers])
+            forward = np.array([_forward(dimer, incidence) for dimer in dimers])
+            table = _dimer_table(product, forward, k, incidence)
+        if table.diverges.any():
+            raise ValueError("cannot assemble a diverging scattering state")
+        r[index], t[index] = table.r, table.t
+    return r, t
+
+
+def _scattering_states(cases) -> np.ndarray:
+    """The states of `assemble_scattering_state` of every case (center,
+    lattice, k, incidence), end to end, from one array evaluation of all
+    their lead sites; each equals its case's state alone."""
+    r, t = _case_amplitudes(cases)
+    centers, lattices, ks, incidences = zip(*cases)
+    m = np.array([len(center_sites(center)) for center in centers])
+    left = np.array([lattice.left_len for lattice in lattices])
+    count = left + [lattice.right_len for lattice in lattices]  # lead sites
+    mirror = [1 if incidence == LEFT else -1 for incidence in incidences]
+    starts = np.cumsum([0, *(count + m)])
+
+    def each(x):  # a value per case, repeated on its lead sites
+        return np.repeat(x, count)
+
+    q = np.arange(count.sum()) - each(np.cumsum(count) - count)  # lead site of its case
+    after = q >= each(left)  # on the right lead
+    # the lead sites read as left incidence: incoming where j < 0
+    j = each(mirror) * (q - each(left) + after)
+    incoming = j < 0
+    c, s = _phases(each(ks), np.where(incoming, j, j + each(m) - 1))
+    r_j, t_j = each(r), each(t)
+    back_re, back_im = _times(r_j.real, r_j.imag, c, -s)  # r e^{-ikj}
+    out_re, out_im = _times(t_j.real, t_j.imag, c, s)  # t e^{ik(j+m-1)}
+    psi = np.empty(starts[-1], dtype=complex)
+    sites = each(starts[:-1]) + q + after * each(m)
+    psi.real[sites] = np.where(incoming, c + back_re, out_re)
+    psi.imag[sites] = np.where(incoming, s + back_im, out_im)
+
+    cores = zip(centers, ks, mirror, m, starts[:-1] + left, r.tolist(), t.tolist())
+    for center, k, side, size, at, r_c, t_c in cores:
+        core = [1.0 + r_c] if size == 1 else [1.0 + r_c, t_c * cmath.exp(1j * k)][::side]
+        if isinstance(center, Interferometer):
+            core = ALPHA_BETA_BLOCK @ np.array(core, dtype=complex)
+        psi[at : at + size] = core
+    return psi
+
+
 def assemble_scattering_state(
     center: CenterSpec, lattice: LatticeSpec, k: float, incidence: str = LEFT
 ) -> np.ndarray:
@@ -199,42 +269,50 @@ def assemble_scattering_state(
     The returned vector solves (H - E_k) psi = 0 on every site except the two
     outermost lead sites, where the truncation injects/extracts the wave.
     """
-    amps = amplitude_table(center, k, incidence)
-    if amps.diverges:
-        raise ValueError("cannot assemble a diverging scattering state")
-    r, t = amps.r.item(), amps.t.item()
-    m = len(center_sites(center))
-    mirror = 1 if incidence == LEFT else -1
+    return _scattering_states([(center, lattice, k, incidence)])
 
-    # the lead sites read as left incidence: incoming where j < 0
-    left, right = np.arange(-lattice.left_len, 0), np.arange(1, lattice.right_len + 1)
-    j = mirror * np.concatenate([left, right])
-    incoming = j < 0
-    c, s = _phases(k, np.where(incoming, j, j + m - 1))
-    back_re, back_im = _times(r.real, r.imag, c, -s)  # r e^{-ikj}
-    out_re, out_im = _times(t.real, t.imag, c, s)  # t e^{ik(j+m-1)}
-    leads = np.empty(len(j), dtype=complex)
-    leads.real = np.where(incoming, c + back_re, out_re)
-    leads.imag = np.where(incoming, s + back_im, out_im)
 
-    core = [1.0 + r] if m == 1 else [1.0 + r, t * cmath.exp(1j * k)][::mirror]
-    if isinstance(center, Interferometer):
-        core = ALPHA_BETA_BLOCK @ np.array(core, dtype=complex)
-    return np.concatenate([leads[: lattice.left_len], core, leads[lattice.left_len :]])
+def _stacked_operator(blocks) -> tuple[BandedOperator, np.ndarray]:
+    """The BandedOperator of the block-diagonal matrix whose blocks have the
+    diagonals ``blocks`` (each laid out as HamiltonianMatrix.bands), and the
+    index at which each block starts, with the total size last. Raises
+    ValueError if a block holds an entry outside itself, which the stack
+    would turn into a coupling to its neighbour."""
+    blocks = [np.asarray(bands) for bands in blocks]
+    sizes = [bands.shape[1] for bands in blocks]
+    starts = np.cumsum([0, *sizes])
+    rows = np.arange(starts[-1]) - np.repeat(starts[:-1], sizes)  # index in its block
+    cols = rows + np.array(BAND_OFFSETS)[:, None]
+    stacked = np.concatenate(blocks, axis=1)
+    if stacked[(cols < 0) | (cols >= np.repeat(sizes, sizes))].any():
+        raise ValueError("a band entry lies outside its block and would couple two blocks")
+    return BandedOperator(stacked), starts
+
+
+def scattering_residuals(cases) -> np.ndarray:
+    """Max |(H - E_k) psi| over interior sites of the assembled state of each
+    case (center, lattice, k, incidence), as a float64 array. Every H is one
+    block of a block-diagonal matrix, so all residuals come from one banded
+    product, each equal to its case's product alone.
+
+    The two outermost lead sites of each case are excluded: that is where the
+    finite truncation sources the incident wave.
+    """
+    operator, starts = _stacked_operator(
+        [build_hamiltonian(center, lattice).bands for center, lattice, _, _ in cases]
+    )
+    psi = _scattering_states(cases)
+    energy = np.repeat([dispersion(k) for _, _, k, _ in cases], np.diff(starts))
+    resid = np.abs(operator.apply(psi, np.empty_like(psi)) - energy * psi)
+    resid[starts[:-1]] = resid[starts[1:] - 1] = 0.0  # the outermost sites
+    return np.maximum.reduceat(resid, starts[:-1])
 
 
 def scattering_residual(
     center: CenterSpec, lattice: LatticeSpec, k: float, incidence: str = LEFT
 ) -> float:
-    """Max |(H - E_k) psi| over interior sites for the assembled state.
-
-    The two outermost lead sites are excluded: that is where the finite
-    truncation sources the incident wave.
-    """
-    ham = build_hamiltonian(center, lattice)
-    psi = assemble_scattering_state(center, lattice, k, incidence)
-    resid = BandedOperator(ham.bands).apply(psi, np.empty_like(psi)) - dispersion(k) * psi
-    return float(np.max(np.abs(resid[1:-1])))
+    """`scattering_residuals` of the one case."""
+    return float(scattering_residuals([(center, lattice, k, incidence)])[0])
 
 
 def sweep_rows(center: CenterSpec, ks, incidence: str = LEFT) -> SweepTable:

@@ -23,6 +23,7 @@ unordered set {+i, -i} of parity end potentials is convention-independent.
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -49,6 +50,12 @@ def _times(xr, xi, yr, yi):
     """Real and imaginary parts of (xr + i xi)(yr + i yi), each product and sum
     its own ufunc, so no SIMD level fuses them (a NumPy complex multiply may)."""
     return xr * yr - xi * yi, xr * yi + xi * yr
+
+
+def _libm(func, x: np.ndarray, *args) -> np.ndarray:
+    """func(x_i, *args) for each element, in Python floats, in the shape of x."""
+    values = map(func, x.ravel().tolist(), *map(repeat, args))
+    return np.fromiter(values, dtype=float, count=x.size).reshape(x.shape)
 
 
 def _block_times(a: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -217,6 +224,8 @@ def charpoly_deviation(a_blocks, b_blocks) -> float:
     the characteristic polynomials det(M - z) of the block-diagonal matrices
     of order n whose tridiagonal blocks have the bands ``a_blocks`` and
     ``b_blocks`` (sequences of arrays laid out as HamiltonianMatrix.bands).
+    A batch of one of `charpoly_deviations`, which compares many pairs of one
+    order in a single recurrence, each pair's value bit-equal to this call.
 
     Two monic polynomials of degree n that agree at n + 1 points are equal,
     so this is 0 in exact arithmetic if and only if A and B have the same
@@ -232,26 +241,78 @@ def charpoly_deviation(a_blocks, b_blocks) -> float:
     on the SIMD level or on LAPACK. Raises ValueError for bands off the three
     central diagonals and for matrices of different orders.
     """
-    (a_a, w_a, reach_a), (a_b, w_b, reach_b) = _tridiagonal(a_blocks), _tridiagonal(b_blocks)
-    if a_a.size != a_b.size:
-        raise ValueError(f"matrices of different orders: {a_a.size} and {a_b.size}")
-    n = a_a.size
-    radius = 1.5 * max(reach_a, reach_b) or 1.0  # two zero matrices: any circle
+    return float(charpoly_deviations([(a_blocks, b_blocks)])[0])
+
+
+#: Steps of the recurrence whose factors are laid out at a time, so that its
+#: memory grows as n, not n^2.
+_CHUNK_STEPS = 32
+
+
+def charpoly_deviations(pairs) -> np.ndarray:
+    """`charpoly_deviation` of every pair (a_blocks, b_blocks) of ``pairs``,
+    as a float64 array, from one recurrence over the whole batch. All
+    matrices must have one order n (ValueError otherwise). Each pair keeps
+    its own radius and points and every operation is elementwise, so each
+    value is bit-equal to its pair's run alone.
+
+    A step works on K complex values, one per matrix, pair and point, as
+    separate real and imaginary rows. p_{j-2} and p_{j-1} are adjacent rows
+    of a ring, and the factors (w_j, a_j - z) are laid out once per chunk of
+    steps in the same order, so both products are one `_times` on spans of
+    2K, and every ufunc of a step runs on contiguous arrays.
+    """
+    chains = [(_tridiagonal(a_blocks), _tridiagonal(b_blocks)) for a_blocks, b_blocks in pairs]
+    if not chains:
+        raise ValueError("no pairs to compare")
+    orders = sorted({chain[0].size for pair in chains for chain in pair})
+    if len(orders) > 1:
+        raise ValueError(f"matrices of different orders: {', '.join(map(str, orders))}")
+    n, count = orders[0], len(chains)
+    radius = np.array([1.5 * max(a[2], b[2]) or 1.0 for a, b in chains])  # 0: any circle
     angles = [2.0 * math.pi * k / (n + 1) for k in range(n + 1)]
-    zr, zi = radius * np.array([[math.cos(t) for t in angles], [math.sin(t) for t in angles]])
-    a, w = np.stack([a_a, a_b])[:, :, None], np.stack([w_a, w_b])[:, :, None]  # row 0: A
-    pr, pi = np.ones((2, n + 1)), np.zeros((2, n + 1))  # p_{j-1}, rescaled
-    qr, qi = np.zeros((2, n + 1)), np.zeros((2, n + 1))  # p_{j-2}, rescaled alike
-    exponent = np.zeros((2, n + 1), dtype=int)
+    circle = np.array([[math.cos(t) for t in angles], [math.sin(t) for t in angles]])
+    z = (radius[:, None] * circle[:, None])[:, None]  # (re/im, 1, pair, point)
+
+    def steps(i):  # (j, re/im, A/B, pair, 1) of a_j (i = 0) or w_j (i = 1)
+        x = np.array([[a[i], b[i]] for a, b in chains])  # (pair, A/B, j)
+        return np.stack([x.real, x.imag]).transpose(3, 0, 2, 1)[..., None]
+
+    a, w = steps(0), steps(1)
+    k = 2 * count * (n + 1)  # A/B, pair, point
+    factors = np.empty((_CHUNK_STEPS, 2, 2, 2, count, n + 1))  # step, re/im, w_j / a_j - z, K
+    rings = np.zeros((2, _CHUNK_STEPS + 2, k))  # re/im of p_{j-2}, p_{j-1}, p_j, ...
+    rings[0, 1] = 1.0  # p_{-2} = 0, p_{-1} = 1
+    re, im, scratch = np.empty((3, 2 * k))  # of (w_j p_{j-2}, (a_j - z) p_{j-1})
+    size, larger = np.empty((2, k)), np.empty(k)
+    e, negated, exponent = np.empty(k, dtype=np.intc), np.empty(k, dtype=np.intc), np.zeros(k, int)
+    views = [  # of step j = r (mod _CHUNK_STEPS)
+        (*factors[r].reshape(2, 2 * k), *rings[:, r : r + 2].reshape(2, 2 * k),
+         rings[:, r + 2], rings[:, r + 1 : r + 3])
+        for r in range(_CHUNK_STEPS)
+    ]
     for j in range(n):
-        nr, ni = _times(a.real[:, j] - zr, a.imag[:, j] - zi, pr, pi)
-        tr, ti = _times(w.real[:, j], w.imag[:, j], qr, qi)
-        nr, ni = nr - tr, ni - ti
-        _, e = np.frexp(np.maximum(np.abs(nr), np.abs(ni)))
-        scale = np.ldexp(1.0, -e)
-        qr, qi, pr, pi = pr * scale, pi * scale, nr * scale, ni * scale
+        if j % _CHUNK_STEPS == 0:
+            if j:
+                rings[:, :2] = rings[:, -2:]  # p_{j-2}, p_{j-1}
+            chunk = slice(j, j + _CHUNK_STEPS)
+            used = factors[: len(w[chunk])]
+            used[:, :, 0], used[:, :, 1] = w[chunk], a[chunk] - z
+        xr, xi, yr, yi, p, latest = views[j % _CHUNK_STEPS]
+        # _times(xr, xi, yr, yi), into fixed arrays
+        np.subtract(np.multiply(xr, yr, out=re), np.multiply(xi, yi, out=scratch), out=re)
+        np.add(np.multiply(xr, yi, out=im), np.multiply(xi, yr, out=scratch), out=im)
+        for part, row in zip((re, im), p):  # p_j = (a_j - z) p_{j-1} - w_j p_{j-2}
+            np.subtract(part[k:], part[:k], out=row)
+        np.abs(p, out=size)
+        np.maximum(*size, out=larger)
+        np.frexp(larger, out=(larger, e))
         exponent += e
+        np.negative(e, out=negated)
+        for rows in latest:  # divide p_{j-1} and p_j by 2^e
+            np.ldexp(rows, negated, out=rows)
     # |p_A / p_B - 1| = |m_A 2^(e_A - e_B) - m_B| / |m_B|, the power of two exact
-    shift = exponent[0] - exponent[1]
-    dr, di = np.ldexp(pr[0], shift) - pr[1], np.ldexp(pi[0], shift) - pi[1]
-    return float(np.sqrt((dr * dr + di * di) / (pr[1] * pr[1] + pi[1] * pi[1])).max())
+    (pr_a, pr_b), (pi_a, pi_b) = rings[:, (n - 1) % _CHUNK_STEPS + 2].reshape(2, 2, count, n + 1)
+    shift = np.subtract(*exponent.reshape(2, count, n + 1))
+    dr, di = np.ldexp(pr_a, shift) - pr_b, np.ldexp(pi_a, shift) - pi_b
+    return np.sqrt((dr * dr + di * di) / (pr_b * pr_b + pi_b * pi_b)).max(axis=-1)

@@ -18,7 +18,11 @@ diagonals and needs no SciPy at run time. Spectra are compared here by dense
 eigenvalues (`spectrum`, `spectrum_distance`) and the parity blocks read as
 dense arrays in the full lattice (`dense_blocks`, `parity_embedding`,
 `embedded_blocks`), the eigenvalue reference for the package's
-characteristic-polynomial comparison.
+characteristic-polynomial comparison. That comparison's batched recurrence
+must equal the loop over one pair (`pairwise_charpoly_deviation`) bit for bit,
+the stacked scattering-state residuals the loop over one state at a time
+(`scattering_state`, `state_residual`, `verify_state_residual`), and
+`gaussian_packet` its loop over sites (`gaussian_packet_loop`).
 """
 
 import cmath
@@ -31,7 +35,7 @@ import scipy.sparse
 from scipy.integrate import solve_ivp
 from scipy.optimize import linear_sum_assignment
 
-from nhscatter.dynamics import _MAX_PRODUCTS, _P_MAX, _THETA, PropagatorError
+from nhscatter.dynamics import _MAX_PRODUCTS, _P_MAX, _THETA, BandedOperator, PropagatorError
 from nhscatter.lattice import (
     ALPHA,
     BAND_OFFSETS,
@@ -45,13 +49,21 @@ from nhscatter.lattice import (
     OnSitePotential,
     as_dimer,
     build_hamiltonian,
+    center_sites,
     dense_from_bands,
     lattice_dim,
     site_order,
     site_to_index,
 )
-from nhscatter.scattering import SINGULAR_DENOM_TOL
-from nhscatter.transforms import ALPHA_BETA_BLOCK
+from nhscatter.scattering import (
+    LEFT,
+    RIGHT,
+    SINGULAR_DENOM_TOL,
+    _phases,
+    amplitude_table,
+    dispersion,
+)
+from nhscatter.transforms import ALPHA_BETA_BLOCK, _times, _tridiagonal
 
 #: lattice sizes tried until the two-port extraction is well conditioned;
 #: cavity resonances of the finite system show up as cond ~ 1e13
@@ -465,3 +477,102 @@ def embedded_blocks(blocks):
     vp, vm = parity_embedding(n, 1.0), parity_embedding(n, -1.0)
     hp, hm = dense_blocks(blocks)
     return vp @ hp @ vp.T, vm @ hm @ vm.T
+
+
+def pairwise_charpoly_deviation(a_blocks, b_blocks) -> float:
+    """`charpoly_deviation` of one pair by its own recurrence, the loop the
+    batched one must equal bit for bit: p_j and p_{j-1} of A and B as (2, n + 1)
+    arrays, a new array from every operation, each step scaled by
+    2^-e = ldexp(1, -e)."""
+    (a_a, w_a, reach_a), (a_b, w_b, reach_b) = _tridiagonal(a_blocks), _tridiagonal(b_blocks)
+    if a_a.size != a_b.size:
+        raise ValueError(f"matrices of different orders: {a_a.size} and {a_b.size}")
+    n = a_a.size
+    radius = 1.5 * max(reach_a, reach_b) or 1.0
+    angles = [2.0 * math.pi * k / (n + 1) for k in range(n + 1)]
+    zr, zi = radius * np.array([[math.cos(t) for t in angles], [math.sin(t) for t in angles]])
+    a, w = np.stack([a_a, a_b])[:, :, None], np.stack([w_a, w_b])[:, :, None]  # row 0: A
+    pr, pi = np.ones((2, n + 1)), np.zeros((2, n + 1))
+    qr, qi = np.zeros((2, n + 1)), np.zeros((2, n + 1))
+    exponent = np.zeros((2, n + 1), dtype=int)
+    for j in range(n):
+        nr, ni = _times(a.real[:, j] - zr, a.imag[:, j] - zi, pr, pi)
+        tr, ti = _times(w.real[:, j], w.imag[:, j], qr, qi)
+        nr, ni = nr - tr, ni - ti
+        _, e = np.frexp(np.maximum(np.abs(nr), np.abs(ni)))
+        scale = np.ldexp(1.0, -e)
+        qr, qi, pr, pi = pr * scale, pi * scale, nr * scale, ni * scale
+        exponent += e
+    shift = exponent[0] - exponent[1]
+    dr, di = np.ldexp(pr[0], shift) - pr[1], np.ldexp(pi[0], shift) - pi[1]
+    return float(np.sqrt((dr * dr + di * di) / (pr[1] * pr[1] + pi[1] * pi[1])).max())
+
+
+def scattering_state(center, lattice, k, incidence=LEFT):
+    """`assemble_scattering_state` of one case from its own amplitude table
+    and lead arrays, the reference for the batched assembly."""
+    amps = amplitude_table(center, k, incidence)
+    if amps.diverges:
+        raise ValueError("cannot assemble a diverging scattering state")
+    r, t = amps.r.item(), amps.t.item()
+    m = len(center_sites(center))
+    mirror = 1 if incidence == LEFT else -1
+    left, right = np.arange(-lattice.left_len, 0), np.arange(1, lattice.right_len + 1)
+    j = mirror * np.concatenate([left, right])
+    incoming = j < 0
+    c, s = _phases(k, np.where(incoming, j, j + m - 1))
+    back_re, back_im = _times(r.real, r.imag, c, -s)
+    out_re, out_im = _times(t.real, t.imag, c, s)
+    leads = np.empty(len(j), dtype=complex)
+    leads.real = np.where(incoming, c + back_re, out_re)
+    leads.imag = np.where(incoming, s + back_im, out_im)
+    core = [1.0 + r] if m == 1 else [1.0 + r, t * cmath.exp(1j * k)][::mirror]
+    if isinstance(center, Interferometer):
+        core = ALPHA_BETA_BLOCK @ np.array(core, dtype=complex)
+    return np.concatenate([leads[: lattice.left_len], core, leads[lattice.left_len :]])
+
+
+def state_residual(center, lattice, k, incidence=LEFT) -> float:
+    """`scattering_residual` of one case on its own H and `scattering_state`."""
+    ham = build_hamiltonian(center, lattice)
+    psi = scattering_state(center, lattice, k, incidence)
+    resid = BandedOperator(ham.bands).apply(psi, np.empty_like(psi)) - dispersion(k) * psi
+    return float(np.max(np.abs(resid[1:-1])))
+
+
+def verify_state_residual(seed) -> float:
+    """verify's scattering-state battery one state at a time: each case drawn
+    and checked in turn by `state_residual`."""
+    rng = np.random.default_rng(seed)
+    lattice = LatticeSpec(100, 100)
+    worst = 0.0
+    count = 0
+    while count < 20:
+        mu, nu = rng.uniform(-2.5, 2.5, size=2)
+        k = rng.uniform(0.2, math.pi - 0.2)
+        if abs(mu * nu + 1.0) < 0.05:
+            continue
+        inc = LEFT if count % 2 == 0 else RIGHT
+        worst = max(worst, state_residual(AsymmetricDimer(mu, nu), lattice, k, inc))
+        count += 1
+    count = 0
+    while count < 10:
+        v = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        k = rng.uniform(0.2, math.pi - 0.2)
+        if abs(2j * math.sin(k) - v) < 0.05:
+            continue
+        worst = max(worst, state_residual(OnSitePotential(v), lattice, k))
+        count += 1
+    return worst
+
+
+def gaussian_packet_loop(lattice, spec, center):
+    """`gaussian_packet` site by site: math.exp for the envelope and a NumPy
+    complex exponential of 1j k0 j for the phase, without its clipping check."""
+    order = site_order(center, lattice)
+    amp = np.zeros(len(order), dtype=complex)
+    for i, site in enumerate(order):
+        if isinstance(site, int) and site != 0:
+            gauss = math.exp(-0.5 * spec.lam**2 * (site - spec.site) ** 2)
+            amp[i] = gauss * np.exp(1j * spec.k0 * site)
+    return amp / np.linalg.norm(amp)

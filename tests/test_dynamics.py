@@ -110,11 +110,57 @@ class TestGaussianPacket:
         psi = gaussian_packet(LatticeSpec(94, 400), spec, UNIFORM)
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "center",
+        [UNIFORM, OnSitePotential(0.5), Interferometer(-1.25, 0.75, math.pi / 4)],
+        ids=["dimer", "onsite", "interferometer"],
+    )
+    def test_equals_the_per_site_loop(self, center):
+        # the array evaluation has the loop's bits, signed zeros included:
+        # tails that underflow to zero, k0 = 0 and negative k0
+        lat = LatticeSpec(120, 97)
+        for site, lam in ((-60, 0.15), (60, 0.15), (-10, 0.6), (3, 3.0)):
+            for k0 in (math.pi / 2, math.pi / 3, 1.1, 0.0, -1.1, 7.5):
+                spec = WavePacketSpec(site, k0, lam)
+                want = oracles.gaussian_packet_loop(lat, spec, center)
+                assert gaussian_packet(lat, spec, center).tobytes() == want.tobytes(), spec
+
     @pytest.mark.parametrize("center", [UNIFORM, OnSitePotential(0.5)], ids=["dimer", "onsite"])
     def test_no_lead_weight_rejected(self, center):
         # centred on site 0 with sigma = 1/40, every lead amplitude underflows to 0
         with pytest.raises(ValueError, match="packet has no weight on the lead sites"):
             gaussian_packet(LatticeSpec(50, 50), WavePacketSpec(0, 1.0, 40.0), center)
+
+
+class TestMirror:
+    """Reversing the sites maps the dimer (mu, nu) onto (nu, mu) and a packet
+    at +60 with -k0 onto one at -60 with +k0. Stepping keeps that symmetry
+    bit for bit: the lead rows' sigma and zero pads, the recomputed center
+    rows and the quarter-turn gauge all map onto their mirror images."""
+
+    LAT = LatticeSpec(400, 400)
+    TIMES = np.arange(71.0)
+
+    @given(
+        mu=st.floats(0.2, 2.5),
+        nu=st.floats(0.2, 2.5),
+        signs=st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]),
+        k0=st.floats(0.2, math.pi - 0.2),
+        side=st.sampled_from([1, -1]),
+    )
+    @settings(max_examples=20, derandomize=True, deadline=None)  # about 1 s
+    def test_reversed_sites_give_reversed_frames(self, mu, nu, signs, k0, side):
+        mu, nu = signs[0] * mu, signs[1] * nu
+        start = gaussian_packet(self.LAT, WavePacketSpec(side * 60, -side * k0, 0.15), UNIFORM)
+        frames = Propagator(build_hamiltonian(AsymmetricDimer(mu, nu), self.LAT)).frames
+        mirrored = Propagator(build_hamiltonian(AsymmetricDimer(nu, mu), self.LAT)).frames
+        assert np.array_equal(
+            mirrored(start[::-1].copy(), self.TIMES), frames(start, self.TIMES)[:, ::-1]
+        )
+        # the mirrored packet's amplitudes are mirrored too, but its norm is
+        # summed in the other order and may differ in the last place
+        image = gaussian_packet(self.LAT, WavePacketSpec(-side * 60, side * k0, 0.15), UNIFORM)
+        assert np.all(np.abs(image - start[::-1]) <= 4 * np.finfo(float).eps * np.abs(image))
 
 
 class TestSeedState:

@@ -40,7 +40,12 @@ from nhscatter.lattice import (
     OnSitePotential,
     build_hamiltonian,
 )
-from nhscatter.transforms import biorthogonal_scale, charpoly_deviation, parity_decompose
+from nhscatter.transforms import (
+    biorthogonal_scale,
+    charpoly_deviation,
+    charpoly_deviations,
+    parity_decompose,
+)
 
 
 # An import finder that fails every attempt to import a SciPy module with
@@ -480,6 +485,27 @@ class TestVerifySpectra:
         pair[index][2, site] += 1e-9
         assert charpoly_deviation([ham.bands], pair) > self.BOUND
 
+    def test_batched_recurrence_equals_each_pair_alone(self):
+        # verify's five scaling pairs and the same pairs with a diagonal entry
+        # of the scaled chain moved (deviations ~1e-10) in one batch, and the
+        # parity pair with a wrong end potential: each value equals the loop
+        # over its pair alone bit for bit
+        pairs = []
+        for ham, scaled in _scaling_battery():
+            wrong = scaled.bands.copy()
+            wrong[2, 41] += 1e-9
+            pairs += [([ham.bands], [scaled.bands]), ([ham.bands], [wrong])]
+        alone = [oracles.pairwise_charpoly_deviation(a, b) for a, b in pairs]
+        assert charpoly_deviations(pairs).tolist() == alone
+        assert min(alone[1::2]) > self.BOUND
+        ham, blocks = _parity_chain()
+        wrong = blocks.plus_bands.copy()
+        wrong[2, 0] *= 1.001
+        for pair in ([blocks.plus_bands, blocks.minus_bands], [wrong, blocks.minus_bands]):
+            assert charpoly_deviation([ham.bands], pair) == (
+                oracles.pairwise_charpoly_deviation([ham.bands], pair)
+            )
+
     @pytest.mark.parametrize("site", [0, 40, 41, 81])
     def test_scaling_reference_catches_a_moved_diagonal_entry(self, site):
         # in each scaled chain with mu*nu < 0, whose center coupling is imaginary
@@ -500,6 +526,11 @@ class TestScatteringStateResidual:
         worst = {seed: experiments._scattering_state_residual(seed) for seed in self.SEEDS}
         assert {seed: w for seed, w in worst.items() if not w <= 1e-12} == {}
         assert max(worst.values()) < 1e-13  # ~1.6e-14 at seed 40
+
+    def test_stacked_battery_equals_per_state_loop(self):
+        # one product over the 30 chains' stacked bands reads each state's own
+        stacked = [experiments._scattering_state_residual(seed) for seed in self.SEEDS]
+        assert stacked == [oracles.verify_state_residual(seed) for seed in self.SEEDS]
 
 
 class TestStreamedFrames:

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
+from nhscatter import scattering
 from nhscatter.lattice import (
     ALPHA,
     BETA,
@@ -14,6 +16,7 @@ from nhscatter.lattice import (
     LatticeSpec,
     OnSitePotential,
     as_dimer,
+    build_hamiltonian,
 )
 from nhscatter.scattering import (
     CSV_BLOCK_ROWS,
@@ -22,6 +25,7 @@ from nhscatter.scattering import (
     amplitude_table,
     assemble_scattering_state,
     scattering_residual,
+    scattering_residuals,
     singular_wavefunction,
     sweep_rows,
     write_sweep_csv,
@@ -246,6 +250,53 @@ class TestScatteringState:
     def test_diverging_state_rejected(self):
         with pytest.raises(ValueError):
             assemble_scattering_state(AsymmetricDimer(-2.0, 0.5), LatticeSpec(10, 10), math.pi / 2)
+
+
+class TestStackedStates:
+    #: every kind of center, both sides, unequal and one-site leads; the
+    #: dimers of one side share an amplitude table, as do the on-site centers
+    CASES = [
+        (AsymmetricDimer(0.7, 1.9), LatticeSpec(37, 52), 1.1, LEFT),
+        (AsymmetricDimer(-2.0, 0.5), LatticeSpec(20, 20), 0.9, RIGHT),
+        (AsymmetricDimer(1.3, -0.4), LatticeSpec(1, 3), 2.5, LEFT),
+        (OnSitePotential(0.3 - 0.8j), LatticeSpec(30, 11), 1.7, RIGHT),
+        (OnSitePotential(0.4), LatticeSpec(12, 30), 0.3, LEFT),
+        (Interferometer(-1.25, 0.75, math.pi / 4), LatticeSpec(25, 18), 2.0, RIGHT),
+        (Interferometer(0.4, -0.9, math.pi / 4), LatticeSpec(9, 40), 0.6, LEFT),
+        (AsymmetricDimer(0.5, 2.0), LatticeSpec(40, 40), 1.2, RIGHT),
+    ]
+
+    def test_states_equal_each_case_alone(self):
+        single = [oracles.scattering_state(*case) for case in self.CASES]
+        stacked = scattering._scattering_states(self.CASES)
+        assert stacked.tobytes() == np.concatenate(single).tobytes()
+        for case, psi in zip(self.CASES, single):
+            assert assemble_scattering_state(*case).tobytes() == psi.tobytes(), case
+
+    def test_residuals_equal_each_case_alone(self):
+        alone = [oracles.state_residual(*case) for case in self.CASES]
+        assert scattering_residuals(self.CASES).tolist() == alone
+        assert [scattering_residual(*case) for case in self.CASES] == alone
+        assert max(alone) < 1e-12
+
+    def test_diverging_case_rejected(self):
+        cases = [self.CASES[0], (AsymmetricDimer(-2.0, 0.5), LatticeSpec(10, 10), math.pi / 2, LEFT)]
+        with pytest.raises(ValueError, match="diverging"):
+            scattering_residuals(cases)
+
+    @pytest.mark.parametrize(
+        "band, row", [(0, 0), (0, 1), (1, 0), (3, -1), (4, -2), (4, -1)],
+        ids=["-2@0", "-2@1", "-1@0", "+1@last", "+2@next-to-last", "+2@last"],
+    )
+    def test_refuses_an_entry_coupling_two_blocks(self, band, row):
+        # an entry beyond its block's edge would couple it to its neighbour
+        bands = build_hamiltonian(AsymmetricDimer(0.7, 1.9), LatticeSpec(3, 3)).bands
+        wrong = np.array(bands)
+        wrong[band, row] = 0.5
+        with pytest.raises(ValueError, match="couple two blocks"):
+            scattering._stacked_operator([bands, wrong, bands])
+        operator, starts = scattering._stacked_operator([bands, bands, bands])
+        assert starts.tolist() == [0, 8, 16, 24]
 
 
 class TestSweepCsv:

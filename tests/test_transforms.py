@@ -21,6 +21,7 @@ from nhscatter.transforms import (
     alpha_beta_rotation,
     biorthogonal_scale,
     charpoly_deviation,
+    charpoly_deviations,
     parity_decompose,
 )
 from oracles import spectrum_distance
@@ -363,6 +364,33 @@ class TestCharpolyDeviation:
     def test_refuses_malformed_input(self, a_blocks, b_blocks, reason):
         with pytest.raises(ValueError, match=reason):
             charpoly_deviation(a_blocks, b_blocks)
+
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 64, 65])
+    def test_batch_equals_each_pair_alone(self, n):
+        # random complex tridiagonal pairs whose spectra differ, at orders on
+        # both sides of the recurrence's chunks of 32 steps; each value of the
+        # batch equals the loop over its pair alone bit for bit
+        rng = np.random.default_rng(n)
+        pairs = []
+        for spread in (0.0, 1e-9, 1e-3, 1.0):
+            a = np.zeros((5, n), dtype=complex)
+            a[1:4] = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+            a[1, 0] = a[3, -1] = 0.0
+            b = a.copy()
+            b[2] += spread * (rng.normal(size=n) + 1j * rng.normal(size=n))
+            pairs.append(([a], [b]))
+        alone = [oracles.pairwise_charpoly_deviation(a, b) for a, b in pairs]
+        assert charpoly_deviations(pairs).tolist() == alone
+        assert [charpoly_deviation(a, b) for a, b in pairs] == alone
+        assert alone[0] == 0.0 and min(alone[1:]) > 0.0
+
+    def test_batch_refuses_mixed_orders(self):
+        pair = ([_diagonal_bands([1.0, 2.0])], [_diagonal_bands([2.0, 1.0])])
+        other = ([_diagonal_bands([1.0])], [_diagonal_bands([1.0])])
+        with pytest.raises(ValueError, match="different orders: 1, 2"):
+            charpoly_deviations([pair, other])
+        with pytest.raises(ValueError, match="no pairs"):
+            charpoly_deviations([])
 
 
 class TestSpectrumDistance:
