@@ -1,11 +1,13 @@
 """Command-line entry point: one subcommand per experiment scenario.
 
 Exit status: 0 when every built-in assertion of the run passed, 1 when any
-failed, 2 on configuration or runtime errors.
+failed, 2 on configuration or runtime errors and on a fault of the program,
+which prints its traceback.
 """
 
 import argparse
 import sys
+import traceback
 
 from .dynamics import BoundaryContaminationError, PropagatorError
 from .experiments import (
@@ -64,6 +66,9 @@ def main(argv=None) -> int:
         return 2
     except (BoundaryContaminationError, PropagatorError) as exc:
         print(f"aborted: {exc}", file=sys.stderr)
+        return 2
+    except Exception:  # a fault of the program: exit 1 is kept for a failed assertion
+        traceback.print_exc()
         return 2
 
     for a in manifest.assertions:

@@ -14,7 +14,7 @@ import json
 import math
 import time
 import typing
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from io import StringIO
 from itertools import chain
@@ -75,6 +75,16 @@ class ConfigError(ValueError):
     """Scenario configuration is invalid or physically inconsistent."""
 
 
+@contextmanager
+def _config_values():
+    """Report the ValueError of a spec built from config values (a lattice,
+    a center, a packet), which refuses those values, as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 @dataclass
 class CenterConfig:
     kind: str = "interferometer"  # onsite | interferometer | dimer
@@ -85,12 +95,13 @@ class CenterConfig:
     nu: float = 2.0
 
     def to_center(self) -> CenterSpec:
-        if self.kind == "onsite":
-            return OnSitePotential(self.v)
-        if self.kind == "interferometer":
-            return Interferometer(self.delta, self.gamma, DIMER_REDUCTION_PHI)
-        if self.kind == "dimer":
-            return AsymmetricDimer(self.mu, self.nu)
+        with _config_values():
+            if self.kind == "onsite":
+                return OnSitePotential(self.v)
+            if self.kind == "interferometer":
+                return Interferometer(self.delta, self.gamma, DIMER_REDUCTION_PHI)
+            if self.kind == "dimer":
+                return AsymmetricDimer(self.mu, self.nu)
         raise ConfigError(f"unknown center kind {self.kind!r}")
 
 
@@ -100,7 +111,8 @@ class LatticeConfig:
     right_len: int = 400
 
     def to_lattice(self) -> LatticeSpec:
-        return LatticeSpec(self.left_len, self.right_len)
+        with _config_values():
+            return LatticeSpec(self.left_len, self.right_len)
 
 
 @dataclass
@@ -373,10 +385,12 @@ def _le(name, measured, bound, detail="") -> AssertionResult:
 
 def run_scenario(config: ScenarioConfig) -> RunManifest:
     """Execute one scenario, writing outputs and exactly one manifest. This is
-    the one error boundary of the scenario layer: a `ValueError` raised by a
-    runner (a malformed or inconsistent config value), a `MemoryError` (a
-    config too large to hold) and an `OSError` from the output directory or a
-    file written into it leave as `ConfigError`."""
+    the one error boundary of the scenario layer: a `MemoryError` (a config
+    too large to hold) and an `OSError` from the output directory or a file
+    written into it leave as `ConfigError`. A runner reports a value it
+    refuses as `ConfigError` itself, and so do the specs built from config
+    values (`_config_values`); any other exception is a fault of the program
+    and leaves as it is."""
     _keys(config.scenario)  # refuses an unknown scenario
     if not config.out_dir.strip():
         raise ConfigError("out_dir is empty; name an output directory")
@@ -403,10 +417,6 @@ def run_scenario(config: ScenarioConfig) -> RunManifest:
             assertions=assertions,
         )
         (out_dir / "manifest.json").write_text(manifest.to_json())
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     except MemoryError as exc:
         raise ConfigError(f"the run does not fit in memory: {exc}") from None
     except OSError as exc:
@@ -525,10 +535,9 @@ def _packet_runs(config, center, k0s, paths=()):
             raise ConfigError(f"packet momentum must lie in (0, pi), got k0={k0!r}")
     lattice = config.lattice.to_lattice()
     ham = build_hamiltonian(center, lattice)
-    packets = [
-        gaussian_packet(lattice, WavePacketSpec(config.packet.site, k0, config.packet.lam), center)
-        for k0 in k0s
-    ]
+    with _config_values():
+        specs = [WavePacketSpec(config.packet.site, k0, config.packet.lam) for k0 in k0s]
+        packets = [gaussian_packet(lattice, spec, center) for spec in specs]
     first, last, _ = _stream_frames(ham, np.column_stack(packets), config.time.times(), paths)
     return ham, first, last
 
@@ -565,7 +574,8 @@ def _run_amplify(config: ScenarioConfig, out_dir: Path):
 
 def _run_flux_deviation(config: ScenarioConfig, out_dir: Path):
     delta, gamma = config.center.delta, config.center.gamma
-    _dimer_on_locus(Interferometer(delta, gamma, DIMER_REDUCTION_PHI), 1)
+    with _config_values():
+        _dimer_on_locus(Interferometer(delta, gamma, DIMER_REDUCTION_PHI), 1)
     if any(d < 0 for d in config.flux.deviations) or 0 not in config.flux.deviations:
         raise ConfigError("flux deviations must include 0 and be non-negative")
     if max(config.flux.deviations) == 0 or len(config.flux.k0_values) < 2:
@@ -650,7 +660,8 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 
 
 def _run_singularity(config: ScenarioConfig, out_dir: Path):
-    center = _dimer_on_locus(AsymmetricDimer(config.center.mu, config.center.nu), -1)
+    with _config_values():
+        center = _dimer_on_locus(AsymmetricDimer(config.center.mu, config.center.nu), -1)
     times = config.time.times()
     sing = config.singularity
     # line-fit windows; with 2 points r^2 = 1 whatever the data
@@ -666,22 +677,15 @@ def _run_singularity(config: ScenarioConfig, out_dir: Path):
     ham = build_hamiltonian(center, lattice)
     nu_mag = abs(center.nu)
 
+    p = config.packet
+    with _config_values():
+        single = gaussian_packet(lattice, WavePacketSpec(p.site, p.k0, p.lam), center)
+        pair = antisym_two_packets(lattice, p.pair_site, p.k0, p.lam, center.nu, center)
     cases = {
         "seed_plus": seed_state(lattice, center, +1),
         "seed_minus": seed_state(lattice, center, -1),
-        "packet": gaussian_packet(
-            lattice,
-            WavePacketSpec(config.packet.site, config.packet.k0, config.packet.lam),
-            center,
-        ),
-        "pair": antisym_two_packets(
-            lattice,
-            config.packet.pair_site,
-            config.packet.k0,
-            config.packet.lam,
-            center.nu,
-            center,
-        ),
+        "packet": single,
+        "pair": pair,
     }
 
     # the cases share H, so they step as one block, streamed to one file each
@@ -769,9 +773,11 @@ def _run_singularity(config: ScenarioConfig, out_dir: Path):
 
 def _run_absorb(config: ScenarioConfig, out_dir: Path):
     ab = config.absorb
-    if any(nu <= 0 for nu in ab.nu_values) or len(ab.nu_values) < 2:
+    if not all(nu > 0 for nu in ab.nu_values) or len(ab.nu_values) < 2:  # NaN too
         raise ConfigError("absorb.nu_values must be at least two positive values")
     _require_distinct("absorb.nu_values", ab.nu_values)
+    with _config_values():
+        dimers = {nu: AsymmetricDimer(1.0 / nu, nu) for nu in ab.nu_values}
     lattice = config.lattice.to_lattice()
     n0 = lattice.left_len  # the mixture fills the left lead, -n0..-1
     times = TimeConfig(t_max=ab.t_max, dt=ab.dt).times()
@@ -805,8 +811,8 @@ def _run_absorb(config: ScenarioConfig, out_dir: Path):
                 fh.write(f"{nu!r},{float(t)!r},{float(value)!r}\n")
 
     assertions = []
-    for nu in ab.nu_values:  # the similarity holds: H_nu scales back to H0 on its bands
-        scaled = biorthogonal_scale(build_hamiltonian(AsymmetricDimer(1.0 / nu, nu), lattice))
+    for nu, dimer in dimers.items():  # the similarity: H_nu scales back to H0 on its bands
+        scaled = biorthogonal_scale(build_hamiltonian(dimer, lattice))
         gap = float(np.max(np.abs(scaled.bands - uniform.bands)))
         assertions.append(_le(f"scales_to_uniform_chain[nu={nu!r}]", gap, 1e-15))
     drop_idx = int(np.searchsorted(times, ab.drop_time))

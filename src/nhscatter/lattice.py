@@ -175,6 +175,7 @@ def site_to_index(lattice: LatticeSpec, site: SiteLabel, center: CenterSpec) -> 
 #: Offsets of the diagonals H lives on: a chain's bonds join neighbouring
 #: indices, and a two-site center couples a lead end to the far center site.
 BAND_OFFSETS = (-2, -1, 0, 1, 2)
+_OFFSETS = np.array(BAND_OFFSETS)[:, None]  # a column: one row per diagonal
 
 
 @dataclass(frozen=True)
@@ -191,14 +192,10 @@ class HamiltonianMatrix:
     lattice: LatticeSpec
 
     def __post_init__(self):
-        bands = np.array(self.bands, dtype=complex)
+        bands, _ = stack_bands([np.asarray(self.bands, dtype=complex)])  # a copy
         n = lattice_dim(self.center, self.lattice)
-        if bands.shape != (len(BAND_OFFSETS), n):
+        if bands.shape[1] != n:
             raise ValueError(f"bands of shape {bands.shape} do not match lattice dimension {n}")
-        rows = np.arange(n)
-        for band, k in zip(bands, BAND_OFFSETS):
-            if band[(rows + k < 0) | (rows + k >= n)].any():
-                raise ValueError(f"diagonal {k} holds an entry outside the matrix")
         bands.setflags(write=False)
         object.__setattr__(self, "bands", bands)
 
@@ -214,6 +211,29 @@ class HamiltonianMatrix:
         """Half-open index range [start, stop) occupied by the center sites."""
         start = self.lattice.left_len
         return start, start + len(center_sites(self.center))
+
+
+def stack_bands(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonals of the block-diagonal matrix whose blocks have the
+    diagonals ``blocks`` (each laid out as HamiltonianMatrix.bands), and the
+    index at which each block starts, with the total size last. One block is
+    one matrix. Raises ValueError if a block holds an entry outside itself,
+    which the stack would turn into a coupling to its neighbour, if a block is
+    not a non-empty 5 x n array, and if there are no blocks."""
+    blocks = [np.asarray(bands) for bands in blocks]
+    for bands in blocks:
+        if bands.ndim != 2 or bands.shape[0] != len(BAND_OFFSETS) or bands.shape[1] == 0:
+            raise ValueError(f"bands must be a non-empty {len(BAND_OFFSETS)} x n array")
+    sizes = [bands.shape[1] for bands in blocks]
+    starts = np.cumsum([0, *sizes])
+    stacked = np.concatenate(blocks, axis=1)
+    rows = np.arange(starts[-1]) - np.repeat(starts[:-1], sizes)  # index i in its block
+    room = np.repeat(sizes, sizes) - rows  # the block's size m less i
+    outside = (rows < -_OFFSETS) | (room <= _OFFSETS)  # (i, i + k) with i + k < 0 or >= m
+    if stacked[outside].any():
+        k = BAND_OFFSETS[np.nonzero(stacked * outside)[0][0]]
+        raise ValueError(f"diagonal {k} holds an entry outside the matrix or block it lies in")
+    return stacked, starts
 
 
 def dense_from_bands(bands: np.ndarray) -> np.ndarray:

@@ -20,7 +20,6 @@ import numpy as np
 from .dynamics import BandedOperator
 from .lattice import (
     ALPHA,
-    BAND_OFFSETS,
     BETA,
     AsymmetricDimer,
     CenterSpec,
@@ -30,6 +29,7 @@ from .lattice import (
     as_dimer,
     build_hamiltonian,
     center_sites,
+    stack_bands,
 )
 from .transforms import ALPHA_BETA_BLOCK, _libm, _times
 
@@ -272,38 +272,19 @@ def assemble_scattering_state(
     return _scattering_states([(center, lattice, k, incidence)])
 
 
-def _stacked_operator(blocks) -> tuple[BandedOperator, np.ndarray]:
-    """The BandedOperator of the block-diagonal matrix whose blocks have the
-    diagonals ``blocks`` (each laid out as HamiltonianMatrix.bands), and the
-    index at which each block starts, with the total size last. Raises
-    ValueError if a block holds an entry outside itself, which the stack
-    would turn into a coupling to its neighbour."""
-    blocks = [np.asarray(bands) for bands in blocks]
-    sizes = [bands.shape[1] for bands in blocks]
-    starts = np.cumsum([0, *sizes])
-    rows = np.arange(starts[-1]) - np.repeat(starts[:-1], sizes)  # index in its block
-    cols = rows + np.array(BAND_OFFSETS)[:, None]
-    stacked = np.concatenate(blocks, axis=1)
-    if stacked[(cols < 0) | (cols >= np.repeat(sizes, sizes))].any():
-        raise ValueError("a band entry lies outside its block and would couple two blocks")
-    return BandedOperator(stacked), starts
-
-
 def scattering_residuals(cases) -> np.ndarray:
     """Max |(H - E_k) psi| over interior sites of the assembled state of each
     case (center, lattice, k, incidence), as a float64 array. Every H is one
-    block of a block-diagonal matrix, so all residuals come from one banded
-    product, each equal to its case's product alone.
+    block of a block-diagonal matrix (`stack_bands`), so all residuals come
+    from one banded product, each equal to its case's product alone.
 
     The two outermost lead sites of each case are excluded: that is where the
     finite truncation sources the incident wave.
     """
-    operator, starts = _stacked_operator(
-        [build_hamiltonian(center, lattice).bands for center, lattice, _, _ in cases]
-    )
+    bands, starts = stack_bands([build_hamiltonian(c, lat).bands for c, lat, _, _ in cases])
     psi = _scattering_states(cases)
     energy = np.repeat([dispersion(k) for _, _, k, _ in cases], np.diff(starts))
-    resid = np.abs(operator.apply(psi, np.empty_like(psi)) - energy * psi)
+    resid = np.abs(BandedOperator(bands).apply(psi, np.empty_like(psi)) - energy * psi)
     resid[starts[:-1]] = resid[starts[1:] - 1] = 0.0  # the outermost sites
     return np.maximum.reduceat(resid, starts[:-1])
 

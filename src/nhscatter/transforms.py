@@ -28,12 +28,14 @@ from itertools import repeat
 import numpy as np
 
 from .lattice import (
+    _OFFSETS,
     BAND_OFFSETS,
     AsymmetricDimer,
     HamiltonianMatrix,
     Interferometer,
     as_dimer,
     dense_from_bands,
+    stack_bands,
 )
 
 _U_PLUS = cmath.exp(1j * math.pi / 4)
@@ -43,7 +45,6 @@ ALPHA_BETA_BLOCK = np.array(
     [[_U_PLUS, -1j * _U_PLUS], [_U_MINUS, 1j * _U_MINUS]], dtype=complex
 ) / math.sqrt(2.0)
 ALPHA_BETA_BLOCK.setflags(write=False)
-_OFFSETS = np.array(BAND_OFFSETS)[:, None]  # a column: one row per diagonal
 
 
 def _times(xr, xi, yr, yi):
@@ -194,31 +195,6 @@ def parity_decompose(ham: HamiltonianMatrix) -> BlockDecomposition:
     return BlockDecomposition(sandwich(1.0, 1.0), sandwich(-1.0, -1.0), cross)
 
 
-def _tridiagonal(blocks) -> tuple[np.ndarray, np.ndarray, float]:
-    """(a, w, reach) of the block-diagonal matrix with these blocks, each
-    laid out as HamiltonianMatrix.bands: its diagonal a_j, the coupling
-    products w_j = M[j-1, j] M[j, j-1] (zero at j = 0 and where a block
-    starts), and a Gershgorin bound on its spectral radius, the largest row
-    sum of |Re| + |Im| >= |.| over the three diagonals."""
-    a, w, reach = [], [], 0.0
-    for bands in blocks:
-        bands = np.asarray(bands, dtype=complex)
-        if bands.ndim != 2 or bands.shape[0] != len(BAND_OFFSETS) or bands.shape[1] == 0:
-            raise ValueError(f"bands must be a non-empty {len(BAND_OFFSETS)} x n array")
-        if bands[0].any() or bands[-1].any():
-            raise ValueError("matrix is not tridiagonal: entries on diagonals -2 or 2")
-        sub, diag, sup = bands[1:4]
-        a.append(diag)
-        coupling = np.zeros(diag.size, dtype=complex)
-        coupling.real[1:], coupling.imag[1:] = _times(
-            sup.real[:-1], sup.imag[:-1], sub.real[1:], sub.imag[1:]
-        )
-        w.append(coupling)
-        rows = sum(np.abs(band.real) + np.abs(band.imag) for band in (sub, diag, sup))
-        reach = max(reach, float(rows.max()))
-    return np.concatenate(a), np.concatenate(w), reach  # ValueError if no blocks
-
-
 def charpoly_deviation(a_blocks, b_blocks) -> float:
     """max |p_A(z) / p_B(z) - 1| over n + 1 points z, where p_A and p_B are
     the characteristic polynomials det(M - z) of the block-diagonal matrices
@@ -256,63 +232,61 @@ def charpoly_deviations(pairs) -> np.ndarray:
     its own radius and points and every operation is elementwise, so each
     value is bit-equal to its pair's run alone.
 
-    A step works on K complex values, one per matrix, pair and point, as
-    separate real and imaginary rows. p_{j-2} and p_{j-1} are adjacent rows
-    of a ring, and the factors (w_j, a_j - z) are laid out once per chunk of
-    steps in the same order, so both products are one `_times` on spans of
-    2K, and every ufunc of a step runs on contiguous arrays.
+    Every block of every matrix goes into one stack (`stack_bands`), whose
+    diagonals give each matrix's a_j, its coupling products w_j = M[j-1, j]
+    M[j, j-1] (zero where a block starts, as the stack holds no entry
+    there) and its Gershgorin bound, the largest row sum of |Re| + |Im| >=
+    |.| over the three diagonals. A step works on K complex values, one per
+    matrix, pair and point, as separate real and imaginary rows: one array
+    holds p_{j-2} and p_{j-1}, so with the factors (w_j, a_j - z), laid out
+    in the same order once per chunk of steps into one reused buffer, both
+    products are one `_times`.
     """
-    chains = [(_tridiagonal(a_blocks), _tridiagonal(b_blocks)) for a_blocks, b_blocks in pairs]
-    if not chains:
+    matrices = [list(blocks) for pair in pairs for blocks in pair]  # A, B of each pair
+    if not matrices:
         raise ValueError("no pairs to compare")
-    orders = sorted({chain[0].size for pair in chains for chain in pair})
+    if not all(matrices):
+        raise ValueError("a matrix needs at least one array of bands")
+    bands, starts = stack_bands([bands for blocks in matrices for bands in blocks])
+    if bands[0].any() or bands[-1].any():
+        raise ValueError("matrix is not tridiagonal: entries on diagonals -2 or 2")
+    edges = starts[np.cumsum([0, *map(len, matrices)])]  # each matrix's first row, and the end
+    orders = sorted(set(np.diff(edges).tolist()))
     if len(orders) > 1:
         raise ValueError(f"matrices of different orders: {', '.join(map(str, orders))}")
-    n, count = orders[0], len(chains)
-    radius = np.array([1.5 * max(a[2], b[2]) or 1.0 for a, b in chains])  # 0: any circle
+    n, count = orders[0], len(matrices) // 2
+    sub, diag, sup = bands[1:4]
+    w = np.zeros(diag.size, dtype=complex)
+    w.real[1:], w.imag[1:] = _times(sup.real[:-1], sup.imag[:-1], sub.real[1:], sub.imag[1:])
+    rows = sum(np.abs(band.real) + np.abs(band.imag) for band in (sub, diag, sup))
+    reach = np.maximum.reduceat(rows, edges[:-1]).reshape(count, 2).max(axis=1)
+    radius = np.where(reach == 0.0, 1.0, 1.5 * reach)  # 0: any circle encloses the spectra
     angles = [2.0 * math.pi * k / (n + 1) for k in range(n + 1)]
     circle = np.array([[math.cos(t) for t in angles], [math.sin(t) for t in angles]])
     z = (radius[:, None] * circle[:, None])[:, None]  # (re/im, 1, pair, point)
 
-    def steps(i):  # (j, re/im, A/B, pair, 1) of a_j (i = 0) or w_j (i = 1)
-        x = np.array([[a[i], b[i]] for a, b in chains])  # (pair, A/B, j)
-        return np.stack([x.real, x.imag]).transpose(3, 0, 2, 1)[..., None]
-
-    a, w = steps(0), steps(1)
+    x = np.stack([w, diag]).reshape(2, count, 2, n)  # w/a, pair, A/B, j
+    x = np.stack([x.real, x.imag]).transpose(4, 0, 1, 3, 2)[..., None]  # j, re/im, w/a, A/B, pair
     k = 2 * count * (n + 1)  # A/B, pair, point
-    factors = np.empty((_CHUNK_STEPS, 2, 2, 2, count, n + 1))  # step, re/im, w_j / a_j - z, K
-    rings = np.zeros((2, _CHUNK_STEPS + 2, k))  # re/im of p_{j-2}, p_{j-1}, p_j, ...
-    rings[0, 1] = 1.0  # p_{-2} = 0, p_{-1} = 1
-    re, im, scratch = np.empty((3, 2 * k))  # of (w_j p_{j-2}, (a_j - z) p_{j-1})
-    size, larger = np.empty((2, k)), np.empty(k)
-    e, negated, exponent = np.empty(k, dtype=np.intc), np.empty(k, dtype=np.intc), np.zeros(k, int)
-    views = [  # of step j = r (mod _CHUNK_STEPS)
-        (*factors[r].reshape(2, 2 * k), *rings[:, r : r + 2].reshape(2, 2 * k),
-         rings[:, r + 2], rings[:, r + 1 : r + 3])
-        for r in range(_CHUNK_STEPS)
-    ]
+    factors = np.empty((_CHUNK_STEPS, 2, 2, k))  # step, re/im, w_j / a_j - z, K
+    p = np.zeros((2, 2, k))  # re/im of p_{j-2}, p_{j-1}
+    p[0, 1] = 1.0  # p_{-2} = 0, p_{-1} = 1
+    latest = np.empty((2, k))  # re/im of p_j
+    exponent = np.zeros(k, dtype=int)
     for j in range(n):
         if j % _CHUNK_STEPS == 0:
-            if j:
-                rings[:, :2] = rings[:, -2:]  # p_{j-2}, p_{j-1}
             chunk = slice(j, j + _CHUNK_STEPS)
-            used = factors[: len(w[chunk])]
-            used[:, :, 0], used[:, :, 1] = w[chunk], a[chunk] - z
-        xr, xi, yr, yi, p, latest = views[j % _CHUNK_STEPS]
-        # _times(xr, xi, yr, yi), into fixed arrays
-        np.subtract(np.multiply(xr, yr, out=re), np.multiply(xi, yi, out=scratch), out=re)
-        np.add(np.multiply(xr, yi, out=im), np.multiply(xi, yr, out=scratch), out=im)
-        for part, row in zip((re, im), p):  # p_j = (a_j - z) p_{j-1} - w_j p_{j-2}
-            np.subtract(part[k:], part[:k], out=row)
-        np.abs(p, out=size)
-        np.maximum(*size, out=larger)
-        np.frexp(larger, out=(larger, e))
-        exponent += e
-        np.negative(e, out=negated)
-        for rows in latest:  # divide p_{j-1} and p_j by 2^e
-            np.ldexp(rows, negated, out=rows)
+            used = factors[: len(x[chunk])].reshape(-1, 2, 2, 2, count, n + 1)
+            used[:, :, 0], used[:, :, 1] = x[chunk, :, 0], x[chunk, :, 1] - z
+        re, im = _times(*factors[j % _CHUNK_STEPS], *p)  # w_j p_{j-2}, (a_j - z) p_{j-1}
+        np.subtract(re[1], re[0], out=latest[0])  # p_j = (a_j - z) p_{j-1} - w_j p_{j-2}
+        np.subtract(im[1], im[0], out=latest[1])
+        e = -np.frexp(np.maximum(*np.abs(latest)))[1]  # 2^-e > p_j's larger part >= 2^(-e-1)
+        exponent -= e
+        np.ldexp(p[:, 1], e, out=p[:, 0])  # p_{j-1} and p_j times 2^e, each a slot down
+        np.ldexp(latest, e, out=p[:, 1])
     # |p_A / p_B - 1| = |m_A 2^(e_A - e_B) - m_B| / |m_B|, the power of two exact
-    (pr_a, pr_b), (pi_a, pi_b) = rings[:, (n - 1) % _CHUNK_STEPS + 2].reshape(2, 2, count, n + 1)
+    (pr_a, pr_b), (pi_a, pi_b) = p[:, 1].reshape(2, 2, count, n + 1)
     shift = np.subtract(*exponent.reshape(2, count, n + 1))
     dr, di = np.ldexp(pr_a, shift) - pr_b, np.ldexp(pi_a, shift) - pi_b
     return np.sqrt((dr * dr + di * di) / (pr_b * pr_b + pi_b * pi_b)).max(axis=-1)

@@ -19,7 +19,8 @@ eigenvalues (`spectrum`, `spectrum_distance`) and the parity blocks read as
 dense arrays in the full lattice (`dense_blocks`, `parity_embedding`,
 `embedded_blocks`), the eigenvalue reference for the package's
 characteristic-polynomial comparison. That comparison's batched recurrence
-must equal the loop over one pair (`pairwise_charpoly_deviation`) bit for bit,
+must equal the loop over one pair (`pairwise_charpoly_deviation`, on the
+diagonals read block by block by `tridiagonal`) bit for bit,
 the stacked scattering-state residuals the loop over one state at a time
 (`scattering_state`, `state_residual`, `verify_state_residual`), and
 `gaussian_packet` its loop over sites (`gaussian_packet_loop`).
@@ -63,7 +64,7 @@ from nhscatter.scattering import (
     amplitude_table,
     dispersion,
 )
-from nhscatter.transforms import ALPHA_BETA_BLOCK, _times, _tridiagonal
+from nhscatter.transforms import ALPHA_BETA_BLOCK, _times
 
 #: lattice sizes tried until the two-port extraction is well conditioned;
 #: cavity resonances of the finite system show up as cond ~ 1e13
@@ -479,12 +480,38 @@ def embedded_blocks(blocks):
     return vp @ hp @ vp.T, vm @ hm @ vm.T
 
 
+def tridiagonal(blocks) -> tuple[np.ndarray, np.ndarray, float]:
+    """(a, w, reach) of the block-diagonal matrix with these blocks, each
+    laid out as HamiltonianMatrix.bands, block by block: its diagonal a_j,
+    the coupling products w_j = M[j-1, j] M[j, j-1] (zero at j = 0 and where
+    a block starts), and a Gershgorin bound on its spectral radius, the
+    largest row sum of |Re| + |Im| >= |.| over the three diagonals. The
+    reference for the package's reading of the same values off one stack."""
+    a, w, reach = [], [], 0.0
+    for bands in blocks:
+        bands = np.asarray(bands, dtype=complex)
+        if bands.ndim != 2 or bands.shape[0] != len(BAND_OFFSETS) or bands.shape[1] == 0:
+            raise ValueError(f"bands must be a non-empty {len(BAND_OFFSETS)} x n array")
+        if bands[0].any() or bands[-1].any():
+            raise ValueError("matrix is not tridiagonal: entries on diagonals -2 or 2")
+        sub, diag, sup = bands[1:4]
+        a.append(diag)
+        coupling = np.zeros(diag.size, dtype=complex)
+        coupling.real[1:], coupling.imag[1:] = _times(
+            sup.real[:-1], sup.imag[:-1], sub.real[1:], sub.imag[1:]
+        )
+        w.append(coupling)
+        rows = sum(np.abs(band.real) + np.abs(band.imag) for band in (sub, diag, sup))
+        reach = max(reach, float(rows.max()))
+    return np.concatenate(a), np.concatenate(w), reach  # ValueError if no blocks
+
+
 def pairwise_charpoly_deviation(a_blocks, b_blocks) -> float:
     """`charpoly_deviation` of one pair by its own recurrence, the loop the
     batched one must equal bit for bit: p_j and p_{j-1} of A and B as (2, n + 1)
     arrays, a new array from every operation, each step scaled by
     2^-e = ldexp(1, -e)."""
-    (a_a, w_a, reach_a), (a_b, w_b, reach_b) = _tridiagonal(a_blocks), _tridiagonal(b_blocks)
+    (a_a, w_a, reach_a), (a_b, w_b, reach_b) = tridiagonal(a_blocks), tridiagonal(b_blocks)
     if a_a.size != a_b.size:
         raise ValueError(f"matrices of different orders: {a_a.size} and {a_b.size}")
     n = a_a.size

@@ -163,6 +163,41 @@ class TestMirror:
         assert np.all(np.abs(image - start[::-1]) <= 4 * np.finfo(float).eps * np.abs(image))
 
 
+class TestLeadLength:
+    """Longer leads move no shared site: the default packet stepped on
+    LatticeSpec(400, 400) and (520, 430) gives frames that are bit-equal on
+    the sites both lattices hold, but for the tails that reached the
+    truncated ends, which stay below a fixed floor of the frame maximum."""
+
+    SHORT, LONG = LatticeSpec(400, 400), LatticeSpec(520, 430)
+    TIMES = np.arange(71.0)
+    FLOOR = 1e-150
+
+    @pytest.mark.parametrize(
+        "center",
+        [
+            Interferometer(-1.25, 0.75, math.pi / 4),
+            AsymmetricDimer(-2.0, 0.5),
+            AsymmetricDimer(0.7, 1.9),
+            OnSitePotential(0.3 + 0.5j),
+        ],
+        ids=["interferometer", "singular_dimer", "dimer", "onsite"],
+    )
+    def test_shared_sites_step_alike(self, center):  # about 0.05 s each
+        short, long = (
+            Propagator(build_hamiltonian(center, lattice)).frames(
+                gaussian_packet(lattice, WavePacketSpec(-60, math.pi / 2, 0.15), center),
+                self.TIMES,
+            )
+            for lattice in (self.SHORT, self.LONG)
+        )
+        shift = self.LONG.left_len - self.SHORT.left_len
+        shared = long[:, shift : shift + short.shape[1]]
+        above = np.maximum(short, shared) > self.FLOOR * short.max(axis=1, keepdims=True)
+        assert np.array_equal(shared[above], short[above])
+        assert (short != shared).any()  # the tails that reached the ends differ
+
+
 class TestSeedState:
     def test_plus_components(self):
         lat = LatticeSpec(5, 5)

@@ -738,6 +738,11 @@ class TestCli:
             ("amplify", "time.t_max=inf"),
             ("absorb", "absorb.t_max=inf"),
             ("amplify", "time.dt=nan"),
+            # specs built from config values refuse these
+            ("absorb", "absorb.nu_values=nan, 0.5"),
+            ("absorb", "absorb.nu_values=inf, 0.5"),
+            ("singularity", "center.mu=nan"),
+            ("flux-deviation", "center.delta=inf"),
         ]:
             code = main([scenario, "--out", str(tmp_path / "x"), "--set", override])
             err = capsys.readouterr().err
@@ -849,6 +854,23 @@ class TestCli:
             "config error: the run does not fit in memory: "
             "Unable to allocate 64.0 GiB for an array\n"
         )
+
+    def test_program_fault_is_no_config_error(self, tmp_path, capsys, monkeypatch):
+        # a ValueError from inside a run is a fault of the program, not of its
+        # config: run_scenario passes it on, and the CLI prints its traceback
+        def runner(config, out_dir):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setitem(experiments._RUNNERS, "verify", runner)
+        config = experiments.default_config("verify")
+        config.out_dir = str(tmp_path / "run")
+        with pytest.raises(ValueError) as caught:
+            run_scenario(config)
+        assert type(caught.value) is ValueError
+        assert main(["verify", "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" not in err and err.startswith("Traceback"), err
+        assert err.endswith("ValueError: operands could not be broadcast together\n"), err
 
     @pytest.mark.parametrize(
         "args",

@@ -26,6 +26,7 @@ from nhscatter.lattice import (
     lattice_dim,
     site_order,
     site_to_index,
+    stack_bands,
 )
 
 finite = st.floats(-5, 5, allow_nan=False, allow_infinity=False)
@@ -277,6 +278,28 @@ class TestBuildHamiltonian:
         assert h.has_canonical_format and np.all(h.data != 0)
         rows, cols = h.nonzero()
         assert np.max(np.abs(rows - cols)) <= 2
+
+
+class TestStackBands:
+    @pytest.mark.parametrize(
+        "band, row", [(0, 0), (0, 1), (1, 0), (3, -1), (4, -2), (4, -1)],
+        ids=["-2@0", "-2@1", "-1@0", "+1@last", "+2@next-to-last", "+2@last"],
+    )
+    def test_refuses_an_entry_coupling_two_blocks(self, band, row):
+        # an entry beyond its block's edge would couple it to its neighbour
+        bands = build_hamiltonian(AsymmetricDimer(0.7, 1.9), LatticeSpec(3, 3)).bands
+        wrong = np.array(bands)
+        wrong[band, row] = 0.5
+        with pytest.raises(ValueError, match=f"diagonal {band - 2} .* outside the matrix or"):
+            stack_bands([bands, wrong, bands])
+        stacked, starts = stack_bands([bands, bands, bands])
+        assert starts.tolist() == [0, 8, 16, 24]
+        assert stacked.tobytes() == np.concatenate([bands] * 3, axis=1).tobytes()
+
+    @pytest.mark.parametrize("blocks", [[], [np.zeros((3, 2))], [np.zeros((5, 0))]])
+    def test_refuses_no_blocks_and_malformed_ones(self, blocks):
+        with pytest.raises(ValueError, match="at least one array|non-empty 5 x n"):
+            stack_bands(blocks)
 
 
 class TestHamiltonianMatrix:

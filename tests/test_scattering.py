@@ -284,20 +284,6 @@ class TestStackedStates:
         with pytest.raises(ValueError, match="diverging"):
             scattering_residuals(cases)
 
-    @pytest.mark.parametrize(
-        "band, row", [(0, 0), (0, 1), (1, 0), (3, -1), (4, -2), (4, -1)],
-        ids=["-2@0", "-2@1", "-1@0", "+1@last", "+2@next-to-last", "+2@last"],
-    )
-    def test_refuses_an_entry_coupling_two_blocks(self, band, row):
-        # an entry beyond its block's edge would couple it to its neighbour
-        bands = build_hamiltonian(AsymmetricDimer(0.7, 1.9), LatticeSpec(3, 3)).bands
-        wrong = np.array(bands)
-        wrong[band, row] = 0.5
-        with pytest.raises(ValueError, match="couple two blocks"):
-            scattering._stacked_operator([bands, wrong, bands])
-        operator, starts = scattering._stacked_operator([bands, bands, bands])
-        assert starts.tolist() == [0, 8, 16, 24]
-
 
 class TestSweepCsv:
     def test_columns_and_flags(self, tmp_path):

@@ -17,6 +17,7 @@ from nhscatter.lattice import (
     dimer_from_interferometer,
 )
 from nhscatter.transforms import (
+    _CHUNK_STEPS,
     ALPHA_BETA_BLOCK,
     alpha_beta_rotation,
     biorthogonal_scale,
@@ -383,6 +384,30 @@ class TestCharpolyDeviation:
         assert charpoly_deviations(pairs).tolist() == alone
         assert [charpoly_deviation(a, b) for a, b in pairs] == alone
         assert alone[0] == 0.0 and min(alone[1:]) > 0.0
+
+    def test_stacked_blocks_over_several_chunks_equal_each_pair_alone(self):
+        # an order that is no multiple of a chunk and spans four of them, and
+        # matrices cut into blocks of uneven sizes (one site, too), which the
+        # stack of the whole batch must keep apart; each value equals the loop
+        # over its pair alone, whose diagonals are read block by block
+        n = 3 * _CHUNK_STEPS + 4
+        rng = np.random.default_rng(n)
+
+        def blocks(chain, cuts):
+            edges = [0, *cuts, n]
+            parts = [np.array(chain[:, lo:hi]) for lo, hi in zip(edges, edges[1:])]
+            for part in parts:
+                part[1, 0] = part[3, -1] = 0.0  # the couplings the cuts remove
+            return parts
+
+        pairs = []
+        for a_cuts, b_cuts in [([], []), ([], [37]), ([50], [5, 64, 65, n - 1]), ([31, 32], [])]:
+            chain = np.zeros((5, n), dtype=complex)
+            chain[1:4] = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+            pairs.append((blocks(chain, a_cuts), blocks(chain, b_cuts)))
+        alone = [oracles.pairwise_charpoly_deviation(a, b) for a, b in pairs]
+        assert charpoly_deviations(pairs).tolist() == alone
+        assert alone[0] == 0.0 and min(alone[1:]) > 1e-3
 
     def test_batch_refuses_mixed_orders(self):
         pair = ([_diagonal_bands([1.0, 2.0])], [_diagonal_bands([2.0, 1.0])])
