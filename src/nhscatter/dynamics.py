@@ -65,7 +65,7 @@ from .lattice import (
     site_order,
     site_to_index,
 )
-from .transforms import _libm, _times
+from .transforms import _fsum, _libm, _times
 
 
 class PropagatorError(RuntimeError):
@@ -133,7 +133,7 @@ def gaussian_packet(
     amp.real[leads], amp.imag[leads] = _times(
         gauss, 0.0, _libm(math.cos, phase), _libm(math.sin, phase)
     )
-    norm = np.linalg.norm(amp)
+    norm = math.sqrt(_fsum(np.square(amp.view(float))))  # re^2 and im^2 of each site
     if norm == 0.0:
         raise ValueError(
             f"packet has no weight on the lead sites (site {spec.site}, lam {spec.lam!r})"
@@ -597,31 +597,30 @@ def transit_metrics(
     integer shifts |shift| <= _MAX_SHIFT and a free non-negative scale of the
     L2 distance between the transmitted profile and the reference run's
     transmitted profile, normalized by the L2 norm of the incident profile.
+    The shifts are windows of one zero-padded profile, and each sum over
+    sites a NumPy pairwise sum of elementwise products, with no BLAS call.
     """
     incident = float(first.sum())
     left, _, right = map(float, split_probability(last, center_span))
     gain = right / incident
 
     target = last[center_span[1] :]
-    ref = reference[center_span[1] :]
-    norm0 = float(np.linalg.norm(first))
-    best = (math.inf, 0, 0.0)
-    for shift in range(-_MAX_SHIFT, _MAX_SHIFT + 1):
-        shifted = _shift_window(ref, shift)
-        denom = float(shifted @ shifted)
-        scale = float(target @ shifted) / denom if denom > 0 else 0.0
-        scale = max(scale, 0.0)
-        dist = float(np.linalg.norm(target - scale * shifted)) / norm0
-        if dist < best[0]:
-            best = (dist, shift, scale)
+    padded = np.pad(reference[center_span[1] :], _MAX_SHIFT)
+    # row i is the reference moved by i - _MAX_SHIFT sites, zero-filled
+    shifted = np.lib.stride_tricks.sliding_window_view(padded, target.size)[::-1]
+    denom, dots = (shifted * shifted).sum(axis=1), (shifted * target).sum(axis=1)
+    scale = np.divide(np.maximum(dots, 0.0), denom, out=np.zeros_like(denom), where=denom > 0)
+    resid = target - scale[:, None] * shifted
+    dist = np.sqrt((resid * resid).sum(axis=1)) / math.sqrt((first * first).sum())
+    best = int(np.argmin(dist))
     return TransitMetrics(
         incident=incident,
         reflected=left,
         transmitted=right,
         gain=gain,
-        distortion=best[0],
-        shift=best[1],
-        scale=best[2],
+        distortion=float(dist[best]),
+        shift=best - _MAX_SHIFT,
+        scale=float(scale[best]),
     )
 
 
@@ -636,18 +635,6 @@ def check_boundaries(ends: np.ndarray) -> float:
             "or shorten the run"
         )
     return worst
-
-
-def _shift_window(vec: np.ndarray, shift: int) -> np.ndarray:
-    """Shift within the window, zero-filling (no wrap-around)."""
-    out = np.zeros_like(vec)
-    if shift == 0:
-        out[:] = vec
-    elif shift > 0:
-        out[shift:] = vec[:-shift]
-    else:
-        out[:shift] = vec[-shift:]
-    return out
 
 
 class write_frames:

@@ -64,6 +64,8 @@ from .scattering import (
 )
 from .transforms import (
     ALPHA_BETA_BLOCK,
+    _block_times,
+    _fsum,
     alpha_beta_rotation,
     biorthogonal_scale,
     charpoly_deviation,
@@ -591,13 +593,16 @@ def _run_flux_deviation(config: ScenarioConfig, out_dir: Path):
             "flux.k0_values must differ within 6 significant digits, "
             f"which name their assertions: {labels}"
         )
-    devs = sorted(config.flux.deviations)
     step = math.pi / 100
+    try:
+        fluxes = {d: DIMER_REDUCTION_PHI + d * step for d in sorted(config.flux.deviations)}
+    except OverflowError:
+        raise ConfigError("flux.deviations: flux pi/4 + d*pi/100 is not a finite float") from None
+    devs = list(fluxes)
     k0s = config.flux.k0_values
     runs = {}
-    for dev in devs:  # streamed before the references, so a deviation run aborts first
-        center = Interferometer(delta, gamma, DIMER_REDUCTION_PHI + dev * step)
-        runs[dev] = _packet_runs(config, center, k0s)
+    for dev, phi in fluxes.items():  # before the references, so a deviation run aborts first
+        runs[dev] = _packet_runs(config, Interferometer(delta, gamma, phi), k0s)
     _, _, refs = _packet_runs(config, _UNIFORM_CHAIN, k0s)
     table = {
         (k0, dev): transit_metrics(firsts[j], lasts[j], refs[j], ham.center_span)
@@ -648,15 +653,16 @@ def _run_flux_deviation(config: ScenarioConfig, out_dir: Path):
 _LINEAR_R2 = 0.99
 
 
-def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares line fit; returns (slope, intercept, r_squared)."""
-    design = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    pred = design @ coef
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return float(coef[0]), float(coef[1]), r2
+def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares line (slope, r_squared) in closed form from the deviations
+    dx, dy from the means: slope = sum dx dy / sum dx^2, r^2 = 1 - sum (dy -
+    slope dx)^2 / sum dy^2, each sum correctly rounded (_fsum), with no BLAS."""
+    dx = x - _fsum(x) / x.size
+    dy = y - _fsum(y) / y.size
+    slope = _fsum(dx * dy) / _fsum(dx * dx)
+    ss_tot = _fsum(dy * dy)
+    r2 = 1.0 if ss_tot == 0 else 1.0 - _fsum(np.square(dy - slope * dx)) / ss_tot
+    return slope, r2
 
 
 def _run_singularity(config: ScenarioConfig, out_dir: Path):
@@ -705,12 +711,12 @@ def _run_singularity(config: ScenarioConfig, out_dir: Path):
 
     # columns in case order: seed_plus 0, seed_minus 1, packet 2, pair 3
     plus, minus, _, pair = total.T
-    slope_p, _, r2_p = _linear_fit(times[window], plus[window])
-    slope_l, _, _ = _linear_fit(times[window], left[window, 0])
-    slope_r, _, _ = _linear_fit(times[window], right[window, 0])
+    slope_p, r2_p = _linear_fit(times[window], plus[window])
+    slope_l, _ = _linear_fit(times[window], left[window, 0])
+    slope_r, _ = _linear_fit(times[window], right[window, 0])
     ratio = math.sqrt(max(slope_r, 0.0) / slope_l)
-    refl_slope, _, refl_r2 = _linear_fit(times[late], left[late, 2])
-    trans_slope, _, trans_r2 = _linear_fit(times[late], right[late, 2])
+    refl_slope, refl_r2 = _linear_fit(times[late], left[late, 2])
+    trans_slope, trans_r2 = _linear_fit(times[late], right[late, 2])
     t_idx = int(np.searchsorted(times, sing.fit_start))
     metrics = dict(
         seed_plus_growth_slope=slope_p,
@@ -848,7 +854,7 @@ def _anti_hermitian_norm(bands) -> float:
     conj(H[i + k, i]) is diagonal -k moved by k (what rolls in from outside
     the matrix is zero)."""
     adjoint = np.array([np.roll(b, -k) for b, k in zip(bands[::-1], BAND_OFFSETS)])
-    return float(np.linalg.norm(bands - adjoint.conj()))
+    return math.sqrt(_fsum(np.square((bands - adjoint.conj()).view(float))))
 
 
 def _scattering_state_residual(seed: int) -> float:
@@ -886,7 +892,7 @@ def _run_verify(config: ScenarioConfig, out_dir: Path):
         worst_eq = max(worst_eq, float(np.abs(rotated.bands - target.bands).max()))
     assertions.append(_le("rotation_matches_dimer", worst_eq, 1e-14))
     b = ALPHA_BETA_BLOCK
-    unitary_dev = float(np.max(np.abs(b.conj().T @ b - np.eye(2))))
+    unitary_dev = float(np.max(np.abs(_block_times(b.conj().T, b) - np.eye(2))))
     assertions.append(_le("rotation_unitary", unitary_dev, 1e-14))
 
     # biorthogonal scaling: hermiticity for mu*nu > 0, spectrum always

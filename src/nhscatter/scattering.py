@@ -31,7 +31,7 @@ from .lattice import (
     center_sites,
     stack_bands,
 )
-from .transforms import ALPHA_BETA_BLOCK, _libm, _times
+from .transforms import ALPHA_BETA_BLOCK, _block_times, _libm, _times
 
 LEFT = "left"
 RIGHT = "right"
@@ -248,7 +248,7 @@ def _scattering_states(cases) -> np.ndarray:
     for center, k, side, size, at, r_c, t_c in cores:
         core = [1.0 + r_c] if size == 1 else [1.0 + r_c, t_c * cmath.exp(1j * k)][::side]
         if isinstance(center, Interferometer):
-            core = ALPHA_BETA_BLOCK @ np.array(core, dtype=complex)
+            core = _block_times(ALPHA_BETA_BLOCK, np.array(core, dtype=complex)[:, None])[:, 0]
         psi[at : at + size] = core
     return psi
 

@@ -59,6 +59,12 @@ def _libm(func, x: np.ndarray, *args) -> np.ndarray:
     return np.fromiter(values, dtype=float, count=x.size).reshape(x.shape)
 
 
+def _fsum(x: np.ndarray) -> float:
+    """The sum of x's entries, correctly rounded (math.fsum), so its bits
+    depend on neither a BLAS kernel nor the order of the entries."""
+    return math.fsum(x.ravel().tolist())
+
+
 def _block_times(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     """a @ y for a 2 x 2 a and a 2 x m y: each entry is a sum of two products
     whose parts are rounded one product at a time, as in a sparse product."""

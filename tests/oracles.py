@@ -23,7 +23,10 @@ must equal the loop over one pair (`pairwise_charpoly_deviation`, on the
 diagonals read block by block by `tridiagonal`) bit for bit,
 the stacked scattering-state residuals the loop over one state at a time
 (`scattering_state`, `state_residual`, `verify_state_residual`), and
-`gaussian_packet` its loop over sites (`gaussian_packet_loop`).
+`gaussian_packet` its loop over sites (`gaussian_packet_loop`). The package
+makes no BLAS or LAPACK call; its shift search and line fit are held to the
+BLAS arithmetic they replaced, a loop over shifted copies
+(`transit_metrics_loop`, `shift_window`) and LAPACK's `lstsq` (`lstsq_fit`).
 """
 
 import cmath
@@ -36,7 +39,15 @@ import scipy.sparse
 from scipy.integrate import solve_ivp
 from scipy.optimize import linear_sum_assignment
 
-from nhscatter.dynamics import _MAX_PRODUCTS, _P_MAX, _THETA, BandedOperator, PropagatorError
+from nhscatter.dynamics import (
+    _MAX_PRODUCTS,
+    _MAX_SHIFT,
+    _P_MAX,
+    _THETA,
+    BandedOperator,
+    PropagatorError,
+    TransitMetrics,
+)
 from nhscatter.lattice import (
     ALPHA,
     BAND_OFFSETS,
@@ -602,4 +613,48 @@ def gaussian_packet_loop(lattice, spec, center):
         if isinstance(site, int) and site != 0:
             gauss = math.exp(-0.5 * spec.lam**2 * (site - spec.site) ** 2)
             amp[i] = gauss * np.exp(1j * spec.k0 * site)
-    return amp / np.linalg.norm(amp)
+    # the norm's sum is correctly rounded, so the order of the sites is moot
+    squares = [v for z in amp.tolist() for v in (z.real * z.real, z.imag * z.imag)]
+    return amp / math.sqrt(math.fsum(squares))
+
+
+def shift_window(vec, shift):
+    """Shift within the window, zero-filling (no wrap-around)."""
+    out = np.zeros_like(vec)
+    if shift == 0:
+        out[:] = vec
+    elif shift > 0:
+        out[shift:] = vec[:-shift]
+    else:
+        out[:shift] = vec[-shift:]
+    return out
+
+
+def transit_metrics_loop(first, last, reference, center_span):
+    """`transit_metrics` as a loop over the shifts, one shifted copy of the
+    reference at a time, its sums by BLAS (`np.linalg.norm`, `@`)."""
+    incident = float(first.sum())
+    left, right = float(last[: center_span[0]].sum()), float(last[center_span[1] :].sum())
+    target = last[center_span[1] :]
+    ref = reference[center_span[1] :]
+    norm0 = float(np.linalg.norm(first))
+    best = (math.inf, 0, 0.0)
+    for shift in range(-_MAX_SHIFT, _MAX_SHIFT + 1):
+        shifted = shift_window(ref, shift)
+        denom = float(shifted @ shifted)
+        scale = max(float(target @ shifted) / denom if denom > 0 else 0.0, 0.0)
+        dist = float(np.linalg.norm(target - scale * shifted)) / norm0
+        if dist < best[0]:
+            best = (dist, shift, scale)
+    return TransitMetrics(incident, left, right, right / incident, *best)
+
+
+def lstsq_fit(x, y):
+    """Least-squares line through (x, y) by LAPACK's `lstsq`: (slope,
+    intercept, r_squared)."""
+    design = np.vstack([x, np.ones_like(x)]).T
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    ss_res = float(np.sum((y - design @ coef) ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+    return float(coef[0]), float(coef[1]), r2

@@ -649,6 +649,42 @@ class TestSmallScaleRunners:
         assert len(lines) == 1 + 3 * 5
 
 
+class TestLinearFit:
+    @pytest.mark.parametrize("dt", [1.0, 0.1])
+    def test_matches_lstsq_on_singularity_windows(self, tmp_path, dt):
+        # the five series singularity fits, in its own windows, at both
+        # reference steps: the closed form's centred sums against LAPACK's
+        # least squares. Over dt = 1, 0.5, 0.25 and 0.1 a slope moved at most
+        # 7.1e-16 relative (bound 14x that) and every r^2 was bit-equal
+        # (bound ~10 ulps)
+        cfg = default_config("singularity")
+        cfg.out_dir = str(tmp_path)
+        cfg.time.dt = dt
+        run_scenario(cfg)
+        rows = [line.split(",") for line in (tmp_path / "series.csv").read_text().splitlines()[1:]]
+        sing = cfg.singularity
+
+        def column(case, name):
+            col = "t,P_left,P_center,P_right,P_total".split(",").index(name) + 1
+            return np.array([float(r[col]) for r in rows if r[0] == case])
+
+        times = column("seed_plus", "t")
+        window = (times >= sing.fit_start) & (times <= sing.fit_end)
+        late = (times >= sing.emission_fit_start) & (times <= sing.fit_end)
+        fits = [
+            ("seed_plus", "P_total", window),
+            ("seed_plus", "P_left", window),
+            ("seed_plus", "P_right", window),
+            ("packet", "P_left", late),
+            ("packet", "P_right", late),
+        ]
+        for case, name, mask in fits:
+            slope, r2 = experiments._linear_fit(times[mask], column(case, name)[mask])
+            want_slope, _, want_r2 = oracles.lstsq_fit(times[mask], column(case, name)[mask])
+            assert slope == pytest.approx(want_slope, rel=1e-14, abs=0), (case, name)
+            assert r2 == pytest.approx(want_r2, rel=2e-15, abs=0), (case, name)
+
+
 class TestAbsorbSimilarity:
     """absorb reads every P_nu(t) from one propagation of the uniform chain,
     as (left + nu^2 right) / n0, since the dimer (1/nu, nu) is that chain under
@@ -743,6 +779,7 @@ class TestCli:
             ("absorb", "absorb.nu_values=inf, 0.5"),
             ("singularity", "center.mu=nan"),
             ("flux-deviation", "center.delta=inf"),
+            ("flux-deviation", "flux.deviations=0, 1" + "0" * 400),
         ]:
             code = main([scenario, "--out", str(tmp_path / "x"), "--set", override])
             err = capsys.readouterr().err
@@ -917,6 +954,36 @@ class TestCli:
                     continue
                 found += [(path.name, node.lineno) for name in names if name.split(".")[0] == "scipy"]
         assert found == []
+
+    def test_src_makes_no_blas_call(self):
+        # every sum in src is a NumPy reduction or math.fsum, so no output
+        # depends on the BLAS or LAPACK kernel; the one product left is a
+        # TaylorStep applied to a state, in Propagator._evolve's step loop
+        def nodes(tree, scope=""):  # (node, qualified name of its def or class)
+            for child in ast.iter_child_nodes(tree):
+                yield child, scope
+                named = isinstance(child, (ast.ClassDef, ast.FunctionDef))
+                yield from nodes(child, f"{scope}.{child.name}".lstrip(".") if named else scope)
+
+        package = Path(__file__).resolve().parents[1] / "src" / "nhscatter"
+        calls = {"dot", "vdot", "inner", "matmul", "einsum", "tensordot"}
+        found, products = [], []
+        for path in sorted(package.glob("*.py")):
+            for node, scope in nodes(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Attribute) and node.attr == "linalg":
+                    found.append((path.name, node.lineno))
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = [f"{getattr(node, 'module', '')}.{alias.name}" for alias in node.names]
+                    if any("linalg" in name.split(".") for name in names):
+                        found.append((path.name, node.lineno))
+                elif isinstance(node, ast.Call):
+                    func = node.func
+                    if getattr(func, "attr", getattr(func, "id", None)) in calls:
+                        found.append((path.name, node.lineno))
+                elif isinstance(getattr(node, "op", None), ast.MatMult):
+                    products.append((path.name, scope))
+        assert found == []
+        assert products == [("dynamics.py", "Propagator._evolve.steps")]
 
     def test_bounds_cannot_be_loosened(self, tmp_path, capsys):
         # at t_max = 20 the packet has not crossed the center: the gain check fails
