@@ -879,6 +879,8 @@ def _scattering_state_residual(seed: int) -> float:
 
 
 def _run_verify(config: ScenarioConfig, out_dir: Path):
+    if config.seed < 0:  # np.random.default_rng refuses it
+        raise ConfigError(f"seed must be a non-negative integer, got seed={config.seed!r}")
     assertions = []
 
     # rotation: interferometer -> dimer equality and unitarity

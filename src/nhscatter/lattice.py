@@ -203,9 +203,6 @@ class HamiltonianMatrix:
     def dim(self) -> int:
         return self.bands.shape[1]
 
-    def site_index(self, site: SiteLabel) -> int:
-        return site_to_index(self.lattice, site, self.center)
-
     @property
     def center_span(self) -> tuple[int, int]:
         """Half-open index range [start, stop) occupied by the center sites."""
@@ -270,11 +267,9 @@ def build_hamiltonian(center: CenterSpec, lattice: LatticeSpec) -> HamiltonianMa
                 (ip1, site, -phase / root2),
                 (site, ip1, -phase.conjugate() / root2),
             ]
-    elif isinstance(center, AsymmetricDimer):
+    else:  # an AsymmetricDimer: lattice_dim refused any other type
         cut = [c]
         entries = [(c, c + 1, -center.mu), (c + 1, c, -center.nu)]
-    else:
-        raise TypeError(f"unknown center spec {center!r}")
 
     bands = np.zeros((len(BAND_OFFSETS), n), dtype=complex)
     bands[3, :-1] = bands[1, 1:] = -1.0  # every bond H[i, i + 1], H[i + 1, i]

@@ -215,10 +215,23 @@ def _case_amplitudes(cases) -> tuple[np.ndarray, np.ndarray]:
     return r, t
 
 
-def _scattering_states(cases) -> np.ndarray:
-    """The states of `assemble_scattering_state` of every case (center,
-    lattice, k, incidence), end to end, from one array evaluation of all
-    their lead sites; each equals its case's state alone."""
+def scattering_states(cases) -> np.ndarray:
+    """Sample the plane-wave scattering solution of every case (center,
+    lattice, k, incidence) on its finite lattice, end to end, from one array
+    evaluation of all their lead sites; each equals its case's state alone.
+
+    For left incidence the state is e^{ikj} + r e^{-ikj} on the incoming
+    (left) lead and t e^{ik(j+m-1)} on the outgoing (right) lead, m being the
+    number of center sites; the center holds 1 + r when m = 1 and
+    (1 + r, t e^{ik}) otherwise. Right incidence is its mirror image, j -> -j
+    with the center pair reversed. An interferometer's (alpha, beta) pair is
+    rotated into its (plus, minus) sites by ALPHA_BETA_BLOCK. The lead phases
+    come from _phases, whose error does not grow with |j|.
+
+    Each state solves (H - E_k) psi = 0 on every site except the two
+    outermost lead sites of its lattice, where the truncation injects/extracts
+    the wave.
+    """
     r, t = _case_amplitudes(cases)
     centers, lattices, ks, incidences = zip(*cases)
     m = np.array([len(center_sites(center)) for center in centers])
@@ -253,36 +266,17 @@ def _scattering_states(cases) -> np.ndarray:
     return psi
 
 
-def assemble_scattering_state(
-    center: CenterSpec, lattice: LatticeSpec, k: float, incidence: str = LEFT
-) -> np.ndarray:
-    """Sample the plane-wave scattering solution on a finite lattice.
-
-    For left incidence the state is e^{ikj} + r e^{-ikj} on the incoming
-    (left) lead and t e^{ik(j+m-1)} on the outgoing (right) lead, m being the
-    number of center sites; the center holds 1 + r when m = 1 and
-    (1 + r, t e^{ik}) otherwise. Right incidence is its mirror image, j -> -j
-    with the center pair reversed. An interferometer's (alpha, beta) pair is
-    rotated into its (plus, minus) sites by ALPHA_BETA_BLOCK. The lead phases
-    come from _phases, whose error does not grow with |j|.
-
-    The returned vector solves (H - E_k) psi = 0 on every site except the two
-    outermost lead sites, where the truncation injects/extracts the wave.
-    """
-    return _scattering_states([(center, lattice, k, incidence)])
-
-
 def scattering_residuals(cases) -> np.ndarray:
-    """Max |(H - E_k) psi| over interior sites of the assembled state of each
-    case (center, lattice, k, incidence), as a float64 array. Every H is one
-    block of a block-diagonal matrix (`stack_bands`), so all residuals come
-    from one banded product, each equal to its case's product alone.
+    """Max |(H - E_k) psi| over interior sites of the `scattering_states` of
+    each case (center, lattice, k, incidence), as a float64 array. Every H is
+    one block of a block-diagonal matrix (`stack_bands`), so all residuals
+    come from one banded product, each equal to its case's product alone.
 
     The two outermost lead sites of each case are excluded: that is where the
     finite truncation sources the incident wave.
     """
     bands, starts = stack_bands([build_hamiltonian(c, lat).bands for c, lat, _, _ in cases])
-    psi = _scattering_states(cases)
+    psi = scattering_states(cases)
     energy = np.repeat([dispersion(k) for _, _, k, _ in cases], np.diff(starts))
     resid = np.abs(BandedOperator(bands).apply(psi, np.empty_like(psi)) - energy * psi)
     resid[starts[:-1]] = resid[starts[1:] - 1] = 0.0  # the outermost sites

@@ -208,14 +208,14 @@ def _solve_at_size(center, k, n_lead):
     sources = (-margin, margin, -(margin - 5))
     rhs = np.zeros((ham.dim, len(sources)), dtype=complex)
     for col, site in enumerate(sources):
-        rhs[ham.site_index(site), col] = 1.0
+        rhs[site_to_index(lattice, site, center), col] = 1.0
     psi = np.linalg.solve(full, rhs)
 
     window_left = np.arange(-(margin - 40), -(margin - 40) + 60)
     window_right = np.arange(margin - 100, margin - 40)
 
     def fit(window):
-        rows = [ham.site_index(int(j)) for j in window]
+        rows = [site_to_index(lattice, int(j), center) for j in window]
         basis = np.column_stack([np.exp(1j * k * window), np.exp(-1j * k * window)])
         coef, *_ = np.linalg.lstsq(basis, psi[rows], rcond=None)
         return coef  # row 0: rightward wave, row 1: leftward wave
@@ -419,7 +419,7 @@ def coo_biorthogonal_scale(ham):
     d = 1 up to alpha and sqrt(nu/mu) from beta onward."""
     center = ham.center
     d = np.ones(ham.dim, dtype=complex)
-    d[ham.site_index(BETA):] = cmath.sqrt(complex(center.nu / center.mu, 0.0))
+    d[site_to_index(ham.lattice, BETA, center):] = cmath.sqrt(complex(center.nu / center.mu, 0.0))
     h = csr(ham).tocoo()
     h.data = h.data * ((1.0 / d)[h.row] * d[h.col])
     return hamiltonian_from_matrix(h, center, ham.lattice)
@@ -547,7 +547,7 @@ def pairwise_charpoly_deviation(a_blocks, b_blocks) -> float:
 
 
 def scattering_state(center, lattice, k, incidence=LEFT):
-    """`assemble_scattering_state` of one case from its own amplitude table
+    """`scattering_states` of one case from its own amplitude table
     and lead arrays, the reference for the batched assembly."""
     amps = amplitude_table(center, k, incidence)
     if amps.diverges:

@@ -472,7 +472,7 @@ class TestTaylorStep:
         center = OnSitePotential(300j)
         ham = build_hamiltonian(center, lat)
         psi0 = np.zeros(ham.dim, dtype=complex)
-        psi0[ham.site_index(0)] = 1.0
+        psi0[site_to_index(lat, 0, center)] = 1.0
         prop = Propagator(ham)
         # the step is never formed as a matrix; its growth e^3000 shows when applied
         with pytest.raises(PropagatorError, match="overflowed"):

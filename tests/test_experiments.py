@@ -780,6 +780,7 @@ class TestCli:
             ("singularity", "center.mu=nan"),
             ("flux-deviation", "center.delta=inf"),
             ("flux-deviation", "flux.deviations=0, 1" + "0" * 400),
+            ("verify", "seed=-1"),
         ]:
             code = main([scenario, "--out", str(tmp_path / "x"), "--set", override])
             err = capsys.readouterr().err

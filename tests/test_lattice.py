@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -178,14 +179,15 @@ class TestBuildHamiltonian:
     def test_onsite_entries(self):
         lat = LatticeSpec(2, 2)
         v = 1.0 + 2.0j
-        ham = build_hamiltonian(OnSitePotential(v), lat)
-        h = oracles.csr(ham)
-        c = ham.site_index(0)
+        center = OnSitePotential(v)
+        h = oracles.csr(build_hamiltonian(center, lat))
+        at = functools.partial(site_to_index, lat, center=center)
+        c = at(0)
         assert h[c, c] == v
         for site in (-1, 1):
-            assert h[ham.site_index(site), c] == -1
-            assert h[c, ham.site_index(site)] == -1
-        assert h[ham.site_index(-2), ham.site_index(-1)] == -1
+            assert h[at(site), c] == -1
+            assert h[c, at(site)] == -1
+        assert h[at(-2), at(-1)] == -1
 
     def test_onsite_zero_is_uniform_tridiagonal(self):
         lat = LatticeSpec(4, 4)
@@ -195,23 +197,25 @@ class TestBuildHamiltonian:
 
     def test_dimer_entries(self):
         lat = LatticeSpec(2, 2)
-        ham = build_hamiltonian(AsymmetricDimer(0.5, 2.0), lat)
-        h = oracles.csr(ham)
-        a, b = ham.site_index(ALPHA), ham.site_index(BETA)
+        center = AsymmetricDimer(0.5, 2.0)
+        h = oracles.csr(build_hamiltonian(center, lat))
+        at = functools.partial(site_to_index, lat, center=center)
+        a, b = at(ALPHA), at(BETA)
         assert h[a, b] == -0.5
         assert h[b, a] == -2.0
-        assert h[ham.site_index(-1), a] == -1 and h[a, ham.site_index(-1)] == -1
-        assert h[ham.site_index(1), b] == -1 and h[b, ham.site_index(1)] == -1
+        assert h[at(-1), a] == -1 and h[a, at(-1)] == -1
+        assert h[at(1), b] == -1 and h[b, at(1)] == -1
         # alpha touches only the left lead, beta only the right
-        assert h[ham.site_index(1), a] == 0 and h[ham.site_index(-1), b] == 0
+        assert h[at(1), a] == 0 and h[at(-1), b] == 0
 
     def test_interferometer_entries(self):
         delta, gamma, phi = -1.25, 0.75, math.pi / 4
         lat = LatticeSpec(2, 2)
-        ham = build_hamiltonian(Interferometer(delta, gamma, phi), lat)
-        h = oracles.csr(ham)
-        p, m = ham.site_index(PLUS), ham.site_index(MINUS)
-        im1, ip1 = ham.site_index(-1), ham.site_index(1)
+        center = Interferometer(delta, gamma, phi)
+        h = oracles.csr(build_hamiltonian(center, lat))
+        at = functools.partial(site_to_index, lat, center=center)
+        p, m = at(PLUS), at(MINUS)
+        im1, ip1 = at(-1), at(1)
         root2 = math.sqrt(2)
         assert h[p, p] == 1j * gamma and h[m, m] == -1j * gamma
         assert h[p, m] == delta and h[m, p] == delta
@@ -222,6 +226,10 @@ class TestBuildHamiltonian:
         # conjugate partners
         assert np.isclose(h[p, im1], np.conj(h[im1, p]))
         assert np.isclose(h[m, ip1], np.conj(h[ip1, m]))
+
+    def test_unknown_center_type_raises(self):
+        with pytest.raises(TypeError, match="unknown center spec"):
+            build_hamiltonian(object(), LatticeSpec(3, 3))
 
     def test_six_by_six_example(self):
         lat = LatticeSpec(2, 2)

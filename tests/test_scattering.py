@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from nhscatter import scattering
 from nhscatter.lattice import (
     ALPHA,
     BETA,
@@ -23,9 +22,9 @@ from nhscatter.scattering import (
     LEFT,
     RIGHT,
     amplitude_table,
-    assemble_scattering_state,
     scattering_residual,
     scattering_residuals,
+    scattering_states,
     singular_wavefunction,
     sweep_rows,
     write_sweep_csv,
@@ -243,13 +242,15 @@ class TestScatteringState:
         center = OnSitePotential(complex(re, im))
         assume(abs(2j * math.sin(k) - center.v) > 0.05)
         lat = LatticeSpec(30, 30)
-        left = assemble_scattering_state(center, lat, k, LEFT)
-        right = assemble_scattering_state(center, lat, k, RIGHT)
+        left = scattering_states([(center, lat, k, LEFT)])
+        right = scattering_states([(center, lat, k, RIGHT)])
         assert np.array_equal(right, left[::-1])
 
     def test_diverging_state_rejected(self):
         with pytest.raises(ValueError):
-            assemble_scattering_state(AsymmetricDimer(-2.0, 0.5), LatticeSpec(10, 10), math.pi / 2)
+            scattering_states(
+                [(AsymmetricDimer(-2.0, 0.5), LatticeSpec(10, 10), math.pi / 2, LEFT)]
+            )
 
 
 class TestStackedStates:
@@ -268,10 +269,10 @@ class TestStackedStates:
 
     def test_states_equal_each_case_alone(self):
         single = [oracles.scattering_state(*case) for case in self.CASES]
-        stacked = scattering._scattering_states(self.CASES)
+        stacked = scattering_states(self.CASES)
         assert stacked.tobytes() == np.concatenate(single).tobytes()
         for case, psi in zip(self.CASES, single):
-            assert assemble_scattering_state(*case).tobytes() == psi.tobytes(), case
+            assert scattering_states([case]).tobytes() == psi.tobytes(), case
 
     def test_residuals_equal_each_case_alone(self):
         alone = [oracles.state_residual(*case) for case in self.CASES]
