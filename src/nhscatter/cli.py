@@ -11,23 +11,13 @@ import traceback
 
 from .dynamics import BoundaryContaminationError, PropagatorError
 from .experiments import (
-    SCENARIO_KEYS,
-    SCENARIOS,
+    SCENARIO_TABLE,
     ConfigError,
     apply_overrides,
     default_config,
     load_config,
     run_scenario,
 )
-
-_HELP = {
-    "sweep": "tabulate r, t, T, R over momentum for both incidence directions",
-    "amplify": "send a packet through the resonant center and check gain/shape",
-    "flux-deviation": "distortion versus flux deviation for several packet momenta",
-    "singularity": "seed, packet, and matched-pair dynamics at mu*nu = -1",
-    "absorb": "incoherent mixed-state decay behind a hard wall",
-    "verify": "run the full transformation/analytics certification battery",
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,8 +26,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Non-Hermitian tight-binding scattering experiments.",
     )
     sub = parser.add_subparsers(dest="scenario", required=True)
-    for name in SCENARIOS:
-        p = sub.add_parser(name, help=_HELP[name])
+    for name, scenario in SCENARIO_TABLE.items():
+        p = sub.add_parser(name, help=scenario.help)
         p.add_argument("--config", metavar="PATH", help="INI config file")
         p.add_argument("--out", metavar="DIR", help="output directory")
         p.add_argument(
@@ -46,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
             action="append",
             default=[],
             dest="overrides",
-            help=f"override a config value of {', '.join(SCENARIO_KEYS[name][0])} (repeatable)",
+            help=f"override a config value of {', '.join(scenario.keys)} (repeatable)",
         )
     return parser
 

@@ -192,25 +192,6 @@ class ScenarioConfig:
     absorb: AbsorbConfig = field(default_factory=AbsorbConfig)
 
 
-#: Per scenario: the config keys its runner reads, as whole sections or
-#: single keys, and the overrides that give its defaults where they differ
-#: from the field defaults. Each scenario takes these keys besides
-#: "scenario" and "out_dir", and no other.
-SCENARIO_KEYS = {
-    "sweep": (("center", "sweep"), ("center.kind=dimer",)),
-    "amplify": (("center.kind", "center.delta", "center.gamma", "center.mu", "center.nu",
-                 "lattice", "packet.site", "packet.k0", "packet.lam", "time"), ()),
-    "flux-deviation": (("center.delta", "center.gamma", "lattice", "packet.site", "packet.lam",
-                        "time", "flux"), ()),
-    # the paper's interferometer (delta, gamma) = (0.75, 1.25) as its dimer
-    "singularity": (("center.mu", "center.nu", "lattice", "packet", "time", "singularity"),
-                    ("center.mu=-2.0", "center.nu=0.5")),
-    "absorb": (("lattice", "absorb"), ("lattice.left_len=20",)),
-    "verify": (("seed",), ()),
-}
-SCENARIOS = tuple(SCENARIO_KEYS)
-
-
 _FIELDS = dataclasses.fields(ScenarioConfig)
 #: "section.name", or "name" for a top-level key -> its type, for every key
 _TYPES = {f.name: f.type for f in _FIELDS if not dataclasses.is_dataclass(f.type)} | {
@@ -223,17 +204,17 @@ _TYPES = {f.name: f.type for f in _FIELDS if not dataclasses.is_dataclass(f.type
 
 def _keys(scenario: str) -> dict:
     """key -> type of each key `scenario` takes, in field order: "scenario",
-    "out_dir" and what SCENARIO_KEYS lists."""
-    if scenario not in SCENARIO_KEYS:
+    "out_dir" and the keys its SCENARIO_TABLE entry lists."""
+    if scenario not in SCENARIO_TABLE:
         raise ConfigError(f"unknown scenario {scenario!r}; choose from {SCENARIOS}")
-    entries = ("scenario", "out_dir", *SCENARIO_KEYS[scenario][0])
+    entries = ("scenario", "out_dir", *SCENARIO_TABLE[scenario].keys)
     return {k: t for k, t in _TYPES.items() if k in entries or k.partition(".")[0] in entries}
 
 
 def default_config(scenario: str) -> ScenarioConfig:
     _keys(scenario)  # refuses an unknown scenario
     base = ScenarioConfig(scenario=scenario, out_dir=f"runs/{scenario}")
-    return apply_overrides(base, SCENARIO_KEYS[scenario][1])
+    return apply_overrides(base, SCENARIO_TABLE[scenario].defaults)
 
 
 # --- config text format -----------------------------------------------------
@@ -287,7 +268,7 @@ def from_ini(text: str, base: ScenarioConfig | None = None) -> ScenarioConfig:
         # some of these messages span lines; the CLI reports errors on one
         raise ConfigError(f"malformed INI: {' '.join(str(exc).split())}") from None
     if base is None:
-        base = default_config(parser.get("scenario", "scenario", fallback="verify"))
+        base = default_config(parser.get("scenario", "scenario", fallback=ScenarioConfig.scenario))
     return apply_overrides(
         base,
         [
@@ -369,13 +350,8 @@ class RunManifest:
 
 
 def _check(name, passed, measured, threshold, detail="") -> AssertionResult:
-    return AssertionResult(
-        name=name,
-        passed=bool(passed),
-        measured=_format_value(measured) if not isinstance(measured, str) else measured,
-        threshold=threshold,
-        detail=detail,
-    )
+    # _format_value passes a measured string through as it is
+    return AssertionResult(name, bool(passed), _format_value(measured), threshold, detail)
 
 
 def _le(name, measured, bound, detail="") -> AssertionResult:
@@ -403,10 +379,9 @@ def run_scenario(config: ScenarioConfig) -> RunManifest:
         (out_dir / "manifest.json").unlink(missing_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot use output directory {str(out_dir)!r}: {exc}") from None
-    runner = _RUNNERS[config.scenario]
     started = time.perf_counter()
     try:
-        outputs, assertions = runner(config, out_dir)
+        outputs, assertions = SCENARIO_TABLE[config.scenario].run(config, out_dir)
         duration = time.perf_counter() - started
         config_text = to_ini(config)
         (out_dir / "config.ini").write_text(config_text)
@@ -786,6 +761,10 @@ def _run_absorb(config: ScenarioConfig, out_dir: Path):
         dimers = {nu: AsymmetricDimer(1.0 / nu, nu) for nu in ab.nu_values}
     lattice = config.lattice.to_lattice()
     n0 = lattice.left_len  # the mixture fills the left lead, -n0..-1
+    for nu in ab.nu_values:  # nu^2 scales H_nu's bands and P_nu's right-lead sum below
+        if not (nu * nu > 0.0 and max(1.0 / (nu * nu), nu * nu * n0) < math.inf):
+            raise ConfigError(f"absorb.nu_values: nu^2, 1/nu^2 or nu^2 n0 (n0={n0}) is no "
+                              f"finite nonzero float at nu={nu!r}")
     times = TimeConfig(t_max=ab.t_max, dt=ab.dt).times()
     # no boundary guard, as the mixture fills the left end (a hard wall): the
     # right lead must outlast the fastest wave (group velocity 2) instead
@@ -1000,12 +979,40 @@ def _run_verify(config: ScenarioConfig, out_dir: Path):
     return ["assertions.txt"], assertions
 
 
-_RUNNERS = {
-    "sweep": _run_sweep,
-    "amplify": _run_amplify,
-    "flux-deviation": _run_flux_deviation,
-    "singularity": _run_singularity,
-    "absorb": _run_absorb,
-    "verify": _run_verify,
-}
+@dataclass(frozen=True)
+class Scenario:
+    """A scenario's runner, its CLI help line, the config keys it takes besides
+    "scenario" and "out_dir", as whole sections or single keys, and the
+    overrides that give its defaults where they differ from the field defaults."""
 
+    run: typing.Callable
+    help: str
+    keys: tuple[str, ...]
+    defaults: tuple[str, ...] = ()
+
+
+#: Every scenario, declared once, in the CLI's order. A scenario takes exactly
+#: the keys its runner reads, and no other.
+SCENARIO_TABLE = {
+    "sweep": Scenario(_run_sweep,
+                      "tabulate r, t, T, R over momentum for both incidence directions",
+                      ("center", "sweep"), ("center.kind=dimer",)),
+    "amplify": Scenario(_run_amplify,
+                        "send a packet through the resonant center and check gain/shape",
+                        ("center.kind", "center.delta", "center.gamma", "center.mu", "center.nu",
+                         "lattice", "packet.site", "packet.k0", "packet.lam", "time")),
+    "flux-deviation": Scenario(_run_flux_deviation,
+                               "distortion versus flux deviation for several packet momenta",
+                               ("center.delta", "center.gamma", "lattice", "packet.site",
+                                "packet.lam", "time", "flux")),
+    # the paper's interferometer (delta, gamma) = (0.75, 1.25) as its dimer
+    "singularity": Scenario(_run_singularity,
+                            "seed, packet, and matched-pair dynamics at mu*nu = -1",
+                            ("center.mu", "center.nu", "lattice", "packet", "time", "singularity"),
+                            ("center.mu=-2.0", "center.nu=0.5")),
+    "absorb": Scenario(_run_absorb, "incoherent mixed-state decay behind a hard wall",
+                       ("lattice", "absorb"), ("lattice.left_len=20",)),
+    "verify": Scenario(_run_verify, "run the full transformation/analytics certification battery",
+                       ("seed",)),
+}
+SCENARIOS = tuple(SCENARIO_TABLE)

@@ -120,6 +120,8 @@ def biorthogonal_scale(ham: HamiltonianMatrix) -> HamiltonianMatrix:
     # ratio formed as a real float so the principal square root is taken on
     # (-|x|, +0j) rather than an accidental (-|x|, -0j) from complex division
     scale = cmath.sqrt(complex(center.nu / center.mu, 0.0))
+    if scale == 0 or not cmath.isfinite(scale):  # nu/mu under- or overflowed
+        raise ValueError(f"scaling sqrt(nu/mu) = {scale!r} is not a finite nonzero number")
     d = np.ones(ham.dim, dtype=complex)
     d[ham.center_span[1] - 1 :] = scale  # beta, the last center site, onward
     cols = np.clip(np.arange(ham.dim) + _OFFSETS, 0, ham.dim - 1)  # outside: entry 0

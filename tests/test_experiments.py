@@ -1,3 +1,4 @@
+import argparse
 import ast
 import configparser
 import contextlib
@@ -31,7 +32,7 @@ from nhscatter.experiments import (
     to_ini,
 )
 from nhscatter import experiments
-from nhscatter.cli import main
+from nhscatter.cli import build_parser, main
 from nhscatter.dynamics import Propagator, mixed_state_uniform
 from nhscatter.lattice import (
     AsymmetricDimer,
@@ -777,6 +778,10 @@ class TestCli:
             # specs built from config values refuse these
             ("absorb", "absorb.nu_values=nan, 0.5"),
             ("absorb", "absorb.nu_values=inf, 0.5"),
+            # absorb refuses these itself: nu^2 underflows, overflows or overflows times n0
+            ("absorb", "absorb.nu_values=1e-200, 0.5"),
+            ("absorb", "absorb.nu_values=1e200, 0.5"),
+            ("absorb", "absorb.nu_values=1e154, 0.5"),
             ("singularity", "center.mu=nan"),
             ("flux-deviation", "center.delta=inf"),
             ("flux-deviation", "flux.deviations=0, 1" + "0" * 400),
@@ -785,6 +790,24 @@ class TestCli:
             code = main([scenario, "--out", str(tmp_path / "x"), "--set", override])
             err = capsys.readouterr().err
             assert code == 2 and "config error" in err, (scenario, override, code, err)
+
+    @pytest.mark.parametrize("nu", ["1e-200", "1e200", "1e154"])
+    def test_absorb_refuses_nu_before_writing(self, tmp_path, capsys, nu):
+        # nu^2 underflows to 0, overflows, or overflows times n0 = 20: refused
+        # before ptotal.csv, not as a program fault at the scaling
+        out = tmp_path / "x"
+        assert main(["absorb", "--out", str(out), "--set", f"absorb.nu_values={nu}, 0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: absorb.nu_values") and err.count("\n") == 1, err
+        assert not (out / "ptotal.csv").exists()
+
+    def test_parser_lists_the_scenario_table(self):
+        # the subcommands and their help lines come from the one scenario table
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert tuple(sub.choices) == SCENARIOS
+        assert [(a.dest, a.help) for a in sub._choices_actions] == [
+            (name, scenario.help) for name, scenario in experiments.SCENARIO_TABLE.items()
+        ]
 
     @pytest.mark.parametrize(
         "content, reason",
@@ -886,7 +909,8 @@ class TestCli:
         def runner(config, out_dir):
             raise MemoryError("Unable to allocate 64.0 GiB for an array")
 
-        monkeypatch.setitem(experiments._RUNNERS, "amplify", runner)
+        entry = dataclasses.replace(experiments.SCENARIO_TABLE["amplify"], run=runner)
+        monkeypatch.setitem(experiments.SCENARIO_TABLE, "amplify", entry)
         assert main(["amplify", "--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err == (
             "config error: the run does not fit in memory: "
@@ -899,7 +923,8 @@ class TestCli:
         def runner(config, out_dir):
             raise ValueError("operands could not be broadcast together")
 
-        monkeypatch.setitem(experiments._RUNNERS, "verify", runner)
+        entry = dataclasses.replace(experiments.SCENARIO_TABLE["verify"], run=runner)
+        monkeypatch.setitem(experiments.SCENARIO_TABLE, "verify", entry)
         config = experiments.default_config("verify")
         config.out_dir = str(tmp_path / "run")
         with pytest.raises(ValueError) as caught:
@@ -1340,7 +1365,7 @@ class TestScenarioKeys:
             if dataclasses.is_dataclass(f.type)
         }
         recorded = _recording(dataclasses.replace(config, **sections), reads, "")
-        experiments._RUNNERS[scenario](recorded, tmp_path)  # small: verdicts may fail
+        experiments.SCENARIO_TABLE[scenario].run(recorded, tmp_path)  # small: verdicts may fail
         other_kinds = set()
         if "center.kind" in TAKEN[scenario]:  # a run reads only its own kind's fields
             other_kinds = {

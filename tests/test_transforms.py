@@ -129,6 +129,13 @@ class TestBiorthogonalScale:
             explicit = np.diag(1.0 / d) @ dense(ham) @ np.diag(d)
             assert np.max(np.abs(dense(biorthogonal_scale(ham)) - explicit)) < 1e-15
 
+    @pytest.mark.parametrize("mu, nu", [(1e200, 1e-200), (1e-200, 1e200)])
+    def test_rejects_scale_that_under_or_overflows(self, mu, nu):
+        # nu/mu is 0 or inf as a float, so sqrt(nu/mu) scales no band
+        ham = build_hamiltonian(AsymmetricDimer(mu, nu), LatticeSpec(3, 3))
+        with pytest.raises(ValueError, match="finite nonzero"):
+            biorthogonal_scale(ham)
+
     @given(mu=hopping, nu=hopping)
     @settings(max_examples=30)
     def test_spectrum_preserved(self, mu, nu):
